@@ -12,7 +12,14 @@ run() {
 }
 
 run cargo build --release --workspace --offline --locked
-run cargo test -q --workspace --offline --locked
+# --no-fail-fast: one failing suite must not hide the results of the rest.
+run cargo test -q --workspace --offline --locked --no-fail-fast
+# The allocation audits count per thread, so tests running side by side
+# must not see each other's allocations. Force a parallel libtest runner
+# so that a 1-core host (where libtest defaults to one thread) still runs
+# them concurrently.
+run cargo test -q -p bns --test sampler_alloc --offline --locked -- --test-threads=2
+run cargo test -q -p bns-serve --test query_alloc --offline --locked -- --test-threads=2
 run cargo test -q --doc --workspace --offline --locked
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets --offline --locked -- -D warnings
@@ -28,8 +35,9 @@ run cargo run --release --offline --locked -p bns-lint
 # target-cpu=native to keep the build cache warm and codegen consistent.
 RUSTFLAGS="-C target-cpu=native --cfg bns_model_check" \
     run cargo test -q -p bns-check --offline --locked
-# Compiles every Criterion target (sampler_micro, fused_draw,
-# parallel_scaling, …) without running them.
+# Compiles every Criterion target (sampler_micro, stats_bench,
+# model_bench, table_bench, fig_bench, parallel_scaling) without running
+# them.
 run cargo bench --no-run --workspace --offline --locked
 # bench_json smoke at tiny sizes: keeps the machine-readable perf runner
 # from rotting. The committed BENCH_samplers.json is generated at paper

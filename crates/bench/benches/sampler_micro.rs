@@ -1,13 +1,10 @@
-//! Sampler micro-benchmarks.
-//!
-//! Validates the paper's §III-D complexity claim: one BNS draw is linear in
-//! the catalog (`time(draw) ∝ n_items` from the fused scoring/ECDF pass),
-//! and near-linear in |Mᵤ| at fixed catalog. Also ablates the exact ECDF
-//! against the subsampled variant and compares per-draw cost across all six
-//! samplers. (`user_scores` is precomputed once outside the loops; under
-//! the `ScoreAccess` contract only AOBPR still reads it — the trainer-side
-//! cost of refreshing it per pair is measured by `fused_draw` and
-//! `bench_json`, which go through `sample_pair`.)
+//! BNS draw-cost sweeps that no JSON runner measures: draw time against
+//! the candidate-set size |Mᵤ| at a fixed catalog, and the exact ECDF
+//! against the subsampled variant. Per-sampler draw cost and the
+//! catalog-size scaling are recorded by `bench_json` (BENCH_samplers.json)
+//! and `scale_bench` (BENCH_scale.json). (`user_scores` is precomputed
+//! once outside the loops; under the `ScoreAccess` contract BNS never
+//! reads it.)
 
 use bns_bench::fixture;
 use bns_core::bns::EcdfStrategy;
@@ -34,45 +31,6 @@ fn draw_loop(
     };
     let pos = fx.dataset.train().items_of(0)[0];
     sampler.sample(0, pos, &ctx, rng).unwrap_or(0)
-}
-
-fn per_sampler_draw_cost(c: &mut Criterion) {
-    let fx = fixture(200, 1_000, 7);
-    let mut user_scores = vec![0.0f32; 1_000];
-    fx.model.score_all(0, &mut user_scores);
-    let mut group = c.benchmark_group("draw_cost_1k_items");
-    group.sample_size(30);
-    for cfg in SamplerConfig::paper_lineup() {
-        let mut sampler =
-            build_sampler(&cfg, &fx.dataset, Some(&fx.occupations)).expect("valid sampler");
-        sampler.on_epoch_start(0);
-        let mut rng = StdRng::seed_from_u64(1);
-        group.bench_function(cfg.display_name(), |b| {
-            b.iter(|| black_box(draw_loop(sampler.as_mut(), &fx, &user_scores, &mut rng)))
-        });
-    }
-    group.finish();
-}
-
-fn bns_linear_in_catalog(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bns_draw_vs_catalog");
-    group.sample_size(25);
-    for &n_items in &[500u32, 1_000, 2_000, 4_000] {
-        let fx = fixture(100, n_items, 11);
-        let mut user_scores = vec![0.0f32; n_items as usize];
-        fx.model.score_all(0, &mut user_scores);
-        let cfg = SamplerConfig::Bns {
-            config: BnsConfig::default(),
-            prior: PriorKind::Popularity,
-        };
-        let mut sampler = build_sampler(&cfg, &fx.dataset, None).expect("valid sampler");
-        sampler.on_epoch_start(0);
-        let mut rng = StdRng::seed_from_u64(2);
-        group.bench_with_input(BenchmarkId::from_parameter(n_items), &n_items, |b, _| {
-            b.iter(|| black_box(draw_loop(sampler.as_mut(), &fx, &user_scores, &mut rng)))
-        });
-    }
-    group.finish();
 }
 
 fn bns_cost_vs_candidate_size(c: &mut Criterion) {
@@ -126,11 +84,5 @@ fn ecdf_exact_vs_subsample(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    per_sampler_draw_cost,
-    bns_linear_in_catalog,
-    bns_cost_vs_candidate_size,
-    ecdf_exact_vs_subsample
-);
+criterion_group!(benches, bns_cost_vs_candidate_size, ecdf_exact_vs_subsample);
 criterion_main!(benches);

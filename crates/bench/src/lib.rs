@@ -2,20 +2,19 @@
 //!
 //! The benchmark targets live in `benches/`:
 //!
-//! * `sampler_micro`  — per-draw sampler latency; the BNS linear-complexity
-//!   claim (§III-D) as draw-time vs catalog size; exact-vs-subsampled ECDF
-//!   ablation.
+//! * `sampler_micro`  — BNS draw time vs the candidate-set size |Mᵤ|, and
+//!   the exact-vs-subsampled ECDF ablation.
 //! * `stats_bench`    — special functions, ECDF, alias sampling.
 //! * `model_bench`    — MF/LightGCN scoring, updates, propagation.
 //! * `table_bench`    — miniature regenerations of Tables I–IV.
 //! * `fig_bench`      — miniature regenerations of Figs. 1–5.
 //! * `parallel_scaling` — sharded-trainer throughput at 1/2/4/8 hogwild
 //!   shards vs the serial engine (triples/sec ratios).
-//! * `fused_draw`     — the fused BNS draw against the pre-fused
-//!   reference implementation kept in [`UnfusedBns`].
 //!
 //! The `bench_json` binary (`cargo run -p bns-bench --bin bench_json`)
-//! re-times the sampler lineup without Criterion and writes the results to
+//! times the sampler lineup without Criterion — per-draw cost, batched vs
+//! per-pair throughput, and the fused BNS draw against the pre-fused
+//! reference kept in [`UnfusedBns`] — and writes the results to
 //! `BENCH_samplers.json`, so the repo's perf trajectory is
 //! machine-readable.
 
@@ -71,7 +70,7 @@ pub fn fixture(n_users: u32, n_items: u32, seed: u64) -> BenchFixture {
 }
 
 /// The **pre-fused** BNS draw, kept verbatim as the baseline the fused
-/// path is benchmarked against (`fused_draw` bench, `bench_json` runner).
+/// path is benchmarked against (the `bench_json` runner).
 ///
 /// This is what the seed implementation did per draw, including its
 /// sequential (non-unrolled) dot products: materialize the full rating

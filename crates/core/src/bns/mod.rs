@@ -27,8 +27,8 @@
 //! in-register. No `n_items`-sized buffer is ever written or re-read. One
 //! draw is still linear in the catalog — the paper's complexity claim —
 //! but touches each item-embedding row exactly once
-//! (`crates/bench/benches/fused_draw.rs` measures the speedup against the
-//! pre-fused reference).
+//! (`bench_json` records the speedup against the pre-fused reference in
+//! `BENCH_samplers.json`).
 
 pub mod prior;
 pub mod risk;
@@ -49,7 +49,6 @@ use crate::{CoreError, Result};
 use bns_data::Interactions;
 use bns_model::loss::info;
 use bns_model::{Scorer, TripleBatch};
-use serde::{Deserialize, Serialize};
 
 /// Items scored per block of the fused ECDF pass. 256 scores = 1 KiB —
 /// resident in L1 while the m threshold comparisons run over it.
@@ -168,7 +167,7 @@ pub fn fused_ecdf_counts(
 }
 
 /// Which selection rule to apply over the candidate set.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Criterion {
     /// Eq. (32): minimize the conditional sampling risk (the full BNS rule,
     /// balancing informativeness and unbiasedness).
@@ -187,7 +186,7 @@ pub enum Criterion {
 }
 
 /// How to estimate the likelihood term `F(x̂ₗ)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EcdfStrategy {
     /// Exact Eq. (16): scan all of the user's un-interacted item scores.
     Exact,
@@ -197,9 +196,9 @@ pub enum EcdfStrategy {
     Subsample(usize),
 }
 
-/// Descriptor of how to construct the prior (serializable; resolved against
+/// Descriptor of how to construct the prior (plain data; resolved against
 /// a dataset by `factory::build_sampler`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PriorKind {
     /// Eq. (17) interaction-ratio prior (standard BNS).
     Popularity,
@@ -218,7 +217,7 @@ pub enum PriorKind {
 }
 
 /// BNS hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BnsConfig {
     /// Candidate-set size |Mᵤ| (paper default 5). `usize::MAX` means "all
     /// negatives" — the asymptotically optimal sampler h* of Table IV.

@@ -8,8 +8,6 @@
 //! sampling risk (Eq. 31), whose per-candidate minimizer is the paper's
 //! optimal sampler (Theorem 0.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Order of the Taylor expansion used to estimate the per-draw sampling
 /// loss `ΔL(l|i)` (Eq. 29/30).
 ///
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// magnitude `info` by `½·info·(1 + info)` — damping near-saturated
 /// candidates (`info → 1`) less than mid-range ones. This is one of the
 /// repo's documented extensions (ablated in the `ablation` binary).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RiskOrder {
     /// Eq. (30): `ΔL ≈ info`.
     #[default]

@@ -6,10 +6,8 @@
 //! warm-start schedule `λ(epoch) = max(10 − 0.1·epoch, 2)` — aggressive
 //! early, conservative late — does slightly better.
 
-use serde::{Deserialize, Serialize};
-
 /// λ as a function of the training epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LambdaSchedule {
     /// Fixed λ (paper default: 5).
     Constant(f64),

@@ -9,12 +9,10 @@
 //! without any loss of information (they are sufficient statistics of the
 //! means).
 
-use serde::{Deserialize, Serialize};
-
 /// Sums of the selected-negative sampling signals over one epoch (or one
 /// shard of one epoch). All fields are additive, so sharded accumulators
 /// merge exactly.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PosteriorStats {
     /// Number of Bayesian draws recorded (warm-up uniform draws excluded).
     pub draws: u64,

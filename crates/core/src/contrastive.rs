@@ -20,10 +20,9 @@ use bns_model::{MatrixFactorization, Scorer, TripleBatch};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Hyperparameters of the contrastive trainer.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ContrastiveConfig {
     /// Training epochs.
     pub epochs: usize,
@@ -85,7 +84,7 @@ impl ContrastiveConfig {
 }
 
 /// Per-run statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContrastiveStats {
     /// Mean InfoNCE loss per epoch.
     pub loss_per_epoch: Vec<f64>,

@@ -1,4 +1,4 @@
-//! Serializable sampler configurations resolved against a dataset.
+//! Plain-data sampler configurations resolved against a dataset.
 //!
 //! The experiment harness describes each run (Table II's six samplers,
 //! Table III's BNS variants, Table IV's oracle sweep) as data; this module
@@ -39,10 +39,9 @@ use crate::sampler::NegativeSampler;
 use crate::srns::Srns;
 use crate::{CoreError, Result};
 use bns_data::{Dataset, Occupations};
-use serde::{Deserialize, Serialize};
 
-/// A fully serializable description of a negative sampler.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// A plain-data description of a negative sampler.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SamplerConfig {
     /// Uniform sampling.
     Rns,

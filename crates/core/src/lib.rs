@@ -31,7 +31,7 @@
 //!   user shards with per-worker RNG/sampler state and epoch-barrier
 //!   statistic merges, behind a [`parallel::Determinism`] switch whose
 //!   bit-exact mode is the serial engine.
-//! * [`factory`] — serde-able sampler configs → boxed samplers.
+//! * [`factory`] — plain-data sampler configs → boxed samplers.
 
 pub mod aobpr;
 pub mod bns;

@@ -56,12 +56,11 @@ use bns_sync::PoisonFlag;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::panic::AssertUnwindSafe;
 use std::sync::{Barrier, Mutex};
 
 /// How strictly a parallel run must reproduce the serial trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Determinism {
     /// Bit-for-bit identical to the serial engine: same triples, same
     /// update order, same final parameters. Requires `threads == 1`
@@ -76,7 +75,7 @@ pub enum Determinism {
 
 /// Configuration of the sharded engine, separate from [`TrainConfig`] so
 /// the serial trainer's layout stays stable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Worker threads (= user shards). Must be ≥ 1; in
     /// [`Determinism::BitExact`] mode it must be exactly 1.
@@ -396,13 +395,10 @@ impl ParallelTrainer {
     }
 }
 
-/// Decorrelates per-shard RNG streams from the run seed: one SplitMix64
-/// scramble of `seed + (shard + 1) · golden-ratio`.
+/// Decorrelates per-shard RNG streams from the run seed: output `shard`
+/// of the SplitMix64 stream seeded with `seed`.
 fn worker_seed(seed: u64, shard: usize) -> u64 {
-    let mut z = seed.wrapping_add((shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    bns_sync::splitmix64(seed.wrapping_add((shard as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
 }
 
 #[cfg(test)]

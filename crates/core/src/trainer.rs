@@ -30,7 +30,6 @@ use bns_model::{PairwiseModel, Scorer, TripleBatch};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Training-loop configuration.
 ///
@@ -53,7 +52,7 @@ use serde::{Deserialize, Serialize};
 /// `paper_*` constructors and functional-update syntax
 /// (`TrainConfig { epochs: 10, ..TrainConfig::paper_mf(10, 0) }`) rather
 /// than exhaustive struct literals, so added fields do not break it.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TrainConfig {
     /// Number of epochs `T`. Paper: 100 (§IV-B1); harness default: 40.
     pub epochs: usize,
@@ -133,7 +132,7 @@ impl TrainObserver for NoopObserver {
 }
 
 /// Summary statistics of a completed run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainStats {
     /// Total triples applied.
     pub triples: usize,

@@ -62,10 +62,11 @@ pub(crate) fn validate_csr(
         ));
     }
     for w in offsets.windows(2) {
-        if w[0] > w[1] {
-            return Err(DataError::Invalid("offsets must be non-decreasing".into()));
-        }
-        let row = &items[w[0] as usize..w[1] as usize];
+        // The last offset equals items.len(), so a row that ends past the
+        // items is a decrease further on.
+        let row = items
+            .get(w[0] as usize..w[1] as usize)
+            .ok_or_else(|| DataError::Invalid("offsets must be non-decreasing".into()))?;
         if !row.windows(2).all(|p| p[0] < p[1]) {
             return Err(DataError::Invalid(
                 "row items must be strictly ascending".into(),

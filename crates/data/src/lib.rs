@@ -25,10 +25,13 @@
 //!   zero-copy mmap-backed load path for large artifacts.
 //! * [`storage`] — the byte-buffer substrate behind the zero-copy path:
 //!   an owned/mapped [`storage::Storage`] enum plus aligned typed views.
+//! * [`le`] — the one checked little-endian reader every binary decoder
+//!   (datasets here, model artifacts in `bns-serve`) reads through.
 
 pub mod dataset;
 pub mod filter;
 pub mod interactions;
+pub mod le;
 pub mod loader;
 pub mod occupation;
 pub mod popularity;
@@ -90,6 +93,12 @@ impl std::error::Error for DataError {
 impl From<std::io::Error> for DataError {
     fn from(e: std::io::Error) -> Self {
         DataError::Io(e)
+    }
+}
+
+impl From<le::Truncated> for DataError {
+    fn from(e: le::Truncated) -> Self {
+        DataError::Invalid(e.to_string())
     }
 }
 

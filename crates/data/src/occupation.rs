@@ -8,10 +8,9 @@
 
 use crate::interactions::Interactions;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Occupation labels for every user.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Occupations {
     labels: Vec<u32>,
     n_groups: u32,

@@ -15,10 +15,9 @@
 //! sampler dynamics (candidate-set hit rates, popularity skew) carry over.
 
 use crate::synthetic::SyntheticConfig;
-use serde::{Deserialize, Serialize};
 
 /// Size multiplier applied to a preset.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Scale {
     /// Full paper-scale counts.
     Paper,
@@ -43,7 +42,7 @@ impl Scale {
 }
 
 /// The paper's datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DatasetPreset {
     /// MovieLens-100K: 943 × 1,682, 100k interactions.
     Ml100k,

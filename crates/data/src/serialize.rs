@@ -1,8 +1,8 @@
 //! Binary serialization of interaction data.
 //!
-//! A tiny, versioned little-endian format built on the `bytes` crate, used
-//! to cache generated datasets between harness runs (generating the 1M-scale
-//! synthetic dataset takes noticeably longer than loading its cached form).
+//! A tiny, versioned little-endian format, used to cache generated
+//! datasets between harness runs (generating the 1M-scale synthetic
+//! dataset takes noticeably longer than loading its cached form).
 //!
 //! Layout:
 //! ```text
@@ -16,79 +16,40 @@
 //! Both `u32` arrays start at 4-byte-aligned file offsets (20 and
 //! `28 + 4·n_offsets`), which is what lets [`map_interactions`] hand out
 //! CSR views directly over the mapped file with no copy and no
-//! per-element decode loop. [`load_interactions`] remains the buffered
-//! path; the two agree bit-for-bit
-//! (`mapped_load_agrees_with_buffered_load` below).
+//! per-element decode loop. Every decode — buffered or mapped — goes
+//! through the one [`decode_interactions_storage`], which reads through
+//! the checked [`crate::le::Reader`], so malformed input is a typed
+//! [`DataError::Invalid`], never a panic.
 
 use crate::interactions::Interactions;
+use crate::le::Reader;
 use crate::storage::{Storage, U32Buf};
 use crate::{DataError, Result};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::sync::Arc;
 
 /// Format magic — "BNS1".
 const MAGIC: u32 = 0x424E_5331;
 
 /// Encodes interactions into a self-describing binary buffer.
-pub fn encode_interactions(x: &Interactions) -> Bytes {
+pub fn encode_interactions(x: &Interactions) -> Vec<u8> {
     let (n_users, n_items, offsets, items) = x.csr_parts();
-    let mut buf = BytesMut::with_capacity(24 + 4 * (offsets.len() + items.len()));
-    buf.put_u32_le(MAGIC);
-    buf.put_u32_le(n_users);
-    buf.put_u32_le(n_items);
-    buf.put_u64_le(offsets.len() as u64);
-    for &o in offsets {
-        buf.put_u32_le(o);
+    let mut buf = Vec::with_capacity(28 + 4 * (offsets.len() + items.len()));
+    buf.extend_from_slice(&MAGIC.to_le_bytes());
+    buf.extend_from_slice(&n_users.to_le_bytes());
+    buf.extend_from_slice(&n_items.to_le_bytes());
+    for array in [offsets, items] {
+        buf.extend_from_slice(&(array.len() as u64).to_le_bytes());
+        for &v in array {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
     }
-    buf.put_u64_le(items.len() as u64);
-    for &i in items {
-        buf.put_u32_le(i);
-    }
-    buf.freeze()
+    buf
 }
 
 /// Decodes a buffer produced by [`encode_interactions`], re-validating all
 /// CSR invariants.
-pub fn decode_interactions(mut buf: &[u8]) -> Result<Interactions> {
-    let need = |buf: &&[u8], n: usize, what: &str| -> Result<()> {
-        if buf.remaining() < n {
-            Err(DataError::Invalid(format!(
-                "truncated buffer while reading {what}"
-            )))
-        } else {
-            Ok(())
-        }
-    };
-    need(&buf, 4, "magic")?;
-    let magic = buf.get_u32_le();
-    if magic != MAGIC {
-        return Err(DataError::Invalid(format!(
-            "bad magic 0x{magic:08X}, expected 0x{MAGIC:08X}"
-        )));
-    }
-    need(&buf, 8, "header")?;
-    let n_users = buf.get_u32_le();
-    let n_items = buf.get_u32_le();
-
-    need(&buf, 8, "offsets length")?;
-    let n_offsets = buf.get_u64_le() as usize;
-    need(&buf, n_offsets.saturating_mul(4), "offsets")?;
-    let mut offsets = Vec::with_capacity(n_offsets);
-    for _ in 0..n_offsets {
-        offsets.push(buf.get_u32_le());
-    }
-
-    need(&buf, 8, "items length")?;
-    let n_arr = buf.get_u64_le() as usize;
-    need(&buf, n_arr.saturating_mul(4), "items")?;
-    let mut items = Vec::with_capacity(n_arr);
-    for _ in 0..n_arr {
-        items.push(buf.get_u32_le());
-    }
-    if buf.remaining() != 0 {
-        return Err(DataError::Invalid("trailing bytes after payload".into()));
-    }
-    Interactions::from_csr_parts(n_users, n_items, offsets, items)
+pub fn decode_interactions(buf: &[u8]) -> Result<Interactions> {
+    decode_whole(Storage::Owned(buf.to_vec()))
 }
 
 /// Writes interactions to a file.
@@ -97,10 +58,10 @@ pub fn save_interactions(x: &Interactions, path: &std::path::Path) -> Result<()>
     Ok(())
 }
 
-/// Reads interactions from a file.
+/// Reads interactions from a file through the buffered path (one full
+/// read into owned memory).
 pub fn load_interactions(path: &std::path::Path) -> Result<Interactions> {
-    let data = std::fs::read(path)?;
-    decode_interactions(&data)
+    decode_whole(Storage::read(path)?)
 }
 
 /// Loads interactions zero-copy: the file is memory-mapped and the CSR
@@ -110,76 +71,46 @@ pub fn load_interactions(path: &std::path::Path) -> Result<Interactions> {
 /// an unaligned base) this silently degrades to an owned decode of the
 /// mapped bytes, so the result is identical either way.
 pub fn map_interactions(path: &std::path::Path) -> Result<Interactions> {
-    let storage = Arc::new(Storage::map(path)?);
+    decode_whole(Storage::map(path)?)
+}
+
+/// Decodes a blob that holds exactly one `BNS1` payload.
+fn decode_whole(storage: Storage) -> Result<Interactions> {
     let len = storage.as_bytes().len();
-    decode_interactions_storage(&storage, 0, len)
+    decode_interactions_storage(&Arc::new(storage), 0, len)
 }
 
 /// Decodes a `BNS1` region embedded in a shared [`Storage`] blob at
-/// `[start, start + len)`, preferring zero-copy views. This is the
-/// region-decode core behind [`map_interactions`], also driven by
-/// `bns-serve` for the CSR sections of mapped model artifacts.
+/// `[start, start + len)`, preferring zero-copy views. This is the one
+/// decoder behind every load path here, also driven by `bns-serve` for the
+/// CSR sections of model artifacts.
 pub fn decode_interactions_storage(
     storage: &Arc<Storage>,
     start: usize,
     len: usize,
 ) -> Result<Interactions> {
-    let all = storage.as_bytes();
-    let end = start
-        .checked_add(len)
-        .filter(|&e| e <= all.len())
-        .ok_or_else(|| DataError::Invalid("interaction region out of bounds".into()))?;
-    let region = &all[start..end];
-
-    let need = |pos: usize, n: usize, what: &str| -> Result<usize> {
-        pos.checked_add(n)
-            .filter(|&e| e <= region.len())
-            .ok_or_else(|| DataError::Invalid(format!("truncated buffer while reading {what}")))
-    };
-    let u32_at = |pos: usize| -> u32 {
-        u32::from_le_bytes(region[pos..pos + 4].try_into().expect("4 bytes"))
-    };
-    let u64_at = |pos: usize| -> u64 {
-        u64::from_le_bytes(region[pos..pos + 8].try_into().expect("8 bytes"))
-    };
-
-    need(0, 4, "magic")?;
-    let magic = u32_at(0);
+    let mut r = Reader::window(storage.as_bytes(), start, len, "interaction region")?;
+    let magic = r.u32("magic")?;
     if magic != MAGIC {
         return Err(DataError::Invalid(format!(
             "bad magic 0x{magic:08X}, expected 0x{MAGIC:08X}"
         )));
     }
-    need(4, 8, "header")?;
-    let n_users = u32_at(4);
-    let n_items = u32_at(8);
-
-    need(12, 8, "offsets length")?;
-    let n_offsets = u64_at(12) as usize;
-    let offsets_at = need(12, 8, "offsets length")?;
-    let items_len_at = need(offsets_at, n_offsets.saturating_mul(4), "offsets")?;
-
-    need(items_len_at, 8, "items length")?;
-    let n_arr = u64_at(items_len_at) as usize;
-    let items_at = items_len_at + 8;
-    let payload_end = need(items_at, n_arr.saturating_mul(4), "items")?;
-    if payload_end != region.len() {
+    let n_users = r.u32("header")?;
+    let n_items = r.u32("header")?;
+    let n_offsets = r.u64_len("offsets length")?;
+    let offsets = r.words(n_offsets, "offsets")?;
+    let n_arr = r.u64_len("items length")?;
+    let items = r.words(n_arr, "items")?;
+    if r.remaining() != 0 {
         return Err(DataError::Invalid("trailing bytes after payload".into()));
     }
-
-    let decode_owned =
-        |pos: usize, n: usize| -> Vec<u32> { (0..n).map(|k| u32_at(pos + 4 * k)).collect() };
-    let (offsets, items) = match (
-        U32Buf::mapped(storage, start + offsets_at, n_offsets),
-        U32Buf::mapped(storage, start + items_at, n_arr),
-    ) {
-        (Some(o), Some(i)) => (o, i),
-        _ => (
-            decode_owned(offsets_at, n_offsets).into(),
-            decode_owned(items_at, n_arr).into(),
-        ),
-    };
-    Interactions::from_csr_views(n_users, n_items, offsets, items)
+    Interactions::from_csr_views(
+        n_users,
+        n_items,
+        U32Buf::from_words(storage, offsets),
+        U32Buf::from_words(storage, items),
+    )
 }
 
 #[cfg(test)]
@@ -207,14 +138,14 @@ mod tests {
 
     #[test]
     fn rejects_bad_magic() {
-        let mut buf = encode_interactions(&sample()).to_vec();
+        let mut buf = encode_interactions(&sample());
         buf[0] ^= 0xFF;
         assert!(decode_interactions(&buf).is_err());
     }
 
     #[test]
     fn rejects_truncation_at_every_length() {
-        let buf = encode_interactions(&sample()).to_vec();
+        let buf = encode_interactions(&sample());
         for cut in 0..buf.len() {
             assert!(
                 decode_interactions(&buf[..cut]).is_err(),
@@ -225,7 +156,7 @@ mod tests {
 
     #[test]
     fn rejects_trailing_garbage() {
-        let mut buf = encode_interactions(&sample()).to_vec();
+        let mut buf = encode_interactions(&sample());
         buf.push(0);
         assert!(decode_interactions(&buf).is_err());
     }
@@ -234,10 +165,35 @@ mod tests {
     fn rejects_corrupted_payload() {
         // Corrupt an item id to be out of range.
         let x = sample();
-        let mut buf = encode_interactions(&x).to_vec();
+        let mut buf = encode_interactions(&x);
         let last = buf.len() - 4;
         buf[last..].copy_from_slice(&1000u32.to_le_bytes());
         assert!(decode_interactions(&buf).is_err());
+    }
+
+    #[test]
+    fn every_byte_flip_decodes_or_errs_alike_on_both_paths() {
+        // Flip every single bit, and every whole byte, of the encoding. The
+        // buffered and the mapped decoder must each return `Ok` or a typed
+        // `Err` without panicking, and must agree on which.
+        let buf = encode_interactions(&sample());
+        let path =
+            std::env::temp_dir().join(format!("bns_serialize_flip_{}.bin", std::process::id()));
+        for pos in 0..buf.len() {
+            for mask in [0x01u8, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF] {
+                let mut corrupt = buf.clone();
+                corrupt[pos] ^= mask;
+                let buffered = decode_interactions(&corrupt);
+                std::fs::write(&path, &corrupt).unwrap();
+                let mapped = map_interactions(&path);
+                match (&buffered, &mapped) {
+                    (Ok(a), Ok(b)) => assert_eq!(a, b, "paths disagree at {pos} ^ {mask:#04x}"),
+                    (Err(DataError::Invalid(_)), Err(DataError::Invalid(_))) => {}
+                    _ => panic!("flip {pos} ^ {mask:#04x}: {buffered:?} vs {mapped:?}"),
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -259,6 +215,7 @@ mod tests {
         let buffered = load_interactions(&path).unwrap();
         let mapped = map_interactions(&path).unwrap();
         assert_eq!(buffered, mapped);
+        assert!(!buffered.is_mapped(), "a buffered load owns its bytes");
         #[cfg(all(unix, target_endian = "little"))]
         assert!(
             mapped.is_mapped(),
@@ -270,7 +227,7 @@ mod tests {
     #[test]
     fn mapped_load_rejects_every_truncation() {
         let x = sample();
-        let buf = encode_interactions(&x).to_vec();
+        let buf = encode_interactions(&x);
         let path =
             std::env::temp_dir().join(format!("bns_serialize_trunc_{}.bin", std::process::id()));
         for cut in 0..buf.len() {
@@ -286,7 +243,7 @@ mod tests {
     #[test]
     fn mapped_load_rejects_corrupt_payload() {
         let x = sample();
-        let mut buf = encode_interactions(&x).to_vec();
+        let mut buf = encode_interactions(&x);
         let last = buf.len() - 4;
         buf[last..].copy_from_slice(&1000u32.to_le_bytes());
         let path =
@@ -301,7 +258,7 @@ mod tests {
         // Embed the payload at a 4-aligned offset inside a larger blob, as
         // the serve artifact does, and decode just that region.
         let x = sample();
-        let payload = encode_interactions(&x).to_vec();
+        let payload = encode_interactions(&x);
         let mut blob = vec![0xAAu8; 64];
         blob.extend_from_slice(&payload);
         let storage = Arc::new(Storage::Owned(blob));

@@ -10,10 +10,9 @@ use crate::interactions::{Interactions, InteractionsBuilder};
 use crate::{DataError, Result};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the random split.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SplitConfig {
     /// Fraction of interactions assigned to the test set (the paper: 0.2).
     pub test_fraction: f64,

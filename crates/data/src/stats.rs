@@ -1,11 +1,10 @@
 //! Dataset statistics — the Table I reproduction.
 
 use crate::dataset::Dataset;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics of a train/test dataset (Table I plus density and
 /// popularity-skew diagnostics that validate the synthetic stand-ins).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DatasetStats {
     /// Dataset display name.
     pub name: String,

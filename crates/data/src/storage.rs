@@ -24,6 +24,7 @@
 //! file mutated after load is the same trust model as an owned buffer
 //! mutated after load: out of scope (artifacts are trusted inputs).
 
+use crate::le::Words;
 use std::fs::File;
 use std::io;
 use std::path::Path;
@@ -248,9 +249,15 @@ impl U32Buf {
         }
     }
 
+    /// `words` read from `storage`: a zero-copy view when the platform
+    /// and alignment allow, else an owned decode (identical contents).
+    pub fn from_words(storage: &Arc<Storage>, words: Words<'_>) -> Self {
+        Self::mapped(storage, words.offset, words.len()).unwrap_or_else(|| words.to_u32s().into())
+    }
+
     /// Whether this buffer borrows from a mapped file.
     pub fn is_mapped(&self) -> bool {
-        matches!(self, U32Buf::Mapped { .. })
+        matches!(self, U32Buf::Mapped { storage, .. } if storage.is_mapped())
     }
 }
 
@@ -325,9 +332,15 @@ impl F32Buf {
         }
     }
 
+    /// `words` read from `storage`: a zero-copy view when the platform
+    /// and alignment allow, else an owned decode (identical bit patterns).
+    pub fn from_words(storage: &Arc<Storage>, words: Words<'_>) -> Self {
+        Self::mapped(storage, words.offset, words.len()).unwrap_or_else(|| words.to_f32s().into())
+    }
+
     /// Whether this buffer borrows from a mapped file.
     pub fn is_mapped(&self) -> bool {
-        matches!(self, F32Buf::Mapped { .. })
+        matches!(self, F32Buf::Mapped { storage, .. } if storage.is_mapped())
     }
 }
 

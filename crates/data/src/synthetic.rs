@@ -58,13 +58,13 @@ use crate::interactions::{Interactions, RowStreamBuilder};
 use crate::occupation::Occupations;
 use crate::{DataError, Result};
 use bns_stats::alias::AliasTable;
+use bns_sync::splitmix64;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// How a user's interaction row is drawn from the planted utility model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum EmissionMode {
     /// Pick per catalog size: [`EmissionMode::Exact`] when
     /// `n_items ≤ 4096`, else [`EmissionMode::Pooled`] with oversample 4.
@@ -82,7 +82,7 @@ pub enum EmissionMode {
 }
 
 /// Configuration of the synthetic generator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SyntheticConfig {
     /// Number of users.
     pub n_users: u32,
@@ -210,15 +210,6 @@ const SALT_RANK: u64 = 0x5241_4E4B_5045_524D;
 const SALT_GROUP_LABEL: u64 = 0x4752_504C_4142_454C; // "GRPLABEL"
 const SALT_GROUP_VEC: u64 = 0x4752_5056_4543_544F;
 const SALT_GROUP_NOISE: u64 = 0x4752_504E_4F49_5345;
-
-/// The splitmix64 finalizer — a full-avalanche 64-bit mixer.
-#[inline]
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// Mixes `(seed, salt, a, b)` into a uniform 64-bit hash.
 #[inline]
@@ -494,10 +485,13 @@ impl PlantedModel {
                 scratch.pool.dedup();
             }
             // Deterministic fill if Zipf collisions starved the pool (only
-            // reachable when k·oversample approaches the catalog size).
+            // reachable when k·oversample approaches the catalog size). Only
+            // the sorted drawn prefix is searched: the appended fill ids
+            // ascend but interleave with it, so the whole vec is unsorted.
             if scratch.pool.len() < target {
+                let drawn = scratch.pool.len();
                 for i in 0..cfg.n_items {
-                    if scratch.pool.binary_search(&i).is_err() {
+                    if scratch.pool[..drawn].binary_search(&i).is_err() {
                         scratch.pool.push(i);
                         if scratch.pool.len() >= target {
                             break;
@@ -800,6 +794,26 @@ mod tests {
             expected_user += 1;
         }
         assert_eq!(expected_user, 60);
+    }
+
+    #[test]
+    fn starved_pool_fill_never_repeats_an_item() {
+        // k·oversample exceeds the catalog, so every row's pool is topped
+        // up by the deterministic fill, which must add only items the
+        // proposal draws missed. Before the fix this shape emitted a
+        // duplicate item in user 3's row.
+        let cfg = SyntheticConfig {
+            n_users: 4,
+            n_items: 400,
+            target_interactions: 4 * 200,
+            seed: 6,
+            emission: EmissionMode::Pooled { oversample: 4 },
+            ..SyntheticConfig::default()
+        };
+        let x = generate_streamed(&cfg).unwrap();
+        for u in 0..4 {
+            assert!(x.degree(u) > 0, "user {u} has an empty row");
+        }
     }
 
     #[test]

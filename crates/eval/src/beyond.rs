@@ -10,10 +10,9 @@
 use crate::topk::top_k_masked;
 use bns_data::Dataset;
 use bns_model::Scorer;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate beyond-accuracy metrics of top-K recommendations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BeyondAccuracy {
     /// Cutoff used.
     pub k: usize,

@@ -9,10 +9,9 @@
 use bns_core::TrainObserver;
 use bns_data::Dataset;
 use bns_model::Scorer;
-use serde::{Deserialize, Serialize};
 
 /// One learning-curve point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
     /// Epoch at which the evaluation ran.
     pub epoch: usize,

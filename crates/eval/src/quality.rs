@@ -17,10 +17,9 @@ use bns_core::TrainObserver;
 use bns_data::Dataset;
 use bns_model::Scorer;
 use bns_stats::GaussianKde;
-use serde::{Deserialize, Serialize};
 
 /// Per-epoch sampling-quality measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochQuality {
     /// Epoch index.
     pub epoch: usize,

@@ -12,10 +12,9 @@ use crate::metrics::{ndcg_at_k, precision_at_k, recall_at_k};
 use crate::topk::{top_k_masked_into, TopKBuffer};
 use bns_data::Dataset;
 use bns_model::Scorer;
-use serde::{Deserialize, Serialize};
 
 /// Metrics at one cutoff K.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricRow {
     /// The cutoff.
     pub k: usize,
@@ -28,7 +27,7 @@ pub struct MetricRow {
 }
 
 /// Evaluation result over all requested cutoffs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RankingReport {
     /// One row per requested K, in input order.
     pub rows: Vec<MetricRow>,

@@ -2,10 +2,9 @@
 
 use crate::common::cli::HarnessArgs;
 use bns_data::{DatasetPreset, Scale};
-use serde::{Deserialize, Serialize};
 
 /// Which CF model to train (§IV-A3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelKind {
     /// Matrix factorization, batch size 1 (paper's MF setup).
     Mf,
@@ -36,7 +35,7 @@ impl ModelKind {
 }
 
 /// A fully resolved experiment run configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunConfig {
     /// Dataset scale factor.
     pub scale: f64,

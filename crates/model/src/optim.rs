@@ -5,10 +5,9 @@
 //! every 20 epochs with regularization 1e-5.
 
 use crate::{ModelError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Learning-rate schedule over epochs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LrSchedule {
     /// Same rate every epoch.
     Constant(f32),
@@ -61,7 +60,7 @@ impl LrSchedule {
 }
 
 /// SGD hyperparameters shared by both models.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SgdConfig {
     /// Learning-rate schedule.
     pub lr: LrSchedule,

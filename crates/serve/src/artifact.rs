@@ -50,12 +50,12 @@
 
 use crate::index::{IvfConfig, IvfIndex};
 use crate::{Result, ServeError};
+use bns_data::le::Reader;
 use bns_data::serialize::{decode_interactions_storage, encode_interactions};
 use bns_data::storage::{F32Buf, Storage};
 use bns_data::Interactions;
 use bns_model::snapshot::{SnapshotKind, SnapshotScorer};
 use bns_model::{kernel, Embedding, Scorer};
-use bytes::{BufMut, Bytes, BytesMut};
 use std::sync::Arc;
 
 /// Format magic — the file starts with the literal bytes `b"BNSA"`
@@ -107,12 +107,11 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 /// length fold keep distinct-length suffixes distinct.
 pub fn fnv1a64_words(bytes: &[u8]) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    let mut chunks = bytes.chunks_exact(8);
-    for w in &mut chunks {
-        hash ^= u64::from_le_bytes(w.try_into().expect("8-byte chunk"));
+    let (words, tail) = bytes.as_chunks::<8>();
+    for w in words {
+        hash ^= u64::from_le_bytes(*w);
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
-    let tail = chunks.remainder();
     if !tail.is_empty() {
         let mut w = [0u8; 8];
         w[..tail.len()].copy_from_slice(tail);
@@ -168,13 +167,7 @@ impl TableStore {
 
     /// Whether the table's bytes live in a live file mapping.
     fn backing_is_mapped(&self) -> bool {
-        match self {
-            TableStore::Owned(_) => false,
-            TableStore::View { buf, .. } => match buf {
-                F32Buf::Owned(_) => false,
-                F32Buf::Mapped { storage, .. } => storage.is_mapped(),
-            },
-        }
+        matches!(self, TableStore::View { buf, .. } if buf.is_mapped())
     }
 }
 
@@ -308,8 +301,7 @@ impl ModelArtifact {
     /// Encodes into the self-describing checksummed binary format
     /// (always version [`VERSION`]; an artifact without an index encodes
     /// `index_len = 0`).
-    pub fn encode(&self) -> Bytes {
-        let dim = self.users.dim();
+    pub fn encode(&self) -> Vec<u8> {
         let seen_bytes = encode_interactions(&self.seen);
         let index_len = self.index.as_ref().map_or(0, |ix| ix.encoded_len());
         let payload_len = 24
@@ -319,22 +311,22 @@ impl ModelArtifact {
             + 8
             + index_len;
         let n_chunks = payload_len.div_ceil(CHUNK_SIZE);
-        let mut buf = BytesMut::with_capacity(payload_len + 8 * n_chunks + 24);
-        buf.put_u32_le(MAGIC);
-        buf.put_u32_le(VERSION);
-        buf.put_u32_le(self.kind.tag());
-        buf.put_u32_le(self.users.rows() as u32);
-        buf.put_u32_le(self.items.rows() as u32);
-        buf.put_u32_le(dim as u32);
-        for &v in self.users.as_slice() {
-            buf.put_u32_le(v.to_bits());
+        let mut buf = Vec::with_capacity(payload_len + 8 * n_chunks + 24);
+        for field in [
+            MAGIC,
+            VERSION,
+            self.kind.tag(),
+            self.users.rows() as u32,
+            self.items.rows() as u32,
+            self.users.dim() as u32,
+        ] {
+            buf.extend_from_slice(&field.to_le_bytes());
         }
-        for &v in self.items.as_slice() {
-            buf.put_u32_le(v.to_bits());
-        }
-        buf.put_u64_le(seen_bytes.len() as u64);
-        buf.put_slice(&seen_bytes);
-        buf.put_u64_le(index_len as u64);
+        put_f32s(&mut buf, self.users.as_slice());
+        put_f32s(&mut buf, self.items.as_slice());
+        buf.extend_from_slice(&(seen_bytes.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&seen_bytes);
+        buf.extend_from_slice(&(index_len as u64).to_le_bytes());
         if let Some(ix) = &self.index {
             ix.encode_into(&mut buf);
         }
@@ -342,14 +334,15 @@ impl ModelArtifact {
 
         let footer_start = buf.len();
         let digests: Vec<u64> = buf.chunks(CHUNK_SIZE).map(fnv1a64_words).collect();
-        for digest in digests {
-            buf.put_u64_le(digest);
+        for field in digests
+            .into_iter()
+            .chain([CHUNK_SIZE as u64, n_chunks as u64])
+        {
+            buf.extend_from_slice(&field.to_le_bytes());
         }
-        buf.put_u64_le(CHUNK_SIZE as u64);
-        buf.put_u64_le(n_chunks as u64);
         let footer_sum = fnv1a64_words(&buf[footer_start..]);
-        buf.put_u64_le(footer_sum);
-        buf.freeze()
+        buf.extend_from_slice(&footer_sum.to_le_bytes());
+        buf
     }
 
     /// Decodes a buffer produced by [`ModelArtifact::encode`], verifying
@@ -368,20 +361,19 @@ impl ModelArtifact {
                 what: "artifact frame",
             });
         }
-        let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-        let footer_sum = word(bytes.len() - 8);
-        let n_chunks = word(bytes.len() - 16) as usize;
-        let chunk_size = word(bytes.len() - 24) as usize;
-        let digest_bytes = n_chunks.checked_mul(8).ok_or(ServeError::Truncated {
+        let tail_at = bytes.len() - 24;
+        let mut tail = Reader::window(bytes, tail_at, 24, "artifact footer")?;
+        let chunk_size = tail.u64_len("chunk size")?;
+        let n_chunks = tail.u64_len("chunk count")?;
+        let footer_sum = tail.u64("footer checksum")?;
+        let digests_len = n_chunks.checked_mul(8).ok_or(ServeError::Truncated {
             what: "chunk digests",
         })?;
-        let digest_start =
-            bytes
-                .len()
-                .checked_sub(24 + digest_bytes)
-                .ok_or(ServeError::Truncated {
-                    what: "chunk digests",
-                })?;
+        let digest_start = tail_at
+            .checked_sub(digests_len)
+            .ok_or(ServeError::Truncated {
+                what: "chunk digests",
+            })?;
         // The footer checksum covers digests + chunk_size + n_chunks, so
         // corruption of the footer itself cannot masquerade as valid.
         let computed = fnv1a64_words(&bytes[digest_start..bytes.len() - 8]);
@@ -403,8 +395,9 @@ impl ModelArtifact {
                  at chunk size {chunk_size}"
             )));
         }
+        let mut digests = Reader::window(bytes, digest_start, digests_len, "chunk digests")?;
         for (idx, chunk) in bytes[..payload_len].chunks(chunk_size).enumerate() {
-            let stored = word(digest_start + 8 * idx);
+            let stored = digests.u64("chunk digests")?;
             let computed = fnv1a64_words(chunk);
             if stored != computed {
                 return Err(ServeError::ChunkChecksumMismatch {
@@ -422,31 +415,25 @@ impl ModelArtifact {
     /// back to owned decodes otherwise (bit-identical results either way).
     fn parse(storage: &Arc<Storage>) -> Result<Self> {
         let bytes = storage.as_bytes();
-        if bytes.len() < 8 {
-            return Err(ServeError::Truncated {
-                what: "artifact frame",
-            });
-        }
-        let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-        let magic = u32_at(0);
+        let mut frame = Reader::new(bytes);
+        let magic = frame.u32("artifact frame")?;
+        let version = frame.u32("artifact frame")?;
         if magic != MAGIC {
             return Err(ServeError::BadMagic { found: magic });
         }
-        let version = u32_at(4);
         if !(MIN_VERSION..=VERSION).contains(&version) {
             return Err(ServeError::UnsupportedVersion { found: version });
         }
         let payload_len = Self::verify(bytes)?;
 
-        if payload_len < 24 {
-            return Err(ServeError::Truncated { what: "header" });
-        }
-        let kind_tag = u32_at(8);
+        let mut r = Reader::window(bytes, 0, payload_len, "header")?;
+        r.take(8, "header")?; // magic + version, checked above
+        let kind_tag = r.u32("header")?;
+        let n_users = r.u32("header")? as usize;
+        let n_items = r.u32("header")? as usize;
+        let dim = r.u32("header")? as usize;
         let kind = SnapshotKind::from_tag(kind_tag)
             .ok_or_else(|| ServeError::Invalid(format!("unknown snapshot kind tag {kind_tag}")))?;
-        let n_users = u32_at(12) as usize;
-        let n_items = u32_at(16) as usize;
-        let dim = u32_at(20) as usize;
         if n_users == 0 || n_items == 0 || dim == 0 {
             return Err(ServeError::Invalid(format!(
                 "degenerate shape: {n_users} users × {n_items} items × dim {dim}"
@@ -458,86 +445,35 @@ impl ModelArtifact {
         let items_len = n_items
             .checked_mul(dim)
             .ok_or_else(|| ServeError::Invalid("items table size overflows".into()))?;
-        let users_at = 24usize;
-        let items_at = users_at
-            .checked_add(users_len.checked_mul(4).ok_or(ServeError::Truncated {
-                what: "users table",
-            })?)
-            .ok_or(ServeError::Truncated {
-                what: "users table",
-            })?;
-        let seen_len_at = items_at
-            .checked_add(items_len.checked_mul(4).ok_or(ServeError::Truncated {
-                what: "items table",
-            })?)
-            .ok_or(ServeError::Truncated {
-                what: "items table",
-            })?;
-        if seen_len_at + 8 > payload_len {
-            return Err(ServeError::Truncated {
-                what: "seen length",
-            });
-        }
-        let seen_len =
-            u64::from_le_bytes(bytes[seen_len_at..seen_len_at + 8].try_into().expect("8")) as usize;
-        let seen_at = seen_len_at + 8;
-        let seen_end = match seen_at.checked_add(seen_len) {
-            Some(end) if end <= payload_len => end,
-            _ => return Err(ServeError::Truncated { what: "seen CSR" }),
-        };
+        let users = r.words(users_len, "users table")?;
+        let items = r.words(items_len, "items table")?;
+        let seen_len = r.u64_len("seen length")?;
+        let seen_at = r.pos();
+        r.take(seen_len, "seen CSR")?;
         // v2 ends at the seen CSR; v3 appends `index_len u64` plus the
         // IVF section. Either way the payload must end exactly where the
         // declared sections do.
         let index_span = if version >= 3 {
-            if seen_end + 8 > payload_len {
-                return Err(ServeError::Truncated {
-                    what: "index length",
-                });
-            }
-            let index_len =
-                u64::from_le_bytes(bytes[seen_end..seen_end + 8].try_into().expect("8")) as usize;
-            let index_at = seen_end + 8;
-            match index_at.checked_add(index_len) {
-                Some(end) if end == payload_len => {}
-                Some(end) if end < payload_len => {
-                    return Err(ServeError::Invalid(
-                        "trailing bytes after artifact payload".into(),
-                    ))
-                }
-                _ => return Err(ServeError::Truncated { what: "ivf index" }),
-            }
-            if index_len == 0 {
-                None
-            } else {
-                Some((index_at, index_len))
-            }
+            let index_len = r.u64_len("index length")?;
+            let index_at = r.pos();
+            r.take(index_len, "ivf index")?;
+            (index_len > 0).then_some((index_at, index_len))
         } else {
-            if seen_end != payload_len {
-                return Err(ServeError::Invalid(
-                    "trailing bytes after artifact payload".into(),
-                ));
-            }
             None
         };
+        if r.remaining() != 0 {
+            return Err(ServeError::Invalid(
+                "trailing bytes after artifact payload".into(),
+            ));
+        }
 
-        let table =
-            |at: usize, rows: usize, len: usize, what: &'static str| -> Result<TableStore> {
-                match F32Buf::mapped(storage, at, len) {
-                    Some(buf) => Ok(TableStore::View { buf, rows, dim }),
-                    None => {
-                        // Big-endian or misaligned base: decode an owned copy.
-                        let mut data = Vec::with_capacity(len);
-                        for k in 0..len {
-                            data.push(f32::from_bits(u32_at(at + 4 * k)));
-                        }
-                        Embedding::from_vec(rows, dim, data)
-                            .map(TableStore::Owned)
-                            .map_err(|e| ServeError::Invalid(format!("{what} table: {e}")))
-                    }
-                }
-            };
-        let users = table(users_at, n_users, users_len, "users")?;
-        let items = table(items_at, n_items, items_len, "items")?;
+        let table = |words, rows| TableStore::View {
+            buf: F32Buf::from_words(storage, words),
+            rows,
+            dim,
+        };
+        let users = table(users, n_users);
+        let items = table(items, n_items);
 
         let seen = decode_interactions_storage(storage, seen_at, seen_len)
             .map_err(|e| ServeError::Invalid(format!("seen CSR: {e}")))?;
@@ -581,6 +517,13 @@ impl ModelArtifact {
     pub fn load_mapped(path: &std::path::Path) -> Result<Self> {
         let storage = Arc::new(Storage::map(path)?);
         Self::parse(&storage)
+    }
+}
+
+/// Appends `values` as little-endian f32 bit patterns.
+pub(crate) fn put_f32s(buf: &mut Vec<u8>, values: &[f32]) {
+    for &v in values {
+        buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 }
 
@@ -732,10 +675,7 @@ mod tests {
     #[test]
     fn v1_artifacts_are_rejected_with_the_typed_version_error() {
         let (model, seen) = fixture();
-        let mut buf = ModelArtifact::freeze(&model, &seen)
-            .unwrap()
-            .encode()
-            .to_vec();
+        let mut buf = ModelArtifact::freeze(&model, &seen).unwrap().encode();
         // Rewrite the version field to 1 (the retired single-checksum
         // format). The version gate must fire before any checksum logic.
         buf[4..8].copy_from_slice(&1u32.to_le_bytes());
@@ -748,10 +688,7 @@ mod tests {
     #[test]
     fn chunk_corruption_reports_the_chunk() {
         let (model, seen) = fixture();
-        let mut buf = ModelArtifact::freeze(&model, &seen)
-            .unwrap()
-            .encode()
-            .to_vec();
+        let mut buf = ModelArtifact::freeze(&model, &seen).unwrap().encode();
         // Flip a payload byte past the header: chunk 0 must be named.
         buf[30] ^= 0x01;
         assert!(matches!(

@@ -52,10 +52,12 @@
 //! pure function of `(artifact, nprobe)` — approximate against the exact
 //! ranking, but never nondeterministic.
 
+use crate::artifact::put_f32s;
 use crate::{Result, ServeError};
+use bns_data::le::Reader;
 use bns_data::storage::{F32Buf, Storage, U32Buf};
 use bns_model::kernel;
-use bytes::{BufMut, BytesMut};
+use bns_sync::splitmix64;
 use std::sync::Arc;
 
 /// Configuration of the freeze-time k-means build.
@@ -100,15 +102,6 @@ impl IvfConfig {
         let auto = (4.0 * (n_items as f64).sqrt()).ceil() as usize;
         auto.clamp(1, (n_items / 8).max(1))
     }
-}
-
-/// The splitmix64 finalizer — full-avalanche 64-bit mixer, the same
-/// generator the streamed data substrate derives its latent state from.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// A built (or decoded) IVF index over a frozen item table.
@@ -375,30 +368,25 @@ impl IvfIndex {
 
     /// Encoded byte length of the index section body.
     pub(crate) fn encoded_len(&self) -> usize {
-        let k = self.n_clusters();
-        4 + 4 * (k * self.dim + k + (k + 1) + self.n_items + self.n_items * self.dim)
+        let words = self.centroids.as_slice().len()
+            + self.radii.as_slice().len()
+            + self.offsets.as_slice().len()
+            + self.perm.as_slice().len()
+            + self.vectors.as_slice().len();
+        4 + 4 * words
     }
 
     /// Appends the index section body: `n_clusters u32`, centroid f32 bit
     /// patterns, radii, offsets, perm, reordered vectors — every array at
     /// a 4-byte-aligned offset when the section itself starts aligned.
-    pub(crate) fn encode_into(&self, buf: &mut BytesMut) {
-        buf.put_u32_le(self.n_clusters() as u32);
-        for &v in self.centroids.as_slice() {
-            buf.put_u32_le(v.to_bits());
+    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&(self.n_clusters() as u32).to_le_bytes());
+        put_f32s(buf, self.centroids.as_slice());
+        put_f32s(buf, self.radii.as_slice());
+        for &v in self.offsets.as_slice().iter().chain(self.perm.as_slice()) {
+            buf.extend_from_slice(&v.to_le_bytes());
         }
-        for &v in self.radii.as_slice() {
-            buf.put_u32_le(v.to_bits());
-        }
-        for &v in self.offsets.as_slice() {
-            buf.put_u32_le(v);
-        }
-        for &v in self.perm.as_slice() {
-            buf.put_u32_le(v);
-        }
-        for &v in self.vectors.as_slice() {
-            buf.put_u32_le(v.to_bits());
-        }
+        put_f32s(buf, self.vectors.as_slice());
     }
 
     /// Decodes an index section at `bytes[at..at + len]` of `storage`,
@@ -414,50 +402,23 @@ impl IvfIndex {
         n_items: usize,
         dim: usize,
     ) -> Result<Self> {
-        let bytes = storage.as_bytes();
         let invalid = |msg: String| ServeError::Invalid(format!("ivf index: {msg}"));
-        if len < 4 || at + len > bytes.len() {
-            return Err(ServeError::Truncated {
-                what: "ivf index section",
-            });
-        }
-        let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().expect("4 bytes"));
-        let k = u32_at(at) as usize;
+        let mut r = Reader::window(storage.as_bytes(), at, len, "ivf index section")?;
+        let k = r.u32("ivf index section")? as usize;
         if k == 0 || k > n_items {
             return Err(invalid(format!("{k} clusters over {n_items} items")));
         }
-        let want = 4 + 4 * (k * dim + k + (k + 1) + n_items + n_items * dim);
-        if len != want {
+        if Some(len) != encoded_len(k, n_items, dim) {
             return Err(invalid(format!(
-                "section length {len} does not match {k} clusters × dim {dim} over {n_items} items \
-                 (expected {want})"
+                "section length {len} does not match {k} clusters × dim {dim} over {n_items} items"
             )));
         }
-        let centroids_at = at + 4;
-        let radii_at = centroids_at + 4 * k * dim;
-        let offsets_at = radii_at + 4 * k;
-        let perm_at = offsets_at + 4 * (k + 1);
-        let vectors_at = perm_at + 4 * n_items;
-
-        let f32_view = |o: usize, n: usize| -> F32Buf {
-            F32Buf::mapped(storage, o, n).unwrap_or_else(|| {
-                F32Buf::from(
-                    (0..n)
-                        .map(|j| f32::from_bits(u32_at(o + 4 * j)))
-                        .collect::<Vec<f32>>(),
-                )
-            })
-        };
-        let u32_view = |o: usize, n: usize| -> U32Buf {
-            U32Buf::mapped(storage, o, n).unwrap_or_else(|| {
-                U32Buf::from((0..n).map(|j| u32_at(o + 4 * j)).collect::<Vec<u32>>())
-            })
-        };
-        let centroids = f32_view(centroids_at, k * dim);
-        let radii = f32_view(radii_at, k);
-        let offsets = u32_view(offsets_at, k + 1);
-        let perm = u32_view(perm_at, n_items);
-        let vectors = f32_view(vectors_at, n_items * dim);
+        // The length matches, so these reads cannot run out.
+        let centroids = F32Buf::from_words(storage, r.words(k * dim, "centroids")?);
+        let radii = F32Buf::from_words(storage, r.words(k, "radii")?);
+        let offsets = U32Buf::from_words(storage, r.words(k + 1, "cluster offsets")?);
+        let perm = U32Buf::from_words(storage, r.words(n_items, "perm")?);
+        let vectors = F32Buf::from_words(storage, r.words(n_items * dim, "vectors")?);
 
         {
             let offs = offsets.as_slice();
@@ -499,6 +460,21 @@ impl IvfIndex {
             max_cluster_len,
         })
     }
+}
+
+/// Byte length of an index section body: `n_clusters u32` plus the five
+/// arrays of 4-byte words. `None` when the size overflows `usize`.
+fn encoded_len(k: usize, n_items: usize, dim: usize) -> Option<usize> {
+    let words = [
+        k.checked_mul(dim)?,
+        k,
+        k.checked_add(1)?,
+        n_items,
+        n_items.checked_mul(dim)?,
+    ]
+    .into_iter()
+    .try_fold(0usize, usize::checked_add)?;
+    words.checked_mul(4)?.checked_add(4)
 }
 
 /// Nearest centroid of `x` under squared L2, lowest index on ties.
@@ -582,12 +558,12 @@ mod tests {
         let (n, d) = (256usize, 8usize);
         let items = pseudo_table(n, d, 3);
         let cfg = IvfConfig::default();
-        let mut a = BytesMut::new();
+        let mut a = Vec::new();
         IvfIndex::build(&items, n, d, &cfg).encode_into(&mut a);
-        let mut b = BytesMut::new();
+        let mut b = Vec::new();
         IvfIndex::build(&items, n, d, &cfg).encode_into(&mut b);
         assert_eq!(a, b, "same seed must build byte-identical indexes");
-        let mut c = BytesMut::new();
+        let mut c = Vec::new();
         IvfIndex::build(&items, n, d, &IvfConfig { seed: 99, ..cfg }).encode_into(&mut c);
         assert_ne!(a, c, "a different seed should move some assignment");
     }
@@ -597,11 +573,12 @@ mod tests {
         let (n, d) = (180usize, 6usize);
         let items = pseudo_table(n, d, 4);
         let built = IvfIndex::build(&items, n, d, &IvfConfig::default());
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         built.encode_into(&mut buf);
-        assert_eq!(buf.len(), built.encoded_len());
-        let storage = Arc::new(Storage::Owned(buf.to_vec()));
-        let parsed = IvfIndex::parse(&storage, 0, buf.len(), n, d).unwrap();
+        let len = buf.len();
+        assert_eq!(len, built.encoded_len());
+        let storage = Arc::new(Storage::Owned(buf));
+        let parsed = IvfIndex::parse(&storage, 0, len, n, d).unwrap();
         assert_eq!(parsed.n_clusters(), built.n_clusters());
         assert_eq!(parsed.perm(), built.perm());
         assert_eq!(parsed.max_cluster_len(), built.max_cluster_len());
@@ -620,9 +597,8 @@ mod tests {
         let (n, d) = (64usize, 4usize);
         let items = pseudo_table(n, d, 6);
         let built = IvfIndex::build(&items, n, d, &IvfConfig::default());
-        let mut buf = BytesMut::new();
-        built.encode_into(&mut buf);
-        let good = buf.to_vec();
+        let mut good = Vec::new();
+        built.encode_into(&mut good);
 
         // Duplicated perm entry (perm sits between offsets and the
         // reordered vector rows that end the section).

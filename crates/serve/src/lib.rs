@@ -192,5 +192,11 @@ impl From<ProtoError> for ServeError {
     }
 }
 
+impl From<bns_data::le::Truncated> for ServeError {
+    fn from(e: bns_data::le::Truncated) -> Self {
+        ServeError::Truncated { what: e.what }
+    }
+}
+
 /// Convenience alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, ServeError>;

@@ -25,10 +25,7 @@ fn fixture() -> (MatrixFactorization, Interactions) {
 
 fn encoded() -> Vec<u8> {
     let (model, seen) = fixture();
-    ModelArtifact::freeze(&model, &seen)
-        .unwrap()
-        .encode()
-        .to_vec()
+    ModelArtifact::freeze(&model, &seen).unwrap().encode()
 }
 
 /// A fixture big enough to carry a forced IVF index but small enough for
@@ -46,7 +43,6 @@ fn encoded_indexed() -> Vec<u8> {
     ModelArtifact::freeze_with(&model, &seen, Some(IvfConfig::default()))
         .unwrap()
         .encode()
-        .to_vec()
 }
 
 /// Footer length in bytes, read from the artifact's own footer fields.
@@ -364,8 +360,7 @@ fn v2_artifacts_still_load_with_the_index_absent() {
     let (model, seen) = fixture();
     let v3 = ModelArtifact::freeze_with(&model, &seen, None)
         .unwrap()
-        .encode()
-        .to_vec();
+        .encode();
     let flen = footer_len(&v3);
     let payload_end = v3.len() - flen;
     // v2 payload = v3 payload minus the 8-byte index_len tail.

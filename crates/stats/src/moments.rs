@@ -5,10 +5,8 @@
 //! provides the numerically stable running mean/variance it needs without
 //! storing score histories.
 
-use serde::{Deserialize, Serialize};
-
 /// Numerically stable streaming mean and variance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Welford {
     count: u64,
     mean: f64,

@@ -69,6 +69,7 @@
 //! perform facade operations from `Drop` impls that can run during a failed
 //! execution's unwind.
 
+use crate::splitmix64;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
@@ -225,13 +226,6 @@ impl Chooser {
         }
         false
     }
-}
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 struct St {

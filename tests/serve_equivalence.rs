@@ -67,6 +67,10 @@ fn assert_engine_matches_live<S: SnapshotScorer + Sync>(live: &S, dataset: &Data
     let a = plain.serve(&requests, 1).unwrap();
     let b = plain.serve(&requests, 3).unwrap();
     let c = cached.serve(&requests, 3).unwrap();
+    // Two workers can serve the two halves of `requests` in lockstep, each
+    // missing on the user the other is computing, so a threaded pass alone
+    // need not hit. A serial pass over the warm cache must.
+    let serial = cached.serve(&requests, 1).unwrap();
     assert!(cached.cache_hits() > 0);
     for (i, &u) in users.iter().enumerate() {
         live.score_all(u, &mut scores);
@@ -74,6 +78,7 @@ fn assert_engine_matches_live<S: SnapshotScorer + Sync>(live: &S, dataset: &Data
         assert_eq!(a.results[i].items, expected, "1-thread, user {u}");
         assert_eq!(b.results[i].items, expected, "3-thread, user {u}");
         assert_eq!(c.results[i].items, expected, "cached, user {u}");
+        assert_eq!(serial.results[i].items, expected, "warm cache, user {u}");
         // Second occurrence of the same user (cache-hit path).
         assert_eq!(c.results[users.len() + i].items, expected);
     }

@@ -8,15 +8,8 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-// lint:allow(atomic-import) — the global allocator must not route through
-// instrumented workspace types: a bns-sync facade call could itself
-// allocate (model-check op logs) or take a schedule point, deadlocking the
-// allocator. A raw relaxed counter is the only safe shape here.
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct CountingAllocator;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
     /// Only allocations made on a thread that opted in are counted. The
@@ -26,17 +19,19 @@ thread_local! {
     /// inside a measured window once in a few runs and flakes the audit.
     /// Const-initialized TLS is allocation-free to access.
     static TRACKING: Cell<bool> = const { Cell::new(false) };
+
+    /// This thread's allocation count. Per-thread, not global: libtest
+    /// runs tests on parallel threads, and a shared tally would charge
+    /// each test's measured window with the other tests' allocations. An
+    /// audit that measures work on threads it spawns must opt those
+    /// threads in and sum their counts itself.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
 fn count_if_tracking() {
-    let _ = TRACKING.try_with(|t| {
-        if t.get() {
-            // ordering: Relaxed — a statistics tally; the audits read it
-            // from the same thread that increments it, and cross-thread
-            // counts only need each increment to land (RMW atomicity).
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-    });
+    if TRACKING.try_with(Cell::get).unwrap_or(false) {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
 }
 
 // SAFETY: every method forwards to the `System` allocator with the exact
@@ -64,11 +59,10 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Reads the counter, opting the calling thread into tracking — the
-/// audits read it immediately before the measured window, so everything
-/// the test thread allocates from then on is counted.
+/// Reads the calling thread's counter, opting the thread into tracking —
+/// the audits read it immediately before the measured window, so
+/// everything the test thread allocates from then on is counted.
 fn allocation_count() -> usize {
     TRACKING.with(|t| t.set(true));
-    // ordering: Relaxed — same-thread read of a statistics counter.
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
