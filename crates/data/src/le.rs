@@ -54,6 +54,14 @@ impl Words<'_> {
         self.words.len()
     }
 
+    /// The byte offset of these words within `bytes`, or `None` when they
+    /// were read from some other slice (so viewing `bytes` at `offset`
+    /// would show different data).
+    pub(crate) fn offset_in(&self, bytes: &[u8]) -> Option<usize> {
+        let at = bytes.get(self.offset..)?.as_ptr();
+        (at == self.words.as_ptr().cast()).then_some(self.offset)
+    }
+
     /// The words decoded as `u32`s.
     pub(crate) fn to_u32s(self) -> Vec<u32> {
         self.words.iter().map(|w| u32::from_le_bytes(*w)).collect()

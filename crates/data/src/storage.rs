@@ -251,8 +251,13 @@ impl U32Buf {
 
     /// `words` read from `storage`: a zero-copy view when the platform
     /// and alignment allow, else an owned decode (identical contents).
+    /// Words read from any other slice are always decoded into an owned
+    /// buffer.
     pub fn from_words(storage: &Arc<Storage>, words: Words<'_>) -> Self {
-        Self::mapped(storage, words.offset, words.len()).unwrap_or_else(|| words.to_u32s().into())
+        words
+            .offset_in(storage.as_bytes())
+            .and_then(|offset| Self::mapped(storage, offset, words.len()))
+            .unwrap_or_else(|| words.to_u32s().into())
     }
 
     /// Whether this buffer borrows from a mapped file.
@@ -334,8 +339,13 @@ impl F32Buf {
 
     /// `words` read from `storage`: a zero-copy view when the platform
     /// and alignment allow, else an owned decode (identical bit patterns).
+    /// Words read from any other slice are always decoded into an owned
+    /// buffer.
     pub fn from_words(storage: &Arc<Storage>, words: Words<'_>) -> Self {
-        Self::mapped(storage, words.offset, words.len()).unwrap_or_else(|| words.to_f32s().into())
+        words
+            .offset_in(storage.as_bytes())
+            .and_then(|offset| Self::mapped(storage, offset, words.len()))
+            .unwrap_or_else(|| words.to_f32s().into())
     }
 
     /// Whether this buffer borrows from a mapped file.
@@ -450,6 +460,25 @@ mod tests {
         assert!(view.is_mapped() == storage.is_mapped());
         assert!(F32Buf::mapped(&storage, 0, values.len() + 1).is_none());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn words_from_another_slice_decode_their_own_bytes() {
+        let word_bytes =
+            |vals: &[u32]| -> Vec<u8> { vals.iter().flat_map(|v| v.to_le_bytes()).collect() };
+        let storage = Arc::new(Storage::Owned(word_bytes(&[1, 2, 3, 4])));
+        let own = storage.as_bytes();
+        let view = U32Buf::from_words(&storage, crate::le::Reader::new(own).words(4, "w").unwrap());
+        assert_eq!(view.as_slice(), &[1, 2, 3, 4]);
+
+        let other = word_bytes(&[9, 8, 7, 6]);
+        let words = crate::le::Reader::new(&other).words(4, "w").unwrap();
+        let u = U32Buf::from_words(&storage, words);
+        assert!(matches!(u, U32Buf::Owned(_)));
+        assert_eq!(u.as_slice(), &[9, 8, 7, 6]);
+        let f = F32Buf::from_words(&storage, words);
+        assert!(matches!(f, F32Buf::Owned(_)));
+        assert_eq!(f.as_slice()[0].to_bits(), 9);
     }
 
     #[test]

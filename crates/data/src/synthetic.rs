@@ -810,9 +810,12 @@ mod tests {
             emission: EmissionMode::Pooled { oversample: 4 },
             ..SyntheticConfig::default()
         };
+        // The stream validates every row as it is built, so a repeated
+        // item surfaces as an `Err` here.
         let x = generate_streamed(&cfg).unwrap();
         for u in 0..4 {
-            assert!(x.degree(u) > 0, "user {u} has an empty row");
+            let row = x.items_of(u);
+            assert!(row.windows(2).all(|p| p[0] < p[1]), "user {u}: {row:?}");
         }
     }
 

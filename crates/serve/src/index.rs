@@ -368,12 +368,8 @@ impl IvfIndex {
 
     /// Encoded byte length of the index section body.
     pub(crate) fn encoded_len(&self) -> usize {
-        let words = self.centroids.as_slice().len()
-            + self.radii.as_slice().len()
-            + self.offsets.as_slice().len()
-            + self.perm.as_slice().len()
-            + self.vectors.as_slice().len();
-        4 + 4 * words
+        encoded_len(self.n_clusters(), self.n_items, self.dim)
+            .expect("a built index fits in memory")
     }
 
     /// Appends the index section body: `n_clusters u32`, centroid f32 bit

@@ -66,20 +66,28 @@ fn assert_engine_matches_live<S: SnapshotScorer + Sync>(live: &S, dataset: &Data
         .collect();
     let a = plain.serve(&requests, 1).unwrap();
     let b = plain.serve(&requests, 3).unwrap();
-    let c = cached.serve(&requests, 3).unwrap();
     // Two workers can serve the two halves of `requests` in lockstep, each
-    // missing on the user the other is computing, so a threaded pass alone
-    // need not hit. A serial pass over the warm cache must.
-    let serial = cached.serve(&requests, 1).unwrap();
-    assert!(cached.cache_hits() > 0);
+    // missing on the user the other is computing, so a cold threaded pass
+    // need not hit. Warm the cache serially first: every user then fits in
+    // it, and every request of the threaded pass must be a hit.
+    assert!(users.len() <= 64, "every user must fit in the cache");
+    let warm = cached.serve(&requests, 1).unwrap();
+    let h0 = cached.cache_hits();
+    let c = cached.serve(&requests, 3).unwrap();
+    assert_eq!(
+        cached.cache_hits(),
+        h0 + requests.len() as u64,
+        "every threaded request must hit the warm cache"
+    );
     for (i, &u) in users.iter().enumerate() {
         live.score_all(u, &mut scores);
         let expected = top_k_masked(&scores, dataset.train().items_of(u), 10);
         assert_eq!(a.results[i].items, expected, "1-thread, user {u}");
         assert_eq!(b.results[i].items, expected, "3-thread, user {u}");
+        assert_eq!(warm.results[i].items, expected, "cold cache, user {u}");
         assert_eq!(c.results[i].items, expected, "cached, user {u}");
-        assert_eq!(serial.results[i].items, expected, "warm cache, user {u}");
         // Second occurrence of the same user (cache-hit path).
+        assert_eq!(warm.results[users.len() + i].items, expected);
         assert_eq!(c.results[users.len() + i].items, expected);
     }
 }
