@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for the bns workspace. Mirrors the tier-1 verify plus hygiene:
-#   build (release) → tests → fmt → clippy → lint → model check → benches.
+#   build (release) → tests → fmt → clippy → lint → model check → BENCH
+#   runner and example smokes.
 # Runs fully offline; all dependencies are path crates (see vendor/), and
 # --locked refuses any drift from the committed Cargo.lock.
 set -euo pipefail
@@ -35,13 +36,12 @@ run cargo run --release --offline --locked -p bns-lint
 # target-cpu=native to keep the build cache warm and codegen consistent.
 RUSTFLAGS="-C target-cpu=native --cfg bns_model_check" \
     run cargo test -q -p bns-check --offline --locked
-# Compiles every Criterion target (sampler_micro, stats_bench,
-# model_bench, table_bench, fig_bench, parallel_scaling) without running
-# them.
-run cargo bench --no-run --workspace --offline --locked
-# bench_json smoke at tiny sizes: keeps the machine-readable perf runner
-# from rotting. The committed BENCH_samplers.json is generated at paper
-# scale (defaults: 10k items, d = 32); the smoke writes under target/.
+# bench_json smoke at tiny sizes: runs every section of the sampler
+# runner, so the per-sampler draw rates, the batched pipeline, the BNS
+# |Mᵤ| and ECDF-strategy sweeps and the serial vs. hogwild training
+# throughput all keep running. The committed BENCH_samplers.json is
+# generated at paper scale (defaults: 10k items, d = 32); the smoke
+# writes under target/.
 mkdir -p target
 run cargo run --release --offline --locked -p bns-bench --bin bench_json -- \
     --users 40 --items 200 --draws 400 --out target/BENCH_smoke.json

@@ -1,21 +1,21 @@
-//! Machine-readable sampler benchmarks → `BENCH_samplers.json`.
+//! Machine-readable sampler and trainer benchmarks → `BENCH_samplers.json`.
 //!
-//! Criterion output is human-oriented; this runner times the same hot
-//! paths with plain `Instant` loops and writes one JSON file so the
+//! Times the hot paths with plain loops and writes one JSON file, so the
 //! repo's perf trajectory can be diffed PR-over-PR:
 //!
 //! * draws/sec for every lineup sampler (RNS / PNS / AOBPR / DNS / SRNS /
 //!   BNS), measured through `sample_pair` so each sampler pays exactly its
 //!   declared `ScoreAccess` cost;
-//! * GEMV items/sec (the `score_all` kernel);
-//! * the fused BNS draw vs. the pre-fused reference
-//!   ([`bns_bench::UnfusedBns`]) and their speedup ratio — the
-//!   acceptance number of the fused-kernel PR (≥ 2× at d = 32,
-//!   n_items ≥ 10k);
 //! * the batched pipeline: per-pair vs `sample_batch` draws/sec on the
-//!   same shuffled mixed-user pair stream (batch 256, k = 1) — the
-//!   acceptance number of the batch-pipeline PR (batched BNS and DNS/SRNS
-//!   must beat the per-pair path at paper scale).
+//!   same shuffled mixed-user pair stream (batch 256, k = 1);
+//! * GEMV items/sec (the `score_all` kernel);
+//! * BNS draws/sec against the candidate-set size |Mᵤ| ∈ {1, 5, 20, 100},
+//!   and with the exact Eq. 16 ECDF against `EcdfStrategy::Subsample(256)`;
+//! * training triples/sec for RNS and BNS under the serial `train` and
+//!   under `ParallelTrainer` hogwild, one epoch over a fixture with a
+//!   quarter of the users.
+//!   Hogwild asks for [`HOGWILD_THREADS`] workers, capped at the core
+//!   count; the report records both numbers.
 //!
 //! ```sh
 //! cargo run --release -p bns-bench --bin bench_json            # paper scale
@@ -23,266 +23,248 @@
 //!     --users 50 --items 200 --draws 500 --out target/smoke.json   # CI smoke
 //! ```
 
-use bns_bench::{fixture, UnfusedBns};
+use bns_bench::{draws_per_sec, fixture, rate, write_report, Flags, Json};
+use bns_core::bns::EcdfStrategy;
 use bns_core::sampler::SampleContext;
 use bns_core::trainer::sample_pair;
-use bns_core::{build_sampler, SamplerConfig};
+use bns_core::{
+    build_sampler, train, BnsConfig, NoopObserver, ParallelConfig, ParallelTrainer, PriorKind,
+    SamplerConfig, TrainConfig,
+};
 use bns_model::{Scorer, TripleBatch};
-use std::fmt::Write as _;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use std::hint::black_box;
-use std::time::Instant;
 
-struct Args {
-    users: u32,
-    items: u32,
-    draws: usize,
-    out: String,
+/// Pairs per `sample_batch` call in the batched section.
+const BATCH: usize = 256;
+
+/// Hogwild workers requested in the training section, before the cap at
+/// `available_parallelism()`.
+const HOGWILD_THREADS: usize = 4;
+
+fn bns(config: BnsConfig) -> SamplerConfig {
+    SamplerConfig::Bns {
+        config,
+        prior: PriorKind::Popularity,
+    }
 }
 
-fn parse_args() -> Args {
-    let mut args = Args {
-        users: 200,
-        items: 10_000,
-        draws: 20_000,
-        out: "BENCH_samplers.json".to_string(),
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {flag}"))
-        };
-        match flag.as_str() {
-            "--users" => args.users = value().parse().expect("--users takes a u32"),
-            "--items" => args.items = value().parse().expect("--items takes a u32"),
-            "--draws" => args.draws = value().parse().expect("--draws takes a usize"),
-            "--out" => args.out = value(),
-            other => panic!("unknown flag {other} (expected --users/--items/--draws/--out)"),
-        }
-    }
-    args
-}
-
-/// Times `f` over `n` iterations and returns iterations/sec.
-fn rate(n: usize, mut f: impl FnMut()) -> f64 {
-    let started = Instant::now();
-    for _ in 0..n {
-        f();
-    }
-    n as f64 / started.elapsed().as_secs_f64().max(1e-9)
+/// One `(label, draws/sec)` object.
+fn rates(pairs: impl IntoIterator<Item = (String, f64)>) -> Json {
+    Json::obj(pairs.into_iter().map(|(k, r)| (k, Json::Fixed(r, 1))))
 }
 
 fn main() {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    let flags = Flags::from_env(&["--users", "--items", "--draws", "--out"]);
+    let users: u32 = flags.get("--users", 200);
+    let items: u32 = flags.get("--items", 10_000);
+    let draws: usize = flags.get("--draws", 20_000);
+    let out: String = flags.get("--out", "BENCH_samplers.json".to_string());
 
-    let args = parse_args();
-    let fx = fixture(args.users, args.items, 41);
-    let train = fx.dataset.train();
+    let fx = fixture(users, items, 41);
+    let train_set = fx.dataset.train();
     let popularity = fx.dataset.popularity();
-    let pos = train.items_of(0)[0];
+    let pair = (0, train_set.items_of(0)[0]);
     let n_items = fx.dataset.n_items() as usize;
-    let dim = 32usize; // the fixture's embedding dim (paper §IV-B1)
-
-    // Sampler lineup, each through sample_pair (pays its ScoreAccess cost).
+    let dim = fx.model.dim();
     let lineup = SamplerConfig::paper_lineup();
-    let mut sampler_rates: Vec<(String, f64)> = Vec::new();
-    for cfg in &lineup {
-        let mut sampler =
-            build_sampler(cfg, &fx.dataset, Some(&fx.occupations)).expect("valid sampler");
-        sampler.on_epoch_start(0);
-        let mut user_scores = vec![0.0f32; n_items];
-        let mut rng = StdRng::seed_from_u64(7);
-        // Warm caches and lazily-initialized sampler state.
-        for _ in 0..args.draws.min(100) {
-            sample_pair(
-                sampler.as_mut(),
-                &fx.model,
-                train,
-                popularity,
-                &mut user_scores,
-                0,
-                pos,
-                0,
-                &mut rng,
-            );
-        }
-        let per_sec = rate(args.draws, || {
-            black_box(sample_pair(
-                sampler.as_mut(),
-                &fx.model,
-                train,
-                popularity,
-                &mut user_scores,
-                0,
-                pos,
-                0,
-                &mut rng,
-            ));
-        });
-        sampler_rates.push((cfg.display_name().to_string(), per_sec));
-    }
+
+    // Sampler lineup, each through sample_pair for one fixed pair.
+    let sampler_rates = rates(lineup.iter().map(|cfg| {
+        let r = draws_per_sec(
+            cfg,
+            &fx.dataset,
+            Some(&fx.occupations),
+            &fx.model,
+            pair,
+            draws,
+        );
+        (cfg.display_name().to_string(), r)
+    }));
 
     // Batched pipeline vs per-pair on one shuffled mixed-user stream: the
     // by-user grouping only has runs to amortize when users actually
     // repeat, so both sides are measured on the same realistic epoch
     // schedule (unlike the single-user lineup rates above).
-    const BATCH: usize = 256;
-    let mut mixed_pairs: Vec<(u32, u32)> = train.iter_pairs().collect();
-    {
-        use rand::seq::SliceRandom;
-        mixed_pairs.shuffle(&mut StdRng::seed_from_u64(3));
-    }
-    let mut per_pair_mixed: Vec<(String, f64)> = Vec::new();
-    let mut batched: Vec<(String, f64)> = Vec::new();
+    let mut mixed_pairs: Vec<(u32, u32)> = train_set.iter_pairs().collect();
+    mixed_pairs.shuffle(&mut StdRng::seed_from_u64(3));
+    let passes = (draws / mixed_pairs.len().max(1)).max(2);
+    let mut per_pair_mixed = Vec::new();
+    let mut batched = Vec::new();
     for cfg in &lineup {
-        let passes = (args.draws / mixed_pairs.len().max(1)).max(2);
-        // Per-pair reference.
-        {
-            let mut sampler =
-                build_sampler(cfg, &fx.dataset, Some(&fx.occupations)).expect("valid sampler");
-            sampler.on_epoch_start(0);
-            let mut user_scores = vec![0.0f32; n_items];
-            let mut rng = StdRng::seed_from_u64(7);
-            for &(u, pos) in mixed_pairs.iter().take(200) {
-                sample_pair(
+        let name = cfg.display_name().to_string();
+        let mut sampler =
+            build_sampler(cfg, &fx.dataset, Some(&fx.occupations)).expect("valid sampler");
+        sampler.on_epoch_start(0);
+        let mut user_scores = Vec::new();
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut per_pair_pass = |pairs: &[(u32, u32)]| {
+            for &(u, pos) in pairs {
+                black_box(sample_pair(
                     sampler.as_mut(),
                     &fx.model,
-                    train,
+                    train_set,
                     popularity,
                     &mut user_scores,
                     u,
                     pos,
                     0,
                     &mut rng,
-                );
+                ));
             }
-            let started = Instant::now();
-            for _ in 0..passes {
-                for &(u, pos) in &mixed_pairs {
-                    black_box(sample_pair(
-                        sampler.as_mut(),
-                        &fx.model,
-                        train,
-                        popularity,
-                        &mut user_scores,
-                        u,
-                        pos,
-                        0,
-                        &mut rng,
-                    ));
-                }
-            }
-            let rate =
-                (passes * mixed_pairs.len()) as f64 / started.elapsed().as_secs_f64().max(1e-9);
-            per_pair_mixed.push((cfg.display_name().to_string(), rate));
-        }
-        // Batched pipeline, batch 256, k = 1.
-        {
-            let mut sampler =
-                build_sampler(cfg, &fx.dataset, Some(&fx.occupations)).expect("valid sampler");
-            sampler.on_epoch_start(0);
-            let mut rng = StdRng::seed_from_u64(7);
-            let mut batch = TripleBatch::new();
-            let ctx = SampleContext {
-                scorer: &fx.model,
-                train,
-                popularity,
-                user_scores: &[],
-                epoch: 0,
-            };
-            for chunk in mixed_pairs.chunks(BATCH).take(2) {
+        };
+        per_pair_pass(&mixed_pairs[..mixed_pairs.len().min(200)]);
+        let r = rate(passes, || per_pair_pass(&mixed_pairs)) * mixed_pairs.len() as f64;
+        per_pair_mixed.push((name.clone(), r));
+
+        let mut sampler =
+            build_sampler(cfg, &fx.dataset, Some(&fx.occupations)).expect("valid sampler");
+        sampler.on_epoch_start(0);
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut batch = TripleBatch::new();
+        let ctx = SampleContext {
+            scorer: &fx.model,
+            train: train_set,
+            popularity,
+            user_scores: &[],
+            epoch: 0,
+        };
+        let mut batched_pass = |n_chunks: usize| {
+            for chunk in mixed_pairs.chunks(BATCH).take(n_chunks) {
                 sampler.sample_batch(chunk, 1, &ctx, &mut rng, &mut batch);
+                black_box(batch.len());
             }
-            let started = Instant::now();
-            for _ in 0..passes {
-                for chunk in mixed_pairs.chunks(BATCH) {
-                    sampler.sample_batch(chunk, 1, &ctx, &mut rng, &mut batch);
-                    black_box(batch.len());
-                }
-            }
-            let rate =
-                (passes * mixed_pairs.len()) as f64 / started.elapsed().as_secs_f64().max(1e-9);
-            batched.push((cfg.display_name().to_string(), rate));
-        }
+        };
+        batched_pass(2);
+        let r = rate(passes, || batched_pass(usize::MAX)) * mixed_pairs.len() as f64;
+        batched.push((name, r));
     }
+    let speedups = Json::obj(
+        batched
+            .iter()
+            .zip(&per_pair_mixed)
+            .map(|((name, b), (_, p))| (name.clone(), Json::Fixed(b / p, 3))),
+    );
 
     // GEMV throughput: items scored per second by score_all.
     let gemv_items_per_sec = {
-        let mut out = vec![0.0f32; n_items];
-        let passes = (args.draws / 10).max(10);
-        let passes_per_sec = rate(passes, || {
-            fx.model.score_all(0, &mut out);
-            black_box(out[0]);
+        let mut scores = vec![0.0f32; n_items];
+        rate((draws / 10).max(10), || {
+            fx.model.score_all(0, &mut scores);
+            black_box(scores[0]);
+        }) * n_items as f64
+    };
+
+    // BNS draw cost against |Mᵤ| and against the ECDF strategy. Every
+    // draw is a pass over the catalog, so these sweeps take a tenth of the
+    // draw budget.
+    let sweep_draws = (draws / 10).max(10);
+    let by_m = rates([1usize, 5, 20, 100].map(|m| {
+        let cfg = bns(BnsConfig {
+            m,
+            ..BnsConfig::default()
         });
-        passes_per_sec * n_items as f64
-    };
-
-    // Fused vs. pre-fused BNS draw.
-    let fused_per_sec = sampler_rates
-        .iter()
-        .find(|(name, _)| name == "BNS")
-        .map(|&(_, r)| r)
-        .expect("BNS is in the lineup");
-    let unfused_per_sec = {
-        let mut reference = UnfusedBns::new(&fx.dataset);
-        let mut rng = StdRng::seed_from_u64(7);
-        let n = (args.draws / 4).max(50);
-        rate(n, || {
-            black_box(reference.draw(&fx.model, train, 0, pos, &mut rng));
-        })
-    };
-    let speedup = fused_per_sec / unfused_per_sec;
-
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"schema\": 1,");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{ \"n_users\": {}, \"n_items\": {}, \"dim\": {}, \"draws\": {} }},",
-        args.users, args.items, dim, args.draws
+        let r = draws_per_sec(&cfg, &fx.dataset, None, &fx.model, pair, sweep_draws);
+        (m.to_string(), r)
+    }));
+    let by_ecdf = rates(
+        [
+            ("exact", EcdfStrategy::Exact),
+            ("subsample_256", EcdfStrategy::Subsample(256)),
+        ]
+        .map(|(label, ecdf)| {
+            let cfg = bns(BnsConfig {
+                ecdf,
+                ..BnsConfig::default()
+            });
+            let r = draws_per_sec(&cfg, &fx.dataset, None, &fx.model, pair, sweep_draws);
+            (label.to_string(), r)
+        }),
     );
-    let _ = writeln!(json, "  \"samplers_draws_per_sec\": {{");
-    for (k, (name, r)) in sampler_rates.iter().enumerate() {
-        let comma = if k + 1 < sampler_rates.len() { "," } else { "" };
-        let _ = writeln!(json, "    \"{name}\": {r:.1}{comma}");
-    }
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"batched\": {{");
-    let _ = writeln!(json, "    \"batch_size\": {BATCH},");
-    let _ = writeln!(json, "    \"k_negatives\": 1,");
-    let _ = writeln!(json, "    \"per_pair_mixed_draws_per_sec\": {{");
-    for (i, (name, r)) in per_pair_mixed.iter().enumerate() {
-        let comma = if i + 1 < per_pair_mixed.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(json, "      \"{name}\": {r:.1}{comma}");
-    }
-    let _ = writeln!(json, "    }},");
-    let _ = writeln!(json, "    \"batched_draws_per_sec\": {{");
-    for (i, (name, r)) in batched.iter().enumerate() {
-        let comma = if i + 1 < batched.len() { "," } else { "" };
-        let _ = writeln!(json, "      \"{name}\": {r:.1}{comma}");
-    }
-    let _ = writeln!(json, "    }},");
-    let _ = writeln!(json, "    \"batched_speedup\": {{");
-    for (i, ((name, b), (_, p))) in batched.iter().zip(&per_pair_mixed).enumerate() {
-        let comma = if i + 1 < batched.len() { "," } else { "" };
-        let _ = writeln!(json, "      \"{name}\": {:.3}{comma}", b / p);
-    }
-    let _ = writeln!(json, "    }}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"gemv_items_per_sec\": {gemv_items_per_sec:.1},");
-    let _ = writeln!(json, "  \"bns_ecdf\": {{");
-    let _ = writeln!(json, "    \"fused_draws_per_sec\": {fused_per_sec:.1},");
-    let _ = writeln!(json, "    \"unfused_draws_per_sec\": {unfused_per_sec:.1},");
-    let _ = writeln!(json, "    \"fused_speedup\": {speedup:.3}");
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
 
-    std::fs::write(&args.out, &json).expect("writing the benchmark JSON");
-    println!("wrote {}", args.out);
-    print!("{json}");
+    // Training throughput: one epoch from the same initial model, serial
+    // engine vs hogwild shards. A quarter of the users keeps the serial
+    // BNS epoch to seconds at paper scale.
+    let train_fx = fixture((users / 4).max(8), items, 43);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads = HOGWILD_THREADS.min(cores);
+    let config = TrainConfig::paper_mf(1, 0xB15);
+    let hogwild = ParallelTrainer::new(config, ParallelConfig::hogwild(threads))
+        .expect("valid hogwild config");
+    let mut serial_rates = Vec::new();
+    let mut hogwild_rates = Vec::new();
+    for cfg in [SamplerConfig::Rns, bns(BnsConfig::default())] {
+        let name = cfg.display_name().to_string();
+        let mut triples = 0;
+        let runs_per_sec = rate(1, || {
+            let mut model = train_fx.model.clone();
+            let mut sampler = build_sampler(&cfg, &train_fx.dataset, None).expect("valid sampler");
+            let stats = train(
+                &mut model,
+                &train_fx.dataset,
+                sampler.as_mut(),
+                &config,
+                &mut NoopObserver,
+            )
+            .expect("serial training");
+            triples = stats.triples;
+        });
+        serial_rates.push((name.clone(), runs_per_sec * triples as f64));
+        let runs_per_sec = rate(1, || {
+            let mut model = train_fx.model.clone();
+            let stats = hogwild
+                .train(&mut model, &train_fx.dataset, &cfg, None, &mut NoopObserver)
+                .expect("hogwild training");
+            triples = stats.triples;
+        });
+        hogwild_rates.push((name, runs_per_sec * triples as f64));
+    }
+
+    let report = Json::obj([
+        ("schema", 1u32.into()),
+        (
+            "config",
+            Json::obj([
+                ("n_users", users.into()),
+                ("n_items", items.into()),
+                ("dim", dim.into()),
+                ("draws", draws.into()),
+            ]),
+        ),
+        ("samplers_draws_per_sec", sampler_rates),
+        (
+            "batched",
+            Json::obj([
+                ("batch_size", BATCH.into()),
+                ("k_negatives", 1u32.into()),
+                ("per_pair_mixed_draws_per_sec", rates(per_pair_mixed)),
+                ("batched_draws_per_sec", rates(batched)),
+                ("batched_speedup", speedups),
+            ]),
+        ),
+        ("gemv_items_per_sec", Json::Fixed(gemv_items_per_sec, 1)),
+        (
+            "bns_candidate_size",
+            Json::obj([("draws", sweep_draws.into()), ("draws_per_sec_by_m", by_m)]),
+        ),
+        (
+            "bns_ecdf_strategy",
+            Json::obj([("draws", sweep_draws.into()), ("draws_per_sec", by_ecdf)]),
+        ),
+        (
+            "training",
+            Json::obj([
+                ("n_users", train_fx.dataset.n_users().into()),
+                ("n_items", train_fx.dataset.n_items().into()),
+                ("epochs", config.epochs.into()),
+                ("requested_threads", HOGWILD_THREADS.into()),
+                ("threads", threads.into()),
+                ("serial_triples_per_sec", rates(serial_rates)),
+                ("hogwild_triples_per_sec", rates(hogwild_rates)),
+            ]),
+        ),
+    ]);
+    write_report(&out, &report);
 }

@@ -129,6 +129,16 @@ impl<'a> Reader<'a> {
             .ok_or(Truncated { what })
     }
 
+    /// The next byte.
+    pub fn u8(&mut self, what: &'static str) -> Result<u8, Truncated> {
+        self.array(what).map(u8::from_le_bytes)
+    }
+
+    /// The next little-endian `u16`.
+    pub fn u16(&mut self, what: &'static str) -> Result<u16, Truncated> {
+        self.array(what).map(u16::from_le_bytes)
+    }
+
     /// The next little-endian `u32`.
     pub fn u32(&mut self, what: &'static str) -> Result<u32, Truncated> {
         self.array(what).map(u32::from_le_bytes)
@@ -166,6 +176,7 @@ mod tests {
         bytes.extend_from_slice(&0x0102_0304_0506_0708u64.to_le_bytes());
         bytes.extend_from_slice(&1.5f32.to_bits().to_le_bytes());
         bytes.extend_from_slice(&9u32.to_le_bytes());
+        bytes.extend_from_slice(&[0xEE, 0x34, 0x12]);
         let mut r = Reader::new(&bytes);
         assert_eq!(r.u32("a"), Ok(0xA1B2_C3D4));
         assert_eq!(r.u64("b"), Ok(0x0102_0304_0506_0708));
@@ -174,6 +185,8 @@ mod tests {
         assert_eq!(words.len(), 2);
         assert_eq!(words.to_f32s()[0], 1.5);
         assert_eq!(words.to_u32s()[1], 9);
+        assert_eq!(r.u8("d"), Ok(0xEE));
+        assert_eq!(r.u16("e"), Ok(0x1234));
         assert_eq!(r.remaining(), 0);
         assert_eq!(r.u32("tail"), Err(Truncated { what: "tail" }));
     }

@@ -80,17 +80,16 @@ impl ServeReport {
         self.results.len() as f64 / self.wall_seconds.max(1e-12)
     }
 
-    /// Nearest-rank latency percentile in milliseconds (`q` in `[0, 1]`,
-    /// e.g. `0.5` for p50, `0.99` for p99). Returns 0 for empty batches.
+    /// [`nearest_rank`](bns_sync::nearest_rank) latency percentile in
+    /// milliseconds (`q` in `[0, 1]`, e.g. `0.5` for p50, `0.99` for p99).
+    /// Returns 0 for empty batches.
     pub fn latency_percentile_ms(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "percentile must be in [0, 1]");
-        if self.results.is_empty() {
+        let Some(rank) = bns_sync::nearest_rank(q, self.results.len() as u64) else {
             return 0.0;
-        }
+        };
         let mut lat: Vec<u64> = self.results.iter().map(|r| r.latency_ns).collect();
         lat.sort_unstable();
-        let rank = ((q * lat.len() as f64).ceil() as usize).clamp(1, lat.len());
-        lat[rank - 1] as f64 / 1e6
+        lat[rank as usize - 1] as f64 / 1e6
     }
 }
 

@@ -25,13 +25,18 @@
 //! * [`engine`] — the multi-threaded request loop: `std::thread::scope`
 //!   workers draining a sharded work-stealing queue of [`Request`]s — up
 //!   to a configurable batch per claim, scored as one blocked multi-user
-//!   GEMM — recording per-request latency into a [`ServeReport`].
+//!   GEMM — recording per-request latency into a [`ServeReport`], whose
+//!   percentiles follow the workspace's one nearest-rank rule
+//!   ([`bns_sync::nearest_rank`]).
 //! * [`cache`] — [`TopKCache`]: an optional generation-stamped LRU for
 //!   repeated-user traffic; one [`QueryEngine::swap_artifact`] bump
 //!   invalidates every cached list without touching the map.
 //! * [`proto`] — the length-prefixed, checksummed wire frames of the TCP
 //!   front-end, with a typed [`ProtoError`] for every way a frame can be
-//!   malformed (decode never panics, never reads out of bounds).
+//!   malformed (decode never panics, never reads out of bounds). Frames
+//!   decode through the same checked [`bns_data::le::Reader`] as the
+//!   artifact, and their checksum is the artifact's
+//!   [`fnv1a64`](artifact::fnv1a64) truncated to 32 bits.
 //! * [`net`] — [`NetServer`]: the `std::net` TCP front-end serving the
 //!   binary protocol plus an HTTP/1.1 GET shim (`/topk`, `/metrics`),
 //!   with bounded-queue backpressure, per-connection deadlines, and
@@ -44,7 +49,8 @@
 //! (train → freeze → reload → serve). Load-generator numbers:
 //! `cargo run --release -p bns-bench --bin serve_bench` writes
 //! `BENCH_serve.json` (p50/p99 latency, queries/sec, scored items/sec
-//! under Zipf-distributed user traffic).
+//! under Zipf-distributed user traffic, in process and over loopback
+//! TCP).
 //!
 //! ## Determinism contract
 //!

@@ -46,6 +46,8 @@
 //! this module is pure bytes → frames, so every path is reachable from
 //! the fuzz sweeps.
 
+use crate::artifact::fnv1a64;
+use bns_data::le::{Reader, Truncated};
 use std::fmt;
 
 /// Hard cap on a frame's payload length. Large enough for a
@@ -151,6 +153,12 @@ impl fmt::Display for ProtoError {
 
 impl std::error::Error for ProtoError {}
 
+impl From<Truncated> for ProtoError {
+    fn from(e: Truncated) -> Self {
+        ProtoError::Truncated { what: e.what }
+    }
+}
+
 /// Which retrieval strategy a request asked for (`flags` bits 1–2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ModeRequest {
@@ -231,18 +239,11 @@ pub struct ResponseFrame {
 }
 
 /// FNV-1a64 of `bytes`, truncated to the low 32 bits — the frame header
-/// checksum. Stand-alone copy so the protocol layer has no dependency on
-/// the artifact module's digest helpers (they must stay free to evolve
-/// with the artifact format).
+/// checksum. The digest is the artifact format's byte-at-a-time
+/// [`fnv1a64`]; the artifact's chunked word digest is a separate function,
+/// so that one can evolve with its format without moving frame bytes.
 pub fn frame_checksum(bytes: &[u8]) -> u32 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01B3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h as u32
+    fnv1a64(bytes) as u32
 }
 
 /// Appends one framed payload (header + bytes) to `out`.
@@ -288,10 +289,8 @@ impl RequestFrame {
     /// Decodes a request from one complete frame's **payload** bytes
     /// (header already stripped and verified).
     pub fn decode_payload(payload: &[u8]) -> Result<Self, ProtoError> {
-        let &op = payload
-            .first()
-            .ok_or(ProtoError::Truncated { what: "opcode" })?;
-        match op {
+        let mut r = Reader::new(payload);
+        match r.u8("opcode")? {
             OP_TOPK => {
                 if payload.len() != 8 {
                     return Err(ProtoError::LengthMismatch {
@@ -299,9 +298,9 @@ impl RequestFrame {
                         found: payload.len(),
                     });
                 }
-                let user = u32::from_le_bytes(payload[1..5].try_into().expect("4 bytes"));
-                let k = u16::from_le_bytes(payload[5..7].try_into().expect("2 bytes"));
-                let flags = payload[7];
+                let user = r.u32("user")?;
+                let k = r.u16("k")?;
+                let flags = r.u8("flags")?;
                 if flags & !FLAG_MASK != 0
                     || (flags & FLAG_MODE_EXACT != 0 && flags & FLAG_MODE_IVF != 0)
                 {
@@ -383,17 +382,10 @@ impl ResponseFrame {
 
     /// Decodes a response from one complete frame's **payload** bytes.
     pub fn decode_payload(payload: &[u8]) -> Result<Self, ProtoError> {
-        let &status = payload
-            .first()
-            .ok_or(ProtoError::Truncated { what: "status" })?;
-        let status = Status::from_u8(status)?;
-        if payload.len() < 11 {
-            return Err(ProtoError::Truncated {
-                what: "response header",
-            });
-        }
-        let generation = u64::from_le_bytes(payload[1..9].try_into().expect("8 bytes"));
-        let n = u16::from_le_bytes(payload[9..11].try_into().expect("2 bytes")) as usize;
+        let mut r = Reader::new(payload);
+        let status = Status::from_u8(r.u8("status")?)?;
+        let generation = r.u64("response header")?;
+        let n = usize::from(r.u16("response header")?);
         let expected = 11 + 4 * n;
         if payload.len() != expected {
             return Err(ProtoError::LengthMismatch {
@@ -406,10 +398,10 @@ impl ResponseFrame {
                 status: status as u8,
             });
         }
-        let items = payload[11..]
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect();
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(r.u32("item")?);
+        }
         Ok(Self {
             status,
             generation,
@@ -447,11 +439,12 @@ pub fn parse_header(buf: &[u8]) -> Result<FrameHeader, ProtoError> {
     if buf.len() < HEADER_LEN {
         return Ok(FrameHeader::NeedHeader);
     }
-    let len = u32::from_le_bytes(buf[0..4].try_into().expect("4 bytes")) as usize;
+    let mut r = Reader::new(buf);
+    let len = r.u32("frame length")? as usize;
     if len > MAX_PAYLOAD_LEN {
         return Err(ProtoError::Oversized { len });
     }
-    let check = u32::from_le_bytes(buf[4..8].try_into().expect("4 bytes"));
+    let check = r.u32("frame checksum")?;
     Ok(FrameHeader::Payload { len, check })
 }
 

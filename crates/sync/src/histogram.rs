@@ -10,6 +10,27 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// bucket absorbs everything up to `u64::MAX`.
 pub const HISTOGRAM_BUCKETS: usize = 16 + 60 * 4;
 
+/// The nearest-rank percentile rule: the 1-based rank `⌈q·n⌉`, clamped
+/// to `1..=n`, of the sorted sample that reports quantile `q` of `n`
+/// samples. p50 of 4 samples is the 2nd, p99 of 100 is the 99th, and
+/// every quantile names a sample that was actually observed. `None` when
+/// there are no samples. Every latency percentile in the workspace uses
+/// this rule.
+///
+/// ```
+/// use bns_sync::nearest_rank;
+///
+/// assert_eq!(nearest_rank(0.5, 4), Some(2));
+/// assert_eq!(nearest_rank(0.99, 0), None);
+/// ```
+///
+/// # Panics
+/// If `q` is outside `[0, 1]`.
+pub fn nearest_rank(q: f64, n: u64) -> Option<u64> {
+    assert!((0.0..=1.0).contains(&q), "percentile must be in [0, 1]");
+    (n > 0).then(|| ((q * n as f64).ceil() as u64).clamp(1, n))
+}
+
 /// A concurrent histogram of `u64` samples (latencies in nanoseconds by
 /// convention) over fixed logarithmic buckets.
 ///
@@ -134,15 +155,13 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Nearest-rank percentile (`q` in `[0, 1]`), reported as the upper
+    /// [`nearest_rank`] percentile (`q` in `[0, 1]`), reported as the upper
     /// bound of the bucket holding that rank — an overestimate of the true
     /// sample by at most 25%. Returns 0 for an empty histogram.
     pub fn percentile(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q), "percentile must be in [0, 1]");
-        if self.count == 0 {
+        let Some(rank) = nearest_rank(q, self.count) else {
             return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        };
         let mut seen = 0u64;
         for (b, &c) in self.buckets.iter().enumerate() {
             seen += c;
@@ -182,6 +201,25 @@ mod tests {
             assert_eq!(s.buckets[v as usize], 1);
         }
         assert_eq!(s.percentile(0.0), 0);
+    }
+
+    #[test]
+    fn nearest_rank_known_answers() {
+        for q in [0.0, 0.5, 1.0] {
+            assert_eq!(nearest_rank(q, 0), None);
+            assert_eq!(nearest_rank(q, 1), Some(1));
+        }
+        let n4 = [0.0, 0.25, 0.26, 0.5, 0.51, 0.75, 1.0].map(|q| nearest_rank(q, 4));
+        assert_eq!(n4, [1, 1, 2, 2, 3, 3, 4].map(Some));
+        assert_eq!(nearest_rank(0.99, 100), Some(99));
+        assert_eq!(nearest_rank(0.999, 1000), Some(999));
+        assert_eq!(nearest_rank(0.99, 20_000), Some(19_800));
+    }
+
+    #[test]
+    #[should_panic(expected = "percentile must be in [0, 1]")]
+    fn nearest_rank_rejects_quantiles_outside_the_unit_interval() {
+        nearest_rank(1.5, 10);
     }
 
     #[test]

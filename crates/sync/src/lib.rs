@@ -59,7 +59,7 @@ pub use counter::Counter;
 pub use cursor::ClaimCursor;
 pub use flag::PoisonFlag;
 pub use generation::Generation;
-pub use histogram::{HistogramSnapshot, LatencyHistogram, HISTOGRAM_BUCKETS};
+pub use histogram::{nearest_rank, HistogramSnapshot, LatencyHistogram, HISTOGRAM_BUCKETS};
 pub use mutex::{Mutex, MutexGuard};
 pub use padded::CachePadded;
 pub use rwlock::{ReadGuard, RwLock, WriteGuard};
