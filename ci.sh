@@ -36,13 +36,23 @@ run cargo run --release --offline --locked -p bns-lint
 # target-cpu=native to keep the build cache warm and codegen consistent.
 RUSTFLAGS="-C target-cpu=native --cfg bns_model_check" \
     run cargo test -q -p bns-check --offline --locked
+# bnsbench: the gated end-to-end benchmark is a workspace of its own that
+# builds the crates above by path, so only this step compiles it against
+# their current public API. Cargo rewrites bnsbench's stale Cargo.lock
+# while it resolves; keep a copy and put it back byte for byte, pass or
+# fail (bnsbench/ is the benchmark's tree, not this script's).
+mkdir -p target
+cp bnsbench/Cargo.lock target/bnsbench.Cargo.lock
+trap 'cp target/bnsbench.Cargo.lock bnsbench/Cargo.lock' EXIT
+run cargo test --release --offline --manifest-path bnsbench/Cargo.toml
+cp target/bnsbench.Cargo.lock bnsbench/Cargo.lock
+trap - EXIT
 # bench_json smoke at tiny sizes: runs every section of the sampler
 # runner, so the per-sampler draw rates, the batched pipeline, the BNS
 # |Mᵤ| and ECDF-strategy sweeps and the serial vs. hogwild training
 # throughput all keep running. The committed BENCH_samplers.json is
 # generated at paper scale (defaults: 10k items, d = 32); the smoke
 # writes under target/.
-mkdir -p target
 run cargo run --release --offline --locked -p bns-bench --bin bench_json -- \
     --users 40 --items 200 --draws 400 --out target/BENCH_smoke.json
 # Execute (not just compile) root examples: the examples are covered by

@@ -12,7 +12,7 @@
 //! * BNS draws/sec against the candidate-set size |Mᵤ| ∈ {1, 5, 20, 100},
 //!   and with the exact Eq. 16 ECDF against `EcdfStrategy::Subsample(256)`;
 //! * training triples/sec for RNS and BNS under the serial `train` and
-//!   under `ParallelTrainer` hogwild, one epoch over a fixture with a
+//!   under `train_hogwild`, one epoch over a fixture with a
 //!   quarter of the users.
 //!   Hogwild asks for [`HOGWILD_THREADS`] workers, capped at the core
 //!   count; the report records both numbers.
@@ -28,8 +28,8 @@ use bns_core::bns::EcdfStrategy;
 use bns_core::sampler::SampleContext;
 use bns_core::trainer::sample_pair;
 use bns_core::{
-    build_sampler, train, BnsConfig, NoopObserver, ParallelConfig, ParallelTrainer, PriorKind,
-    SamplerConfig, TrainConfig,
+    build_sampler, train, train_hogwild, BnsConfig, NoopObserver, PriorKind, SamplerConfig,
+    TrainConfig,
 };
 use bns_model::{Scorer, TripleBatch};
 use rand::rngs::StdRng;
@@ -191,8 +191,6 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let threads = HOGWILD_THREADS.min(cores);
     let config = TrainConfig::paper_mf(1, 0xB15);
-    let hogwild = ParallelTrainer::new(config, ParallelConfig::hogwild(threads))
-        .expect("valid hogwild config");
     let mut serial_rates = Vec::new();
     let mut hogwild_rates = Vec::new();
     for cfg in [SamplerConfig::Rns, bns(BnsConfig::default())] {
@@ -214,9 +212,16 @@ fn main() {
         serial_rates.push((name.clone(), runs_per_sec * triples as f64));
         let runs_per_sec = rate(1, || {
             let mut model = train_fx.model.clone();
-            let stats = hogwild
-                .train(&mut model, &train_fx.dataset, &cfg, None, &mut NoopObserver)
-                .expect("hogwild training");
+            let stats = train_hogwild(
+                &mut model,
+                &train_fx.dataset,
+                &cfg,
+                None,
+                &config,
+                threads,
+                &mut NoopObserver,
+            )
+            .expect("hogwild training");
             triples = stats.triples;
         });
         hogwild_rates.push((name, runs_per_sec * triples as f64));

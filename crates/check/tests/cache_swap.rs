@@ -14,7 +14,7 @@ use bns_sync::model::{check, run, spawn, Mode};
 use bns_sync::{Generation, Mutex};
 use std::sync::Arc;
 
-const KEY: u64 = 7;
+const KEY: u128 = 7;
 
 /// One query with the production protocol: observe the generation ONCE,
 /// then use that observation for both the lookup and the insert. The

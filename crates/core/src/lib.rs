@@ -27,10 +27,10 @@
 //!   that wires a sampler into a
 //!   [`PairwiseModel`](bns_model::PairwiseModel), with observer hooks for
 //!   the quality probes.
-//! * [`parallel`] — the sharded multi-core engine: hogwild SGD over
-//!   user shards with per-worker RNG/sampler state and epoch-barrier
-//!   statistic merges, behind a [`parallel::Determinism`] switch whose
-//!   bit-exact mode is the serial engine.
+//! * [`parallel`] — [`train_hogwild`], the sharded multi-core engine:
+//!   hogwild SGD over user shards with per-worker RNG/sampler state and
+//!   epoch-barrier statistic merges. It takes the same [`TrainConfig`] as
+//!   [`train`] plus a thread count; [`train`] stays the bit-exact engine.
 //! * [`factory`] — plain-data sampler configs → boxed samplers.
 
 pub mod aobpr;
@@ -50,7 +50,7 @@ pub use bns::{BnsConfig, BnsSampler, Criterion, LambdaSchedule, PosteriorStats, 
 pub use bns_model::TripleBatch;
 pub use contrastive::{train_contrastive, ContrastiveConfig, ContrastiveStats};
 pub use factory::{build_sampler, SamplerConfig};
-pub use parallel::{Determinism, ParallelConfig, ParallelTrainer};
+pub use parallel::train_hogwild;
 pub use sampler::{NegativeSampler, SampleContext, ScoreAccess};
 pub use trainer::{train, NoopObserver, TrainConfig, TrainObserver, TrainStats};
 

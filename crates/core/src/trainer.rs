@@ -45,10 +45,11 @@ use rand::SeedableRng;
 ///
 /// # Forward compatibility
 ///
-/// New knobs may be added to this struct in future releases (parallel
-/// training, for example, arrived as a *separate*
-/// [`crate::parallel::ParallelConfig`] precisely so this struct's layout
-/// stayed stable). Downstream code should construct it through the
+/// New knobs may be added to this struct in future releases. It holds
+/// only what both engines share: the serial [`train`] and the hogwild
+/// [`crate::train_hogwild`] take the same `TrainConfig`, and the hogwild
+/// engine's one extra setting, its thread count, is a plain argument.
+/// Downstream code should construct it through the
 /// `paper_*` constructors and functional-update syntax
 /// (`TrainConfig { epochs: 10, ..TrainConfig::paper_mf(10, 0) }`) rather
 /// than exhaustive struct literals, so added fields do not break it.

@@ -45,8 +45,9 @@ pub struct RunConfig {
     pub seed: u64,
     /// Evaluation threads.
     pub threads: usize,
-    /// Hogwild training shards for MF runs (1 = serial bit-exact engine;
-    /// > 1 uses `bns_core::parallel::ParallelTrainer`).
+    /// Hogwild training shards for MF runs: 1 trains on the bit-exact
+    /// serial `bns_core::train`; > 1 passes this count to
+    /// `bns_core::train_hogwild`.
     pub train_threads: usize,
     /// Negatives sampled per positive pair (paper: 1; > 1 feeds the
     /// multi-negative `TripleBatch` workload).

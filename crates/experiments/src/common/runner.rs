@@ -3,15 +3,15 @@
 //! Observer-free runs (the table binaries' bulk training) honor
 //! [`RunConfig::train_threads`]: MF runs with `train_threads > 1` go
 //! through the sharded hogwild engine
-//! ([`bns_core::parallel::ParallelTrainer`]). Observer-driven runs (the
+//! ([`bns_core::train_hogwild`]). Observer-driven runs (the
 //! figure binaries' TNR/INF and score-distribution probes) always use the
 //! serial engine, because per-triple callbacks are a serial-engine
 //! contract.
 
 use crate::common::config::{ModelKind, RunConfig};
 use bns_core::{
-    build_sampler, train, NegativeSampler, NoopObserver, ParallelConfig, ParallelTrainer,
-    SamplerConfig, TrainConfig, TrainObserver, TrainStats,
+    build_sampler, train, train_hogwild, NegativeSampler, NoopObserver, SamplerConfig, TrainConfig,
+    TrainObserver, TrainStats,
 };
 use bns_data::synthetic::generate;
 use bns_data::{split_random, Dataset, DatasetPreset, Occupations, SplitConfig};
@@ -256,17 +256,16 @@ pub fn train_mf_hogwild(
         unreachable!("ModelKind::Mf builds an MF model");
     };
     let tc = paper_train_config(ModelKind::Mf, preset, cfg);
-    let trainer = ParallelTrainer::new(tc, ParallelConfig::hogwild(cfg.train_threads))
-        .expect("hogwild config with >= 1 thread is valid");
-    let stats = trainer
-        .train(
-            &mut model,
-            &prepared.dataset,
-            sampler_cfg,
-            Some(&prepared.occupations),
-            &mut NoopObserver,
-        )
-        .expect("training run");
+    let stats = train_hogwild(
+        &mut model,
+        &prepared.dataset,
+        sampler_cfg,
+        Some(&prepared.occupations),
+        &tc,
+        cfg.train_threads,
+        &mut NoopObserver,
+    )
+    .expect("training run");
     (AnyModel::Mf(model), stats)
 }
 

@@ -142,49 +142,6 @@ pub fn gather_dots(user: &[f32], items: &[f32], ids: &[u32], out: &mut [f32]) {
     }
 }
 
-/// Row block size of [`gemm_block`]: the number of item rows a user block
-/// revisits before the kernel moves on. 64 rows × d = 32 floats is 8 KiB —
-/// comfortably L1-resident while every user row in the block streams over
-/// it.
-pub const GEMM_ITEM_BLOCK: usize = 64;
-
-/// Blocked multi-user GEMM: fills `out[u · n_items + i] = dot(users_row_u,
-/// items_row_i)` for the row-major user block `users` (`B × d`) and item
-/// table `items` (`n_items × d`).
-///
-/// This is the request-coalescing kernel of the serve loop: a lone query
-/// streams the whole item table through the cache for one GEMV, so `B`
-/// concurrent queries cost `B` full traversals. Here the item table is
-/// walked **once** in [`GEMM_ITEM_BLOCK`]-row tiles, and every user row in
-/// the block is scored against the resident tile before the next tile is
-/// loaded — the per-user memory traffic drops by ~`B×` while the
-/// arithmetic is unchanged.
-///
-/// Every output is produced by the same [`dot`] as [`gemv`], so
-/// `gemm_block(users, items, d, out)[u·n + i]` is **bitwise identical** to
-/// `gemv(users_row_u, items, ..)[i]` — batching never changes an answer,
-/// which is what lets the serve loop coalesce opportunistically.
-#[inline]
-pub fn gemm_block(users: &[f32], items: &[f32], dim: usize, out: &mut [f32]) {
-    assert!(dim > 0, "gemm_block requires dim >= 1");
-    debug_assert_eq!(users.len() % dim, 0, "user block must be row-major B × d");
-    debug_assert_eq!(items.len() % dim, 0, "item table must be row-major n × d");
-    let n_items = items.len() / dim;
-    debug_assert_eq!(
-        out.len(),
-        (users.len() / dim) * n_items,
-        "out must be B × n_items"
-    );
-    for (tile_idx, tile) in items.chunks(GEMM_ITEM_BLOCK * dim).enumerate() {
-        let i0 = tile_idx * GEMM_ITEM_BLOCK;
-        let rows = tile.len() / dim;
-        for (u, user) in users.chunks_exact(dim).enumerate() {
-            let base = u * n_items + i0;
-            gemv(user, tile, &mut out[base..base + rows]);
-        }
-    }
-}
-
 /// One BPR SGD step over the three rows of a triple `(u, i, j)` with
 /// gradient magnitude `g = info(j)` (Rendle et al., UAI 2009):
 ///
@@ -278,30 +235,6 @@ mod tests {
                 dot(&user, &table[i * d..(i + 1) * d]).to_bits(),
                 "row {i}"
             );
-        }
-    }
-
-    #[test]
-    fn gemm_block_rows_are_bitwise_equal_to_gemv() {
-        // Shapes straddling the tile boundary: below, at, and above
-        // GEMM_ITEM_BLOCK, with user-block sizes the serve loop coalesces.
-        for (b, n) in [(1usize, 7usize), (3, 64), (4, 129), (8, 200)] {
-            let d = 16;
-            let users = pseudo(b * d, 9);
-            let items = pseudo(n * d, 10);
-            let mut blocked = vec![0.0f32; b * n];
-            gemm_block(&users, &items, d, &mut blocked);
-            let mut row = vec![0.0f32; n];
-            for u in 0..b {
-                gemv(&users[u * d..(u + 1) * d], &items, &mut row);
-                for i in 0..n {
-                    assert_eq!(
-                        blocked[u * n + i].to_bits(),
-                        row[i].to_bits(),
-                        "B={b} n={n} user {u} item {i}"
-                    );
-                }
-            }
         }
     }
 

@@ -280,12 +280,6 @@ impl ModelArtifact {
         self.index.as_ref()
     }
 
-    /// The frozen item table as a row-major slice (the IVF probe path
-    /// gathers directly from it).
-    pub(crate) fn items_table(&self) -> &[f32] {
-        self.items.as_slice()
-    }
-
     /// One frozen user row.
     pub(crate) fn user_row(&self, u: u32) -> &[f32] {
         self.users.row(u as usize)

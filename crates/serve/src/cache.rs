@@ -31,7 +31,7 @@ use std::collections::HashMap;
 pub struct TopKCache {
     capacity: usize,
     tick: u64,
-    map: HashMap<u64, CacheEntry>,
+    map: HashMap<u128, CacheEntry>,
 }
 
 #[derive(Debug)]
@@ -71,7 +71,7 @@ impl TopKCache {
     /// Looks up `key` at `generation`. A hit refreshes the entry's
     /// recency; an entry from an older generation is evicted and reported
     /// as a miss.
-    pub fn get(&mut self, key: u64, generation: u64) -> Option<&[u32]> {
+    pub fn get(&mut self, key: u128, generation: u64) -> Option<&[u32]> {
         let live = match self.map.get(&key) {
             Some(e) => e.generation == generation,
             None => return None,
@@ -89,7 +89,7 @@ impl TopKCache {
 
     /// Inserts (or replaces) the list for `key` at `generation`, evicting
     /// the least-recently-used entry when at capacity.
-    pub fn insert(&mut self, key: u64, generation: u64, items: &[u32]) {
+    pub fn insert(&mut self, key: u128, generation: u64, items: &[u32]) {
         self.tick += 1;
         if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
             // Prefer reclaiming a stale-generation entry; otherwise the LRU.

@@ -10,13 +10,6 @@
 //! vs full GEMV queries, hot vs cold users) therefore cannot strand work
 //! behind a slow shard.
 //!
-//! Each claim drains up to [`QueryEngine::coalesce`] **adjacent** requests
-//! in one `ClaimCursor::claim_many` RMW; multi-request runs go through
-//! [`QueryEngine::top_k_batch_into`], which scores exact-mode misses as
-//! one blocked multi-user GEMM. Coalescing changes throughput and the
-//! latency distribution (a coalesced request's latency is its batch's
-//! wall time), never answers.
-//!
 //! Scheduling never changes answers: each request is claimed by exactly
 //! one worker, computed with that worker's private [`QueryScratch`], and
 //! written back to its input position. The report is identical whatever
@@ -31,6 +24,7 @@
 //! ([`CachePadded`]) so claims on different shards never contend.
 
 use crate::query::{QueryEngine, QueryScratch};
+use bns_model::Scorer;
 use bns_sync::{CachePadded, ClaimCursor};
 use std::time::Instant;
 
@@ -116,6 +110,7 @@ pub(crate) fn serve_parallel(
     // scheduler quantum per involuntary context switch.
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let n_threads = n_threads.max(1).min(n).min(cores);
+    let n_items = engine.artifact().n_items() as usize;
     let chunk = n.div_ceil(n_threads);
     // Shard s covers [s·chunk, min((s+1)·chunk, n)); cursor s is the next
     // unclaimed index in that shard. ClaimCursor claims are exclusive, so
@@ -137,71 +132,34 @@ pub(crate) fn serve_parallel(
                 let cursors = &cursors;
                 let bounds = &bounds;
                 scope.spawn(move || {
-                    let batch = engine.coalesce();
                     let mut scratch = QueryScratch::new();
                     let mut local: Vec<(usize, RankedList)> = Vec::new();
-                    let mut outs: Vec<Vec<u32>> = Vec::new();
                     for visit in 0..n_threads {
                         let shard = (w + visit) % n_threads;
                         let (_, end) = bounds[shard];
                         loop {
-                            // One claim grabs up to `batch` adjacent
-                            // requests; the run is truncated at the shard
-                            // end, so a thief's overshoot still wastes at
-                            // most one claim.
-                            let start = cursors[shard].claim_many(batch);
-                            if start >= end {
+                            let idx = cursors[shard].claim();
+                            if idx >= end {
                                 break;
                             }
-                            let run = &requests[start..(start + batch).min(end)];
-                            if run.len() == 1 {
-                                let r = run[0];
-                                // Allocate the answer buffer before
-                                // starting the clock: latency_ns measures
-                                // the query, not the allocator.
-                                let mut items = Vec::with_capacity(r.k);
-                                let t0 = Instant::now();
-                                engine
-                                    .top_k_into(
-                                        r.user,
-                                        r.k,
-                                        r.exclude_seen,
-                                        &mut scratch,
-                                        &mut items,
-                                    )
-                                    .expect("requests validated before serve_parallel");
-                                local.push((
-                                    start,
-                                    RankedList {
-                                        user: r.user,
-                                        items,
-                                        latency_ns: t0.elapsed().as_nanos() as u64,
-                                    },
-                                ));
-                            } else {
-                                outs.clear();
-                                outs.extend(run.iter().map(|r| Vec::with_capacity(r.k)));
-                                let t0 = Instant::now();
-                                engine
-                                    .top_k_batch_into(run, &mut scratch, &mut outs)
-                                    .expect("requests validated before serve_parallel");
-                                // Coalesced requests share the batch's
-                                // wall time: each waited for the whole
-                                // blocked GEMM, so that *is* its service
-                                // latency.
-                                let elapsed = t0.elapsed().as_nanos() as u64;
-                                for (off, (r, items)) in run.iter().zip(outs.drain(..)).enumerate()
-                                {
-                                    local.push((
-                                        start + off,
-                                        RankedList {
-                                            user: r.user,
-                                            items,
-                                            latency_ns: elapsed,
-                                        },
-                                    ));
-                                }
-                            }
+                            let r = requests[idx];
+                            // Allocate the answer buffer before starting
+                            // the clock: latency_ns measures the query,
+                            // not the allocator. A list never outgrows
+                            // the catalog, whatever `k` asks for.
+                            let mut items = Vec::with_capacity(r.k.min(n_items));
+                            let t0 = Instant::now();
+                            engine
+                                .top_k_into(r.user, r.k, r.exclude_seen, &mut scratch, &mut items)
+                                .expect("requests validated before serve_parallel");
+                            local.push((
+                                idx,
+                                RankedList {
+                                    user: r.user,
+                                    items,
+                                    latency_ns: t0.elapsed().as_nanos() as u64,
+                                },
+                            ));
                         }
                     }
                     local

@@ -23,9 +23,8 @@
 //!   An [`IndexMode`] knob picks exhaustive scoring (bitwise-exact) or
 //!   IVF probing (recall-gated approximate).
 //! * [`engine`] — the multi-threaded request loop: `std::thread::scope`
-//!   workers draining a sharded work-stealing queue of [`Request`]s — up
-//!   to a configurable batch per claim, scored as one blocked multi-user
-//!   GEMM — recording per-request latency into a [`ServeReport`], whose
+//!   workers draining a sharded work-stealing queue of [`Request`]s one
+//!   claim at a time, recording per-request latency into a [`ServeReport`], whose
 //!   percentiles follow the workspace's one nearest-rank rule
 //!   ([`bns_sync::nearest_rank`]).
 //! * [`cache`] — [`TopKCache`]: an optional generation-stamped LRU for
@@ -58,8 +57,7 @@
 //! reads frozen tables through the fixed-summation-order kernel, ties
 //! break toward lower item ids (`bns_eval::topk`), and the work-stealing
 //! scheduler affects only *which thread* answers a request, never the
-//! answer — request coalescing included, because the blocked GEMM emits
-//! the same kernel dots as the one-at-a-time path. The only
+//! answer. The only
 //! nondeterminism in the subsystem is upstream: hogwild training produces
 //! run-dependent tables; freezing any table makes every downstream query
 //! of it reproducible. The IVF path is equally deterministic — its

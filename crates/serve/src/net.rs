@@ -704,28 +704,34 @@ fn serve_http(ctx: &mut ConnCtx<'_>, stream: &mut TcpStream, buf: &[u8]) -> Http
 
 /// Parses `/topk` query parameters. `user` and `k` are required;
 /// `exclude_seen` accepts `1`/`true`; `mode` accepts `exact`/`ivf`
-/// (anything else, including omission, means the server default).
+/// (anything else, including omission, means the server default). An
+/// unknown or repeated parameter is an error, never a silent pick.
 fn parse_topk_query(
     query: &str,
 ) -> std::result::Result<(u32, u16, bool, ModeRequest), &'static str> {
     let mut user: Option<u32> = None;
     let mut k: Option<u16> = None;
-    let mut exclude_seen = false;
-    let mut mode = ModeRequest::Default;
+    let mut exclude_seen: Option<bool> = None;
+    let mut mode: Option<ModeRequest> = None;
     for pair in query.split('&').filter(|p| !p.is_empty()) {
         let (key, value) = pair.split_once('=').unwrap_or((pair, ""));
         match key {
-            "user" => user = Some(value.parse().map_err(|_| "user must be a u32")?),
-            "k" => k = Some(value.parse().map_err(|_| "k must be a u16")?),
-            "exclude_seen" => exclude_seen = value == "1" || value == "true",
-            "mode" => {
-                mode = match value {
+            "user" if user.is_none() => {
+                user = Some(value.parse().map_err(|_| "user must be a u32")?)
+            }
+            "k" if k.is_none() => k = Some(value.parse().map_err(|_| "k must be a u16")?),
+            "exclude_seen" if exclude_seen.is_none() => {
+                exclude_seen = Some(value == "1" || value == "true")
+            }
+            "mode" if mode.is_none() => {
+                mode = Some(match value {
                     "exact" => ModeRequest::Exact,
                     "ivf" => ModeRequest::Ivf,
                     "default" | "" => ModeRequest::Default,
                     _ => return Err("mode must be exact, ivf, or default"),
-                }
+                })
             }
+            "user" | "k" | "exclude_seen" | "mode" => return Err("repeated parameter"),
             _ => return Err("unknown parameter"),
         }
     }
@@ -734,7 +740,12 @@ fn parse_topk_query(
     if k == 0 {
         return Err("k must be >= 1");
     }
-    Ok((user, k, exclude_seen, mode))
+    Ok((
+        user,
+        k,
+        exclude_seen.unwrap_or(false),
+        mode.unwrap_or(ModeRequest::Default),
+    ))
 }
 
 /// Writes one minimal HTTP/1.1 response with `connection: close`.

@@ -21,13 +21,6 @@
 //!   gated by measured recall@k (`crates/serve/tests/ivf_recall.rs`)
 //!   instead of bit equality.
 //!
-//! [`QueryEngine::top_k_batch_into`] answers several requests in one call,
-//! scoring the exact path as a blocked multi-user GEMM
-//! ([`bns_model::kernel::gemm_block`]) so the item table streams through
-//! cache once per *batch* rather than once per query. Its answers are
-//! bitwise identical to the one-at-a-time path because the blocked kernel
-//! emits the same per-row dots in the same order.
-//!
 //! The hot paths are **allocation-free in steady state**: callers (or the
 //! [`crate::engine`] workers) hold one [`QueryScratch`] per thread and the
 //! score vectors, selection buffers and output lists are all reused — the
@@ -57,10 +50,9 @@ pub enum IndexMode {
     },
 }
 
-/// Reusable per-worker buffers for [`QueryEngine::top_k_into`] and
-/// [`QueryEngine::top_k_batch_into`]: score vectors and top-k selection
-/// scratch for every retrieval strategy. Steady-state allocation-free
-/// once warm.
+/// Reusable per-worker buffers for [`QueryEngine::top_k_into`]: score
+/// vectors and top-k selection scratch for every retrieval strategy.
+/// Steady-state allocation-free once warm.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
     pub(crate) scores: Vec<f32>,
@@ -70,12 +62,6 @@ pub struct QueryScratch {
     pub(crate) probe_ids: Vec<u32>,
     pub(crate) cand_scores: Vec<f32>,
     pub(crate) probe_topk: TopKBuffer,
-    // Coalesced batch path.
-    pub(crate) users_block: Vec<f32>,
-    pub(crate) block_scores: Vec<f32>,
-    pub(crate) batch_topks: Vec<TopKBuffer>,
-    pub(crate) batch_mask_pos: Vec<usize>,
-    pub(crate) miss_idx: Vec<usize>,
 }
 
 impl QueryScratch {
@@ -114,12 +100,11 @@ pub struct QueryEngine {
     cache_hits: Counter,
     cache_lookups: Counter,
     mode: IndexMode,
-    coalesce: usize,
 }
 
 impl QueryEngine {
     /// Creates an engine with no cache: every query runs the full
-    /// GEMV + top-k path ([`IndexMode::Exact`], coalesce batch 1).
+    /// GEMV + top-k path ([`IndexMode::Exact`]).
     pub fn new(artifact: ModelArtifact) -> Self {
         Self {
             artifact,
@@ -128,7 +113,6 @@ impl QueryEngine {
             cache_hits: Counter::new(),
             cache_lookups: Counter::new(),
             mode: IndexMode::Exact,
-            coalesce: 1,
         }
     }
 
@@ -169,34 +153,30 @@ impl QueryEngine {
     /// invalidation — the mode is part of every cache key, so exact and
     /// IVF lists never alias.
     pub fn set_index_mode(&mut self, mode: IndexMode) -> Result<()> {
-        if let IndexMode::Ivf { nprobe } = mode {
-            if self.artifact.index().is_none() {
-                return Err(ServeError::NoIndex);
-            }
-            if nprobe == 0 {
-                return Err(ServeError::Invalid(
-                    "IndexMode::Ivf requires nprobe >= 1".into(),
-                ));
-            }
-        }
+        self.check_mode(mode)?;
         self.mode = mode;
         Ok(())
     }
 
-    /// How many adjacent requests a serve worker drains per queue claim
-    /// (1 = one-at-a-time, the default).
-    pub fn coalesce(&self) -> usize {
-        self.coalesce
-    }
-
-    /// Sets the coalescing batch: workers claim up to `batch` adjacent
-    /// requests at once and score exact-mode misses as one blocked
-    /// multi-user GEMM. Answers are bitwise identical whatever the batch;
-    /// only throughput and the latency distribution move (coalesced
-    /// requests share their batch's wall time). Values are clamped to a
-    /// minimum of 1.
-    pub fn set_coalesce(&mut self, batch: usize) {
-        self.coalesce = batch.max(1);
+    /// Validates `mode` against the served artifact — [`ServeError::NoIndex`]
+    /// for IVF against an index-free artifact, [`ServeError::Invalid`] for
+    /// `nprobe == 0` — and returns it with `nprobe` clamped to the index's
+    /// cluster count (probing more clusters than exist changes nothing).
+    fn check_mode(&self, mode: IndexMode) -> Result<IndexMode> {
+        match mode {
+            IndexMode::Exact => Ok(mode),
+            IndexMode::Ivf { nprobe } => {
+                let index = self.artifact.index().ok_or(ServeError::NoIndex)?;
+                if nprobe == 0 {
+                    return Err(ServeError::Invalid(
+                        "IndexMode::Ivf requires nprobe >= 1".into(),
+                    ));
+                }
+                Ok(IndexMode::Ivf {
+                    nprobe: nprobe.min(index.n_clusters()),
+                })
+            }
+        }
     }
 
     /// Current artifact generation (bumped by
@@ -285,17 +265,12 @@ impl QueryEngine {
         if user >= n_users {
             return Err(ServeError::UnknownUser { user, n_users });
         }
-        let mode = mode.unwrap_or(self.mode);
-        if let IndexMode::Ivf { nprobe } = mode {
-            if self.artifact.index().is_none() {
-                return Err(ServeError::NoIndex);
-            }
-            if nprobe == 0 {
-                return Err(ServeError::Invalid(
-                    "IndexMode::Ivf requires nprobe >= 1".into(),
-                ));
-            }
-        }
+        // Clamp `k` and `nprobe` once, here: a list never exceeds the
+        // catalog and a probe never exceeds the cluster count, so answers
+        // are unchanged, every buffer below stays bounded, and the cache
+        // key holds both values without truncation.
+        let mode = self.check_mode(mode.unwrap_or(self.mode))?;
+        let k = k.min(self.artifact.n_items() as usize);
         // Read the generation once and use it for both the lookup and the
         // insert below: re-reading at insert time could stamp a list
         // computed against the old artifact with the new generation (the
@@ -354,7 +329,6 @@ impl QueryEngine {
         let urow = self.artifact.user_row(user);
         scratch.cluster_scores.resize(index.n_clusters(), 0.0);
         index.score_clusters(urow, &mut scratch.cluster_scores);
-        let nprobe = nprobe.min(index.n_clusters());
         top_k_masked_into(
             &scratch.cluster_scores,
             &[],
@@ -417,172 +391,23 @@ impl QueryEngine {
         Ok(())
     }
 
-    /// Answers a batch of requests into caller-owned buffers
-    /// (`outs[i]` answers `requests[i]`). Cache hits are served
-    /// individually; exact-mode misses are scored together as a blocked
-    /// multi-user GEMM over [`kernel::GEMM_ITEM_BLOCK`]-row item tiles, so
-    /// the item table streams through cache once per batch. Answers are
-    /// **bitwise identical** to calling [`QueryEngine::top_k_into`] per
-    /// request — the blocked kernel emits the same per-row dots, offered
-    /// to the same selector in the same ascending-id order. IVF-mode
-    /// misses run the probe path per request (already sublinear; the
-    /// item-table traversal a batch would amortize is exactly what the
-    /// index removed). Allocation-free once warm, like the single path.
-    pub fn top_k_batch_into(
-        &self,
-        requests: &[Request],
-        scratch: &mut QueryScratch,
-        outs: &mut [Vec<u32>],
-    ) -> Result<()> {
-        assert_eq!(requests.len(), outs.len(), "one output buffer per request");
-        let n_users = self.artifact.n_users();
-        for r in requests {
-            if r.user >= n_users {
-                return Err(ServeError::UnknownUser {
-                    user: r.user,
-                    n_users,
-                });
-            }
-        }
-        let generation = self.generation.current();
-        scratch.miss_idx.clear();
-        for (i, r) in requests.iter().enumerate() {
-            if let Some(cache) = &self.cache {
-                self.cache_lookups.incr();
-                let mut cache = cache.lock();
-                if let Some(items) = cache.get(
-                    cache_key(r.user, r.k, r.exclude_seen, self.mode),
-                    generation,
-                ) {
-                    outs[i].clear();
-                    outs[i].extend_from_slice(items);
-                    self.cache_hits.incr();
-                    continue;
-                }
-            }
-            scratch.miss_idx.push(i);
-        }
-        if scratch.miss_idx.is_empty() {
-            return Ok(());
-        }
-
-        match self.mode {
-            IndexMode::Exact => self.exact_batch(requests, scratch, outs),
-            IndexMode::Ivf { nprobe } => {
-                for mi in 0..scratch.miss_idx.len() {
-                    let i = scratch.miss_idx[mi];
-                    let r = requests[i];
-                    self.ivf_search(r.user, r.k, r.exclude_seen, nprobe, scratch, &mut outs[i])?;
-                }
-                Ok(())
-            }
-        }?;
-
-        if let Some(cache) = &self.cache {
-            let mut cache = cache.lock();
-            for &i in &scratch.miss_idx {
-                let r = requests[i];
-                cache.insert(
-                    cache_key(r.user, r.k, r.exclude_seen, self.mode),
-                    generation,
-                    &outs[i],
-                );
-            }
-        }
-        Ok(())
-    }
-
-    /// The coalesced exact path over `scratch.miss_idx`: gather the missed
-    /// users' rows into one block, stream the item table tile by tile
-    /// through [`kernel::gemm_block`], and feed each user's tile scores to
-    /// its own [`TopKBuffer`] with a per-user merge cursor over the sorted
-    /// seen mask (ids arrive ascending, exactly like the dense scan).
-    fn exact_batch(
-        &self,
-        requests: &[Request],
-        scratch: &mut QueryScratch,
-        outs: &mut [Vec<u32>],
-    ) -> Result<()> {
-        let b = scratch.miss_idx.len();
-        let dim = self.artifact.dim();
-        scratch.users_block.clear();
-        for mi in 0..b {
-            let user = requests[scratch.miss_idx[mi]].user;
-            scratch
-                .users_block
-                .extend_from_slice(self.artifact.user_row(user));
-        }
-        if scratch.batch_topks.len() < b {
-            scratch.batch_topks.resize_with(b, TopKBuffer::default);
-        }
-        scratch.batch_mask_pos.clear();
-        scratch.batch_mask_pos.resize(b, 0);
-        for mi in 0..b {
-            let k = requests[scratch.miss_idx[mi]].k;
-            scratch.batch_topks[mi].begin(k);
-        }
-
-        const TILE: usize = kernel::GEMM_ITEM_BLOCK;
-        let items = self.artifact.items_table();
-        let n_items = self.artifact.n_items() as usize;
-        let seen = self.artifact.seen();
-        scratch.block_scores.resize(b * TILE, 0.0);
-        let mut tile_start = 0usize;
-        while tile_start < n_items {
-            let rows = TILE.min(n_items - tile_start);
-            let tile = &items[tile_start * dim..(tile_start + rows) * dim];
-            kernel::gemm_block(
-                &scratch.users_block,
-                tile,
-                dim,
-                &mut scratch.block_scores[..b * rows],
-            );
-            for mi in 0..b {
-                let r = requests[scratch.miss_idx[mi]];
-                let masked: &[u32] = if r.exclude_seen {
-                    seen.items_of(r.user)
-                } else {
-                    &[]
-                };
-                let pos = &mut scratch.batch_mask_pos[mi];
-                for j in 0..rows {
-                    let id = (tile_start + j) as u32;
-                    if *pos < masked.len() && masked[*pos] == id {
-                        *pos += 1;
-                        continue;
-                    }
-                    scratch.batch_topks[mi].offer(scratch.block_scores[mi * rows + j], id);
-                }
-            }
-            tile_start += rows;
-        }
-        for mi in 0..b {
-            let i = scratch.miss_idx[mi];
-            scratch.batch_topks[mi].emit(&mut outs[i]);
-        }
-        Ok(())
-    }
-
     /// Convenience wrapper over [`QueryEngine::top_k_into`] that
     /// allocates fresh buffers — fine for one-off queries and doc
     /// examples; hot loops should reuse a [`QueryScratch`].
     pub fn top_k(&self, user: u32, k: usize, exclude_seen: bool) -> Result<Vec<u32>> {
         let mut scratch = QueryScratch::new();
-        let mut out = Vec::with_capacity(k);
+        let mut out = Vec::new();
         self.top_k_into(user, k, exclude_seen, &mut scratch, &mut out)?;
         Ok(out)
     }
 
     /// Serves a batch of requests on `n_threads` scoped workers draining
-    /// a work-stealing queue (each claim drains up to
-    /// [`QueryEngine::coalesce`] adjacent requests); see [`crate::engine`]
-    /// for the scheduling contract. Validates every request — and that the
+    /// a work-stealing queue; see [`crate::engine`] for the scheduling
+    /// contract. Validates every request — and that the
     /// configured [`IndexMode`] is servable — up front, so the report
     /// covers all of them in input order.
     pub fn serve(&self, requests: &[Request], n_threads: usize) -> Result<ServeReport> {
-        if matches!(self.mode, IndexMode::Ivf { .. }) && self.artifact.index().is_none() {
-            return Err(ServeError::NoIndex);
-        }
+        self.check_mode(self.mode)?;
         let n_users = self.artifact.n_users();
         for r in requests {
             if r.user >= n_users {
@@ -597,20 +422,21 @@ impl QueryEngine {
 }
 
 /// Packs `(user, k, exclude_seen, mode)` into one cache key: user in bits
-/// 0–31, `k` truncated to 14 bits (far beyond any real recommendation
-/// cutoff) in 32–45, the mask flag at 46, an IVF flag at 47 and `nprobe`
-/// truncated to 16 bits in 48–63 — exact and IVF lists (and different
-/// probe widths) never alias.
-fn cache_key(user: u32, k: usize, exclude_seen: bool, mode: IndexMode) -> u64 {
+/// 0–31, `k` in 32–63, the mask flag at 64, an IVF flag at 65 and `nprobe`
+/// in 66–97. The caller has clamped `k` to the item count and `nprobe` to
+/// the cluster count, both `u32`-sized, so no field is truncated and no
+/// two distinct queries share a key.
+fn cache_key(user: u32, k: usize, exclude_seen: bool, mode: IndexMode) -> u128 {
     let (ivf, nprobe) = match mode {
-        IndexMode::Exact => (0u64, 0u64),
-        IndexMode::Ivf { nprobe } => (1u64, (nprobe as u64) & 0xFFFF),
+        IndexMode::Exact => (0u128, 0u128),
+        IndexMode::Ivf { nprobe } => (1u128, nprobe as u128),
     };
-    (user as u64)
-        | (((k as u64) & 0x3FFF) << 32)
-        | ((exclude_seen as u64) << 46)
-        | (ivf << 47)
-        | (nprobe << 48)
+    debug_assert!(k <= u32::MAX as usize && nprobe <= u32::MAX as u128);
+    (user as u128)
+        | ((k as u128) << 32)
+        | ((exclude_seen as u128) << 64)
+        | (ivf << 65)
+        | (nprobe << 66)
 }
 
 #[cfg(test)]
@@ -752,64 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_answers_are_bitwise_equal_to_single_path() {
-        let mut rng = StdRng::seed_from_u64(47);
-        let model = MatrixFactorization::new(9, 321, 8, 0.1, &mut rng).unwrap();
-        let pairs: Vec<(u32, u32)> = (0..9u32)
-            .flat_map(|u| [(u, 3 * u), (u, 3 * u + 1)])
-            .collect();
-        let seen = Interactions::from_pairs(9, 321, &pairs).unwrap();
-        let artifact = ModelArtifact::freeze(&model, &seen).unwrap();
-        let e = QueryEngine::new(artifact);
-        let requests: Vec<Request> = (0..9u32)
-            .map(|u| Request {
-                user: u,
-                k: 7 + (u as usize % 3),
-                exclude_seen: u % 2 == 0,
-            })
-            .collect();
-        let mut scratch = QueryScratch::new();
-        let mut outs: Vec<Vec<u32>> = vec![Vec::new(); requests.len()];
-        e.top_k_batch_into(&requests, &mut scratch, &mut outs)
-            .unwrap();
-        for (r, got) in requests.iter().zip(&outs) {
-            let expected = e.top_k(r.user, r.k, r.exclude_seen).unwrap();
-            assert_eq!(got, &expected, "user {} diverged in the batch", r.user);
-        }
-    }
-
-    #[test]
-    fn coalesced_serve_matches_single_claim_serve() {
-        let mut rng = StdRng::seed_from_u64(53);
-        let model = MatrixFactorization::new(12, 200, 8, 0.1, &mut rng).unwrap();
-        let pairs: Vec<(u32, u32)> = (0..12u32).map(|u| (u, u * 16)).collect();
-        let seen = Interactions::from_pairs(12, 200, &pairs).unwrap();
-        let artifact = ModelArtifact::freeze(&model, &seen).unwrap();
-        let requests: Vec<Request> = (0..150)
-            .map(|i| Request {
-                user: (i * 7 % 12) as u32,
-                k: 5,
-                exclude_seen: true,
-            })
-            .collect();
-        let plain = QueryEngine::new(artifact.clone());
-        let baseline = plain.serve(&requests, 1).unwrap();
-        for batch in [2usize, 8, 64] {
-            let mut coalesced = QueryEngine::new(artifact.clone());
-            coalesced.set_coalesce(batch);
-            for threads in [1usize, 3] {
-                let report = coalesced.serve(&requests, threads).unwrap();
-                for (i, (a, b)) in baseline.results.iter().zip(&report.results).enumerate() {
-                    assert_eq!(
-                        a.items, b.items,
-                        "request {i} diverged at coalesce {batch} × {threads} threads"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn ivf_cache_keys_do_not_alias_exact_keys() {
         let mut rng = StdRng::seed_from_u64(59);
         let model = MatrixFactorization::new(3, 64, 4, 0.1, &mut rng).unwrap();
@@ -826,6 +594,48 @@ mod tests {
         e.set_index_mode(IndexMode::Exact).unwrap();
         assert_eq!(e.top_k(0, 8, true).unwrap(), exact);
         assert_eq!(e.cache_hits(), hits_before + 1);
+    }
+
+    /// 1 user × 40 items with item 10 seen: the full masked list has 39
+    /// entries.
+    fn forty_items() -> ModelArtifact {
+        let mut rng = StdRng::seed_from_u64(61);
+        let model = MatrixFactorization::new(1, 40, 4, 0.1, &mut rng).unwrap();
+        let seen = Interactions::from_pairs(1, 40, &[(0, 10)]).unwrap();
+        ModelArtifact::freeze(&model, &seen).unwrap()
+    }
+
+    #[test]
+    fn cache_keys_hold_every_wire_k_without_aliasing() {
+        // A wire `k` is a u16, so every k up to 65535 needs its own key.
+        let artifact = forty_items();
+        let full = QueryEngine::new(artifact.clone())
+            .top_k(0, 16385, true)
+            .unwrap();
+        assert_eq!(full.len(), 39);
+        let cached = QueryEngine::with_cache(artifact, 8);
+        assert_eq!(cached.top_k(0, 1, true).unwrap().len(), 1);
+        assert_eq!(cached.top_k(0, 16385, true).unwrap(), full);
+        assert_eq!(cached.cache_hits(), 0, "k = 1 and k = 16385 must not alias");
+        // Any k at or beyond the catalog asks for the same list.
+        assert_eq!(cached.top_k(0, 40, true).unwrap(), full);
+        assert_eq!(cached.cache_hits(), 1);
+    }
+
+    #[test]
+    fn unbounded_k_returns_the_whole_pool_instead_of_panicking() {
+        let e = QueryEngine::new(forty_items());
+        let full = e.top_k(0, 40, true).unwrap();
+        assert_eq!(e.top_k(0, usize::MAX, true).unwrap(), full);
+        let request = Request {
+            user: 0,
+            k: usize::MAX,
+            exclude_seen: true,
+        };
+        let report = e.serve(&[request; 3], 2).unwrap();
+        for r in &report.results {
+            assert_eq!(r.items, full);
+        }
     }
 
     #[test]

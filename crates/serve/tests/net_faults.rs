@@ -1,8 +1,9 @@
 //! Fault injection against the TCP front-end: slow-loris frames,
-//! half-open connections, mid-frame disconnects, and hostile length
-//! prefixes. The server must reap each offender on its configured
-//! deadline, keep serving other connections with bounded latency, and
-//! leak neither file descriptors nor threads across connection churn.
+//! half-open connections, mid-frame disconnects, hostile length prefixes
+//! and malformed HTTP heads. The server must reap each offender on its
+//! configured deadline, keep serving other connections with bounded
+//! latency, and leak neither file descriptors nor threads across
+//! connection churn.
 
 use bns_data::Interactions;
 use bns_model::MatrixFactorization;
@@ -277,4 +278,146 @@ fn connection_churn_leaks_no_fds_or_threads() {
         "thread leak: baseline {thread_base}, now {}",
         thread_count()
     );
+}
+
+/// Sends `head` on a fresh connection (one byte per write when
+/// `trickle`), then reads until the server closes. Returns what the
+/// server wrote and how long it took to close after the last byte.
+fn send_head(addr: std::net::SocketAddr, head: &[u8], trickle: bool) -> (Vec<u8>, Duration) {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_nodelay(true).unwrap();
+    // Write errors are expected: the server may hang up mid-head.
+    if trickle {
+        for b in head {
+            if s.write_all(std::slice::from_ref(b)).is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    } else {
+        let _ = s.write_all(head);
+    }
+    let sent = Instant::now();
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut reply = Vec::new();
+    let mut chunk = [0u8; 512];
+    loop {
+        match s.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => reply.extend_from_slice(&chunk[..n]),
+            // A reset is a close: the server dropped unread bytes.
+            Err(e) if e.kind() != std::io::ErrorKind::WouldBlock => break,
+            Err(_) => panic!("server neither answered nor closed within 5 s"),
+        }
+    }
+    (reply, sent.elapsed())
+}
+
+#[test]
+fn malformed_http_heads_get_an_error_or_a_close_and_never_panic() {
+    let cfg = fault_cfg();
+    // The server closes an incomplete head once `read_timeout` expires;
+    // allow its poll tick and a loaded host's scheduling on top.
+    let budget = cfg.read_timeout + Duration::from_secs(1);
+    let server = NetServer::bind("127.0.0.1:0", engine(), cfg).unwrap();
+    let addr = server.local_addr();
+
+    let mut oversized = b"GET /topk?user=1&k=3&pad=".to_vec();
+    oversized.resize(9 * 1024, b'a');
+    let heads: Vec<(&str, Vec<u8>, bool)> = vec![
+        (
+            "non-UTF-8 bytes",
+            b"\xff\xfe\xfd\xfc\r\n\r\n".to_vec(),
+            false,
+        ),
+        (
+            "non-UTF-8 target",
+            b"GET /topk?user=\xff&k=3 HTTP/1.1\r\n\r\n".to_vec(),
+            false,
+        ),
+        ("empty request line", b"\r\n\r\n".to_vec(), false),
+        (
+            "POST",
+            b"POST /topk?user=1&k=3 HTTP/1.1\r\n\r\n".to_vec(),
+            false,
+        ),
+        ("no target", b"GET\r\n\r\n".to_vec(), false),
+        ("no user", b"GET /topk?k=3 HTTP/1.1\r\n\r\n".to_vec(), false),
+        ("no k", b"GET /topk?user=1 HTTP/1.1\r\n\r\n".to_vec(), false),
+        (
+            "k=0",
+            b"GET /topk?user=1&k=0 HTTP/1.1\r\n\r\n".to_vec(),
+            false,
+        ),
+        (
+            "k=65536",
+            b"GET /topk?user=1&k=65536 HTTP/1.1\r\n\r\n".to_vec(),
+            false,
+        ),
+        (
+            "user=2^32",
+            b"GET /topk?user=4294967296&k=3 HTTP/1.1\r\n\r\n".to_vec(),
+            false,
+        ),
+        (
+            "unknown parameter",
+            b"GET /topk?user=1&k=3&color=red HTTP/1.1\r\n\r\n".to_vec(),
+            false,
+        ),
+        (
+            "repeated parameter",
+            b"GET /topk?user=1&k=3&user=2 HTTP/1.1\r\n\r\n".to_vec(),
+            false,
+        ),
+        (
+            "mode=bogus",
+            b"GET /topk?user=1&k=3&mode=bogus HTTP/1.1\r\n\r\n".to_vec(),
+            false,
+        ),
+        ("head over 8 KiB, no terminator", oversized, false),
+        (
+            "trickled head",
+            b"GET /topk?user=1&k=0 HTTP/1.1\r\n\r\n".to_vec(),
+            true,
+        ),
+        (
+            "G then binary",
+            b"G\x00\x01\xff\x80\x7f\x00\x00".to_vec(),
+            false,
+        ),
+        (
+            "G then binary, terminated",
+            b"G\x00\xff\x80\r\n\r\n".to_vec(),
+            false,
+        ),
+    ];
+    for (name, head, trickle) in &heads {
+        let (reply, closed_after) = send_head(addr, head, *trickle);
+        assert!(
+            closed_after < budget,
+            "{name}: connection stayed open {closed_after:?}"
+        );
+        if !reply.is_empty() {
+            let text = String::from_utf8_lossy(&reply);
+            assert!(
+                text.starts_with("HTTP/1.1 4") || text.starts_with("HTTP/1.1 5"),
+                "{name}: expected a 4xx/5xx status line or a close, got {text:?}"
+            );
+        }
+    }
+
+    // A panicking connection thread would skip its `connections_closed`
+    // increment, so the two counters only meet if every thread returned.
+    let m = server.metrics();
+    assert!(
+        eventually(Duration::from_secs(5), || {
+            m.connections_closed.get() == m.connections_accepted.get()
+        }),
+        "{} of {} connections closed",
+        m.connections_closed.get(),
+        m.connections_accepted.get()
+    );
+    assert_eq!(m.connections_accepted.get(), heads.len() as u64);
+    let mut client = WireClient::connect(addr).unwrap();
+    assert_eq!(client.ping().unwrap().status, Status::Pong);
 }

@@ -10,7 +10,7 @@
 
 use bns_data::Interactions;
 use bns_model::MatrixFactorization;
-use bns_serve::{IndexMode, IvfConfig, ModelArtifact, QueryEngine, QueryScratch, Request};
+use bns_serve::{IndexMode, IvfConfig, ModelArtifact, QueryEngine, QueryScratch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -191,44 +191,4 @@ fn ivf_top_k_into_is_allocation_free_in_steady_state() {
         "IVF query hot path allocated {} times across 4800 steady-state queries",
         after - before
     );
-}
-
-#[test]
-fn top_k_batch_into_is_allocation_free_in_steady_state() {
-    // Both retrieval modes of the coalesced entry point: the blocked GEMM
-    // scratch (user block, tile scores, per-request selectors and mask
-    // cursors) and the per-request IVF probe reuse must all be warm after
-    // one pass.
-    for engine in [engine(), ivf_engine()] {
-        let requests: Vec<Request> = (0..16u32)
-            .map(|i| Request {
-                user: (i * 5) % 24,
-                k: 10 + (i as usize % 8),
-                exclude_seen: i % 2 == 0,
-            })
-            .collect();
-        let mut scratch = QueryScratch::new();
-        let mut outs: Vec<Vec<u32>> = (0..requests.len()).map(|_| Vec::new()).collect();
-
-        for _ in 0..2 {
-            engine
-                .top_k_batch_into(&requests, &mut scratch, &mut outs)
-                .unwrap();
-        }
-
-        let before = allocation_count();
-        for _ in 0..500usize {
-            engine
-                .top_k_batch_into(&requests, &mut scratch, &mut outs)
-                .unwrap();
-        }
-        let after = allocation_count();
-        assert_eq!(
-            after - before,
-            0,
-            "batched hot path ({:?}) allocated {} times across 500 steady-state batches",
-            engine.index_mode(),
-            after - before
-        );
-    }
 }

@@ -44,27 +44,6 @@ impl ClaimCursor {
         // published back through the cursor.
         self.next.fetch_add(1, Ordering::Relaxed)
     }
-
-    /// Claims and returns the start of a contiguous run of `n` indices
-    /// (`start..start + n`). Each index is still handed to exactly one
-    /// caller — a run claim is one RMW, so runs from concurrent callers
-    /// never overlap. `claim_many(1)` is exactly [`claim`](Self::claim).
-    ///
-    /// This is the coalescing primitive of the serve loop: a worker grabs
-    /// up to a batch worth of adjacent requests in one claim and scores
-    /// them as a single blocked multi-user GEMM. As with `claim`, runs
-    /// past the shard's end are discarded (in part or whole) by the
-    /// caller's bounds check.
-    #[inline]
-    pub fn claim_many(&self, n: usize) -> usize {
-        #[cfg(bns_model_check)]
-        crate::model::point("ClaimCursor::claim_many");
-        // ordering: Relaxed — same argument as `claim`: run exclusivity is
-        // RMW atomicity; the claimed requests were published before the
-        // worker scope spawned, and nothing publishes back through the
-        // cursor.
-        self.next.fetch_add(n, Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -75,45 +54,6 @@ mod tests {
     fn claims_are_sequential_from_start() {
         let c = ClaimCursor::new(3);
         assert_eq!((c.claim(), c.claim(), c.claim()), (3, 4, 5));
-    }
-
-    #[test]
-    fn run_claims_are_contiguous_and_exclusive() {
-        let c = ClaimCursor::new(0);
-        assert_eq!(c.claim_many(4), 0);
-        assert_eq!(c.claim(), 4);
-        assert_eq!(c.claim_many(3), 5);
-        assert_eq!(c.claim_many(1), 8);
-    }
-
-    #[test]
-    fn concurrent_run_claims_never_overlap() {
-        let c = ClaimCursor::new(0);
-        let mut seen: Vec<usize> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..4)
-                .map(|w| {
-                    let c = &c;
-                    s.spawn(move || {
-                        let batch = 1 + w % 3;
-                        let mut mine = Vec::new();
-                        loop {
-                            let start = c.claim_many(batch);
-                            if start >= 600 {
-                                break;
-                            }
-                            mine.extend(start..(start + batch).min(600));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().unwrap())
-                .collect()
-        });
-        seen.sort_unstable();
-        assert_eq!(seen, (0..600).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,24 +1,17 @@
-//! Equivalence guarantees of the sharded trainer (`bns_core::parallel`).
-//!
-//! Two contracts, matching the `Determinism` switch:
-//!
-//! 1. **Bit-exact**: a 1-thread `ParallelTrainer` in `BitExact` mode must
-//!    reproduce the serial engine's run *exactly* — same stats, same
-//!    per-epoch probe losses, same final rankings, bitwise-equal scores.
-//! 2. **Statistical**: multi-thread hogwild training must reach final
-//!    ranking quality within tolerance of the serial engine on the
-//!    synthetic dataset — hogwild write races perturb individual updates
-//!    but must not degrade convergence. (Tolerances unchanged by the
-//!    fused-kernel PR: both engines share `bns_model::kernel`, so the
-//!    serial/hogwild comparison re-pinned itself with the new summation
-//!    order.)
+//! Statistical equivalence of the sharded hogwild engine
+//! (`bns_core::train_hogwild`): multi-thread hogwild training must reach
+//! final ranking quality within tolerance of the serial engine on the
+//! synthetic dataset — hogwild write races perturb individual updates but
+//! must not degrade convergence. Both engines score through
+//! `bns_model::kernel`, so they share one summation order. The serial
+//! engine's bit-exact trace is pinned separately, by
+//! `tests/trainer_repro_guard.rs` and `tests/reproducibility.rs`.
 
-use bns::core::parallel::{ParallelConfig, ParallelTrainer};
-use bns::core::{build_sampler, train, NoopObserver, SamplerConfig, TrainConfig};
+use bns::core::{build_sampler, train, train_hogwild, NoopObserver, SamplerConfig, TrainConfig};
 use bns::data::synthetic::{generate, SyntheticConfig};
 use bns::data::{split_random, Dataset, SplitConfig};
 use bns::eval::evaluate_ranking;
-use bns::model::{MatrixFactorization, Scorer};
+use bns::model::MatrixFactorization;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -44,51 +37,6 @@ fn model(seed: u64, d: &Dataset) -> MatrixFactorization {
 }
 
 #[test]
-fn one_thread_bit_exact_reproduces_serial_trainer() {
-    let d = dataset(40, 80, 1_200, 3);
-    let cfg = TrainConfig::paper_mf(5, 77);
-    for sampler_cfg in [
-        SamplerConfig::Rns,
-        SamplerConfig::Bns {
-            config: bns::core::BnsConfig::default(),
-            prior: bns::core::PriorKind::Popularity,
-        },
-    ] {
-        let mut serial = model(9, &d);
-        let mut s = build_sampler(&sampler_cfg, &d, None).expect("valid sampler");
-        let serial_stats =
-            train(&mut serial, &d, s.as_mut(), &cfg, &mut NoopObserver).expect("serial run");
-
-        let mut parallel = model(9, &d);
-        let trainer = ParallelTrainer::new(cfg, ParallelConfig::bit_exact()).expect("valid config");
-        let parallel_stats = trainer
-            .train(&mut parallel, &d, &sampler_cfg, None, &mut NoopObserver)
-            .expect("bit-exact run");
-
-        let name = sampler_cfg.display_name();
-        assert_eq!(serial_stats.triples, parallel_stats.triples, "{name}");
-        assert_eq!(serial_stats.skipped, parallel_stats.skipped, "{name}");
-        assert_eq!(
-            serial_stats.mean_info_per_epoch, parallel_stats.mean_info_per_epoch,
-            "{name}: per-epoch info curves must be identical"
-        );
-        assert_eq!(
-            serial_stats.posterior_per_epoch, parallel_stats.posterior_per_epoch,
-            "{name}: posterior sufficient statistics must be identical"
-        );
-        for u in 0..d.n_users() {
-            for i in 0..d.n_items() {
-                assert_eq!(
-                    serial.score(u, i).to_bits(),
-                    parallel.score(u, i).to_bits(),
-                    "{name}: score({u}, {i}) diverged"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn hogwild_matches_serial_final_quality_within_tolerance() {
     // Statistical equivalence on the synthetic dataset: hogwild at 4
     // shards must land within tolerance of the serial engine's final
@@ -105,10 +53,16 @@ fn hogwild_matches_serial_final_quality_within_tolerance() {
     let serial_ndcg = serial_report.rows[0].ndcg;
 
     let mut hog = model(1, &d);
-    let trainer = ParallelTrainer::new(cfg, ParallelConfig::hogwild(4)).expect("valid config");
-    let stats = trainer
-        .train(&mut hog, &d, &SamplerConfig::Rns, None, &mut NoopObserver)
-        .expect("hogwild run");
+    let stats = train_hogwild(
+        &mut hog,
+        &d,
+        &SamplerConfig::Rns,
+        None,
+        &cfg,
+        4,
+        &mut NoopObserver,
+    )
+    .expect("hogwild run");
     assert_eq!(stats.triples, cfg.epochs * d.train().len());
     let hog_report = evaluate_ranking(&hog, &d, &[10], 2);
     let hog_ndcg = hog_report.rows[0].ndcg;
