@@ -95,12 +95,14 @@ run cargo run --release --offline --locked -p bns-bench --bin serve_bench -- \
 run cargo run --release --offline --locked -p bns-bench --bin serve_bench -- \
     --scale 0.05 --index ivf:8 --out target/BENCH_serve_ivf_smoke.json
 # scale_bench smoke: exercises the streamed generator, both artifact load
-# paths (buffered + mmap), sampler draws and serving at 1% of each tier.
-# At --scale 0.01 the 10k-item tier sits above the auto-index threshold,
+# paths (buffered + mmap), sampler draws and serving at 2% of each tier.
+# At --scale 0.02 the 20k-item tier sits above the auto-index threshold,
 # so the IVF freeze + ANN serve path runs here too (serve_ivf in the
-# JSON). The committed BENCH_scale.json is generated at full scale (up
-# to 1M users × 1M items); the smoke writes under target/.
+# JSON), and above BNS's DKW_SAMPLE (18,445 items), so the sampled Eq. 16
+# draw runs in a release build. The committed BENCH_scale.json is
+# generated at full scale (up to 1M users × 1M items); the smoke writes
+# under target/.
 run cargo run --release --offline --locked -p bns-bench --bin scale_bench -- \
-    --scale 0.01 --out target/BENCH_scale_smoke.json
+    --scale 0.02 --out target/BENCH_scale_smoke.json
 
 echo "CI green."

@@ -10,7 +10,10 @@
 //!   same shuffled mixed-user pair stream (batch 256, k = 1);
 //! * GEMV items/sec (the `score_all` kernel);
 //! * BNS draws/sec against the candidate-set size |Mᵤ| ∈ {1, 5, 20, 100},
-//!   and with the exact Eq. 16 ECDF against `EcdfStrategy::Subsample(256)`;
+//!   and with the exact Eq. 16 ECDF against a per-epoch uniform sample of
+//!   256 item ids (`EcdfStrategy::Subsample(256)`). The default sample,
+//!   `DKW_SAMPLE` ids, is the exact pass on catalogs up to 18,445 items;
+//!   `scale_bench` measures it above that;
 //! * training triples/sec for RNS and BNS under the serial `train` and
 //!   under `train_hogwild`, one epoch over a fixture with a
 //!   quarter of the users.
@@ -157,9 +160,9 @@ fn main() {
         }) * n_items as f64
     };
 
-    // BNS draw cost against |Mᵤ| and against the ECDF strategy. Every
-    // draw is a pass over the catalog, so these sweeps take a tenth of the
-    // draw budget.
+    // BNS draw cost against |Mᵤ| and against the ECDF strategy. At the
+    // default scale every draw is a pass over the catalog, so these sweeps
+    // take a tenth of the draw budget.
     let sweep_draws = (draws / 10).max(10);
     let by_m = rates([1usize, 5, 20, 100].map(|m| {
         let cfg = bns(BnsConfig {

@@ -12,8 +12,9 @@
 //! * **artifact load_ms** — buffered (`read` + copy + full verify) vs
 //!   mmap-backed zero-copy ([`ModelArtifact::load_mapped`]), same chunked
 //!   checksum verification on both paths;
-//! * **sampler draws/sec** — RNS (the O(1) floor) and BNS (the paper's
-//!   linear-in-catalog sampler) through the real `sample_pair` path;
+//! * **sampler draws/sec** — RNS (the O(1) floor) and BNS at its defaults
+//!   (an Eq. 16 pass over at most `DKW_SAMPLE` = 18,445 item ids) through
+//!   the real `sample_pair` path;
 //! * **serve queries/sec** — the work-stealing engine over the mapped
 //!   artifact, Zipf-skewed traffic, p50/p99 per tier — exhaustive scan
 //!   **and** the IVF probe path at the default width, with measured
@@ -31,7 +32,7 @@
 //! ```sh
 //! cargo run --release -p bns-bench --bin scale_bench               # full 3 tiers
 //! cargo run --release -p bns-bench --bin scale_bench -- \
-//!     --scale 0.01 --out target/BENCH_scale_smoke.json              # CI smoke
+//!     --scale 0.02 --out target/BENCH_scale_smoke.json              # CI smoke
 //! ```
 
 use bns_bench::{
@@ -120,8 +121,9 @@ fn run_tier(full_users: u32, scale: f64) -> Json {
     let load_ms_mapped = t0.elapsed().as_secs_f64() * 1e3;
 
     // Sampler draws through the real training entry point. RNS is the
-    // O(1) floor; BNS pays its full linear-in-catalog cost per draw, so
-    // its draw budget shrinks as the tier grows.
+    // O(1) floor. BNS pays one Eq. 16 pass per draw, over the catalog up to
+    // `DKW_SAMPLE` items and over the per-epoch sample above that; its
+    // draw budget shrinks as the tier's user count grows.
     let mut split_rng = StdRng::seed_from_u64(cfg.seed ^ 0xBE);
     let (train_set, test_set) =
         split_random(&interactions, SplitConfig::default(), &mut split_rng).expect("scale split");

@@ -21,15 +21,35 @@
 //! per draw. The implementation here collapses that to **one blocked pass**:
 //! candidates are drawn first, `pos` and the candidates are scored with a
 //! single [`Scorer::score_items`] gather, and all m ECDF counts of Eq. (16)
-//! are produced by [`fused_ecdf_counts`] — each catalog item is scored once
+//! are produced by [`fused_ecdf_counts`] — each scanned item is scored once
 //! (in L1-resident blocks, via the unrolled kernels of
 //! `bns_model::kernel`) and compared against all m candidate thresholds
-//! in-register. No `n_items`-sized buffer is ever written or re-read. One
-//! draw is still linear in the catalog — the paper's complexity claim —
-//! but touches each item-embedding row exactly once. Against the
-//! pre-fused draw it measured ~2.5× at d = 32 and 10k items; `bench_json`
-//! records the fused draw's rate, and its cost against m, in
-//! `BENCH_samplers.json`.
+//! in-register. No `n_items`-sized buffer is ever written or re-read.
+//! Against the pre-fused draw it measured ~2.5× at d = 32 and 10k items.
+//!
+//! # A bounded Eq. 16 estimate
+//!
+//! The paper justifies Eq. (16) by Glivenko–Cantelli. Its quantitative
+//! form, the Dvoretzky–Kiefer–Wolfowitz inequality, bounds the sup-error of
+//! an empirical cdf over n uniform draws: `P(sup |F̂ − F| > ε) ≤ 2e^(−2nε²)`.
+//! So n = ⌈ln(2/δ)/(2ε²)⌉ = [`DKW_SAMPLE`] = 18,445 scores give
+//! ε = 0.01 with probability ≥ 1 − δ = 0.95, whatever the catalog size.
+//! The default [`EcdfStrategy::Subsample`]`(DKW_SAMPLE)` therefore costs
+//! `O(min(n_items, 18,445))` per draw:
+//!
+//! * on catalogs up to 18,445 items it is the exact pass over `I⁻ᵤ`, and it
+//!   consumes no randomness;
+//! * above that, the pass scans one uniform sample of item ids. The sample
+//!   is drawn once per epoch, at the epoch's first draw, and shared by all
+//!   of the epoch's draws and by [`BnsSampler::evaluate_candidate`]. The
+//!   user's positives are skipped, so the denominator is the number of
+//!   sampled negatives. (Positives shrink n by the user's interaction
+//!   ratio, which is tiny on large catalogs.)
+//!
+//! `tests::dkw_sample_meets_its_error_bound` enforces the bound.
+//! `bench_json` records the draw rate of both strategies in
+//! `BENCH_samplers.json`, and `scale_bench` the default's rate up to 1M
+//! items in `BENCH_scale.json`.
 
 pub mod prior;
 pub mod risk;
@@ -55,16 +75,31 @@ use bns_model::{Scorer, TripleBatch};
 /// resident in L1 while the m threshold comparisons run over it.
 const ECDF_BLOCK: usize = 256;
 
-/// Reusable scratch for [`fused_ecdf_counts`] (the block of item ids being
-/// scored and their scores). Steady-state allocation-free: capacity is
-/// bounded by `ECDF_BLOCK` (256) after the first pass.
+/// Size of the default Eq. (16) sample: the DKW bound
+/// n = ⌈ln(2/δ)/(2ε²)⌉ at ε = 0.01 and δ = 0.05. An empirical cdf over this
+/// many uniform draws is within 0.01 of the exact one everywhere, with
+/// probability at least 0.95, whatever the catalog size.
+pub const DKW_SAMPLE: usize = 18_445;
+
+/// Reusable scratch for [`fused_ecdf_counts`]: the block of item ids being
+/// scored and their scores, and the epoch's Eq. (16) sample. Steady-state
+/// allocation-free: the block is bounded by `ECDF_BLOCK` (256) ids and the
+/// sample by its size `k`, and both buffers are reused across epochs.
 #[derive(Debug, Default)]
 pub struct EcdfScratch {
+    block: Block,
+    /// Sorted item ids of the epoch sample; empty until one is drawn.
+    sample: Vec<u32>,
+}
+
+/// The block of item ids being scored, and their scores.
+#[derive(Debug, Default)]
+struct Block {
     ids: Vec<u32>,
     scores: Vec<f32>,
 }
 
-impl EcdfScratch {
+impl Block {
     /// Scores the pending block and folds it into the threshold counters.
     fn flush(&mut self, scorer: &dyn Scorer, u: u32, thresholds: &[f32], counts: &mut [u32]) {
         if self.ids.is_empty() {
@@ -86,32 +121,77 @@ impl EcdfScratch {
     }
 }
 
-/// All m empirical-cdf counts of Eq. (16) in **one** blocked pass over the
-/// catalog.
+/// Draws `k` distinct ids of `0..n` uniformly into `out`, in ascending
+/// order — Vitter's selection sampling (Algorithm S): id `i` is kept with
+/// probability `(still needed) / (ids left)`. `out`'s capacity is reused.
+fn selection_sample(k: usize, n: u32, out: &mut Vec<u32>, rng: &mut dyn rand::RngCore) {
+    out.clear();
+    let mut needed = k as u64;
+    for i in 0..n {
+        if needed == 0 {
+            break;
+        }
+        if rand::Rng::random_range(rng, 0..u64::from(n - i)) < needed {
+            out.push(i);
+            needed -= 1;
+        }
+    }
+}
+
+/// One blocked Eq. (16) pass over the ascending ids `scan`, skipping the
+/// user's positives with a merge cursor. Returns the number of ids scored.
+fn ecdf_pass(
+    scan: impl Iterator<Item = u32>,
+    scorer: &dyn Scorer,
+    train: &Interactions,
+    u: u32,
+    thresholds: &[f32],
+    counts: &mut Vec<u32>,
+    block: &mut Block,
+) -> usize {
+    counts.clear();
+    counts.resize(thresholds.len(), 0);
+    block.ids.clear();
+    let positives = train.items_of(u);
+    let mut pos_idx = 0usize;
+    let mut scanned = 0usize;
+    for i in scan {
+        while pos_idx < positives.len() && positives[pos_idx] < i {
+            pos_idx += 1;
+        }
+        if pos_idx < positives.len() && positives[pos_idx] == i {
+            continue;
+        }
+        block.ids.push(i);
+        scanned += 1;
+        if block.ids.len() == ECDF_BLOCK {
+            block.flush(scorer, u, thresholds, counts);
+        }
+    }
+    block.flush(scorer, u, thresholds, counts);
+    scanned
+}
+
+/// All m empirical-cdf counts of Eq. (16) in **one** blocked pass.
 ///
 /// Fills `counts[c] = #{scanned items with x̂ᵤᵢ ≤ thresholds[c]}` and
-/// returns the number of items scanned (the cdf denominator):
+/// returns the number of items scanned (the cdf denominator). The user's
+/// training positives are always skipped:
 ///
-/// * [`EcdfStrategy::Exact`] scans exactly the user's un-interacted items
-///   `I⁻ᵤ` (training positives are skipped during the walk), returning
-///   `|I⁻ᵤ|` — the exact Eq. (16) numerators and denominator.
-/// * [`EcdfStrategy::Subsample`] scans a fixed-stride subsample of the
-///   whole catalog (positives included, as in the original subsampled
-///   scan — the DKW error dominates the positive contamination) and
-///   returns the subsample size.
+/// * [`EcdfStrategy::Exact`], and `Subsample(k)` with `k ≥ n_items`, scan
+///   exactly the user's un-interacted items `I⁻ᵤ`, returning `|I⁻ᵤ|` — the
+///   exact Eq. (16) numerators and denominator.
+/// * `Subsample(k)` below the catalog size scans the epoch sample held in
+///   `scratch` (which a [`BnsSampler`] draws at each epoch's first draw)
+///   and returns the number of sampled negatives. A scratch that holds no
+///   sample yet gets the exact pass.
 ///
-/// Items are scored through [`Scorer::score_items`] in `ECDF_BLOCK`-sized (256-item)
-/// blocks and compared against all thresholds while the block is hot, so
-/// no catalog-sized buffer exists anywhere. Scores are bitwise identical
-/// to `score`/`score_all` (the kernel contract), which keeps these counts
-/// exactly equal to m independent scans of a precomputed rating vector —
-/// property-tested in `tests/proptests.rs`.
-///
-/// # Panics
-///
-/// Panics on `EcdfStrategy::Subsample(0)` — a zero-size subsample has no
-/// meaning (`BnsConfig` validation rejects it before a sampler is built;
-/// direct callers of this standalone entry point get the same contract).
+/// Items are scored through [`Scorer::score_items`] in `ECDF_BLOCK`-sized
+/// (256-item) blocks and compared against all thresholds while the block is
+/// hot, so no catalog-sized buffer exists anywhere. Scores are bitwise
+/// identical to `score`/`score_all` (the kernel contract), which keeps the
+/// exact counts equal to m independent scans of a precomputed rating
+/// vector — property-tested in `tests/proptests.rs`.
 pub fn fused_ecdf_counts(
     strategy: EcdfStrategy,
     scorer: &dyn Scorer,
@@ -121,50 +201,39 @@ pub fn fused_ecdf_counts(
     counts: &mut Vec<u32>,
     scratch: &mut EcdfScratch,
 ) -> usize {
-    counts.clear();
-    counts.resize(thresholds.len(), 0);
-    scratch.ids.clear();
-    let n_items = train.n_items();
-    let exact = match strategy {
-        EcdfStrategy::Exact => true,
-        // A subsample at least as large as the catalog is the exact scan.
-        EcdfStrategy::Subsample(k) => k >= n_items as usize,
+    let sample = match strategy {
+        EcdfStrategy::Subsample(k) if k < train.n_items() as usize => scratch.sample.as_slice(),
+        _ => &[],
     };
-    let mut scanned = 0usize;
-    if exact {
-        let positives = train.items_of(u);
-        let mut pos_idx = 0usize;
-        for i in 0..n_items {
-            if pos_idx < positives.len() && positives[pos_idx] == i {
-                pos_idx += 1;
-                continue;
-            }
-            scratch.ids.push(i);
-            scanned += 1;
-            if scratch.ids.len() == ECDF_BLOCK {
-                scratch.flush(scorer, u, thresholds, counts);
-            }
-        }
+    counts_over(
+        sample,
+        scorer,
+        train,
+        u,
+        thresholds,
+        counts,
+        &mut scratch.block,
+    )
+}
+
+/// [`fused_ecdf_counts`] with the id set resolved: the sorted `sample`, or
+/// all of `I⁻ᵤ` when it is empty.
+fn counts_over(
+    sample: &[u32],
+    scorer: &dyn Scorer,
+    train: &Interactions,
+    u: u32,
+    thresholds: &[f32],
+    counts: &mut Vec<u32>,
+    block: &mut Block,
+) -> usize {
+    if sample.is_empty() {
+        let all = 0..train.n_items();
+        ecdf_pass(all, scorer, train, u, thresholds, counts, block)
     } else {
-        let EcdfStrategy::Subsample(k) = strategy else {
-            unreachable!("non-exact strategy is Subsample");
-        };
-        // Fixed-stride subsample: deterministic, cache-friendly and
-        // unbiased for exchangeable score layouts.
-        assert!(k > 0, "ECDF subsample size must be > 0");
-        let stride = (n_items as usize).div_ceil(k) as u32;
-        let mut i = 0u32;
-        while i < n_items {
-            scratch.ids.push(i);
-            scanned += 1;
-            if scratch.ids.len() == ECDF_BLOCK {
-                scratch.flush(scorer, u, thresholds, counts);
-            }
-            i += stride;
-        }
+        let sampled = sample.iter().copied();
+        ecdf_pass(sampled, scorer, train, u, thresholds, counts, block)
     }
-    scratch.flush(scorer, u, thresholds, counts);
-    scanned
 }
 
 /// Which selection rule to apply over the candidate set.
@@ -189,11 +258,18 @@ pub enum Criterion {
 /// How to estimate the likelihood term `F(x̂ₗ)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EcdfStrategy {
-    /// Exact Eq. (16): scan all of the user's un-interacted item scores.
+    /// Exact Eq. (16): scan all of the user's un-interacted item scores
+    /// (the paper's reference).
     Exact,
-    /// Scan a fixed-stride subsample of about this many items; justified by
-    /// the Glivenko–Cantelli/DKW bound the paper itself invokes. This is a
-    /// performance knob for very large catalogs (ablated in the benches).
+    /// Scan a uniform sample of this many item ids; the default, at
+    /// [`DKW_SAMPLE`]. A sample at least as large as the catalog is the
+    /// exact pass and consumes no randomness. Otherwise the ids are drawn
+    /// without replacement once per epoch, at the epoch's first draw, and
+    /// every draw of the epoch reads that one sample; the user's positives
+    /// are skipped, so the denominator is the number of sampled negatives.
+    /// By the DKW inequality, n sampled scores put F̂ within
+    /// ε = √(ln(2/δ)/(2n)) of the exact Eq. (16) cdf with probability
+    /// ≥ 1 − δ, independent of the catalog size.
     Subsample(usize),
 }
 
@@ -244,7 +320,7 @@ impl Default for BnsConfig {
             lambda: LambdaSchedule::paper_default(),
             criterion: Criterion::MinRisk,
             warmup_epochs: 0,
-            ecdf: EcdfStrategy::Exact,
+            ecdf: EcdfStrategy::Subsample(DKW_SAMPLE),
             risk_order: risk::RiskOrder::First,
         }
     }
@@ -348,8 +424,11 @@ pub struct BnsSampler {
     gather_scores: Vec<f32>,
     /// Per-candidate ECDF counts from the fused pass.
     ecdf_counts: Vec<u32>,
-    /// Block scratch of the fused pass.
+    /// Block scratch of the fused pass, and the epoch's Eq. 16 sample.
     ecdf_scratch: EcdfScratch,
+    /// Whether the epoch sample is still to be drawn (set at every epoch
+    /// start; cleared by the epoch's first Bayesian draw).
+    sample_due: bool,
     /// Batched-draw buffers.
     batch: BatchScratch,
 }
@@ -371,6 +450,7 @@ impl BnsSampler {
             gather_scores: Vec::new(),
             ecdf_counts: Vec::new(),
             ecdf_scratch: EcdfScratch::default(),
+            sample_due: true,
             batch: BatchScratch::default(),
         })
     }
@@ -385,21 +465,37 @@ impl BnsSampler {
         self.lambda_now
     }
 
+    /// Draws the epoch's Eq. 16 sample at the epoch's first Bayesian draw,
+    /// from the draw RNG. Consumes no randomness when the strategy scans
+    /// all of `I⁻ᵤ` on this catalog, or when the sample is already drawn.
+    fn draw_epoch_sample(&mut self, n_items: u32, rng: &mut dyn rand::RngCore) {
+        if !std::mem::take(&mut self.sample_due) {
+            return;
+        }
+        let sample = &mut self.ecdf_scratch.sample;
+        match self.config.ecdf {
+            EcdfStrategy::Subsample(k) if k < n_items as usize => {
+                selection_sample(k, n_items, sample, rng)
+            }
+            _ => sample.clear(),
+        }
+    }
+
     /// Empirical cdf value of `x` among user `u`'s un-interacted items
-    /// (Eq. 16), via a one-threshold [`fused_ecdf_counts`] pass. Diagnostic
-    /// path (allocates local scratch); the sampling hot path batches all m
-    /// thresholds into a single pass instead.
+    /// (Eq. 16), via a one-threshold pass over the same id set as the
+    /// draws: the epoch sample once one is drawn, else all of `I⁻ᵤ`.
+    /// Diagnostic path (allocates local block scratch); the sampling hot
+    /// path batches all m thresholds into a single pass instead.
     fn likelihood_f(&self, u: u32, x: f32, ctx: &SampleContext<'_>) -> f64 {
         let mut counts = Vec::new();
-        let mut scratch = EcdfScratch::default();
-        let scanned = fused_ecdf_counts(
-            self.config.ecdf,
+        let scanned = counts_over(
+            &self.ecdf_scratch.sample,
             ctx.scorer,
             ctx.train,
             u,
             &[x],
             &mut counts,
-            &mut scratch,
+            &mut Block::default(),
         );
         if scanned == 0 {
             return 0.5;
@@ -411,8 +507,10 @@ impl BnsSampler {
     /// harness to reproduce Fig. 3/4 and by the tests below).
     ///
     /// Scores come from [`Scorer::score_items`] — bitwise identical to the
-    /// fused sampling path, so brute-force argmins over this method agree
-    /// with [`NegativeSampler::sample`] exactly.
+    /// fused sampling path — and `F̂` reads the epoch sample of the latest
+    /// draw (the exact pass before any sample is drawn), so brute-force
+    /// argmins over this method agree with [`NegativeSampler::sample`]
+    /// exactly.
     pub fn evaluate_candidate(
         &self,
         u: u32,
@@ -575,13 +673,14 @@ impl NegativeSampler for BnsSampler {
         if self.epoch < self.config.warmup_epochs {
             return draw_uniform_negative(ctx.train, u, rng);
         }
+        self.draw_epoch_sample(ctx.n_items(), rng);
         if !self.fill_candidates(u, ctx, rng) {
             return None;
         }
 
         // Score pos + candidates in one gather-dot, then produce all m
-        // ECDF counts in one blocked pass over the catalog — the fused
-        // draw described at the module level.
+        // ECDF counts in one blocked pass over `I⁻ᵤ` or the epoch sample —
+        // the fused draw described at the module level.
         self.gather_ids.clear();
         self.gather_ids.push(pos);
         self.gather_ids.extend_from_slice(&self.candidates);
@@ -622,14 +721,14 @@ impl NegativeSampler for BnsSampler {
     }
 
     /// The batched fused draw. Phase 1 consumes **all** the randomness in
-    /// pair order (candidate sets, then the per-draw exploration coin —
-    /// the exact RNG sequence of the looped per-pair path, since scoring
-    /// consumes none). Phase 2 groups the batch by user: `pos` + the
-    /// candidates of *all* of a user's draws go through **one**
-    /// `score_items` gather, and all their Eq. (16) thresholds through
-    /// **one** blocked [`fused_ecdf_counts`] catalog pass (reusing
-    /// [`EcdfScratch`]), so same-user draws amortize the linear-in-catalog
-    /// cost that dominates a BNS draw. Phase 3 applies the Eq. (32)/(35)
+    /// pair order (the epoch sample at the epoch's first draw, then
+    /// candidate sets and the per-draw exploration coin — the exact RNG
+    /// sequence of the looped per-pair path, since scoring consumes none).
+    /// Phase 2 groups the batch by user: `pos` + the candidates of *all* of
+    /// a user's draws go through **one** `score_items` gather, and all
+    /// their Eq. (16) thresholds through **one** blocked
+    /// [`fused_ecdf_counts`] pass (reusing [`EcdfScratch`]), so same-user
+    /// draws amortize the Eq. 16 pass that dominates a BNS draw. Phase 3 applies the Eq. (32)/(35)
     /// selection per draw with the shared tie rules and records the
     /// posterior statistics in draw order.
     fn sample_batch(
@@ -650,6 +749,9 @@ impl NegativeSampler for BnsSampler {
             return;
         }
 
+        if !pairs.is_empty() {
+            self.draw_epoch_sample(ctx.n_items(), rng);
+        }
         let b = &mut self.batch;
         b.cands.clear();
         b.draw_users.clear();
@@ -685,8 +787,8 @@ impl NegativeSampler for BnsSampler {
             }
         }
 
-        // Phase 2 (all the scoring): one gather + one fused Eq. 16 catalog
-        // pass per distinct user of the batch.
+        // Phase 2 (all the scoring): one gather + one fused Eq. 16 pass per
+        // distinct user of the batch.
         group_runs_by_user(&b.draw_users, &mut b.order);
         b.cand_scores.clear();
         b.cand_scores.resize(b.cands.len(), 0.0);
@@ -725,7 +827,7 @@ impl NegativeSampler for BnsSampler {
                 b.run_thresholds.extend_from_slice(&b.cand_scores[s..s + l]);
                 cur += 1 + l;
             }
-            // One blocked catalog pass for every threshold of the run.
+            // One blocked Eq. 16 pass for every threshold of the run.
             let scanned = fused_ecdf_counts(
                 self.config.ecdf,
                 ctx.scorer,
@@ -779,6 +881,7 @@ impl NegativeSampler for BnsSampler {
 
     fn on_epoch_start(&mut self, epoch: usize) {
         self.epoch = epoch;
+        self.sample_due = true;
         self.lambda_now = self.config.lambda.at(epoch);
     }
 
@@ -897,21 +1000,235 @@ mod tests {
     }
 
     #[test]
-    fn subsampled_likelihood_approximates_exact() {
-        let fx = Fixture::new(500);
-        let exact = sampler(BnsConfig::default(), &fx);
-        let sub = sampler(
-            BnsConfig {
-                ecdf: EcdfStrategy::Subsample(100),
-                ..BnsConfig::default()
-            },
-            &fx,
+    fn dkw_sample_is_the_dkw_bound_at_one_percent() {
+        let (epsilon, delta) = (0.01f64, 0.05f64);
+        let n = ((2.0 / delta).ln() / (2.0 * epsilon * epsilon)).ceil() as usize;
+        assert_eq!(DKW_SAMPLE, n);
+        assert_eq!(
+            BnsConfig::default().ecdf,
+            EcdfStrategy::Subsample(DKW_SAMPLE)
         );
-        let ctx = fx.ctx();
-        for &item in &[50u32, 250, 450] {
-            let fe = exact.likelihood_f(0, fx.user_scores[item as usize], &ctx);
-            let fs = sub.likelihood_f(0, fx.user_scores[item as usize], &ctx);
-            assert!((fe - fs).abs() < 0.1, "item {item}: exact {fe} vs sub {fs}");
+    }
+
+    /// One user with the given positives on an `n`-item catalog whose
+    /// scores ascend with the item id.
+    fn one_user(n: u32, positives: &[u32]) -> (Interactions, Popularity, FixedScorer) {
+        let pairs: Vec<(u32, u32)> = positives.iter().map(|&i| (0, i)).collect();
+        let train = Interactions::from_pairs(1, n, &pairs).unwrap();
+        let pop = Popularity::from_interactions(&train);
+        let scorer = FixedScorer::new(1, n, (0..n).map(|i| i as f32 * 0.01).collect());
+        (train, pop, scorer)
+    }
+
+    #[test]
+    fn subsampled_likelihood_skips_the_users_positives() {
+        // The positives are the top-scored half of the catalog. Counting
+        // them would put F̂ of the best negative near 0.5; skipping them
+        // makes it exactly 1.
+        let positives: Vec<u32> = (500..1_000).collect();
+        let (train, pop, scorer) = one_user(1_000, &positives);
+        let cfg = BnsConfig {
+            ecdf: EcdfStrategy::Subsample(100),
+            ..BnsConfig::default()
+        };
+        let mut s = BnsSampler::new(cfg, Box::new(PopularityPrior::new(&pop))).unwrap();
+        let ctx = SampleContext {
+            scorer: &scorer,
+            train: &train,
+            popularity: &pop,
+            user_scores: &[],
+            epoch: 0,
+        };
+        let mut rng = StdRng::seed_from_u64(6);
+        s.sample(0, 500, &ctx, &mut rng).unwrap();
+        let sampled_negatives = s.ecdf_scratch.sample.iter().filter(|&&i| i < 500).count();
+        assert_eq!(s.ecdf_scratch.sample.len(), 100);
+        assert!(sampled_negatives > 0 && sampled_negatives < 100);
+
+        let best_negative = scorer.score(0, 499);
+        assert_eq!(s.likelihood_f(0, best_negative, &ctx), 1.0);
+        let mut counts = Vec::new();
+        let scanned = fused_ecdf_counts(
+            cfg.ecdf,
+            &scorer,
+            &train,
+            0,
+            &[best_negative],
+            &mut counts,
+            &mut s.ecdf_scratch,
+        );
+        assert_eq!(scanned, sampled_negatives);
+        assert_eq!(counts, [sampled_negatives as u32]);
+    }
+
+    #[test]
+    fn dkw_sample_meets_its_error_bound() {
+        // 50k items with pseudo-random scores; the user's positives are the
+        // 1,000 top-scored items, so counting them would bias the top
+        // quantiles by ~2%.
+        let n = 50_000u32;
+        let scores: Vec<f32> = (0..n)
+            .map(|i| {
+                let h = u64::from(i).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5EED;
+                (h.wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 40) as f32 / (1u64 << 24) as f32
+            })
+            .collect();
+        let mut sorted = scores.clone();
+        sorted.sort_by(f32::total_cmp);
+        let cut = sorted[n as usize - 1_000];
+        let positives: Vec<u32> = (0..n).filter(|&i| scores[i as usize] >= cut).collect();
+        let pairs: Vec<(u32, u32)> = positives.iter().map(|&i| (0, i)).collect();
+        let train = Interactions::from_pairs(1, n, &pairs).unwrap();
+        let pop = Popularity::from_interactions(&train);
+        let scorer = FixedScorer::new(1, n, scores.clone());
+
+        // The exact Eq. 16 cdf over I⁻ᵤ, and 64 of its quantiles.
+        let negatives: Vec<f64> = (0..n)
+            .filter(|&i| !train.contains(0, i))
+            .map(|i| f64::from(scores[i as usize]))
+            .collect();
+        let exact = bns_stats::Ecdf::new(&negatives).unwrap();
+        let thresholds: Vec<f32> = (1..=64)
+            .map(|q| exact.quantile(q as f64 / 65.0).unwrap() as f32)
+            .collect();
+
+        let cfg = BnsConfig::default();
+        let mut s = BnsSampler::new(cfg, Box::new(PopularityPrior::new(&pop))).unwrap();
+        let mut counts = Vec::new();
+        let mut within = 0usize;
+        for seed in 0..100u64 {
+            s.on_epoch_start(seed as usize);
+            s.draw_epoch_sample(n, &mut StdRng::seed_from_u64(seed));
+            let scanned = fused_ecdf_counts(
+                cfg.ecdf,
+                &scorer,
+                &train,
+                0,
+                &thresholds,
+                &mut counts,
+                &mut s.ecdf_scratch,
+            );
+            assert!(scanned < DKW_SAMPLE, "the sample skips positives");
+            let sup = thresholds
+                .iter()
+                .zip(&counts)
+                .map(|(&t, &c)| (c as f64 / scanned as f64 - exact.eval(f64::from(t))).abs())
+                .fold(0.0f64, f64::max);
+            within += usize::from(sup <= 0.01);
+        }
+        println!("DKW_SAMPLE: sup-error <= 0.01 for {within} of 100 seeds");
+        assert!(
+            within >= 95,
+            "sup-error <= 0.01 for only {within} of 100 seeds"
+        );
+    }
+
+    /// A [`FixedScorer`] that counts the scores it hands out.
+    struct Counting {
+        inner: FixedScorer,
+        scored: std::cell::Cell<usize>,
+    }
+
+    impl Scorer for Counting {
+        fn n_users(&self) -> u32 {
+            self.inner.n_users()
+        }
+        fn n_items(&self) -> u32 {
+            self.inner.n_items()
+        }
+        fn score(&self, u: u32, i: u32) -> f32 {
+            self.scored.set(self.scored.get() + 1);
+            self.inner.score(u, i)
+        }
+    }
+
+    #[test]
+    fn default_is_exact_up_to_dkw_sample() {
+        // Four users with a few positives each, on a catalog of exactly
+        // DKW_SAMPLE items: the default must be the exact pass, draw for
+        // draw and RNG word for RNG word.
+        let n = DKW_SAMPLE as u32;
+        let pairs: Vec<(u32, u32)> = (0..4u32)
+            .flat_map(|u| (0..5u32).map(move |t| (u, (u * 977 + t * 3_001) % n)))
+            .collect();
+        let train = Interactions::from_pairs(4, n, &pairs).unwrap();
+        let pop = Popularity::from_interactions(&train);
+        let scorer = FixedScorer::new(
+            4,
+            n,
+            (0..4 * n)
+                .map(|x| (u64::from(x).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 44) as f32)
+                .collect(),
+        );
+        let ctx = SampleContext {
+            scorer: &scorer,
+            train: &train,
+            popularity: &pop,
+            user_scores: &[],
+            epoch: 0,
+        };
+        let pairs: Vec<(u32, u32)> = train.iter_pairs().collect();
+        let exact = BnsConfig {
+            ecdf: EcdfStrategy::Exact,
+            ..BnsConfig::default()
+        };
+        let mut a =
+            BnsSampler::new(BnsConfig::default(), Box::new(PopularityPrior::new(&pop))).unwrap();
+        let mut b = BnsSampler::new(exact, Box::new(PopularityPrior::new(&pop))).unwrap();
+        let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(7), StdRng::seed_from_u64(7));
+        let (mut out_a, mut out_b) = (TripleBatch::new(), TripleBatch::new());
+        let mut draws = 0;
+        for epoch in 0..2 {
+            a.on_epoch_start(epoch);
+            b.on_epoch_start(epoch);
+            for _ in 0..8 {
+                for chunk in pairs.chunks(7) {
+                    a.sample_batch(chunk, 2, &ctx, &mut rng_a, &mut out_a);
+                    b.sample_batch(chunk, 2, &ctx, &mut rng_b, &mut out_b);
+                    assert_eq!(out_a.users(), out_b.users());
+                    assert_eq!(out_a.pos(), out_b.pos());
+                    assert_eq!(out_a.negs(), out_b.negs());
+                    draws += out_a.negs().len();
+                }
+            }
+        }
+        assert!(draws >= 300, "{draws} draws");
+        assert_eq!(
+            rand::RngCore::next_u64(&mut rng_a),
+            rand::RngCore::next_u64(&mut rng_b)
+        );
+    }
+
+    #[test]
+    fn default_samples_above_dkw_sample_and_diagnostics_read_the_same_sample() {
+        let n = DKW_SAMPLE as u32 + 1;
+        let positives = [3u32, 1_000, 9_999, 18_000];
+        let (train, pop, inner) = one_user(n, &positives);
+        let scorer = Counting {
+            inner,
+            scored: std::cell::Cell::new(0),
+        };
+        let ctx = SampleContext {
+            scorer: &scorer,
+            train: &train,
+            popularity: &pop,
+            user_scores: &[],
+            epoch: 0,
+        };
+        let cfg = BnsConfig::default();
+        let mut s = BnsSampler::new(cfg, Box::new(PopularityPrior::new(&pop))).unwrap();
+        s.on_epoch_start(0);
+        let mut rng = StdRng::seed_from_u64(8);
+        for _ in 0..20 {
+            scorer.scored.set(0);
+            let j = s.sample(0, 1_000, &ctx, &mut rng).unwrap();
+            // One gather of pos + the m candidates, then the Eq. 16 pass.
+            let scanned = scorer.scored.get() - (1 + cfg.m);
+            assert!(scanned < DKW_SAMPLE + 1, "scanned {scanned} ids");
+            let recorded = s.take_epoch_stats().unwrap();
+            assert_eq!(recorded.draws, 1);
+            let sig = s.evaluate_candidate(0, 1_000, j, &ctx);
+            assert_eq!(sig.f_hat.to_bits(), recorded.likelihood_sum.to_bits());
         }
     }
 

@@ -3,27 +3,16 @@
 //! Eq. (16) of the paper estimates the score cdf `F(x̂ₗ)` by the fraction of a
 //! user's un-interacted item scores that are `≤ x̂ₗ`. The Glivenko–Cantelli
 //! theorem (cited by the paper) guarantees uniform a.s. convergence of this
-//! estimate, which also justifies the optional subsampled mode used as a
-//! performance knob on large catalogs.
+//! estimate. The sampler computes Eq. (16) in its own fused pass
+//! (`bns_core::bns::fused_ecdf_counts`); [`Ecdf`] is the exact reference
+//! that pass's error-bound test compares against.
 
 use crate::{Result, StatsError};
-use rand::seq::IteratorRandom;
-use rand::Rng;
-
-/// How the ECDF treats its input sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EcdfMode {
-    /// Use every observation (the paper's exact Eq. 16).
-    Exact,
-    /// Use a uniform subsample of at most `n` observations. Justified by
-    /// Glivenko–Cantelli / DKW: the sup-norm error is `O(1/√n)` w.h.p.
-    Subsample(usize),
-}
 
 /// An empirical CDF built from a sample of `f64` observations.
 ///
-/// Construction sorts the (possibly subsampled) data once; evaluation is a
-/// binary search, so `eval` costs `O(log n)`.
+/// Construction sorts the data once; evaluation is a binary search, so
+/// `eval` costs `O(log n)`.
 #[derive(Debug, Clone)]
 pub struct Ecdf {
     sorted: Vec<f64>,
@@ -32,12 +21,6 @@ pub struct Ecdf {
 impl Ecdf {
     /// Builds an ECDF from raw observations. Non-finite values are rejected.
     pub fn new(data: &[f64]) -> Result<Self> {
-        Self::with_mode(data, EcdfMode::Exact, &mut rand::rng())
-    }
-
-    /// Builds an ECDF with an explicit [`EcdfMode`]; the RNG is only used in
-    /// subsample mode.
-    pub fn with_mode<R: Rng + ?Sized>(data: &[f64], mode: EcdfMode, rng: &mut R) -> Result<Self> {
         if data.is_empty() {
             return Err(StatsError::EmptySample);
         }
@@ -46,18 +29,7 @@ impl Ecdf {
                 what: "Ecdf: observations must be finite",
             });
         }
-        let mut sorted: Vec<f64> = match mode {
-            EcdfMode::Exact => data.to_vec(),
-            EcdfMode::Subsample(n) if n >= data.len() => data.to_vec(),
-            EcdfMode::Subsample(n) => {
-                if n == 0 {
-                    return Err(StatsError::InvalidParameter {
-                        what: "Ecdf: subsample size must be > 0",
-                    });
-                }
-                data.iter().copied().choose_multiple(rng, n)
-            }
-        };
+        let mut sorted = data.to_vec();
         sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
         Ok(Self { sorted })
     }
@@ -102,26 +74,6 @@ impl Ecdf {
     }
 }
 
-/// Computes the ECDF value of `x` against a raw unsorted slice in `O(n)`,
-/// without building an [`Ecdf`]. This is the form used in the sampler's hot
-/// loop where the score vector is already materialized and consulted only a
-/// handful of times (|Mᵤ| ≤ 15 in the paper).
-pub fn ecdf_scan(data: &[f64], x: f64) -> f64 {
-    debug_assert!(!data.is_empty(), "ecdf_scan requires a non-empty sample");
-    let count = data.iter().filter(|&&v| v <= x).count();
-    count as f64 / data.len() as f64
-}
-
-/// `f32` variant of [`ecdf_scan`] operating directly on model score vectors.
-pub fn ecdf_scan_f32(data: &[f32], x: f32) -> f64 {
-    debug_assert!(
-        !data.is_empty(),
-        "ecdf_scan_f32 requires a non-empty sample"
-    );
-    let count = data.iter().filter(|&&v| v <= x).count();
-    count as f64 / data.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,49 +100,13 @@ mod tests {
 
     #[test]
     fn eval_matches_scan() {
+        // The exact oracle against a brute-force count over the raw data.
         let data: Vec<f64> = (0..200).map(|i| ((i * 37) % 101) as f64 * 0.1).collect();
         let e = Ecdf::new(&data).unwrap();
         for &x in &[-1.0, 0.0, 3.3, 5.05, 10.0, 100.0] {
-            assert_eq!(e.eval(x), ecdf_scan(&data, x));
+            let count = data.iter().filter(|&&v| v <= x).count();
+            assert_eq!(e.eval(x), count as f64 / data.len() as f64);
         }
-    }
-
-    #[test]
-    fn scan_f32_matches_f64() {
-        let data32: Vec<f32> = vec![0.5, 1.5, 2.5, 3.5];
-        let data64: Vec<f64> = data32.iter().map(|&v| v as f64).collect();
-        for &x in &[0.0f32, 1.5, 2.0, 4.0] {
-            assert_eq!(ecdf_scan_f32(&data32, x), ecdf_scan(&data64, x as f64));
-        }
-    }
-
-    #[test]
-    fn subsample_mode_approximates_exact() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let data: Vec<f64> = (0..10_000).map(|i| (i as f64) / 10_000.0).collect();
-        let exact = Ecdf::new(&data).unwrap();
-        let sub = Ecdf::with_mode(&data, EcdfMode::Subsample(500), &mut rng).unwrap();
-        assert_eq!(sub.len(), 500);
-        // DKW: sup-error < ~sqrt(ln(2/δ)/2n); 0.08 is a ~4σ bound at n = 500.
-        for i in 0..=20 {
-            let x = i as f64 / 20.0;
-            assert!((exact.eval(x) - sub.eval(x)).abs() < 0.08);
-        }
-    }
-
-    #[test]
-    fn subsample_larger_than_data_is_exact() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let data = [3.0, 1.0, 2.0];
-        let e = Ecdf::with_mode(&data, EcdfMode::Subsample(10), &mut rng).unwrap();
-        assert_eq!(e.len(), 3);
-        assert_eq!(e.eval(2.0), 2.0 / 3.0);
-    }
-
-    #[test]
-    fn zero_subsample_rejected() {
-        let mut rng = StdRng::seed_from_u64(3);
-        assert!(Ecdf::with_mode(&[1.0], EcdfMode::Subsample(0), &mut rng).is_err());
     }
 
     #[test]

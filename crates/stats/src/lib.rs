@@ -35,7 +35,7 @@ pub mod special;
 
 pub use alias::AliasTable;
 pub use dist::{Continuous, Exponential, GammaDist, Normal, StudentT, UniformDist};
-pub use ecdf::{Ecdf, EcdfMode};
+pub use ecdf::Ecdf;
 pub use histogram::Histogram;
 pub use kde::GaussianKde;
 pub use moments::Welford;

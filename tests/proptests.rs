@@ -292,50 +292,6 @@ proptest! {
     }
 
     #[test]
-    fn fused_subsample_matches_strided_reference(
-        scores in prop::collection::vec(-5.0f32..5.0, 2..300),
-        k in 1usize..64,
-        t_idx in 0usize..300,
-    ) {
-        let n_items = scores.len() as u32;
-        let train = Interactions::from_pairs(1, n_items, &[(0, 0)]).unwrap();
-        let scorer = FixedScorer::new(1, n_items, scores.clone());
-        let x = scores[t_idx % scores.len()];
-
-        let mut counts = Vec::new();
-        let mut scratch = EcdfScratch::default();
-        let scanned = fused_ecdf_counts(
-            EcdfStrategy::Subsample(k),
-            &scorer,
-            &train,
-            0,
-            &[x],
-            &mut counts,
-            &mut scratch,
-        );
-
-        if k >= scores.len() {
-            // Degenerates to the exact scan over I⁻ᵤ.
-            prop_assert_eq!(scanned, scores.len() - 1);
-        } else {
-            // The original strided reference over the full score vector.
-            let stride = scores.len().div_ceil(k);
-            let mut c = 0usize;
-            let mut n = 0usize;
-            let mut idx = 0usize;
-            while idx < scores.len() {
-                if scores[idx] <= x {
-                    c += 1;
-                }
-                n += 1;
-                idx += stride;
-            }
-            prop_assert_eq!(scanned, n);
-            prop_assert_eq!(counts[0] as usize, c);
-        }
-    }
-
-    #[test]
     fn metric_bounds_and_recall_monotonicity(
         ranked_len in 1usize..40,
         relevant in prop::collection::btree_set(0u32..60, 1..20),
