@@ -62,6 +62,14 @@ run cargo run --release --offline --locked -p bns-bench --bin bench_json -- \
 # model's.
 run cargo run --release --offline --locked --example quickstart
 run cargo run --release --offline --locked --example serve -- --scale 0.05
+# Experiment smokes: run every experiment binary at its --quick size, so
+# runtime rot in the paper's instruments (fig1's KDE and two-sample KS,
+# fig4's TNR/INF) fails here instead of only compiling. About 3 s in all
+# on a 2-vCPU host; table2 is most of it.
+for bin in ablation contrastive fig1 fig2 fig3 fig4 fig5 stability \
+    table1 table2 table3 table4; do
+    run cargo run --release --offline --locked -p bns-experiments --bin "$bin" -- --quick
+done
 # TCP front-end smoke: serve_tcp binds a loopback socket, self-checks both
 # protocol surfaces, and holds the port while this script curls the HTTP
 # shim from outside the process — the one place CI talks to the server as

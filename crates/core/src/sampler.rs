@@ -51,11 +51,6 @@ impl<'a> SampleContext<'a> {
     pub fn n_items(&self) -> u32 {
         self.train.n_items()
     }
-
-    /// Whether item `i` is a training positive of `u`.
-    pub fn is_positive(&self, u: u32, i: u32) -> bool {
-        self.train.contains(u, i)
-    }
 }
 
 /// A negative-sampling policy.

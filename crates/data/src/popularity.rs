@@ -52,16 +52,6 @@ impl Popularity {
         self.counts.len()
     }
 
-    /// The paper's prior probability of item `i` being a false negative:
-    /// `P_fn(i) = popᵢ / N` (Eq. 17). Returns 0 when the dataset is empty.
-    pub fn prior_fn(&self, i: u32) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.counts[i as usize] as f64 / self.total as f64
-        }
-    }
-
     /// PNS sampling weights `r^0.75` (unnormalized).
     pub fn pns_weights(&self) -> Vec<f64> {
         self.counts
@@ -104,20 +94,6 @@ mod tests {
         assert_eq!(p.count(2), 0);
         assert_eq!(p.total(), 3);
         assert_eq!(p.n_items(), 3);
-    }
-
-    #[test]
-    fn prior_fn_matches_eq_17() {
-        let p = Popularity::from_counts(vec![2, 6, 0]);
-        assert!((p.prior_fn(0) - 0.25).abs() < 1e-12);
-        assert!((p.prior_fn(1) - 0.75).abs() < 1e-12);
-        assert_eq!(p.prior_fn(2), 0.0);
-    }
-
-    #[test]
-    fn prior_fn_empty_dataset() {
-        let p = Popularity::from_counts(vec![0, 0]);
-        assert_eq!(p.prior_fn(0), 0.0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! * [`topk`] — top-K extraction from score vectors with train-positive
 //!   masking.
 //! * [`metrics`] — Precision@K, Recall@K, NDCG@K (the paper's Table II–IV
-//!   metrics) plus HitRate/MAP/MRR/AUC used in the extended analyses.
+//!   metrics) plus HitRate, MAP, MRR and AUC.
 //! * [`ranking`] — the full ranking protocol: score every evaluable user,
 //!   mask training positives, average metrics (parallelized with std::thread
 //!   scoped threads).
@@ -13,15 +13,11 @@
 //!   and INF (Eq. 34) per-epoch trackers and the Fig. 1 score-distribution
 //!   probe, implemented as [`bns_core::TrainObserver`]s.
 
-pub mod beyond;
-pub mod curves;
 pub mod metrics;
 pub mod quality;
 pub mod ranking;
 pub mod topk;
 
-pub use beyond::{beyond_accuracy, BeyondAccuracy};
-pub use curves::{CurvePoint, LearningCurve};
 pub use metrics::{
     auc, average_precision, hit_rate, ndcg_at_k, precision_at_k, recall_at_k, reciprocal_rank,
 };

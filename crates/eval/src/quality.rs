@@ -166,16 +166,19 @@ impl ScoreSnapshot {
 
 /// Records TN/FN score populations at chosen epochs (Fig. 1).
 ///
-/// To bound memory on large catalogs the probe examines at most
-/// `max_users` users and caps the recorded true negatives per user at
-/// `tn_per_user` (false negatives are always all recorded — they are rare).
+/// To bound memory on large catalogs the probe examines at most 500 users
+/// and caps the recorded true negatives per user at 50 (false negatives are
+/// always all recorded — they are rare).
 pub struct ScoreDistributionProbe<'a> {
     dataset: &'a Dataset,
     watch_epochs: Vec<usize>,
-    max_users: usize,
-    tn_per_user: usize,
     snapshots: Vec<ScoreSnapshot>,
 }
+
+/// Users a [`ScoreDistributionProbe`] examines per snapshot.
+const PROBE_MAX_USERS: usize = 500;
+/// True negatives a [`ScoreDistributionProbe`] records per user.
+const PROBE_TN_PER_USER: usize = 50;
 
 impl<'a> ScoreDistributionProbe<'a> {
     /// Probes `dataset` at the given epochs.
@@ -183,17 +186,8 @@ impl<'a> ScoreDistributionProbe<'a> {
         Self {
             dataset,
             watch_epochs,
-            max_users: 500,
-            tn_per_user: 50,
             snapshots: Vec::new(),
         }
-    }
-
-    /// Adjusts the memory caps.
-    pub fn with_limits(mut self, max_users: usize, tn_per_user: usize) -> Self {
-        self.max_users = max_users.max(1);
-        self.tn_per_user = tn_per_user.max(1);
-        self
     }
 
     /// Snapshots recorded so far.
@@ -214,16 +208,16 @@ impl TrainObserver for ScoreDistributionProbe<'_> {
         let mut tn_scores = Vec::new();
         let mut fn_scores = Vec::new();
         let users = self.dataset.evaluable_users();
-        for &u in users.iter().take(self.max_users) {
+        for &u in users.iter().take(PROBE_MAX_USERS) {
             model.score_all(u, &mut scores);
             // All test positives (false negatives) + a stride of TNs.
             for &i in self.dataset.test().items_of(u) {
                 fn_scores.push(scores[i as usize] as f64);
             }
-            let stride = (n_items / self.tn_per_user).max(1);
+            let stride = (n_items / PROBE_TN_PER_USER).max(1);
             let mut taken = 0usize;
             let mut idx = (u as usize) % stride; // desynchronize across users
-            while idx < n_items && taken < self.tn_per_user {
+            while idx < n_items && taken < PROBE_TN_PER_USER {
                 let i = idx as u32;
                 if self.dataset.is_true_negative(u, i) {
                     tn_scores.push(scores[idx] as f64);

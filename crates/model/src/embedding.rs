@@ -71,11 +71,6 @@ impl Embedding {
         Ok(Self { data, n, dim })
     }
 
-    /// Xavier/Glorot-style initialization: `N(0, 1/√dim)`.
-    pub fn xavier_init<R: Rng + ?Sized>(n: usize, dim: usize, rng: &mut R) -> Result<Self> {
-        Self::normal_init(n, dim, 1.0 / (dim as f64).sqrt(), rng)
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.n
@@ -124,11 +119,6 @@ impl Embedding {
     /// The full backing buffer.
     pub fn as_slice(&self) -> &[f32] {
         &self.data
-    }
-
-    /// The full backing buffer, mutably.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
     }
 
     /// Dot product of two rows of (possibly different) tables.
@@ -224,19 +214,5 @@ mod tests {
     fn dot_product() {
         assert_eq!(Embedding::dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
         assert_eq!(Embedding::dot(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn xavier_scales_with_dim() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let e = Embedding::xavier_init(50, 16, &mut rng).unwrap();
-        let n = (50 * 16) as f64;
-        let var: f64 = e
-            .as_slice()
-            .iter()
-            .map(|&x| (x as f64).powi(2))
-            .sum::<f64>()
-            / n;
-        assert!((var - 1.0 / 16.0).abs() < 0.02, "var = {var}");
     }
 }

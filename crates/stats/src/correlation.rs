@@ -1,15 +1,13 @@
-//! Correlation coefficients.
+//! Rank correlation.
 //!
-//! Used by the test suites to verify distributional claims quantitatively —
-//! most notably the paper's footnote 3 ("*Ranking position and F(x̂ₗ) are
-//! with a one-to-one mapping*"), checked as a Spearman correlation of −1
-//! between rank-from-top and ECDF value in `bns-core`'s tests — and by the
-//! synthetic-data validation (planted affinity vs interaction frequency).
+//! `bns-core`'s footnote 3 test checks the paper's claim that "*Ranking
+//! position and F(x̂ₗ) are with a one-to-one mapping*" as a Spearman
+//! correlation of −1 between rank-from-top and ECDF value.
 
 use crate::{Result, StatsError};
 
 /// Pearson product-moment correlation of two equal-length samples.
-pub fn pearson(x: &[f64], y: &[f64]) -> Result<f64> {
+fn pearson(x: &[f64], y: &[f64]) -> Result<f64> {
     if x.len() != y.len() {
         return Err(StatsError::InvalidParameter {
             what: "pearson: samples must have equal length",
@@ -69,50 +67,6 @@ pub fn spearman(x: &[f64], y: &[f64]) -> Result<f64> {
     pearson(&mid_ranks(x), &mid_ranks(y))
 }
 
-/// Kendall's τ-b (tie-corrected), O(n²) — intended for the modest sample
-/// sizes used in validation tests.
-pub fn kendall_tau(x: &[f64], y: &[f64]) -> Result<f64> {
-    if x.len() != y.len() {
-        return Err(StatsError::InvalidParameter {
-            what: "kendall: samples must have equal length",
-        });
-    }
-    let n = x.len();
-    if n < 2 {
-        return Err(StatsError::EmptySample);
-    }
-    let mut concordant = 0i64;
-    let mut discordant = 0i64;
-    let mut ties_x = 0i64;
-    let mut ties_y = 0i64;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let dx = x[i] - x[j];
-            let dy = y[i] - y[j];
-            if dx == 0.0 && dy == 0.0 {
-                ties_x += 1;
-                ties_y += 1;
-            } else if dx == 0.0 {
-                ties_x += 1;
-            } else if dy == 0.0 {
-                ties_y += 1;
-            } else if dx * dy > 0.0 {
-                concordant += 1;
-            } else {
-                discordant += 1;
-            }
-        }
-    }
-    let total = (n * (n - 1) / 2) as f64;
-    let denom = ((total - ties_x as f64) * (total - ties_y as f64)).sqrt();
-    if denom == 0.0 {
-        return Err(StatsError::InvalidParameter {
-            what: "kendall: all pairs tied in one variable",
-        });
-    }
-    Ok((concordant - discordant) as f64 / denom)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,32 +112,11 @@ mod tests {
     }
 
     #[test]
-    fn kendall_reference_values() {
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let y = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert!((kendall_tau(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-        let rev = [5.0, 4.0, 3.0, 2.0, 1.0];
-        assert!((kendall_tau(&x, &rev).unwrap() + 1.0).abs() < 1e-12);
-        // One swap from perfect order: τ = 1 − 2·2/10 = 0.6? For n = 5,
-        // swapping adjacent elements creates 1 discordant of 10 pairs:
-        // τ = (9 − 1)/10 = 0.8.
-        let one_swap = [2.0, 1.0, 3.0, 4.0, 5.0];
-        assert!((kendall_tau(&x, &one_swap).unwrap() - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kendall_rejects_degenerate() {
-        assert!(kendall_tau(&[1.0], &[1.0]).is_err());
-        assert!(kendall_tau(&[1.0, 1.0], &[1.0, 2.0]).is_err());
-    }
-
-    #[test]
     fn correlations_agree_in_sign() {
         let x = [0.3, 1.2, -0.5, 2.0, 0.9, -1.4];
         let y = [0.5, 1.0, -0.2, 1.8, 1.1, -0.9];
         let p = pearson(&x, &y).unwrap();
         let s = spearman(&x, &y).unwrap();
-        let k = kendall_tau(&x, &y).unwrap();
-        assert!(p > 0.8 && s > 0.8 && k > 0.6);
+        assert!(p > 0.8 && s > 0.8);
     }
 }

@@ -14,18 +14,19 @@
 //!   `h(x) = 2 f(x) F(x)` (false negatives, Eq. 10).
 //! * [`ecdf`] — empirical cumulative distribution functions (Eq. 16), the
 //!   model-agnostic likelihood estimate at the heart of BNS.
-//! * [`histogram`] / [`kde`] — density estimation for reproducing Fig. 1.
+//! * [`kde`] — Gaussian kernel density estimation for reproducing Fig. 1.
 //! * [`moments`] — Welford streaming moments (used by the SRNS baseline).
-//! * [`alias`] — alias-method weighted sampling (used by the PNS baseline).
-//! * [`ks`] — Kolmogorov–Smirnov distances (used in tests to validate both
-//!   the samplers and the synthetic generator).
-//! * [`quantile`] — quantiles and ranks on sorted data.
+//! * [`alias`] — alias-method weighted sampling (used by the PNS baseline
+//!   and the synthetic generator).
+//! * [`ks`] — the two-sample Kolmogorov–Smirnov distance Fig. 1 reports
+//!   between the true- and false-negative score populations.
+//! * [`correlation`] — Spearman rank correlation (the footnote 3 test).
+//! * [`quantile`] — mean, standard deviation and rank-from-top on slices.
 
 pub mod alias;
 pub mod correlation;
 pub mod dist;
 pub mod ecdf;
-pub mod histogram;
 pub mod kde;
 pub mod ks;
 pub mod moments;
@@ -36,7 +37,6 @@ pub mod special;
 pub use alias::AliasTable;
 pub use dist::{Continuous, Exponential, GammaDist, Normal, StudentT, UniformDist};
 pub use ecdf::Ecdf;
-pub use histogram::Histogram;
 pub use kde::GaussianKde;
 pub use moments::Welford;
 pub use order::{FalseNegativeDensity, OrderStatisticDensity, TrueNegativeDensity};

@@ -1,41 +1,10 @@
-//! Quantiles, ranks and summary statistics on slices.
+//! Summary statistics and ranks on slices.
 //!
-//! Small utilities shared by the evaluation crate (rank-position
-//! computations for AOBPR/DNS) and the experiment harness (summaries of
-//! measured metric distributions across repeated runs).
+//! The stability experiment summarises repeated runs with [`mean`] and
+//! [`std_dev`]; `bns-core`'s footnote 3 test ranks scores with
+//! [`rank_from_top_f32`].
 
 use crate::{Result, StatsError};
-
-/// Linear-interpolation quantile (type 7, the R/NumPy default) of already
-/// **sorted** ascending data.
-pub fn quantile_sorted(sorted: &[f64], p: f64) -> Result<f64> {
-    if sorted.is_empty() {
-        return Err(StatsError::EmptySample);
-    }
-    if !(0.0..=1.0).contains(&p) {
-        return Err(StatsError::InvalidParameter {
-            what: "quantile: p must be in [0, 1]",
-        });
-    }
-    debug_assert!(
-        sorted.windows(2).all(|w| w[0] <= w[1]),
-        "data must be sorted"
-    );
-    let n = sorted.len();
-    if n == 1 {
-        return Ok(sorted[0]);
-    }
-    let h = p * (n - 1) as f64;
-    let lo = h.floor() as usize;
-    let hi = h.ceil() as usize;
-    let frac = h - lo as f64;
-    Ok(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
-}
-
-/// Median of sorted data.
-pub fn median_sorted(sorted: &[f64]) -> Result<f64> {
-    quantile_sorted(sorted, 0.5)
-}
 
 /// Mean of a slice; errors on empty input.
 pub fn mean(data: &[f64]) -> Result<f64> {
@@ -54,7 +23,7 @@ pub fn std_dev(data: &[f64]) -> Result<f64> {
 
 /// 0-based rank of `x` within `scores` counted from the **top**: the number
 /// of entries strictly greater than `x`. Rank 0 means `x` would be the
-/// highest score. This is the `rank(j|u)` used by the AOBPR baseline.
+/// highest score: the rank position of the paper's footnote 3.
 pub fn rank_from_top_f32(scores: &[f32], x: f32) -> usize {
     scores.iter().filter(|&&s| s > x).count()
 }
@@ -62,29 +31,6 @@ pub fn rank_from_top_f32(scores: &[f32], x: f32) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quantile_reference_values() {
-        let data = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(quantile_sorted(&data, 0.0).unwrap(), 1.0);
-        assert_eq!(quantile_sorted(&data, 1.0).unwrap(), 4.0);
-        assert_eq!(quantile_sorted(&data, 0.5).unwrap(), 2.5);
-        // NumPy: np.quantile([1,2,3,4], 0.25) = 1.75.
-        assert!((quantile_sorted(&data, 0.25).unwrap() - 1.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn quantile_rejects_bad_args() {
-        assert!(quantile_sorted(&[], 0.5).is_err());
-        assert!(quantile_sorted(&[1.0], 1.5).is_err());
-    }
-
-    #[test]
-    fn median_odd_even() {
-        assert_eq!(median_sorted(&[1.0, 2.0, 3.0]).unwrap(), 2.0);
-        assert_eq!(median_sorted(&[1.0, 2.0, 3.0, 4.0]).unwrap(), 2.5);
-        assert_eq!(median_sorted(&[7.0]).unwrap(), 7.0);
-    }
 
     #[test]
     fn mean_and_std() {

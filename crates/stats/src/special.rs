@@ -8,8 +8,8 @@
 //! continued-fraction decompositions (Numerical Recipes §6.1–6.4), with
 //! accuracy around 1e-12 on the tested domains.
 
-// The Lanczos / Acklam coefficient tables keep the published digit
-// counts verbatim even where f64 rounds them.
+// The Lanczos coefficient table keeps the published digit counts
+// verbatim even where f64 rounds them.
 #![allow(clippy::excessive_precision)]
 
 use crate::{Result, StatsError};
@@ -243,74 +243,6 @@ pub fn std_normal_pdf(x: f64) -> f64 {
     (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt()
 }
 
-/// Inverse of the standard normal cdf (the probit function), via the
-/// Acklam rational approximation refined with one Halley step.
-/// Accuracy ~1e-13 on (0, 1).
-pub fn std_normal_quantile(p: f64) -> Result<f64> {
-    if !(0.0..=1.0).contains(&p) {
-        return Err(StatsError::InvalidParameter {
-            what: "probit: p must be in [0, 1]",
-        });
-    }
-    if p == 0.0 {
-        return Ok(f64::NEG_INFINITY);
-    }
-    if p == 1.0 {
-        return Ok(f64::INFINITY);
-    }
-    // Coefficients of the Acklam approximation.
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_690e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838,
-        -2.549_732_539_343_734,
-        4.374_664_141_464_968,
-        2.938_163_982_698_783,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996,
-        3.754_408_661_907_416,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    let x = if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-
-    // One Halley refinement step drives the error to ~machine precision.
-    let e = std_normal_cdf(x) - p;
-    let u = e * (2.0 * std::f64::consts::PI).sqrt() * (x * x / 2.0).exp();
-    Ok(x - u / (1.0 + x * u / 2.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,22 +339,6 @@ mod tests {
         assert_close(beta_inc(2.0, 2.0, 0.5).unwrap(), 0.5, 1e-12);
         // Beta(2,1): cdf = x^2.
         assert_close(beta_inc(2.0, 1.0, 0.6).unwrap(), 0.36, 1e-12);
-    }
-
-    #[test]
-    fn probit_round_trips_cdf() {
-        for &p in &[0.001, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.999] {
-            let x = std_normal_quantile(p).unwrap();
-            assert_close(std_normal_cdf(x), p, 1e-10);
-        }
-    }
-
-    #[test]
-    fn probit_extremes() {
-        assert_eq!(std_normal_quantile(0.0).unwrap(), f64::NEG_INFINITY);
-        assert_eq!(std_normal_quantile(1.0).unwrap(), f64::INFINITY);
-        assert!(std_normal_quantile(-0.1).is_err());
-        assert!(std_normal_quantile(1.1).is_err());
     }
 
     #[test]

@@ -3,8 +3,8 @@
 use bns_stats::dist::Continuous;
 use bns_stats::special::{beta_inc, gamma_p, ln_gamma};
 use bns_stats::{
-    AliasTable, Exponential, FalseNegativeDensity, GammaDist, Histogram, Normal,
-    OrderStatisticDensity, StudentT, TrueNegativeDensity, UniformDist,
+    AliasTable, Exponential, FalseNegativeDensity, GammaDist, Normal, OrderStatisticDensity,
+    StudentT, TrueNegativeDensity, UniformDist,
 };
 use proptest::prelude::*;
 
@@ -85,19 +85,6 @@ proptest! {
         // P(max ≤ x) ≤ F(x) ≤ P(min ≤ x).
         prop_assert!(fnd.cdf(x) <= base.cdf(x) + 1e-12);
         prop_assert!(tn.cdf(x) >= base.cdf(x) - 1e-12);
-    }
-
-    // ---------- histograms ----------
-
-    #[test]
-    fn histogram_density_integrates_to_one(
-        data in prop::collection::vec(-50.0f64..50.0, 2..200),
-        bins in 1usize..40,
-    ) {
-        let h = Histogram::from_data(&data, bins).unwrap();
-        prop_assert_eq!(h.total() as usize, data.len());
-        let integral: f64 = h.densities().iter().sum::<f64>() * h.bin_width();
-        prop_assert!((integral - 1.0).abs() < 1e-9);
     }
 
     // ---------- alias tables ----------
