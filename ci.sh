@@ -36,6 +36,12 @@ run cargo run --release --offline --locked -p bns-lint
 # target-cpu=native to keep the build cache warm and codegen consistent.
 RUSTFLAGS="-C target-cpu=native --cfg bns_model_check" \
     run cargo test -q -p bns-check --offline --locked
+# Portable kernel: every build above targets this host, so on an AVX2 + FMA
+# machine `kernel::dot` compiles only its vector body. Build for baseline
+# x86-64 (no AVX2, no FMA) in a separate target dir so the scalar body and
+# the top-k selection it feeds are compiled and tested too.
+RUSTFLAGS="-C target-cpu=x86-64" \
+    run cargo test -q -p bns-model -p bns-eval --lib --offline --locked --target-dir target/portable
 # bnsbench: the gated end-to-end benchmark is a workspace of its own that
 # builds the crates above by path, so only this step compiles it against
 # their current public API. Cargo rewrites bnsbench's stale Cargo.lock

@@ -5,7 +5,7 @@
 //! * [`topk`] — top-K extraction from score vectors with train-positive
 //!   masking.
 //! * [`metrics`] — Precision@K, Recall@K, NDCG@K (the paper's Table II–IV
-//!   metrics) plus HitRate, MAP, MRR and AUC.
+//!   metrics).
 //! * [`ranking`] — the full ranking protocol: score every evaluable user,
 //!   mask training positives, average metrics (parallelized with std::thread
 //!   scoped threads).
@@ -18,9 +18,7 @@ pub mod quality;
 pub mod ranking;
 pub mod topk;
 
-pub use metrics::{
-    auc, average_precision, hit_rate, ndcg_at_k, precision_at_k, recall_at_k, reciprocal_rank,
-};
+pub use metrics::{ndcg_at_k, precision_at_k, recall_at_k};
 pub use quality::{QualityTracker, ScoreDistributionProbe};
 pub use ranking::{evaluate_ranking, MetricRow, RankingReport};
 pub use topk::{top_k_masked, top_k_masked_into, TopKBuffer};

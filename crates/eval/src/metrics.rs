@@ -1,9 +1,8 @@
 //! Ranking metrics.
 //!
 //! The paper reports Precision, Recall and NDCG at K ∈ {5, 10, 20}
-//! (Tables II–IV). HitRate, MAP, MRR and AUC are included for the extended
-//! analyses and tests. All metrics take the ranked recommendation list and
-//! the user's **sorted** held-out positive set.
+//! (Tables II–IV). All metrics take the ranked recommendation list and the
+//! user's **sorted** held-out positive set.
 
 /// Whether `item` is in the sorted `relevant` set.
 #[inline]
@@ -63,79 +62,6 @@ pub fn ndcg_at_k(ranked: &[u32], relevant: &[u32], k: usize) -> f64 {
     }
 }
 
-/// HitRate@K: 1 if any relevant item appears in the top-K.
-pub fn hit_rate(ranked: &[u32], relevant: &[u32], k: usize) -> f64 {
-    if ranked.iter().take(k).any(|&i| is_relevant(relevant, i)) {
-        1.0
-    } else {
-        0.0
-    }
-}
-
-/// Average precision over the full ranked list (AP; mean over users = MAP).
-pub fn average_precision(ranked: &[u32], relevant: &[u32]) -> f64 {
-    if relevant.is_empty() {
-        return 0.0;
-    }
-    let mut hits = 0usize;
-    let mut sum = 0.0f64;
-    for (rank0, &i) in ranked.iter().enumerate() {
-        if is_relevant(relevant, i) {
-            hits += 1;
-            sum += hits as f64 / (rank0 + 1) as f64;
-        }
-    }
-    sum / relevant.len() as f64
-}
-
-/// Reciprocal rank of the first relevant item (0 when none appears).
-pub fn reciprocal_rank(ranked: &[u32], relevant: &[u32]) -> f64 {
-    for (rank0, &i) in ranked.iter().enumerate() {
-        if is_relevant(relevant, i) {
-            return 1.0 / (rank0 + 1) as f64;
-        }
-    }
-    0.0
-}
-
-/// AUC over a full score vector: probability that a random relevant item
-/// outranks a random irrelevant one, with ties counted half. `masked`
-/// items (train positives) are excluded from both sides. This is the
-/// metric the BPR objective of Eq. (1) is the smooth analogue of (§III-D).
-pub fn auc(scores: &[f32], relevant: &[u32], masked: &[u32]) -> f64 {
-    debug_assert!(relevant.windows(2).all(|w| w[0] < w[1]));
-    debug_assert!(masked.windows(2).all(|w| w[0] < w[1]));
-    let mut pos: Vec<f32> = Vec::with_capacity(relevant.len());
-    let mut neg: Vec<f32> = Vec::new();
-    let mut rel_idx = 0usize;
-    let mut mask_idx = 0usize;
-    for (i, &s) in scores.iter().enumerate() {
-        let i = i as u32;
-        if mask_idx < masked.len() && masked[mask_idx] == i {
-            mask_idx += 1;
-            continue;
-        }
-        if rel_idx < relevant.len() && relevant[rel_idx] == i {
-            rel_idx += 1;
-            pos.push(s);
-        } else {
-            neg.push(s);
-        }
-    }
-    if pos.is_empty() || neg.is_empty() {
-        return 0.5;
-    }
-    // O(n log n) via rank-sum rather than the O(|pos|·|neg|) double loop.
-    neg.sort_unstable_by(|a, b| a.partial_cmp(b).expect("finite scores"));
-    let mut wins = 0.0f64;
-    for &p in &pos {
-        let below = neg.partition_point(|&x| x < p);
-        let equal = neg.partition_point(|&x| x <= p) - below;
-        wins += below as f64 + 0.5 * equal as f64;
-    }
-    wins / (pos.len() as f64 * neg.len() as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,47 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate_reference() {
-        assert_eq!(hit_rate(&RANKED, &RELEVANT, 1), 0.0);
-        assert_eq!(hit_rate(&RANKED, &RELEVANT, 2), 1.0);
-        assert_eq!(hit_rate(&RANKED, &[], 5), 0.0);
-    }
-
-    #[test]
-    fn map_reference() {
-        // Hits at ranks 2 (precision 1/2) and 4 (precision 2/4).
-        let expected = (0.5 + 0.5) / 3.0;
-        assert!((average_precision(&RANKED, &RELEVANT) - expected).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mrr_reference() {
-        assert_eq!(reciprocal_rank(&RANKED, &RELEVANT), 0.5);
-        assert_eq!(reciprocal_rank(&[1, 2], &[1]), 1.0);
-        assert_eq!(reciprocal_rank(&[2, 3], &[9]), 0.0);
-    }
-
-    #[test]
-    fn auc_reference() {
-        // scores: item0 = 0.9 (relevant), item1 = 0.5, item2 = 0.1 → AUC 1.
-        assert_eq!(auc(&[0.9, 0.5, 0.1], &[0], &[]), 1.0);
-        // Relevant item at the bottom → AUC 0.
-        assert_eq!(auc(&[0.1, 0.5, 0.9], &[0], &[]), 0.0);
-        // Middle: relevant beats 1 of 2 → 0.5.
-        assert_eq!(auc(&[0.5, 0.9, 0.1], &[0], &[]), 0.5);
-    }
-
-    #[test]
-    fn auc_handles_masking_and_ties() {
-        // Mask the top negative away: AUC becomes 1.
-        assert_eq!(auc(&[0.5, 0.9, 0.1], &[0], &[1]), 1.0);
-        // All-ties → 0.5.
-        assert_eq!(auc(&[0.5, 0.5, 0.5], &[0], &[]), 0.5);
-        // Degenerate sides → 0.5.
-        assert_eq!(auc(&[0.5], &[0], &[]), 0.5);
-    }
-
-    #[test]
     fn metrics_bounded_in_unit_interval() {
         let ranked: Vec<u32> = (0..50).collect();
         let relevant: Vec<u32> = (0..50).filter(|i| i % 3 == 0).collect();
@@ -232,7 +117,6 @@ mod tests {
                 precision_at_k(&ranked, &relevant, k),
                 recall_at_k(&ranked, &relevant, k),
                 ndcg_at_k(&ranked, &relevant, k),
-                hit_rate(&ranked, &relevant, k),
             ] {
                 assert!((0.0..=1.0).contains(&v), "metric out of range: {v}");
             }

@@ -103,18 +103,27 @@ pub fn top_k_masked_into(
         return;
     }
     // A fixed-size sorted buffer beats BinaryHeap for the small k used in
-    // recommendation (k ≤ 20 in the paper). The dense scan walks the
-    // sorted mask with one cursor (ids arrive ascending), then funnels
-    // every surviving candidate through the shared `offer` selector.
+    // recommendation (k ≤ 20 in the paper). Ids arrive ascending, so once
+    // the buffer is full a score at or below its floor can never enter (an
+    // equal score loses the id tie): that test comes first, and most items
+    // stop there. Survivors advance one cursor over the sorted mask, and
+    // the unmasked ones go through the shared `offer` selector.
     buffer.begin(k);
+    let mut floor = None;
     let mut mask_idx = 0usize;
     for (i, &s) in scores.iter().enumerate() {
+        if floor.is_some_and(|f| s <= f) {
+            continue;
+        }
         let i = i as u32;
-        if mask_idx < masked.len() && masked[mask_idx] == i {
+        while mask_idx < masked.len() && masked[mask_idx] < i {
             mask_idx += 1;
+        }
+        if mask_idx < masked.len() && masked[mask_idx] == i {
             continue;
         }
         buffer.offer(s, i);
+        floor = buffer.floor();
     }
     buffer.emit(out);
 }
@@ -202,21 +211,31 @@ mod tests {
 
     #[test]
     fn matches_full_sort_reference() {
-        // Pseudo-random scores; compare against a full sort.
-        let scores: Vec<f32> = (0..200)
+        // Pseudo-random scores, then scores quantised to 5 levels (many ties
+        // at the k-th score, so the floor skip and the id tie-break decide)
+        // with several of the top-scored ids masked; compare each against a
+        // full sort.
+        let distinct: Vec<f32> = (0..200)
             .map(|i| (((i * 7919) % 997) as f32) / 997.0)
             .collect();
-        let masked: Vec<u32> = (0..200).filter(|i| i % 7 == 0).collect();
-        let got = top_k_masked(&scores, &masked, 10);
+        let every_7th: Vec<u32> = (0..200).filter(|i| i % 7 == 0).collect();
+        let quantised: Vec<f32> = (0..200).map(|i| ((i * 37 + 11) % 5) as f32).collect();
+        let top_level: Vec<u32> = (0..200).filter(|&i| quantised[i as usize] == 4.0).collect();
+        let masked_top: Vec<u32> = top_level.iter().copied().step_by(3).collect();
+        for (scores, masked) in [(&distinct, &every_7th), (&quantised, &masked_top)] {
+            for k in [1, 10, 45] {
+                let got = top_k_masked(scores, masked, k);
 
-        let mut all: Vec<(f32, u32)> = scores
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i % 7 != 0)
-            .map(|(i, &s)| (s, i as u32))
-            .collect();
-        all.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
-        let expected: Vec<u32> = all.into_iter().take(10).map(|(_, i)| i).collect();
-        assert_eq!(got, expected);
+                let mut all: Vec<(f32, u32)> = scores
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &s)| (s, i as u32))
+                    .filter(|(_, i)| masked.binary_search(i).is_err())
+                    .collect();
+                all.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
+                let expected: Vec<u32> = all.into_iter().take(k).map(|(_, i)| i).collect();
+                assert_eq!(got, expected, "k = {k}");
+            }
+        }
     }
 }

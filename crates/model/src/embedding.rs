@@ -121,17 +121,6 @@ impl Embedding {
         &self.data
     }
 
-    /// Dot product of two rows of (possibly different) tables.
-    ///
-    /// Delegates to the unrolled [`crate::kernel::dot`], so every score in
-    /// the workspace — single pairs, full rating vectors, candidate
-    /// gathers, hogwild reads — uses one summation order and agrees to the
-    /// bit.
-    #[inline]
-    pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-        crate::kernel::dot(a, b)
-    }
-
     /// Squared L2 norm of the whole table (for regularization diagnostics).
     pub fn sq_norm(&self) -> f64 {
         self.data.iter().map(|&x| (x as f64) * (x as f64)).sum()
@@ -208,11 +197,5 @@ mod tests {
     fn two_rows_mut_rejects_same_row() {
         let mut e = Embedding::zeros(2, 2).unwrap();
         let _ = e.two_rows_mut(1, 1);
-    }
-
-    #[test]
-    fn dot_product() {
-        assert_eq!(Embedding::dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
-        assert_eq!(Embedding::dot(&[], &[]), 0.0);
     }
 }

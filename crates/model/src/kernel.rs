@@ -2,11 +2,12 @@
 //!
 //! Algorithm 1 line 4 ("get rating vector x̂ᵤ") makes user-vs-catalog
 //! scoring the hottest loop in the system: every model-aware sampler pays
-//! it once per training pair. A naive `iter().zip().map().sum()` dot is
+//! it once per training pair, and the ranking protocol pays it for every
+//! item of every user. A naive `iter().zip().map().sum()` dot is
 //! *latency*-bound — each `f32` add waits on the previous one, so a d = 32
 //! dot costs ~d·latency cycles instead of ~d/throughput. These kernels
 //! break the dependency chain with [`LANES`] independent accumulators
-//! updated via [`f32::mul_add`], then reduce them in a **fixed balanced
+//! updated by a fused multiply-add, then reduce them in a **fixed balanced
 //! tree**, which makes the summation order deterministic and identical
 //! across every entry point:
 //!
@@ -23,10 +24,17 @@
 //! BNS draw relies on when it compares candidate thresholds against
 //! catalog scores computed in a separate blocked pass.
 //!
-//! Changing this module changes the bit-level training trace (a different
-//! but still deterministic summation order); re-pin the repro guards when
-//! touching it. Accuracy against an `f64` scalar reference is property-
-//! tested here and in `tests/proptests.rs` (≤ 1e-5 relative).
+//! **The ISA is chosen at build time.** When the build targets x86-64
+//! with AVX2 and FMA (the workspace builds with `target-cpu=native`, see
+//! `.cargo/config.toml`), [`dot`] runs one 256-bit FMA per 8-lane chunk
+//! into one vector accumulator and reduces it with SSE adds and shuffles;
+//! every other build runs the portable scalar body. Both bodies perform
+//! the same IEEE operations in the same order — per-lane FMAs, the same
+//! reduction tree, the same tail — so the summation order, and with it
+//! the bit-level training trace, does not depend on which body a build
+//! picked. The unit tests pin the vector body to the scalar one bit for
+//! bit; accuracy against an `f64` scalar reference is property-tested here
+//! and in `tests/proptests.rs` (≤ 1e-5 relative).
 
 use bns_sync::AtomicF32Cell;
 
@@ -64,12 +72,68 @@ fn reduce(acc: [f32; LANES], tail: f32) -> f32 {
     (((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]))) + tail
 }
 
-/// Unrolled dot product with [`LANES`] accumulators and `mul_add`.
+/// Unrolled dot product with [`LANES`] accumulators and fused
+/// multiply-adds.
 ///
-/// Panics in debug builds when the lengths differ; the release path
-/// truncates to the shorter slice via `chunks_exact`/`zip`.
+/// The operands must have equal length (checked in debug builds).
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
+    debug_assert_eq!(a.len(), b.len(), "dot operands must have equal length");
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    ))]
+    {
+        use std::arch::x86_64::*;
+        let (a_chunks, a_rem) = a.as_chunks::<LANES>();
+        let (b_chunks, b_rem) = b.as_chunks::<LANES>();
+        let mut tail = 0.0f32;
+        for (&x, &y) in a_rem.iter().zip(b_rem) {
+            tail = x.mul_add(y, tail);
+        }
+        // SAFETY: the enclosing cfg guarantees the build targets AVX2 and
+        // FMA, and each unaligned load reads exactly the eight floats of
+        // one `&[f32; 8]` chunk.
+        unsafe {
+            let mut acc = _mm256_setzero_ps();
+            for (ca, cb) in a_chunks.iter().zip(b_chunks) {
+                acc = _mm256_fmadd_ps(
+                    _mm256_loadu_ps(ca.as_ptr()),
+                    _mm256_loadu_ps(cb.as_ptr()),
+                    acc,
+                );
+            }
+            // The tree of `reduce`: (a0+a4, a1+a5, a2+a6, a3+a7) …
+            let s = _mm_add_ps(_mm256_castps256_ps128(acc), _mm256_extractf128_ps(acc, 1));
+            // … then (s0+s1, _, s2+s3, _) …
+            let t = _mm_add_ps(s, _mm_shuffle_ps(s, s, 0b10_11_00_01));
+            // … then (s0+s1) + (s2+s3), then the tail.
+            _mm_cvtss_f32(_mm_add_ss(t, _mm_movehl_ps(t, t))) + tail
+        }
+    }
+    #[cfg(not(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    )))]
+    {
+        dot_scalar(a, b)
+    }
+}
+
+/// The portable body of [`dot`]: [`LANES`] scalar accumulators reduced by
+/// [`reduce`]. The vector body must match it bit for bit.
+#[cfg(any(
+    test,
+    not(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    ))
+))]
+#[inline]
+fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "dot operands must have equal length");
     let mut acc = [0.0f32; LANES];
     let a_chunks = a.chunks_exact(LANES);
@@ -235,6 +299,54 @@ mod tests {
                 dot(&user, &table[i * d..(i + 1) * d]).to_bits(),
                 "row {i}"
             );
+        }
+    }
+
+    /// Full-mantissa values in [-1, 1), so every FMA and add rounds and a
+    /// changed operation order shows in the bits.
+    fn rough(n: usize, seed: u64) -> Vec<f32> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+            })
+            .collect()
+    }
+
+    #[test]
+    fn kernels_are_bitwise_equal_to_the_scalar_body() {
+        let n = 13;
+        for d in 0..=100 {
+            for seed in 1..=4u64 {
+                let user = rough(d, seed);
+                let table = rough(d * n, seed + 100);
+                let row = |i: usize| &table[i * d..(i + 1) * d];
+                let mut full = vec![f32::NAN; n];
+                gemv(&user, &table, &mut full);
+                for (i, got) in full.iter().enumerate() {
+                    let want = dot_scalar(&user, row(i));
+                    assert_eq!(
+                        dot(&user, row(i)).to_bits(),
+                        want.to_bits(),
+                        "d={d} row {i}"
+                    );
+                    // A 0-column table has no rows for `gemv` to stream (and
+                    // every model rejects d = 0), so its output is untouched.
+                    if d > 0 {
+                        assert_eq!(got.to_bits(), want.to_bits(), "gemv d={d} row {i}");
+                    }
+                }
+                let ids = [3u32, 0, 12, 3, 7, 7, 3];
+                let mut out = vec![f32::NAN; ids.len()];
+                gather_dots(&user, &table, &ids, &mut out);
+                for (got, &i) in out.iter().zip(&ids) {
+                    let want = dot_scalar(&user, row(i as usize));
+                    assert_eq!(got.to_bits(), want.to_bits(), "gather d={d} id {i}");
+                }
+            }
         }
     }
 

@@ -219,7 +219,7 @@ impl Scorer for LightGcn {
         let d = self.dim;
         let un = u as usize;
         let inn = self.item_node(i);
-        Embedding::dot(
+        crate::kernel::dot(
             &self.final_emb[un * d..(un + 1) * d],
             &self.final_emb[inn * d..(inn + 1) * d],
         )
@@ -237,7 +237,7 @@ impl Scorer for LightGcn {
         let items_start = self.adj.n_users() as usize;
         for (i, slot) in out.iter_mut().enumerate() {
             let node = items_start + i;
-            *slot = Embedding::dot(user_row, &self.final_emb[node * d..(node + 1) * d]);
+            *slot = crate::kernel::dot(user_row, &self.final_emb[node * d..(node + 1) * d]);
         }
     }
 }

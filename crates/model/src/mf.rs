@@ -204,7 +204,7 @@ impl Scorer for MatrixFactorization {
 
     #[inline]
     fn score(&self, u: u32, i: u32) -> f32 {
-        Embedding::dot(self.users.row(u as usize), self.items.row(i as usize))
+        crate::kernel::dot(self.users.row(u as usize), self.items.row(i as usize))
     }
 
     fn score_all(&self, u: u32, out: &mut [f32]) {

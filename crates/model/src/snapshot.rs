@@ -12,8 +12,8 @@
 //! The bitwise guarantee holds because every scoring path in the workspace
 //! shares one summation order ([`crate::kernel`]): MF scores through
 //! `kernel::dot`, the hogwild tables through `kernel::dot_atomic` (same
-//! reduction over the same bits), and LightGCN through `Embedding::dot`
-//! on its propagated rows — so copying the tables and re-running the
+//! reduction over the same bits), and LightGCN through `kernel::dot` on
+//! its propagated rows — so copying the tables and re-running the
 //! kernel reproduces every score exactly.
 //!
 //! [`ModelArtifact`]: https://docs.rs/bns-serve
