@@ -198,4 +198,13 @@ mod tests {
         let mut e = Embedding::zeros(2, 2).unwrap();
         let _ = e.two_rows_mut(1, 1);
     }
+
+    #[test]
+    fn dot_product() {
+        // Rows of two different tables score through `kernel::dot`.
+        let users = Embedding::from_vec(2, 3, vec![0.0, 0.0, 0.0, 1.0, 2.0, 3.0]).unwrap();
+        let items = Embedding::from_vec(1, 3, vec![4.0, 5.0, 6.0]).unwrap();
+        assert_eq!(crate::kernel::dot(users.row(1), items.row(0)), 32.0);
+        assert_eq!(crate::kernel::dot(&[], &[]), 0.0);
+    }
 }
