@@ -28,13 +28,17 @@
 //! with AVX2 and FMA (the workspace builds with `target-cpu=native`, see
 //! `.cargo/config.toml`), [`dot`] runs one 256-bit FMA per 8-lane chunk
 //! into one vector accumulator and reduces it with SSE adds and shuffles;
-//! every other build runs the portable scalar body. Both bodies perform
-//! the same IEEE operations in the same order — per-lane FMAs, the same
-//! reduction tree, the same tail — so the summation order, and with it
-//! the bit-level training trace, does not depend on which body a build
-//! picked. The unit tests pin the vector body to the scalar one bit for
-//! bit; accuracy against an `f64` scalar reference is property-tested here
-//! and in `tests/proptests.rs` (≤ 1e-5 relative).
+//! every other build runs the portable scalar body. The summation order
+//! is the same in both — per-lane multiply-adds, the same reduction tree,
+//! the same tail — so on any build with FMA the vector body is bit for
+//! bit the scalar body, and the training trace does not depend on which
+//! body that build picked. A build without FMA runs the scalar body with
+//! a separate multiply and add (see `fmadd`), so its scores differ from
+//! an FMA build's in the low bits: like every build, it is reproducible
+//! per binary (same binary, same bits), not across ISAs. The unit tests
+//! pin the vector body to the scalar one bit for bit; accuracy against an
+//! `f64` scalar reference is property-tested here and in
+//! `tests/proptests.rs` (≤ 1e-5 relative).
 
 use bns_sync::AtomicF32Cell;
 
