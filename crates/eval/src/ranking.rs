@@ -7,11 +7,24 @@
 //!
 //! Scoring users is embarrassingly parallel; users are partitioned across
 //! std::thread scoped workers and partial sums merged at the end.
+//!
+//! Each worker ranks [`TILE`] users at a time. It walks the catalog in
+//! blocks of 256 items: [`Scorer::score_tile`] scores the tile against one
+//! block (each item row is read once for the whole tile), and each user's
+//! [`MaskedScan`] selects from that block while its scores are still in
+//! L1. Then the tile's metrics are added in user order. No catalog-sized
+//! score vector exists, and every score and every ranked list is the one
+//! per-user `score_all` + `top_k_masked` would give.
 
 use crate::metrics::{ndcg_at_k, precision_at_k, recall_at_k};
-use crate::topk::{top_k_masked_into, TopKBuffer};
+use crate::topk::{MaskedScan, TopKBuffer};
 use bns_data::Dataset;
+use bns_model::kernel::TILE;
 use bns_model::Scorer;
+
+/// Items scored per [`Scorer::score_tile`] call: a `TILE × BLOCK` score
+/// block is 4 KB, small enough to stay in L1 between scoring and selection.
+const BLOCK: usize = 256;
 
 /// Metrics at one cutoff K.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,23 +88,42 @@ pub fn evaluate_ranking(
         for worker in users.chunks(chunk) {
             handles.push(scope.spawn(move || {
                 // One set of buffers per worker thread, reused across all
-                // of its users: the score vector, the top-k selection
-                // scratch and the ranked-id list. The per-user loop is
+                // of its tiles: the score block, one selector per tile
+                // slot and the ranked-id list. The per-tile loop is
                 // allocation-free once these are warm.
-                let n_items = dataset.n_items() as usize;
-                let mut scores = vec![0.0f32; n_items];
-                let mut topk = TopKBuffer::default();
+                let n_items = dataset.n_items();
+                let mut block = vec![0.0f32; TILE * BLOCK];
+                let mut topk: [TopKBuffer; TILE] = Default::default();
                 let mut ranked: Vec<u32> = Vec::with_capacity(max_k);
                 let mut sums = vec![(0.0f64, 0.0f64, 0.0f64); ks.len()];
-                for &u in worker {
-                    model.score_all(u, &mut scores);
-                    let masked = dataset.train().items_of(u);
-                    top_k_masked_into(&scores, masked, max_k, &mut topk, &mut ranked);
-                    let relevant = dataset.test().items_of(u);
-                    for (ki, &k) in ks.iter().enumerate() {
-                        sums[ki].0 += precision_at_k(&ranked, relevant, k);
-                        sums[ki].1 += recall_at_k(&ranked, relevant, k);
-                        sums[ki].2 += ndcg_at_k(&ranked, relevant, k);
+                for tile in worker.chunks(TILE) {
+                    let mut scans = [MaskedScan::default(); TILE];
+                    for buffer in &mut topk[..tile.len()] {
+                        buffer.begin(max_k);
+                    }
+                    let mut first = 0u32;
+                    while first < n_items {
+                        let len = BLOCK.min((n_items - first) as usize);
+                        let scores = &mut block[..tile.len() * len];
+                        model.score_tile(tile, first, scores);
+                        for (t, &u) in tile.iter().enumerate() {
+                            scans[t].feed(
+                                &scores[t * len..(t + 1) * len],
+                                first,
+                                dataset.train().items_of(u),
+                                &mut topk[t],
+                            );
+                        }
+                        first += len as u32;
+                    }
+                    for (&u, buffer) in tile.iter().zip(&topk) {
+                        buffer.emit(&mut ranked);
+                        let relevant = dataset.test().items_of(u);
+                        for (ki, &k) in ks.iter().enumerate() {
+                            sums[ki].0 += precision_at_k(&ranked, relevant, k);
+                            sums[ki].1 += recall_at_k(&ranked, relevant, k);
+                            sums[ki].2 += ndcg_at_k(&ranked, relevant, k);
+                        }
                     }
                 }
                 sums
@@ -128,8 +160,12 @@ pub fn evaluate_ranking(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topk::top_k_masked;
     use bns_data::Interactions;
     use bns_model::scorer::FixedScorer;
+    use bns_model::{Embedding, MatrixFactorization};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     /// 2 users × 5 items. User 0: train {0}, test {1, 2}; user 1: train
     /// {4}, test {3}.
@@ -202,6 +238,145 @@ mod tests {
         let seq = evaluate_ranking(&perfect_scorer(), &d, &[1, 2], 1);
         let par = evaluate_ranking(&perfect_scorer(), &d, &[1, 2], 4);
         assert_eq!(seq, par);
+    }
+
+    /// The protocol the tiled loop replaces: per user `score_all` +
+    /// `top_k_masked`, with users split into the same worker chunks and
+    /// the partial sums merged in the same order, so equal ranked lists
+    /// give equal bits.
+    fn reference(
+        model: &dyn Scorer,
+        dataset: &Dataset,
+        ks: &[usize],
+        n_threads: usize,
+    ) -> RankingReport {
+        let users = dataset.evaluable_users();
+        let max_k = ks.iter().copied().max().unwrap_or(0);
+        let chunk = users.len().div_ceil(n_threads.max(1).min(users.len()));
+        let mut scores = vec![0.0f32; dataset.n_items() as usize];
+        let partials: Vec<Vec<(f64, f64, f64)>> = users
+            .chunks(chunk)
+            .map(|worker| {
+                let mut sums = vec![(0.0, 0.0, 0.0); ks.len()];
+                for &u in worker {
+                    model.score_all(u, &mut scores);
+                    let ranked = top_k_masked(&scores, dataset.train().items_of(u), max_k);
+                    let relevant = dataset.test().items_of(u);
+                    for (ki, &k) in ks.iter().enumerate() {
+                        sums[ki].0 += precision_at_k(&ranked, relevant, k);
+                        sums[ki].1 += recall_at_k(&ranked, relevant, k);
+                        sums[ki].2 += ndcg_at_k(&ranked, relevant, k);
+                    }
+                }
+                sums
+            })
+            .collect();
+        let n = users.len() as f64;
+        let rows = ks
+            .iter()
+            .enumerate()
+            .map(|(ki, &k)| {
+                let (p, r, nd) = partials.iter().fold((0.0, 0.0, 0.0), |acc, part| {
+                    (acc.0 + part[ki].0, acc.1 + part[ki].1, acc.2 + part[ki].2)
+                });
+                MetricRow {
+                    k,
+                    precision: p / n,
+                    recall: r / n,
+                    ndcg: nd / n,
+                }
+            })
+            .collect();
+        RankingReport {
+            rows,
+            n_users: users.len(),
+        }
+    }
+
+    /// A scorer with only `score`, `score_all` and `score_items`, so
+    /// `evaluate_ranking` takes the default `score_tile`.
+    struct Plain<'a>(&'a MatrixFactorization);
+
+    impl Scorer for Plain<'_> {
+        fn n_users(&self) -> u32 {
+            self.0.n_users()
+        }
+        fn n_items(&self) -> u32 {
+            self.0.n_items()
+        }
+        fn score(&self, u: u32, i: u32) -> f32 {
+            self.0.score(u, i)
+        }
+        fn score_all(&self, u: u32, out: &mut [f32]) {
+            self.0.score_all(u, out);
+        }
+        fn score_items(&self, u: u32, items: &[u32], out: &mut [f32]) {
+            self.0.score_items(u, items, out);
+        }
+    }
+
+    #[test]
+    fn tiles_and_blocks_match_the_per_user_protocol() {
+        // 11 users: two full tiles and a short one. 600 items: two full
+        // blocks and a short one.
+        let (n_users, n_items) = (11u32, 600u32);
+        let edges = [0u32, 255, 256, 511, 512, 599];
+        for dim in [8, 13] {
+            // Long edge rows score at the top or the bottom of each list,
+            // so a mishandled edge changes the ranked lists.
+            let mut rng = StdRng::seed_from_u64(dim as u64);
+            let users = Embedding::normal_init(n_users as usize, dim, 0.5, &mut rng).unwrap();
+            let mut items = Embedding::normal_init(n_items as usize, dim, 0.5, &mut rng).unwrap();
+            for &i in &edges {
+                items.row_mut(i as usize).iter_mut().for_each(|x| *x *= 4.0);
+            }
+            let model = MatrixFactorization::from_embeddings(users, items).unwrap();
+            let mut train = Vec::new();
+            let mut test = Vec::new();
+            let mut scores = vec![0.0f32; n_items as usize];
+            for u in 0..n_users {
+                // Mask each user's best items (so masking decides the
+                // list), half of the block edges, and test on the next
+                // best items and a few edges.
+                model.score_all(u, &mut scores);
+                let mut order: Vec<u32> = (0..n_items).collect();
+                order.sort_by(|&a, &b| scores[b as usize].total_cmp(&scores[a as usize]));
+                let mut masked: Vec<u32> = order[..6].to_vec();
+                masked.extend(edges.iter().skip(u as usize % 2).step_by(2));
+                masked.sort_unstable();
+                masked.dedup();
+                let held_out = order[6..40]
+                    .iter()
+                    .step_by(3)
+                    .chain(&edges)
+                    .filter(|i| masked.binary_search(i).is_err());
+                train.extend(masked.iter().map(|&i| (u, i)));
+                test.extend(held_out.map(|&i| (u, i)));
+            }
+            test.sort_unstable();
+            test.dedup();
+            let d = Dataset::new(
+                "edges",
+                Interactions::from_pairs(n_users, n_items, &train).unwrap(),
+                Interactions::from_pairs(n_users, n_items, &test).unwrap(),
+            )
+            .unwrap();
+            let ks = [1, 5, 20];
+            for threads in [1, 3] {
+                let want = reference(&model, &d, &ks, threads);
+                assert_eq!(want.n_users, 11);
+                assert_eq!(
+                    evaluate_ranking(&model, &d, &ks, threads),
+                    want,
+                    "dim {dim}"
+                );
+                assert_eq!(
+                    evaluate_ranking(&Plain(&model), &d, &ks, threads),
+                    want,
+                    "default score_tile, dim {dim}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -25,11 +25,11 @@ pub fn top_k_masked(scores: &[f32], masked: &[u32], k: usize) -> Vec<u32> {
 /// The buffer is also an **incremental** selector: [`begin`](Self::begin)
 /// resets it for a cutoff, [`offer`](Self::offer) feeds one `(score, id)`
 /// candidate, and [`emit`](Self::emit) writes the ranked ids out. Every
-/// selection path in the workspace — the dense scan of
-/// [`top_k_masked_into`] and the cluster-at-a-time candidate stream of the
-/// IVF serving path — funnels through the same `offer`, so the ordering
-/// rule (descending score, ties toward the lower id) has exactly one
-/// implementation.
+/// selection path in the workspace — the dense [`MaskedScan`] of
+/// [`top_k_masked_into`] and of the ranking protocol, and the
+/// cluster-at-a-time candidate stream of the IVF serving path — funnels
+/// through the same `offer`, so the ordering rule (descending score, ties
+/// toward the lower id) has exactly one implementation.
 #[derive(Debug, Default, Clone)]
 pub struct TopKBuffer {
     best: Vec<(f32, u32)>,
@@ -86,7 +86,7 @@ impl TopKBuffer {
 
 /// [`top_k_masked`] writing into caller-owned buffers: `out` receives the
 /// ranked ids, `buffer` holds the selection scratch. Neither allocates
-/// once warm — the per-user hot path of the ranking protocol.
+/// once warm — the per-user hot path of exact serving.
 pub fn top_k_masked_into(
     scores: &[f32],
     masked: &[u32],
@@ -94,38 +94,69 @@ pub fn top_k_masked_into(
     buffer: &mut TopKBuffer,
     out: &mut Vec<u32>,
 ) {
-    debug_assert!(
-        masked.windows(2).all(|w| w[0] < w[1]),
-        "mask must be sorted unique"
-    );
     if k == 0 {
         out.clear();
         return;
     }
-    // A fixed-size sorted buffer beats BinaryHeap for the small k used in
-    // recommendation (k ≤ 20 in the paper). Ids arrive ascending, so once
-    // the buffer is full a score at or below its floor can never enter (an
-    // equal score loses the id tie): that test comes first, and most items
-    // stop there. Survivors advance one cursor over the sorted mask, and
-    // the unmasked ones go through the shared `offer` selector.
     buffer.begin(k);
-    let mut floor = None;
-    let mut mask_idx = 0usize;
-    for (i, &s) in scores.iter().enumerate() {
-        if floor.is_some_and(|f| s <= f) {
-            continue;
-        }
-        let i = i as u32;
-        while mask_idx < masked.len() && masked[mask_idx] < i {
-            mask_idx += 1;
-        }
-        if mask_idx < masked.len() && masked[mask_idx] == i {
-            continue;
-        }
-        buffer.offer(s, i);
-        floor = buffer.floor();
-    }
+    MaskedScan::default().feed(scores, 0, masked, buffer);
     buffer.emit(out);
+}
+
+/// The masked dense scan behind [`top_k_masked_into`], resumable across
+/// blocks of consecutive item ids: after [`TopKBuffer::begin`], feed the
+/// catalog in ascending blocks to one `MaskedScan` and the same buffer,
+/// then [`TopKBuffer::emit`]. The result does not depend on where the
+/// blocks split.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct MaskedScan {
+    /// The buffer's floor after the last admitted candidate.
+    floor: Option<f32>,
+    /// Cursor into the sorted mask: no masked id before it is ≥ the next
+    /// id to be fed.
+    mask_idx: usize,
+}
+
+impl MaskedScan {
+    /// Offers `scores[i]` as item `first_id + i` to `buffer`, skipping the
+    /// ids in the sorted `masked` list. Blocks must arrive in ascending id
+    /// order, and `masked` must be the same list on every call.
+    pub fn feed(&mut self, scores: &[f32], first_id: u32, masked: &[u32], buffer: &mut TopKBuffer) {
+        debug_assert!(
+            masked.windows(2).all(|w| w[0] < w[1]),
+            "mask must be sorted unique"
+        );
+        // A fixed-size sorted buffer beats BinaryHeap for the small k used
+        // in recommendation (k ≤ 20 in the paper). Ids arrive ascending, so
+        // once the buffer is full a score at or below its floor can never
+        // enter (an equal score loses the id tie): that test comes first,
+        // once for a group of eight scores (a vector compare) and then per
+        // score, and most items stop there. Survivors advance one cursor
+        // over the sorted mask, and the unmasked ones go through the shared
+        // `offer` selector.
+        let (mut floor, mut mask_idx) = (self.floor, self.mask_idx);
+        let (chunks, rest) = scores.as_chunks::<8>();
+        let groups = chunks.iter().map(|c| &c[..]).chain(std::iter::once(rest));
+        for (g, group) in (0u32..).step_by(8).zip(groups) {
+            if floor.is_some_and(|f| group.iter().fold(true, |all, &s| all & (s <= f))) {
+                continue;
+            }
+            for (i, &s) in (first_id + g..).zip(group) {
+                if floor.is_some_and(|f| s <= f) {
+                    continue;
+                }
+                while mask_idx < masked.len() && masked[mask_idx] < i {
+                    mask_idx += 1;
+                }
+                if mask_idx < masked.len() && masked[mask_idx] == i {
+                    continue;
+                }
+                buffer.offer(s, i);
+                floor = buffer.floor();
+            }
+        }
+        (self.floor, self.mask_idx) = (floor, mask_idx);
+    }
 }
 
 #[cfg(test)]
@@ -213,8 +244,8 @@ mod tests {
     fn matches_full_sort_reference() {
         // Pseudo-random scores, then scores quantised to 5 levels (many ties
         // at the k-th score, so the floor skip and the id tie-break decide)
-        // with several of the top-scored ids masked; compare each against a
-        // full sort.
+        // with several of the top-scored ids masked; compare each, in one
+        // pass and fed through `MaskedScan` in blocks, against a full sort.
         let distinct: Vec<f32> = (0..200)
             .map(|i| (((i * 7919) % 997) as f32) / 997.0)
             .collect();
@@ -235,6 +266,19 @@ mod tests {
                 all.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
                 let expected: Vec<u32> = all.into_iter().take(k).map(|(_, i)| i).collect();
                 assert_eq!(got, expected, "k = {k}");
+
+                // The same scan resumed block by block.
+                for block in [1, 7, 64] {
+                    let mut buffer = TopKBuffer::default();
+                    buffer.begin(k);
+                    let mut scan = MaskedScan::default();
+                    for (b, chunk) in scores.chunks(block).enumerate() {
+                        scan.feed(chunk, (b * block) as u32, masked, &mut buffer);
+                    }
+                    let mut blocked = Vec::new();
+                    buffer.emit(&mut blocked);
+                    assert_eq!(blocked, expected, "k = {k}, blocks of {block}");
+                }
             }
         }
     }

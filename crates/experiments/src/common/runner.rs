@@ -124,6 +124,13 @@ impl Scorer for AnyModel {
             AnyModel::Gcn(m) => m.score_items(u, items, out),
         }
     }
+
+    fn score_tile(&self, users: &[u32], first: u32, out: &mut [f32]) {
+        match self {
+            AnyModel::Mf(m) => m.score_tile(users, first, out),
+            AnyModel::Gcn(m) => m.score_tile(users, first, out),
+        }
+    }
 }
 
 impl SnapshotScorer for AnyModel {

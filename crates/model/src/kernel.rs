@@ -15,30 +15,36 @@
 //! * [`gemv`] — user row × the whole item table (the full rating vector),
 //! * [`gather_dots`] — user row × an arbitrary subset of item rows (the
 //!   candidate-scoring path of `ScoreAccess::Candidates` samplers),
+//! * [`gemm`] — a tile of [`TILE`] user rows × a block of item rows, each
+//!   item row read once for the whole tile (the ranking protocol's
+//!   `Scorer::score_tile`, dispatched by [`score_tile`]),
 //! * [`dot_atomic`] — the same arithmetic over [`AtomicF32Cell`] rows (the
 //!   hogwild tables of [`crate::hogwild`]).
 //!
-//! Because all four share one accumulation structure, `score(u, i)`,
-//! `score_all(u, ..)[i]` and `score_items(u, [i], ..)` return **bitwise
-//! identical** values for the same model state — the property the fused
-//! BNS draw relies on when it compares candidate thresholds against
-//! catalog scores computed in a separate blocked pass.
+//! Because all five share one accumulation structure, `score(u, i)`,
+//! `score_all(u, ..)[i]`, `score_items(u, [i], ..)` and `score_tile`
+//! return **bitwise identical** values for the same model state — the
+//! property the fused BNS draw relies on when it compares candidate
+//! thresholds against catalog scores computed in a separate blocked pass,
+//! and the one that lets evaluation score a tile of users at a time.
 //!
 //! **The ISA is chosen at build time.** When the build targets x86-64
 //! with AVX2 and FMA (the workspace builds with `target-cpu=native`, see
 //! `.cargo/config.toml`), [`dot`] runs one 256-bit FMA per 8-lane chunk
-//! into one vector accumulator and reduces it with SSE adds and shuffles;
-//! every other build runs the portable scalar body. The summation order
-//! is the same in both — per-lane multiply-adds, the same reduction tree,
-//! the same tail — so on any build with FMA the vector body is bit for
-//! bit the scalar body, and the training trace does not depend on which
-//! body that build picked. A build without FMA runs the scalar body with
-//! a separate multiply and add (see `fmadd`), so its scores differ from
-//! an FMA build's in the low bits: like every build, it is reproducible
-//! per binary (same binary, same bits), not across ISAs. The unit tests
-//! pin the vector body to the scalar one bit for bit; accuracy against an
-//! `f64` scalar reference is property-tested here and in
-//! `tests/proptests.rs` (≤ 1e-5 relative).
+//! into one vector accumulator and reduces it with SSE adds and shuffles,
+//! and [`gemm`] runs the same FMAs into one accumulator per (user, item)
+//! pair and reduces eight such pairs side by side with the same tree;
+//! every other build runs the portable scalar body. The summation
+//! order is the same in all of them — per-lane multiply-adds, the same
+//! reduction tree, the same tail — so on any build with FMA the vector
+//! bodies are bit for bit the scalar body, and the training trace does
+//! not depend on which body that build picked. A build without FMA runs
+//! the scalar body with a separate multiply and add (see `fmadd`), so its
+//! scores differ from an FMA build's in the low bits: like every build, it
+//! is reproducible per binary (same binary, same bits), not across ISAs.
+//! The unit tests pin the vector bodies to the scalar one bit for bit;
+//! accuracy against an `f64` scalar reference is property-tested here and
+//! in `tests/proptests.rs` (≤ 1e-5 relative).
 
 use bns_sync::AtomicF32Cell;
 
@@ -197,6 +203,148 @@ pub fn gemv(user: &[f32], items: &[f32], out: &mut [f32]) {
     }
 }
 
+/// Users scored together by [`gemm`]: one tile of the ranking protocol.
+pub const TILE: usize = 4;
+
+/// User-tiled GEMM: fills `out[t·n + i] = dot(users[t], items[i·d ..
+/// (i+1)·d])` for [`TILE`] user rows of length `d` and the row-major
+/// `n × d` block `items`, where `n = out.len() / TILE`.
+///
+/// Each item chunk is loaded once for the whole tile instead of once per
+/// user. Every `(user, row)` pair keeps its own accumulator, fed in
+/// [`dot`]'s chunk order and reduced by [`dot`]'s tree plus [`dot`]'s
+/// tail, so every score is bit for bit [`dot`]'s. The vector body takes
+/// item rows two at a time and runs the eight reductions of such a pair
+/// side by side in one register (`hadd` adds the same pairs the tree adds).
+#[inline]
+pub fn gemm(users: [&[f32]; TILE], items: &[f32], out: &mut [f32]) {
+    let d = users[0].len();
+    let n = out.len() / TILE;
+    debug_assert!(users.iter().all(|u| u.len() == d), "user rows must agree");
+    debug_assert_eq!(out.len(), TILE * n, "one output row per tile user");
+    debug_assert_eq!(items.len(), d * n, "item block shape does not match d × n");
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    ))]
+    {
+        use std::arch::x86_64::*;
+        // The pair reduction below interleaves exactly four users.
+        const _: () = assert!(TILE == 4);
+        if d == 0 || n == 0 {
+            // No rows to stream, as in `gemv`.
+            return;
+        }
+        let k = d / LANES;
+        let user_chunks = users.map(|u| &u.as_chunks::<LANES>().0[..k]);
+        // `dot`'s scalar tail of each user against `row`.
+        #[inline(always)]
+        fn tails(users: [&[f32]; TILE], row: &[f32], from: usize) -> [f32; TILE] {
+            let mut tails = [0.0f32; TILE];
+            if row.len() > from {
+                for (tail, u) in tails.iter_mut().zip(users) {
+                    for (&x, &y) in u[from..].iter().zip(&row[from..]) {
+                        *tail = x.mul_add(y, *tail);
+                    }
+                }
+            }
+            tails
+        }
+        let row = |i: usize| &items[i * d..(i + 1) * d];
+        let mut rows = out.chunks_exact_mut(n);
+        let mut outs: [&mut [f32]; TILE] =
+            std::array::from_fn(|_| rows.next().expect("one output row per tile user"));
+        for i in (0..n).step_by(2) {
+            // An odd last row pairs with itself; its copy is not written.
+            let (r0, r1) = (row(i), row((i + 1).min(n - 1)));
+            let (c0, c1) = (
+                &r0.as_chunks::<LANES>().0[..k],
+                &r1.as_chunks::<LANES>().0[..k],
+            );
+            let (t0, t1) = (tails(users, r0, k * LANES), tails(users, r1, k * LANES));
+            let mut scores = [0.0f32; 2 * TILE];
+            // SAFETY: the enclosing cfg guarantees the build targets AVX2
+            // and FMA; each unaligned load reads exactly the eight floats
+            // of one `&[f32; 8]` chunk, and the one store writes the eight
+            // floats of `scores`.
+            unsafe {
+                let mut a0 = [_mm256_setzero_ps(); TILE];
+                let mut a1 = [_mm256_setzero_ps(); TILE];
+                for c in 0..k {
+                    let x0 = _mm256_loadu_ps(c0[c].as_ptr());
+                    let x1 = _mm256_loadu_ps(c1[c].as_ptr());
+                    for t in 0..TILE {
+                        let w = _mm256_loadu_ps(user_chunks[t][c].as_ptr());
+                        a0[t] = _mm256_fmadd_ps(w, x0, a0[t]);
+                        a1[t] = _mm256_fmadd_ps(w, x1, a1[t]);
+                    }
+                }
+                // `reduce`'s first level for two accumulators P, Q at once:
+                // [P.lo + P.hi | Q.lo + Q.hi] = (a0+a4, …, a3+a7) of each.
+                let halves = |p: __m256, q: __m256| {
+                    _mm256_add_ps(
+                        _mm256_permute2f128_ps(p, q, 0x20),
+                        _mm256_permute2f128_ps(p, q, 0x31),
+                    )
+                };
+                // `hadd` adds adjacent lanes: the second level gives
+                // (s0+s1, s2+s3) of each, and the third (s0+s1)+(s2+s3).
+                // Pairing (user t, user t+2) in the first level leaves the
+                // result lanes in the order (u0r0, u0r1, u1r0, u1r1, …).
+                let left = _mm256_hadd_ps(halves(a0[0], a0[2]), halves(a1[0], a1[2]));
+                let right = _mm256_hadd_ps(halves(a0[1], a0[3]), halves(a1[1], a1[3]));
+                let tail = _mm256_setr_ps(t0[0], t1[0], t0[1], t1[1], t0[2], t1[2], t0[3], t1[3]);
+                let sums = _mm256_add_ps(_mm256_hadd_ps(left, right), tail);
+                _mm256_storeu_ps(scores.as_mut_ptr(), sums);
+            }
+            for (o, s) in outs.iter_mut().zip(scores.as_chunks::<2>().0) {
+                o[i] = s[0];
+                if i + 1 < n {
+                    o[i + 1] = s[1];
+                }
+            }
+        }
+    }
+    #[cfg(not(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    )))]
+    for (user, row) in users.iter().zip(out.chunks_exact_mut(n.max(1))) {
+        gemv(user, items, row);
+    }
+}
+
+/// The `Scorer::score_tile` body of every model whose item rows are one
+/// contiguous row-major `table`: scores the users `users` (their rows
+/// given by `row`) against items `first ..` into `out` (one row of
+/// `out.len() / users.len()` scores per user). A full tile goes through
+/// [`gemm`], anything shorter through [`gemv`] per user.
+pub fn score_tile<'a>(
+    row: impl Fn(u32) -> &'a [f32],
+    table: &[f32],
+    users: &[u32],
+    first: u32,
+    out: &mut [f32],
+) {
+    let Some(&u0) = users.first() else {
+        return;
+    };
+    let d = row(u0).len();
+    let n = out.len() / users.len();
+    let start = first as usize * d;
+    let items = &table[start..start + n * d];
+    match <[u32; TILE]>::try_from(users) {
+        Ok(tile) => gemm(tile.map(row), items, out),
+        Err(_) => {
+            for (&u, scores) in users.iter().zip(out.chunks_exact_mut(n.max(1))) {
+                gemv(row(u), items, scores);
+            }
+        }
+    }
+}
+
 /// Gather-dot: fills `out[k] = dot(user, items[ids[k]])` for an arbitrary
 /// id subset of the row-major item table — the batched
 /// `Scorer::score_items` kernel behind `ScoreAccess::Candidates`.
@@ -349,6 +497,30 @@ mod tests {
                 for (got, &i) in out.iter().zip(&ids) {
                     let want = dot_scalar(&user, row(i as usize));
                     assert_eq!(got.to_bits(), want.to_bits(), "gather d={d} id {i}");
+                }
+                // Four distinct users, then a tile that repeats a user,
+                // against all 13 rows (an odd count, so the last row is
+                // scored on its own).
+                let others = [200, 300, 400].map(|s| rough(d, seed + s));
+                let distinct = [&user[..], &others[0], &others[1], &others[2]];
+                let repeated = [&user[..], &others[0], &user, &others[1]];
+                for tile in [distinct, repeated] {
+                    let mut block = vec![f32::NAN; TILE * n];
+                    gemm(tile, &table, &mut block);
+                    for (t, u) in tile.iter().enumerate() {
+                        for i in 0..n {
+                            let got = block[t * n + i];
+                            // As for `gemv`, a 0-column table has no rows.
+                            if d > 0 {
+                                let want = dot_scalar(u, row(i));
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "gemm d={d} user {t} row {i}"
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -24,9 +24,9 @@
 //! * [`hogwild`] — lock-free shared MF storage for hogwild-style parallel
 //!   SGD (relaxed-atomic embedding tables behind a safe API).
 //! * [`kernel`] — the unrolled `mul_add` scoring kernels (dot / GEMV /
-//!   gather-dot and the atomic hogwild variant) with one fixed summation
-//!   order shared by every scoring entry point, plus the shared per-triple
-//!   BPR step.
+//!   gather-dot / user-tiled GEMM and the atomic hogwild variant) with one
+//!   fixed summation order shared by every scoring entry point, plus the
+//!   shared per-triple BPR step.
 //! * [`batch`] — the SoA [`batch::TripleBatch`] buffer: `{users, pos,
 //!   negs}` with `k ≥ 1` negatives per positive, filled by batched
 //!   samplers and consumed by [`scorer::PairwiseModel::update_batch`].

@@ -240,6 +240,22 @@ impl Scorer for LightGcn {
             *slot = crate::kernel::dot(user_row, &self.final_emb[node * d..(node + 1) * d]);
         }
     }
+
+    fn score_tile(&self, users: &[u32], first: u32, out: &mut [f32]) {
+        debug_assert!(
+            !self.stale,
+            "scores read from a stale LightGCN; call refresh()"
+        );
+        let d = self.dim;
+        let (user_rows, item_rows) = self.final_emb.split_at(self.adj.n_users() as usize * d);
+        crate::kernel::score_tile(
+            |u| &user_rows[u as usize * d..(u as usize + 1) * d],
+            item_rows,
+            users,
+            first,
+            out,
+        );
+    }
 }
 
 impl PairwiseModel for LightGcn {
@@ -379,6 +395,23 @@ mod tests {
         m.score_all(1, &mut out);
         for i in 0..4u32 {
             assert!((out[i as usize] - m.score(1, i)).abs() < 1e-7);
+        }
+    }
+
+    #[test]
+    fn score_tile_is_bitwise_score_all() {
+        let m = model(2, 2);
+        let mut all = vec![0.0f32; 4];
+        // A full tile (user 2 twice) and a short one, over items 1..4.
+        for users in [&[2u32, 0, 1, 2][..], &[1, 0]] {
+            let mut tile = vec![f32::NAN; users.len() * 3];
+            m.score_tile(users, 1, &mut tile);
+            for (t, &u) in users.iter().enumerate() {
+                m.score_all(u, &mut all);
+                for i in 0..3 {
+                    assert_eq!(tile[t * 3 + i].to_bits(), all[1 + i].to_bits(), "user {u}");
+                }
+            }
         }
     }
 

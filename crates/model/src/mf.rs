@@ -222,6 +222,16 @@ impl Scorer for MatrixFactorization {
             out,
         );
     }
+
+    fn score_tile(&self, users: &[u32], first: u32, out: &mut [f32]) {
+        crate::kernel::score_tile(
+            |u| self.users.row(u as usize),
+            self.items.as_slice(),
+            users,
+            first,
+            out,
+        );
+    }
 }
 
 impl PairwiseModel for MatrixFactorization {

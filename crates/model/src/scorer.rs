@@ -43,6 +43,35 @@ pub trait Scorer {
             *slot = self.score(u, i);
         }
     }
+
+    /// Fills `out[t·len + i]` with user `users[t]`'s score for item
+    /// `first + i`, where `len = out.len() / users.len()` — a tile of
+    /// users against a block of consecutive items, the streamed form of
+    /// the ranking protocol.
+    ///
+    /// Implementations must produce values bitwise identical to
+    /// [`Scorer::score_all`]'s. Models whose item rows are contiguous
+    /// override it with [`crate::kernel::score_tile`]; the default calls
+    /// [`Scorer::score_items`] on chunks of consecutive ids, which
+    /// satisfies the contract by construction.
+    fn score_tile(&self, users: &[u32], first: u32, out: &mut [f32]) {
+        const CHUNK: usize = 64;
+        let len = out.len() / users.len().max(1);
+        if len == 0 {
+            return;
+        }
+        debug_assert_eq!(out.len(), users.len() * len, "one score row per user");
+        let mut ids = [0u32; CHUNK];
+        for (&u, row) in users.iter().zip(out.chunks_exact_mut(len)) {
+            for (c, slots) in row.chunks_mut(CHUNK).enumerate() {
+                let ids = &mut ids[..slots.len()];
+                for (id, i) in ids.iter_mut().zip(first + (c * CHUNK) as u32..) {
+                    *id = i;
+                }
+                self.score_items(u, ids, slots);
+            }
+        }
+    }
 }
 
 /// A model trainable with pairwise BPR updates.

@@ -548,6 +548,16 @@ impl Scorer for ModelArtifact {
             out,
         );
     }
+
+    fn score_tile(&self, users: &[u32], first: u32, out: &mut [f32]) {
+        kernel::score_tile(
+            |u| self.users.row(u as usize),
+            self.items.as_slice(),
+            users,
+            first,
+            out,
+        );
+    }
 }
 
 #[cfg(test)]
@@ -596,6 +606,17 @@ mod tests {
             let s = artifact.score(2, i);
             assert_eq!(s.to_bits(), all[i as usize].to_bits());
             assert_eq!(s.to_bits(), gathered[i as usize].to_bits());
+        }
+        // A full tile (user 2 twice) and a short one, over items 2..7.
+        for users in [&[2u32, 0, 2, 3][..], &[1, 2]] {
+            let mut tile = vec![f32::NAN; users.len() * 5];
+            artifact.score_tile(users, 2, &mut tile);
+            for (t, &u) in users.iter().enumerate() {
+                artifact.score_all(u, &mut all);
+                for i in 0..5 {
+                    assert_eq!(tile[t * 5 + i].to_bits(), all[2 + i].to_bits(), "user {u}");
+                }
+            }
         }
     }
 
