@@ -43,6 +43,11 @@ RUSTFLAGS="-C target-cpu=native --cfg bns_model_check" \
 # `score_tile` are compiled and tested too.
 RUSTFLAGS="-C target-cpu=x86-64" \
     run cargo test -q -p bns-model -p bns-eval -p bns-serve --lib --offline --locked --target-dir target/portable
+# Lint the same portable build: code that is dead under one cfg (a helper
+# only the scalar bodies call) shows up on one target only, and the clippy
+# step above sees the native one.
+RUSTFLAGS="-C target-cpu=x86-64" \
+    run cargo clippy -p bns-model -p bns-eval -p bns-serve --lib --offline --locked --target-dir target/portable -- -D warnings
 # bnsbench: the gated end-to-end benchmark is a workspace of its own that
 # builds the crates above by path, so only this step compiles it against
 # their current public API. Cargo rewrites bnsbench's stale Cargo.lock
@@ -55,11 +60,10 @@ run cargo test --release --offline --manifest-path bnsbench/Cargo.toml
 cp target/bnsbench.Cargo.lock bnsbench/Cargo.lock
 trap - EXIT
 # bench_json smoke at tiny sizes: runs every section of the sampler
-# runner, so the per-sampler draw rates, the batched pipeline, the BNS
-# |Mᵤ| and ECDF-strategy sweeps and the serial vs. hogwild training
-# throughput all keep running. The committed BENCH_samplers.json is
-# generated at paper scale (defaults: 10k items, d = 32); the smoke
-# writes under target/.
+# runner, so the per-sampler draw rates, the batched pipeline and the BNS
+# |Mᵤ| and ECDF-strategy sweeps all keep running. The committed
+# BENCH_samplers.json is generated at paper scale (defaults: 10k items,
+# d = 32); the smoke writes under target/.
 run cargo run --release --offline --locked -p bns-bench --bin bench_json -- \
     --users 40 --items 200 --draws 400 --out target/BENCH_smoke.json
 # Execute (not just compile) root examples: the examples are covered by

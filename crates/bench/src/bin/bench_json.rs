@@ -1,4 +1,4 @@
-//! Machine-readable sampler and trainer benchmarks → `BENCH_samplers.json`.
+//! Machine-readable sampler benchmarks → `BENCH_samplers.json`.
 //!
 //! Times the hot paths with plain loops and writes one JSON file, so the
 //! repo's perf trajectory can be diffed PR-over-PR:
@@ -13,12 +13,7 @@
 //!   and with the exact Eq. 16 ECDF against a per-epoch uniform sample of
 //!   256 item ids (`EcdfStrategy::Subsample(256)`). The default sample,
 //!   `DKW_SAMPLE` ids, is the exact pass on catalogs up to 18,445 items;
-//!   `scale_bench` measures it above that;
-//! * training triples/sec for RNS and BNS under the serial `train` and
-//!   under `train_hogwild`, one epoch over a fixture with a
-//!   quarter of the users.
-//!   Hogwild asks for [`HOGWILD_THREADS`] workers, capped at the core
-//!   count; the report records both numbers.
+//!   `scale_bench` measures it above that.
 //!
 //! ```sh
 //! cargo run --release -p bns-bench --bin bench_json            # paper scale
@@ -30,10 +25,7 @@ use bns_bench::{draws_per_sec, fixture, rate, write_report, Flags, Json};
 use bns_core::bns::EcdfStrategy;
 use bns_core::sampler::SampleContext;
 use bns_core::trainer::sample_pair;
-use bns_core::{
-    build_sampler, train, train_hogwild, BnsConfig, NoopObserver, PriorKind, SamplerConfig,
-    TrainConfig,
-};
+use bns_core::{build_sampler, BnsConfig, PriorKind, SamplerConfig};
 use bns_model::{Scorer, TripleBatch};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -42,10 +34,6 @@ use std::hint::black_box;
 
 /// Pairs per `sample_batch` call in the batched section.
 const BATCH: usize = 256;
-
-/// Hogwild workers requested in the training section, before the cap at
-/// `available_parallelism()`.
-const HOGWILD_THREADS: usize = 4;
 
 fn bns(config: BnsConfig) -> SamplerConfig {
     SamplerConfig::Bns {
@@ -187,49 +175,6 @@ fn main() {
         }),
     );
 
-    // Training throughput: one epoch from the same initial model, serial
-    // engine vs hogwild shards. A quarter of the users keeps the serial
-    // BNS epoch to seconds at paper scale.
-    let train_fx = fixture((users / 4).max(8), items, 43);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = HOGWILD_THREADS.min(cores);
-    let config = TrainConfig::paper_mf(1, 0xB15);
-    let mut serial_rates = Vec::new();
-    let mut hogwild_rates = Vec::new();
-    for cfg in [SamplerConfig::Rns, bns(BnsConfig::default())] {
-        let name = cfg.display_name().to_string();
-        let mut triples = 0;
-        let runs_per_sec = rate(1, || {
-            let mut model = train_fx.model.clone();
-            let mut sampler = build_sampler(&cfg, &train_fx.dataset, None).expect("valid sampler");
-            let stats = train(
-                &mut model,
-                &train_fx.dataset,
-                sampler.as_mut(),
-                &config,
-                &mut NoopObserver,
-            )
-            .expect("serial training");
-            triples = stats.triples;
-        });
-        serial_rates.push((name.clone(), runs_per_sec * triples as f64));
-        let runs_per_sec = rate(1, || {
-            let mut model = train_fx.model.clone();
-            let stats = train_hogwild(
-                &mut model,
-                &train_fx.dataset,
-                &cfg,
-                None,
-                &config,
-                threads,
-                &mut NoopObserver,
-            )
-            .expect("hogwild training");
-            triples = stats.triples;
-        });
-        hogwild_rates.push((name, runs_per_sec * triples as f64));
-    }
-
     let report = Json::obj([
         ("schema", 1u32.into()),
         (
@@ -260,18 +205,6 @@ fn main() {
         (
             "bns_ecdf_strategy",
             Json::obj([("draws", sweep_draws.into()), ("draws_per_sec", by_ecdf)]),
-        ),
-        (
-            "training",
-            Json::obj([
-                ("n_users", train_fx.dataset.n_users().into()),
-                ("n_items", train_fx.dataset.n_items().into()),
-                ("epochs", config.epochs.into()),
-                ("requested_threads", HOGWILD_THREADS.into()),
-                ("threads", threads.into()),
-                ("serial_triples_per_sec", rates(serial_rates)),
-                ("hogwild_triples_per_sec", rates(hogwild_rates)),
-            ]),
         ),
     ]);
     write_report(&out, &report);

@@ -2,7 +2,7 @@
 //!
 //! * `bench_json` → `BENCH_samplers.json`: per-sampler draw cost, batched
 //!   vs per-pair sampling, GEMV throughput, BNS draw cost against |Mᵤ|
-//!   and the ECDF strategy, and serial vs hogwild training throughput;
+//!   and the ECDF strategy;
 //! * `serve_bench` → `BENCH_serve.json`: the in-process query engine
 //!   (exact, cached, IVF) and the same traffic over loopback TCP;
 //! * `scale_bench` → `BENCH_scale.json`: generator, artifact load,

@@ -2,9 +2,8 @@
 //!
 //! This crate holds no runtime code — its value is the integration tests
 //! under `tests/`, which drive the deterministic interleaving scheduler in
-//! [`bns_sync::model`] against the protocols the serve and training paths
-//! rely on: work-stealing claim exclusivity, hogwild store/load integrity,
-//! the cache-generation swap protocol, and `PosteriorStats` merges.
+//! [`bns_sync::model`] against the protocols the serve path relies on:
+//! work-stealing claim exclusivity and the cache-generation swap protocol.
 //!
 //! The scenarios are gated behind `--cfg bns_model_check` (so they compile
 //! to nothing in tier-1 builds, where the facade types are *not*
@@ -21,8 +20,8 @@
 //! `-C target-cpu=native`.
 //!
 //! Each test follows the same shape: express the protocol with the facade
-//! types ([`bns_sync::AtomicF32Cell`], [`bns_sync::ClaimCursor`],
-//! [`bns_sync::Generation`], [`bns_sync::Mutex`]), assert its invariant,
+//! types ([`bns_sync::ClaimCursor`], [`bns_sync::Generation`],
+//! [`bns_sync::Mutex`]), assert its invariant,
 //! and hand it to [`bns_sync::model::check`] under an exhaustive (small
 //! state space) or seeded-random (larger) exploration mode. Several tests
 //! also include a deliberately broken variant and assert the checker

@@ -1,17 +1,11 @@
-//! Mergeable sufficient statistics of the Bayesian sampling signals.
+//! Sufficient statistics of the Bayesian sampling signals.
 //!
 //! Each BNS draw evaluates the per-candidate signals of Eq. (4)/(15)–(17)/
 //! (32) and selects one negative. [`PosteriorStats`] accumulates the sums
 //! needed to recover the epoch means of those signals for the *selected*
-//! negatives — the quantities behind the paper's Fig. 4 risk analysis —
-//! as plain sums, so per-shard accumulators from a parallel training run
-//! can be combined at epoch barriers with [`PosteriorStats::merge`]
-//! without any loss of information (they are sufficient statistics of the
-//! means).
+//! negatives — the quantities behind the paper's Fig. 4 risk analysis.
 
-/// Sums of the selected-negative sampling signals over one epoch (or one
-/// shard of one epoch). All fields are additive, so sharded accumulators
-/// merge exactly.
+/// Sums of the selected-negative sampling signals over one epoch.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PosteriorStats {
     /// Number of Bayesian draws recorded (warm-up uniform draws excluded).
@@ -37,17 +31,6 @@ impl PosteriorStats {
         self.prior_sum += signal.p_fn;
         self.unbias_sum += signal.unbias;
         self.risk_sum += signal.risk;
-    }
-
-    /// Folds another accumulator into this one (the epoch-barrier merge of
-    /// the parallel trainer).
-    pub fn merge(&mut self, other: &PosteriorStats) {
-        self.draws += other.draws;
-        self.info_sum += other.info_sum;
-        self.likelihood_sum += other.likelihood_sum;
-        self.prior_sum += other.prior_sum;
-        self.unbias_sum += other.unbias_sum;
-        self.risk_sum += other.risk_sum;
     }
 
     /// Mean posterior `unbias` of the epoch's selected negatives, or 0.0
@@ -111,53 +94,5 @@ mod tests {
         assert_eq!(s.draws, 2);
         assert!((s.mean_info() - 0.4).abs() < 1e-12);
         assert!((s.mean_unbias() - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_equals_sequential_recording() {
-        // Sufficiency: recording in two shards then merging must equal
-        // recording everything in one accumulator.
-        let sig: Vec<CandidateSignal> = (0..10)
-            .map(|i| signal(0.05 * i as f64, 1.0 - 0.07 * i as f64))
-            .collect();
-        let mut whole = PosteriorStats::default();
-        for s in &sig {
-            whole.record(s);
-        }
-        let mut shard_a = PosteriorStats::default();
-        let mut shard_b = PosteriorStats::default();
-        for (i, s) in sig.iter().enumerate() {
-            if i % 2 == 0 {
-                shard_a.record(s);
-            } else {
-                shard_b.record(s);
-            }
-        }
-        shard_a.merge(&shard_b);
-        assert_eq!(shard_a.draws, whole.draws);
-        // Sums agree up to floating-point reassociation.
-        for (a, b) in [
-            (shard_a.info_sum, whole.info_sum),
-            (shard_a.likelihood_sum, whole.likelihood_sum),
-            (shard_a.prior_sum, whole.prior_sum),
-            (shard_a.unbias_sum, whole.unbias_sum),
-            (shard_a.risk_sum, whole.risk_sum),
-        ] {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn merge_is_commutative() {
-        let mut a = PosteriorStats::default();
-        a.record(&signal(0.3, 0.7));
-        let mut b = PosteriorStats::default();
-        b.record(&signal(0.9, 0.2));
-        b.record(&signal(0.1, 0.5));
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba);
     }
 }

@@ -27,10 +27,6 @@
 //!   that wires a sampler into a
 //!   [`PairwiseModel`](bns_model::PairwiseModel), with observer hooks for
 //!   the quality probes.
-//! * [`parallel`] — [`train_hogwild`], the sharded multi-core engine:
-//!   hogwild SGD over user shards with per-worker RNG/sampler state and
-//!   epoch-barrier statistic merges. It takes the same [`TrainConfig`] as
-//!   [`train`] plus a thread count; [`train`] stays the bit-exact engine.
 //! * [`factory`] — plain-data sampler configs → boxed samplers.
 
 pub mod aobpr;
@@ -39,7 +35,6 @@ pub mod classifier;
 pub mod contrastive;
 pub mod dns;
 pub mod factory;
-pub mod parallel;
 pub mod pns;
 pub mod rns;
 pub mod sampler;
@@ -50,7 +45,6 @@ pub use bns::{BnsConfig, BnsSampler, Criterion, LambdaSchedule, PosteriorStats, 
 pub use bns_model::TripleBatch;
 pub use contrastive::{train_contrastive, ContrastiveConfig, ContrastiveStats};
 pub use factory::{build_sampler, SamplerConfig};
-pub use parallel::train_hogwild;
 pub use sampler::{NegativeSampler, SampleContext, ScoreAccess};
 pub use trainer::{train, NoopObserver, TrainConfig, TrainObserver, TrainStats};
 

@@ -142,15 +142,13 @@ pub trait NegativeSampler {
     /// Hook called at the start of every epoch, before any sampling.
     fn on_epoch_start(&mut self, _epoch: usize) {}
 
-    /// Drains the sampler's mergeable sufficient statistics accumulated
-    /// since the last call (one epoch's worth when drained at epoch
-    /// boundaries, as both trainers do).
+    /// Drains the sampler's sufficient statistics accumulated since the
+    /// last call (one epoch's worth when drained at epoch boundaries, as
+    /// the trainer does).
     ///
     /// Samplers without Bayesian signals return `None` (the default). The
     /// BNS sampler returns the sums behind its per-epoch mean
-    /// `info`/`unbias`/risk diagnostics; sharded samplers in the parallel
-    /// trainer are drained per worker and merged at the epoch barrier via
-    /// [`crate::bns::PosteriorStats::merge`].
+    /// `info`/`unbias`/risk diagnostics.
     fn take_epoch_stats(&mut self) -> Option<crate::bns::PosteriorStats> {
         None
     }

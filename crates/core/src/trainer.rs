@@ -18,9 +18,7 @@
 //! applies updates exactly like the historical one-triple-at-a-time loop,
 //! so the pre-batching training trace is preserved bit for bit
 //! (`tests/batch_equivalence.rs` pins the sampler side of that contract;
-//! the blocked MF group update pins the model side). The multi-core
-//! engine in [`crate::parallel`] shares the same fill/update cycle and
-//! differs only in how updates are applied.
+//! the blocked MF group update pins the model side).
 
 use crate::bns::PosteriorStats;
 use crate::sampler::{NegativeSampler, SampleContext, ScoreAccess};
@@ -45,10 +43,7 @@ use rand::SeedableRng;
 ///
 /// # Forward compatibility
 ///
-/// New knobs may be added to this struct in future releases. It holds
-/// only what both engines share: the serial [`train`] and the hogwild
-/// [`crate::train_hogwild`] take the same `TrainConfig`, and the hogwild
-/// engine's one extra setting, its thread count, is a plain argument.
+/// New knobs may be added to this struct in future releases.
 /// Downstream code should construct it through the
 /// `paper_*` constructors and functional-update syntax
 /// (`TrainConfig { epochs: 10, ..TrainConfig::paper_mf(10, 0) }`) rather
@@ -144,8 +139,7 @@ pub struct TrainStats {
     /// Per-epoch sufficient statistics of the sampler's Bayesian signals
     /// (Eq. 15/16/17/32 sums for the selected negatives), drained via
     /// [`NegativeSampler::take_epoch_stats`]. All-zero entries for samplers
-    /// that expose none (RNS, PNS, …); merged across shards by the
-    /// parallel trainer.
+    /// that expose none (RNS, PNS, …).
     pub posterior_per_epoch: Vec<PosteriorStats>,
     /// Wall-clock seconds for the whole run.
     pub wall_seconds: f64,
@@ -158,7 +152,7 @@ pub struct TrainStats {
 /// This is the **per-pair** sampling step — the reference the batched
 /// pipeline is equivalence-tested against (`tests/batch_equivalence.rs`)
 /// and the baseline the benches compare batched throughput to. The
-/// training engines themselves go through
+/// trainer itself goes through
 /// [`crate::NegativeSampler::sample_batch`].
 /// `user_scores` is the caller's reusable rating-vector buffer: it is
 /// grown to `train.n_items()` and overwritten **only** under `Full`

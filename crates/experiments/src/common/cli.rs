@@ -8,9 +8,6 @@
 //! --epochs <n>          training epochs (default 40; paper uses 100)
 //! --seed <n>            master RNG seed (default 42)
 //! --threads <n>         evaluation threads (default 4)
-//! --train-threads <n>   hogwild training shards for MF runs (default 1 =
-//!                       serial bit-exact; > 1 trades the bit-exact trace
-//!                       for multi-core throughput)
 //! --k-negatives <n>     negatives sampled per positive pair (default 1 =
 //!                       the paper's Algorithm 1; > 1 is the multi-negative
 //!                       batch workload)
@@ -34,8 +31,6 @@ pub struct HarnessArgs {
     pub seed: u64,
     /// Evaluation threads.
     pub threads: usize,
-    /// Hogwild training shards for MF runs (1 = serial bit-exact engine).
-    pub train_threads: usize,
     /// Negatives per positive pair (1 = the paper's Algorithm 1).
     pub k_negatives: usize,
     /// Optional CSV output directory.
@@ -51,7 +46,6 @@ impl Default for HarnessArgs {
             epochs: 40,
             seed: 42,
             threads: 4,
-            train_threads: 1,
             k_negatives: 1,
             csv: None,
             save_artifact: None,
@@ -70,7 +64,6 @@ impl HarnessArgs {
                 "--epochs" => out.epochs = take_value(&mut iter, "--epochs")?,
                 "--seed" => out.seed = take_value(&mut iter, "--seed")?,
                 "--threads" => out.threads = take_value(&mut iter, "--threads")?,
-                "--train-threads" => out.train_threads = take_value(&mut iter, "--train-threads")?,
                 "--k-negatives" => out.k_negatives = take_value(&mut iter, "--k-negatives")?,
                 "--csv" => {
                     let dir = iter.next().ok_or("--csv requires a directory")?;
@@ -97,9 +90,6 @@ impl HarnessArgs {
         if out.threads == 0 {
             return Err("--threads must be > 0".into());
         }
-        if out.train_threads == 0 {
-            return Err("--train-threads must be > 0".into());
-        }
         if out.k_negatives == 0 {
             return Err("--k-negatives must be > 0".into());
         }
@@ -119,7 +109,7 @@ impl HarnessArgs {
 
     /// Usage text.
     pub fn usage() -> &'static str {
-        "usage: <bin> [--scale F] [--epochs N] [--seed N] [--threads N] [--train-threads N] [--k-negatives N] [--csv DIR] [--save-artifact PATH] [--quick]"
+        "usage: <bin> [--scale F] [--epochs N] [--seed N] [--threads N] [--k-negatives N] [--csv DIR] [--save-artifact PATH] [--quick]"
     }
 }
 
@@ -159,8 +149,6 @@ mod tests {
             "9",
             "--threads",
             "2",
-            "--train-threads",
-            "4",
             "--k-negatives",
             "3",
             "--csv",
@@ -173,7 +161,6 @@ mod tests {
         assert_eq!(a.epochs, 77);
         assert_eq!(a.seed, 9);
         assert_eq!(a.threads, 2);
-        assert_eq!(a.train_threads, 4);
         assert_eq!(a.k_negatives, 3);
         assert_eq!(a.csv, Some(PathBuf::from("/tmp/x")));
         assert_eq!(a.save_artifact, Some(PathBuf::from("/tmp/model.bnsa")));
@@ -194,7 +181,9 @@ mod tests {
         assert!(parse(&["--scale", "1.5"]).is_err());
         assert!(parse(&["--epochs", "0"]).is_err());
         assert!(parse(&["--threads", "0"]).is_err());
-        assert!(parse(&["--train-threads", "0"]).is_err());
+        // A removed flag must be rejected, never silently ignored.
+        let err = parse(&["--train-threads", "2"]).unwrap_err();
+        assert!(err.starts_with("unknown flag `--train-threads`"), "{err}");
         assert!(parse(&["--k-negatives", "0"]).is_err());
         assert!(parse(&["--save-artifact"]).is_err());
         assert!(parse(&["--bogus"]).is_err());

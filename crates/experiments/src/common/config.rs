@@ -45,10 +45,6 @@ pub struct RunConfig {
     pub seed: u64,
     /// Evaluation threads.
     pub threads: usize,
-    /// Hogwild training shards for MF runs: 1 trains on the bit-exact
-    /// serial `bns_core::train`; > 1 passes this count to
-    /// `bns_core::train_hogwild`.
-    pub train_threads: usize,
     /// Negatives sampled per positive pair (paper: 1; > 1 feeds the
     /// multi-negative `TripleBatch` workload).
     pub k_negatives: usize,
@@ -74,7 +70,6 @@ impl RunConfig {
             epochs: args.epochs,
             seed: args.seed,
             threads: args.threads,
-            train_threads: args.train_threads,
             k_negatives: args.k_negatives,
             dim: 32,
             init_std: 0.1,

@@ -1,17 +1,13 @@
 //! Glue: dataset preparation, model construction, train-and-eval plumbing.
 //!
-//! Observer-free runs (the table binaries' bulk training) honor
-//! [`RunConfig::train_threads`]: MF runs with `train_threads > 1` go
-//! through the sharded hogwild engine
-//! ([`bns_core::train_hogwild`]). Observer-driven runs (the
-//! figure binaries' TNR/INF and score-distribution probes) always use the
-//! serial engine, because per-triple callbacks are a serial-engine
-//! contract.
+//! Every run, observer-free (the table binaries' bulk training) or
+//! observer-driven (the figure binaries' TNR/INF and score-distribution
+//! probes), trains on the serial, bit-exact [`bns_core::train`].
 
 use crate::common::config::{ModelKind, RunConfig};
 use bns_core::{
-    build_sampler, train, train_hogwild, NegativeSampler, NoopObserver, SamplerConfig, TrainConfig,
-    TrainObserver, TrainStats,
+    build_sampler, train, NegativeSampler, NoopObserver, SamplerConfig, TrainConfig, TrainObserver,
+    TrainStats,
 };
 use bns_data::synthetic::generate;
 use bns_data::{split_random, Dataset, DatasetPreset, Occupations, SplitConfig};
@@ -249,38 +245,7 @@ pub fn train_model_with_sampler(
     (model, stats)
 }
 
-/// Trains MF on the sharded hogwild engine with `cfg.train_threads`
-/// workers. Only the final metrics are statistically reproducible (see
-/// `bns_core::parallel`); use the serial path when a bit-exact trace or
-/// per-triple observation is needed.
-pub fn train_mf_hogwild(
-    prepared: &PreparedDataset,
-    preset: DatasetPreset,
-    sampler_cfg: &SamplerConfig,
-    cfg: &RunConfig,
-) -> (AnyModel, TrainStats) {
-    let AnyModel::Mf(mut model) = AnyModel::build(ModelKind::Mf, &prepared.dataset, cfg) else {
-        unreachable!("ModelKind::Mf builds an MF model");
-    };
-    let tc = paper_train_config(ModelKind::Mf, preset, cfg);
-    let stats = train_hogwild(
-        &mut model,
-        &prepared.dataset,
-        sampler_cfg,
-        Some(&prepared.occupations),
-        &tc,
-        cfg.train_threads,
-        &mut NoopObserver,
-    )
-    .expect("training run");
-    (AnyModel::Mf(model), stats)
-}
-
 /// Convenience: train and evaluate with no observer.
-///
-/// MF runs honor [`RunConfig::train_threads`] through the sharded hogwild
-/// engine; LightGCN (whose batched propagation is not hogwild-shardable)
-/// always trains serially.
 pub fn train_and_eval(
     prepared: &PreparedDataset,
     preset: DatasetPreset,
@@ -288,11 +253,7 @@ pub fn train_and_eval(
     sampler_cfg: &SamplerConfig,
     cfg: &RunConfig,
 ) -> (RankingReport, TrainStats) {
-    let (model, stats) = if cfg.train_threads > 1 && kind == ModelKind::Mf {
-        train_mf_hogwild(prepared, preset, sampler_cfg, cfg)
-    } else {
-        train_model(prepared, preset, kind, sampler_cfg, cfg, &mut NoopObserver)
-    };
+    let (model, stats) = train_model(prepared, preset, kind, sampler_cfg, cfg, &mut NoopObserver);
     if let Some(path) = &cfg.save_artifact {
         save_artifact(&model, prepared, path);
     }
@@ -408,35 +369,6 @@ mod tests {
             assert!(stats.triples > 0, "{}: no triples", kind.name());
             assert_eq!(report.rows.len(), 3);
             assert!(report.n_users > 0);
-        }
-    }
-
-    #[test]
-    fn hogwild_train_threads_produces_comparable_metrics() {
-        let mut cfg = quick_cfg();
-        cfg.epochs = 6;
-        let prepared = prepare_dataset(DatasetPreset::Ml100k, &cfg);
-        let (serial_report, serial_stats) = train_and_eval(
-            &prepared,
-            DatasetPreset::Ml100k,
-            ModelKind::Mf,
-            &SamplerConfig::Rns,
-            &cfg,
-        );
-        cfg.train_threads = 4;
-        let (hog_report, hog_stats) = train_and_eval(
-            &prepared,
-            DatasetPreset::Ml100k,
-            ModelKind::Mf,
-            &SamplerConfig::Rns,
-            &cfg,
-        );
-        assert_eq!(serial_stats.triples, hog_stats.triples);
-        // Both engines train a usable model; exact metric equality is not
-        // expected under hogwild.
-        assert!(hog_report.n_users == serial_report.n_users);
-        for (a, b) in serial_report.rows.iter().zip(&hog_report.rows) {
-            assert!((a.ndcg - b.ndcg).abs() < 0.2, "{} vs {}", a.ndcg, b.ndcg);
         }
     }
 

@@ -16,10 +16,9 @@
 //! | `fig5`   | Fig. 5 — sensitivity to λ and |Mᵤ| |
 //!
 //! Every binary accepts `--scale <f>` (default 0.15; `--scale 1.0` is paper
-//! scale), `--epochs <n>`, `--seed <n>`, `--threads <n>` (evaluation),
-//! `--train-threads <n>` (hogwild training shards for observer-free MF
-//! runs; default 1 = serial bit-exact engine) and `--csv <dir>` (write
-//! machine-readable series next to the pretty tables). Measured numbers
+//! scale), `--epochs <n>`, `--seed <n>`, `--threads <n>` (evaluation)
+//! and `--csv <dir>` (write machine-readable series next to the pretty
+//! tables). Measured numbers
 //! are printed beside the paper's published values wherever the paper
 //! reports them.
 

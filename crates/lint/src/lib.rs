@@ -161,8 +161,8 @@ pub fn lint_source(relpath: &str, text: &str) -> Vec<Diagnostic> {
                 line: lineno,
                 rule: "atomic-import",
                 message: "raw atomics are only allowed inside the bns-sync facade; \
-                          use its types (AtomicF32Cell, ClaimCursor, Generation, Counter, \
-                          PoisonFlag) or add one there"
+                          use its types (ClaimCursor, Generation, Counter, PoisonFlag) \
+                          or add one there"
                     .to_string(),
             });
         }

@@ -17,11 +17,9 @@
 //!   candidate-scoring path of `ScoreAccess::Candidates` samplers),
 //! * [`gemm`] — a tile of [`TILE`] user rows × a block of item rows, each
 //!   item row read once for the whole tile (the ranking protocol's
-//!   `Scorer::score_tile`, dispatched by [`score_tile`]),
-//! * [`dot_atomic`] — the same arithmetic over [`AtomicF32Cell`] rows (the
-//!   hogwild tables of [`crate::hogwild`]).
+//!   `Scorer::score_tile`, dispatched by [`score_tile`]).
 //!
-//! Because all five share one accumulation structure, `score(u, i)`,
+//! Because all four share one accumulation structure, `score(u, i)`,
 //! `score_all(u, ..)[i]`, `score_items(u, [i], ..)` and `score_tile`
 //! return **bitwise identical** values for the same model state — the
 //! property the fused BNS draw relies on when it compares candidate
@@ -46,8 +44,6 @@
 //! accuracy against an `f64` scalar reference is property-tested here and
 //! in `tests/proptests.rs` (≤ 1e-5 relative).
 
-use bns_sync::AtomicF32Cell;
-
 /// Number of independent accumulators in the unrolled kernels.
 pub const LANES: usize = 8;
 
@@ -62,6 +58,14 @@ pub const LANES: usize = 8;
 /// vectorize. Either way the summation order is fixed; the chosen path is
 /// part of the binary's deterministic identity (same binary → same bits),
 /// which is all the repro guards require.
+#[cfg(any(
+    test,
+    not(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    ))
+))]
 #[inline(always)]
 fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
     #[cfg(target_feature = "fma")]
@@ -77,6 +81,14 @@ fn fmadd(a: f32, b: f32, acc: f32) -> f32 {
 /// Reduces the lane accumulators plus a scalar tail in a fixed balanced
 /// tree. One reduction order for every kernel — the bit-consistency
 /// contract of the module.
+#[cfg(any(
+    test,
+    not(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    ))
+))]
 #[inline(always)]
 fn reduce(acc: [f32; LANES], tail: f32) -> f32 {
     (((acc[0] + acc[4]) + (acc[1] + acc[5])) + ((acc[2] + acc[6]) + (acc[3] + acc[7]))) + tail
@@ -158,29 +170,6 @@ fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     let mut tail = 0.0f32;
     for (&x, &y) in a_rem.iter().zip(b_rem) {
         tail = fmadd(x, y, tail);
-    }
-    reduce(acc, tail)
-}
-
-/// [`dot`] over one plain row and one row of relaxed-atomic bit cells —
-/// the hogwild variant. Identical accumulation structure, so for equal
-/// values the result is bitwise equal to [`dot`].
-#[inline]
-pub fn dot_atomic(a: &[f32], cells: &[AtomicF32Cell]) -> f32 {
-    debug_assert_eq!(a.len(), cells.len(), "dot operands must have equal length");
-    let mut acc = [0.0f32; LANES];
-    let a_chunks = a.chunks_exact(LANES);
-    let c_chunks = cells.chunks_exact(LANES);
-    let a_rem = a_chunks.remainder();
-    let c_rem = c_chunks.remainder();
-    for (ca, cc) in a_chunks.zip(c_chunks) {
-        for l in 0..LANES {
-            acc[l] = fmadd(ca[l], cc[l].load(), acc[l]);
-        }
-    }
-    let mut tail = 0.0f32;
-    for (&x, cell) in a_rem.iter().zip(c_rem) {
-        tail = fmadd(x, cell.load(), tail);
     }
     reduce(acc, tail)
 }
@@ -425,16 +414,6 @@ mod tests {
     fn dot_exact_small_integers() {
         assert_eq!(dot(&[1.0, 2.0, 3.0], &[4.0, 5.0, 6.0]), 32.0);
         assert_eq!(dot(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn atomic_dot_is_bitwise_equal_to_plain_dot() {
-        for n in [3usize, 8, 32, 50] {
-            let a = pseudo(n, 3);
-            let b = pseudo(n, 4);
-            let cells: Vec<AtomicF32Cell> = b.iter().map(|&x| AtomicF32Cell::new(x)).collect();
-            assert_eq!(dot(&a, &b).to_bits(), dot_atomic(&a, &cells).to_bits());
-        }
     }
 
     #[test]

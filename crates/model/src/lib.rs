@@ -21,10 +21,8 @@
 //!   paper uses for LightGCN) and SGD hyperparameters.
 //! * [`loss`] — sigmoid / BPR loss / the `info(·)` gradient magnitude of
 //!   Eq. (4).
-//! * [`hogwild`] — lock-free shared MF storage for hogwild-style parallel
-//!   SGD (relaxed-atomic embedding tables behind a safe API).
 //! * [`kernel`] — the unrolled `mul_add` scoring kernels (dot / GEMV /
-//!   gather-dot / user-tiled GEMM and the atomic hogwild variant) with one
+//!   gather-dot / user-tiled GEMM) with one
 //!   fixed summation order shared by every scoring entry point, plus the
 //!   shared per-triple BPR step.
 //! * [`batch`] — the SoA [`batch::TripleBatch`] buffer: `{users, pos,
@@ -36,7 +34,6 @@
 
 pub mod batch;
 pub mod embedding;
-pub mod hogwild;
 pub mod kernel;
 pub mod lightgcn;
 pub mod loss;
@@ -47,7 +44,6 @@ pub mod snapshot;
 
 pub use batch::TripleBatch;
 pub use embedding::Embedding;
-pub use hogwild::{AtomicEmbedding, HogwildMf, HogwildScratch};
 pub use lightgcn::LightGcn;
 pub use mf::MatrixFactorization;
 pub use optim::{LrSchedule, SgdConfig};

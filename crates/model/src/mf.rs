@@ -60,8 +60,8 @@ impl MatrixFactorization {
         })
     }
 
-    /// Wraps existing user/item embedding tables into a model (used by the
-    /// hogwild storage to convert back after a parallel run).
+    /// Wraps existing user/item embedding tables into a model (hand-built
+    /// or loaded tables, e.g. in tests and benchmarks).
     pub fn from_embeddings(users: Embedding, items: Embedding) -> Result<Self> {
         if users.dim() != items.dim() {
             return Err(ModelError::ShapeMismatch(format!(

@@ -2,24 +2,22 @@
 //!
 //! Every scorer the workspace trains ultimately ranks with a dot product
 //! between a user row and an item row (MF directly; LightGCN after
-//! propagating and layer-averaging its base embeddings; the hogwild tables
-//! after a relaxed-atomic read-back). [`SnapshotScorer`] exposes that
-//! common dense form: a `(users, items)` pair of [`Embedding`] tables such
-//! that `kernel::dot(users.row(u), items.row(i))` is **bitwise identical**
-//! to the live model's [`Scorer::score`] — the contract `bns-serve` builds
+//! propagating and layer-averaging its base embeddings).
+//! [`SnapshotScorer`] exposes that common dense form: a `(users, items)`
+//! pair of [`Embedding`] tables such that
+//! `kernel::dot(users.row(u), items.row(i))` is **bitwise identical** to
+//! the live model's [`Scorer::score`] — the contract `bns-serve` builds
 //! its immutable [`ModelArtifact`] on.
 //!
 //! The bitwise guarantee holds because every scoring path in the workspace
 //! shares one summation order ([`crate::kernel`]): MF scores through
-//! `kernel::dot`, the hogwild tables through `kernel::dot_atomic` (same
-//! reduction over the same bits), and LightGCN through `kernel::dot` on
-//! its propagated rows — so copying the tables and re-running the
-//! kernel reproduces every score exactly.
+//! `kernel::dot`, and LightGCN through `kernel::dot` on its propagated
+//! rows — so copying the tables and re-running the kernel reproduces
+//! every score exactly.
 //!
 //! [`ModelArtifact`]: https://docs.rs/bns-serve
 
 use crate::embedding::Embedding;
-use crate::hogwild::HogwildMf;
 use crate::lightgcn::LightGcn;
 use crate::mf::MatrixFactorization;
 use crate::scorer::Scorer;
@@ -31,8 +29,6 @@ use crate::{ModelError, Result};
 pub enum SnapshotKind {
     /// Serial BPR matrix factorization.
     Mf,
-    /// Hogwild (relaxed-atomic) MF storage, read back post-join.
-    HogwildMf,
     /// LightGCN with the propagated, layer-averaged embeddings baked in.
     LightGcnPropagated,
 }
@@ -40,9 +36,10 @@ pub enum SnapshotKind {
 impl SnapshotKind {
     /// Stable on-disk tag (artifact format field).
     pub fn tag(self) -> u32 {
+        // Tag 1 is retired and must never be reused: artifacts written with
+        // it must keep failing to decode rather than load as another kind.
         match self {
             SnapshotKind::Mf => 0,
-            SnapshotKind::HogwildMf => 1,
             SnapshotKind::LightGcnPropagated => 2,
         }
     }
@@ -51,7 +48,6 @@ impl SnapshotKind {
     pub fn from_tag(tag: u32) -> Option<Self> {
         match tag {
             0 => Some(SnapshotKind::Mf),
-            1 => Some(SnapshotKind::HogwildMf),
             2 => Some(SnapshotKind::LightGcnPropagated),
             _ => None,
         }
@@ -61,7 +57,6 @@ impl SnapshotKind {
     pub fn name(self) -> &'static str {
         match self {
             SnapshotKind::Mf => "MF",
-            SnapshotKind::HogwildMf => "HogwildMF",
             SnapshotKind::LightGcnPropagated => "LightGCN-propagated",
         }
     }
@@ -103,22 +98,6 @@ impl SnapshotScorer for MatrixFactorization {
 
     fn snapshot_embeddings(&self) -> Result<(Embedding, Embedding)> {
         Ok((self.users().clone(), self.items().clone()))
-    }
-}
-
-impl SnapshotScorer for HogwildMf {
-    fn snapshot_kind(&self) -> SnapshotKind {
-        SnapshotKind::HogwildMf
-    }
-
-    /// Reads the relaxed-atomic tables back bit-for-bit, one copy per
-    /// table (no intermediate `to_mf` materialization — freezing a
-    /// million-user model is memcpy-bound). Callers should snapshot after
-    /// the training scope has joined; a racing writer would not be
-    /// unsound but the snapshot would mix epochs (the same caveat as
-    /// [`crate::hogwild::AtomicEmbedding::to_embedding`]).
-    fn snapshot_embeddings(&self) -> Result<(Embedding, Embedding)> {
-        Ok((self.users().to_embedding(), self.items().to_embedding()))
     }
 }
 
@@ -166,13 +145,11 @@ mod tests {
 
     #[test]
     fn tags_round_trip() {
-        for kind in [
-            SnapshotKind::Mf,
-            SnapshotKind::HogwildMf,
-            SnapshotKind::LightGcnPropagated,
-        ] {
+        for kind in [SnapshotKind::Mf, SnapshotKind::LightGcnPropagated] {
             assert_eq!(SnapshotKind::from_tag(kind.tag()), Some(kind));
         }
+        // Tag 1 is retired and must stay unknown.
+        assert_eq!(SnapshotKind::from_tag(1), None);
         assert_eq!(SnapshotKind::from_tag(99), None);
     }
 
@@ -185,20 +162,6 @@ mod tests {
             for i in 0..6u32 {
                 let frozen = crate::kernel::dot(users.row(u as usize), items.row(i as usize));
                 assert_eq!(frozen.to_bits(), m.score(u, i).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn hogwild_snapshot_scores_bitwise() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let mf = MatrixFactorization::new(3, 5, 8, 0.1, &mut rng).unwrap();
-        let hog = HogwildMf::from_mf(&mf);
-        let (users, items) = hog.snapshot_embeddings().unwrap();
-        for u in 0..3u32 {
-            for i in 0..5u32 {
-                let frozen = crate::kernel::dot(users.row(u as usize), items.row(i as usize));
-                assert_eq!(frozen.to_bits(), hog.score(u, i).to_bits());
             }
         }
     }

@@ -7,9 +7,9 @@
 //!
 //! * [`artifact`] — [`ModelArtifact`]: a versioned, checksummed,
 //!   memory-layout-stable binary freeze of any trained
-//!   [`bns_model::SnapshotScorer`] (MF, hogwild MF, LightGCN with the
-//!   propagation baked in) together with the training-positive CSR used
-//!   for seen-item filtering. Save → load → score is **bitwise identical**
+//!   [`bns_model::SnapshotScorer`] (MF, LightGCN with the propagation
+//!   baked in) together with the training-positive CSR used for
+//!   seen-item filtering. Save → load → score is **bitwise identical**
 //!   to the live model, so offline evaluation numbers carry over to
 //!   serving exactly.
 //! * [`index`] — [`IvfIndex`]: the freeze-time IVF candidate-generation
@@ -57,13 +57,11 @@
 //! reads frozen tables through the fixed-summation-order kernel, ties
 //! break toward lower item ids (`bns_eval::topk`), and the work-stealing
 //! scheduler affects only *which thread* answers a request, never the
-//! answer. The only
-//! nondeterminism in the subsystem is upstream: hogwild training produces
-//! run-dependent tables; freezing any table makes every downstream query
-//! of it reproducible. The IVF path is equally deterministic — its
-//! answers are a pure function of `(artifact, nprobe)` — but approximate
-//! against the exact ranking, which is why it carries a recall@k gate
-//! instead of a bitwise one.
+//! answer. Training is bit-exact too (same seed, same binary, same
+//! tables), so a frozen artifact is reproducible from its seed. The IVF
+//! path is equally deterministic — its answers are a pure function of
+//! `(artifact, nprobe)` — but approximate against the exact ranking,
+//! which is why it carries a recall@k gate instead of a bitwise one.
 
 pub mod artifact;
 pub mod cache;

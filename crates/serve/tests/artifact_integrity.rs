@@ -1,10 +1,10 @@
 //! Artifact integrity suite: every corruption class is rejected with the
 //! right **typed** error — through the buffered *and* the mmap-backed
 //! zero-copy load path — and save → load → score is bitwise identical to
-//! the live model for all three freezable scorers.
+//! the live model for both freezable scorers.
 
 use bns_data::Interactions;
-use bns_model::{HogwildMf, LightGcn, MatrixFactorization, Scorer, SnapshotKind, SnapshotScorer};
+use bns_model::{LightGcn, MatrixFactorization, Scorer, SnapshotKind, SnapshotScorer};
 use bns_serve::artifact::{fnv1a64, fnv1a64_words, MAGIC, VERSION};
 use bns_serve::{IndexMode, IvfConfig, ModelArtifact, QueryEngine, ServeError};
 use proptest::prelude::*;
@@ -124,13 +124,19 @@ fn v1_artifact_is_rejected_with_the_typed_version_error() {
 
 #[test]
 fn unknown_snapshot_kind_is_rejected() {
-    let mut buf = encoded();
-    buf[8..12].copy_from_slice(&7u32.to_le_bytes());
-    restamp(&mut buf);
-    assert!(matches!(
-        ModelArtifact::decode(&buf),
-        Err(ServeError::Invalid(_))
-    ));
+    // 7 was never assigned; 1 is a retired tag that must not alias to a
+    // live kind.
+    for tag in [7u32, 1] {
+        let mut buf = encoded();
+        buf[8..12].copy_from_slice(&tag.to_le_bytes());
+        restamp(&mut buf);
+        match ModelArtifact::decode(&buf) {
+            Err(ServeError::Invalid(msg)) => {
+                assert_eq!(msg, format!("unknown snapshot kind tag {tag}"))
+            }
+            other => panic!("tag {tag}: expected Invalid, got {other:?}"),
+        }
+    }
 }
 
 #[test]
@@ -429,20 +435,6 @@ fn mapped_load_scores_bitwise_like_the_buffered_load() {
 }
 
 #[test]
-fn hogwild_freeze_round_trips_bitwise() {
-    let (mf, seen) = fixture();
-    let hog = HogwildMf::from_mf(&mf);
-    let artifact = ModelArtifact::freeze(&hog, &seen).unwrap();
-    assert_eq!(artifact.kind(), SnapshotKind::HogwildMf);
-    let reloaded = ModelArtifact::decode(&artifact.encode()).unwrap();
-    for u in 0..5u32 {
-        for i in 0..9u32 {
-            assert_eq!(reloaded.score(u, i).to_bits(), hog.score(u, i).to_bits());
-        }
-    }
-}
-
-#[test]
 fn lightgcn_freeze_round_trips_bitwise() {
     let (_, seen) = fixture();
     let mut rng = StdRng::seed_from_u64(123);
@@ -463,7 +455,7 @@ fn lightgcn_freeze_round_trips_bitwise() {
 
 proptest! {
     /// The acceptance property of the artifact format: for any model shape
-    /// and seed, and any of the three freezable scorers, encode → decode →
+    /// and seed, and either freezable scorer, encode → decode →
     /// `score_items` reproduces the live model's scores bit for bit — and
     /// the mmap-backed load path agrees with the buffered one.
     #[test]
@@ -472,7 +464,7 @@ proptest! {
         n_items in 3u32..16,
         dim in 1usize..12,
         seed in 0u64..200,
-        kind in 0u32..3,
+        kind in 0u32..2,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let pairs: Vec<(u32, u32)> = (0..n_users)
@@ -484,14 +476,9 @@ proptest! {
             .collect();
         let seen = Interactions::from_pairs(n_users, n_items, &pairs).unwrap();
         let mf = MatrixFactorization::new(n_users, n_items, dim, 0.1, &mut rng).unwrap();
-        let hog;
         let gcn;
         let live: &dyn SnapshotScorer = match kind {
             0 => &mf,
-            1 => {
-                hog = HogwildMf::from_mf(&mf);
-                &hog
-            }
             _ => {
                 gcn = LightGcn::new(&seen, dim, 1, 0.1, &mut rng).unwrap();
                 &gcn

@@ -9,7 +9,6 @@
 //!
 //! | Type | Protocol | Orderings |
 //! |------|----------|-----------|
-//! | [`AtomicF32Cell`] | hogwild embedding tables: racy-by-design reads and writes of f32 bit patterns | `Relaxed` load/store |
 //! | [`ClaimCursor`] | work-stealing claim loops: exclusivity comes from RMW atomicity alone | `Relaxed` `fetch_add` |
 //! | [`Generation`] | cache-invalidation epochs: the bump publishes "a new artifact is live" | `Release` bump / `Acquire` read |
 //! | [`Counter`] | statistics (hit/lookup counts) that no control flow depends on | `Relaxed` |
@@ -37,13 +36,11 @@
 //!
 //! Being the workspace's dependency-free leaf, this crate also hosts the
 //! one [`splitmix64`] that the model checker, the synthetic data
-//! generator, the IVF index build and the hogwild trainer derive their
-//! seeds from.
+//! generator and the IVF index build derive their seeds from.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod cell;
 mod counter;
 mod cursor;
 mod flag;
@@ -54,7 +51,6 @@ mod mutex;
 mod padded;
 mod rwlock;
 
-pub use cell::AtomicF32Cell;
 pub use counter::Counter;
 pub use cursor::ClaimCursor;
 pub use flag::PoisonFlag;

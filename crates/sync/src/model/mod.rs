@@ -1,11 +1,11 @@
 //! A loom-lite deterministic model checker for the facade types.
 //!
-//! The stress tests in this workspace (`concurrent_updates_keep_model_finite`,
-//! `parallel_serve_matches_sequential_answers`, …) only find an interleaving
+//! The stress tests in this workspace
+//! (`parallel_serve_matches_sequential_answers`, …) only find an interleaving
 //! bug if the OS scheduler happens to produce it. This module removes the
 //! luck: a **scenario** is an ordinary closure that spawns *virtual threads*
-//! with [`spawn`], and every operation on a facade type ([`crate::AtomicF32Cell`],
-//! [`crate::ClaimCursor`], [`crate::Generation`], [`crate::Counter`],
+//! with [`spawn`], and every operation on a facade type
+//! ([`crate::ClaimCursor`], [`crate::Generation`], [`crate::Counter`],
 //! [`crate::PoisonFlag`], [`crate::Mutex`]) becomes a **schedule point** at
 //! which a deterministic scheduler decides which thread performs its next
 //! visible operation. Exactly one virtual thread runs between two points, so

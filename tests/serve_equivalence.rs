@@ -9,7 +9,7 @@ use bns::core::{build_sampler, train, NoopObserver, SamplerConfig, TrainConfig};
 use bns::data::synthetic::generate;
 use bns::data::{split_random, Dataset, DatasetPreset, Scale, SplitConfig};
 use bns::eval::{evaluate_ranking, top_k_masked};
-use bns::model::{HogwildMf, LightGcn, MatrixFactorization, Scorer, SnapshotScorer};
+use bns::model::{LightGcn, MatrixFactorization, Scorer, SnapshotScorer};
 use bns::serve::{ModelArtifact, QueryEngine, Request};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -96,13 +96,6 @@ fn assert_engine_matches_live<S: SnapshotScorer + Sync>(live: &S, dataset: &Data
 fn frozen_mf_serves_identically_to_live_model() {
     let d = dataset();
     let model = trained_mf(&d);
-    assert_engine_matches_live(&model, &d);
-}
-
-#[test]
-fn frozen_hogwild_snapshot_serves_identically() {
-    let d = dataset();
-    let model = HogwildMf::from_mf(&trained_mf(&d));
     assert_engine_matches_live(&model, &d);
 }
 
