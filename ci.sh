@@ -39,15 +39,16 @@ RUSTFLAGS="-C target-cpu=native --cfg bns_model_check" \
 # Portable kernel: every build above targets this host, so on an AVX2 + FMA
 # machine `kernel::dot` and `kernel::gemm` compile only their vector bodies.
 # Build for baseline x86-64 (no AVX2, no FMA) in a separate target dir so
-# the scalar bodies, the top-k selection they feed and the artifact's
-# `score_tile` are compiled and tested too.
+# the scalar bodies, the top-k selection they feed, the artifact's
+# `score_tile` and BNS's coded Eq. 16 pass (on the portable body of the
+# coded count kernel) are compiled and tested too.
 RUSTFLAGS="-C target-cpu=x86-64" \
-    run cargo test -q -p bns-model -p bns-eval -p bns-serve --lib --offline --locked --target-dir target/portable
+    run cargo test -q -p bns-model -p bns-core -p bns-eval -p bns-serve --lib --offline --locked --target-dir target/portable
 # Lint the same portable build: code that is dead under one cfg (a helper
 # only the scalar bodies call) shows up on one target only, and the clippy
 # step above sees the native one.
 RUSTFLAGS="-C target-cpu=x86-64" \
-    run cargo clippy -p bns-model -p bns-eval -p bns-serve --lib --offline --locked --target-dir target/portable -- -D warnings
+    run cargo clippy -p bns-model -p bns-core -p bns-eval -p bns-serve --lib --offline --locked --target-dir target/portable -- -D warnings
 # bnsbench: the gated end-to-end benchmark is a workspace of its own that
 # builds the crates above by path, so only this step compiles it against
 # their current public API. Cargo rewrites bnsbench's stale Cargo.lock

@@ -50,6 +50,42 @@
 //! `bench_json` records the draw rate of both strategies in
 //! `BENCH_samplers.json`, and `scale_bench` the default's rate up to 1M
 //! items in `BENCH_scale.json`.
+//!
+//! # The coded pass
+//!
+//! Gathering the sampled rows is most of a draw: each one is a scattered
+//! 128-byte row (d = 32) fetched from the item table. When the scorer
+//! exposes its rows ([`Scorer::row_tables`]: MF does) and an epoch sample
+//! exists, the pass instead reads a compact copy of the sample's rows,
+//! [`CodedRows`]: i16 codes with a per-row scale, dimension-major in
+//! blocks of 8 rows, and a per-row bound
+//! `B ≥ ‖h − ĥ‖₂ + γ_{d+2}(‖h‖₂ + ‖ĥ‖₂)` on the coding error. For every
+//! row, `bns_model::kernel::coded_block_counts` computes an approximate
+//! score `a` and decides `x̂ ≤ t` for each threshold whenever
+//! `|a − t| > ‖u‖₂·B` (plus a rigorously derived slack for the `f32`
+//! arithmetic, documented on the kernel). The few rows it cannot decide
+//! are re-scored exactly through [`Scorer::score_items`]. So every count
+//! equals the gather pass's count, integer for integer: every F̂, draw,
+//! RNG word and NDCG bit is unchanged, and the pass reads 72 B per row
+//! from a 1.33 MB table instead of scattered rows of the whole catalog.
+//!
+//! * **Why i16.** On the train-bns model (planted popularity column),
+//!   i16 codes leave 0.39% of the scanned rows ambiguous; i8 codes leave
+//!   59.65% with a per-row scale and 15.92% with per-column scales.
+//!   `PosteriorStats::{ecdf_rows, ecdf_rescored}` report the rate of
+//!   every run.
+//! * **Exactly fresh.** The copy is built by the first pass after the
+//!   epoch sample is drawn. The model stamps its item table on every
+//!   write and records the item rows the latest write changed
+//!   ([`bns_model::TableStamp`], [`bns_model::RowTables::changed`]).
+//!   Before each pass the copy is brought to the current stamp: nothing
+//!   when it is there, a re-code of the changed rows that are in the
+//!   sample when it is one write behind, and a full rebuild in any other
+//!   case (several writes between passes, another model, a clone). It is
+//!   never stale, whatever calls reach the model.
+//! * **Fallback.** Scorers that expose no rows (LightGCN, frozen
+//!   artifacts, wrappers that do not forward `row_tables`) and the exact
+//!   pass take the gather, which is also the tests' reference.
 
 pub mod prior;
 pub mod risk;
@@ -68,8 +104,9 @@ use crate::sampler::{
 };
 use crate::{CoreError, Result};
 use bns_data::Interactions;
+use bns_model::coded::CodedRows;
 use bns_model::loss::info;
-use bns_model::{Scorer, TripleBatch};
+use bns_model::{RowTables, Scorer, TableStamp, TripleBatch};
 
 /// Items scored per block of the fused ECDF pass. 256 scores = 1 KiB —
 /// resident in L1 while the m threshold comparisons run over it.
@@ -82,14 +119,90 @@ const ECDF_BLOCK: usize = 256;
 pub const DKW_SAMPLE: usize = 18_445;
 
 /// Reusable scratch for [`fused_ecdf_counts`]: the block of item ids being
-/// scored and their scores, and the epoch's Eq. (16) sample. Steady-state
-/// allocation-free: the block is bounded by `ECDF_BLOCK` (256) ids and the
-/// sample by its size `k`, and both buffers are reused across epochs.
+/// scored and their scores, the epoch's Eq. (16) sample, and the coded
+/// copy of the sample's item rows (see "The coded pass" above).
+/// Steady-state allocation-free: the block is bounded by `ECDF_BLOCK` (256)
+/// ids, the sample by its size `k` and the coded copy by `k` rows (72 B a
+/// row at d = 32, ~1.33 MB at `DKW_SAMPLE`); all are reused across
+/// epochs, and refreshing the copy re-codes rows in place.
 #[derive(Debug, Default)]
 pub struct EcdfScratch {
     block: Block,
     /// Sorted item ids of the epoch sample; empty until one is drawn.
     sample: Vec<u32>,
+    /// The coded copy of the sample's item rows.
+    coded: CodedSample,
+    /// Exact counts of the rows a coded pass re-scores.
+    rescored_counts: Vec<u32>,
+    /// Rows the passes scanned, and rows they scored exactly, since the
+    /// owning sampler last took its epoch statistics.
+    rows: u64,
+    rescored: u64,
+}
+
+impl EcdfScratch {
+    /// Draws the Eq. (16) sample `strategy` asks for on an `n_items`
+    /// catalog: `k` distinct ids by selection sampling for
+    /// `Subsample(k)` below the catalog size (consuming `rng`), else no
+    /// sample (the exact pass), consuming no randomness.
+    pub fn draw_sample(
+        &mut self,
+        strategy: EcdfStrategy,
+        n_items: u32,
+        rng: &mut dyn rand::RngCore,
+    ) {
+        match strategy {
+            EcdfStrategy::Subsample(k) if k < n_items as usize => {
+                selection_sample(k, n_items, &mut self.sample, rng)
+            }
+            _ => self.sample.clear(),
+        }
+        self.coded.stamp = None;
+    }
+
+    /// The sorted item ids of the epoch sample; empty when the pass scans
+    /// all of `I⁻ᵤ`.
+    pub fn sample(&self) -> &[u32] {
+        &self.sample
+    }
+}
+
+/// The coded copy of the epoch sample's item rows, in sample order, and
+/// the item-table state it equals a fresh coding of.
+#[derive(Debug, Default)]
+struct CodedSample {
+    rows: CodedRows,
+    /// `None` when no copy exists for the current sample.
+    stamp: Option<TableStamp>,
+    /// Full rebuilds so far.
+    builds: u64,
+}
+
+impl CodedSample {
+    /// Brings the copy up to `tables.stamp`: nothing when it is already
+    /// there, a re-code of the rows `tables.changed` names when it is one
+    /// write behind (each found in the sorted `sample` by binary search),
+    /// and a full rebuild otherwise — so the copy is never stale, whatever
+    /// calls reached the model in between.
+    fn refresh(&mut self, tables: &RowTables<'_>, sample: &[u32]) {
+        let d = tables.dim;
+        let row = |i: u32| &tables.items[i as usize * d..(i as usize + 1) * d];
+        match self.stamp {
+            Some(held) if held == tables.stamp => {}
+            Some(held) if Some(held) == tables.stamp.previous() => {
+                for &i in tables.changed {
+                    if let Ok(r) = sample.binary_search(&i) {
+                        self.rows.set(r, row(i));
+                    }
+                }
+            }
+            _ => {
+                self.rows.rebuild(d, sample.iter().map(|&i| row(i)));
+                self.builds += 1;
+            }
+        }
+        self.stamp = Some(tables.stamp);
+    }
 }
 
 /// The block of item ids being scored, and their scores.
@@ -192,6 +305,15 @@ fn ecdf_pass(
 /// identical to `score`/`score_all` (the kernel contract), which keeps the
 /// exact counts equal to m independent scans of a precomputed rating
 /// vector — property-tested in `tests/proptests.rs`.
+///
+/// When the scan is the epoch sample and the scorer exposes its rows
+/// ([`Scorer::row_tables`]), the pass reads the sample's coded copy
+/// instead (see "The coded pass" above) and gathers only the rows the
+/// codes cannot decide; its counts and return value are the gather's,
+/// integer for integer (`proptests::coded_ecdf_counts_match_the_gather_pass`).
+/// Every call adds the rows it scanned, and the rows it scored exactly, to
+/// the counters the owning sampler reports as
+/// [`PosteriorStats::ecdf_rows`] and [`PosteriorStats::ecdf_rescored`].
 pub fn fused_ecdf_counts(
     strategy: EcdfStrategy,
     scorer: &dyn Scorer,
@@ -201,23 +323,94 @@ pub fn fused_ecdf_counts(
     counts: &mut Vec<u32>,
     scratch: &mut EcdfScratch,
 ) -> usize {
-    let sample = match strategy {
-        EcdfStrategy::Subsample(k) if k < train.n_items() as usize => scratch.sample.as_slice(),
-        _ => &[],
+    let sampled = match strategy {
+        EcdfStrategy::Subsample(k) => k < train.n_items() as usize,
+        EcdfStrategy::Exact => false,
     };
-    counts_over(
-        sample,
-        scorer,
-        train,
-        u,
-        thresholds,
-        counts,
-        &mut scratch.block,
-    )
+    let scanned = match scorer.row_tables() {
+        Some(tables) if sampled && !scratch.sample.is_empty() => {
+            coded_pass(&tables, scorer, train, u, thresholds, counts, scratch)
+        }
+        _ => {
+            let sample = if sampled {
+                scratch.sample.as_slice()
+            } else {
+                &[]
+            };
+            let scanned = counts_over(
+                sample,
+                scorer,
+                train,
+                u,
+                thresholds,
+                counts,
+                &mut scratch.block,
+            );
+            scratch.rescored += scanned as u64;
+            scanned
+        }
+    };
+    scratch.rows += scanned as u64;
+    scanned
 }
 
-/// [`fused_ecdf_counts`] with the id set resolved: the sorted `sample`, or
-/// all of `I⁻ᵤ` when it is empty.
+/// The coded Eq. (16) pass over the epoch sample: refreshes the coded
+/// copy to the model's current item table, counts every row the codes
+/// decide, and re-scores the rest exactly through [`Scorer::score_items`]
+/// in `ECDF_BLOCK`-sized blocks. The user's positives are skipped with a
+/// merge cursor over the two sorted id lists. Counts, and the number of
+/// rows scanned, are those of the gather pass exactly.
+fn coded_pass(
+    tables: &RowTables<'_>,
+    scorer: &dyn Scorer,
+    train: &Interactions,
+    u: u32,
+    thresholds: &[f32],
+    counts: &mut Vec<u32>,
+    scratch: &mut EcdfScratch,
+) -> usize {
+    let EcdfScratch {
+        block,
+        sample,
+        coded,
+        rescored_counts,
+        rescored,
+        ..
+    } = scratch;
+    coded.refresh(tables, sample);
+    counts.clear();
+    counts.resize(thresholds.len(), 0);
+    rescored_counts.clear();
+    rescored_counts.resize(thresholds.len(), 0);
+    block.ids.clear();
+    // Full-block capacity up front: how many rows are ambiguous varies
+    // from pass to pass, and a growing buffer would allocate mid-epoch.
+    block.ids.reserve(ECDF_BLOCK);
+    block.scores.reserve(ECDF_BLOCK);
+    let d = tables.dim;
+    let user = &tables.users[u as usize * d..(u as usize + 1) * d];
+    // Sample positions of the user's positives, ascending.
+    let mut from = 0usize;
+    let skip = train.items_of(u).iter().filter_map(|&p| {
+        from += sample[from..].partition_point(|&i| i < p);
+        (sample.get(from) == Some(&p)).then_some(from)
+    });
+    let scanned = coded.rows.count_le(user, thresholds, skip, counts, |r| {
+        block.ids.push(sample[r]);
+        *rescored += 1;
+        if block.ids.len() == ECDF_BLOCK {
+            block.flush(scorer, u, thresholds, rescored_counts);
+        }
+    });
+    block.flush(scorer, u, thresholds, rescored_counts);
+    for (count, extra) in counts.iter_mut().zip(rescored_counts.iter()) {
+        *count += extra;
+    }
+    scanned
+}
+
+/// The gather pass of [`fused_ecdf_counts`], with the id set resolved: the
+/// sorted `sample`, or all of `I⁻ᵤ` when it is empty.
 fn counts_over(
     sample: &[u32],
     scorer: &dyn Scorer,
@@ -469,33 +662,33 @@ impl BnsSampler {
     /// from the draw RNG. Consumes no randomness when the strategy scans
     /// all of `I⁻ᵤ` on this catalog, or when the sample is already drawn.
     fn draw_epoch_sample(&mut self, n_items: u32, rng: &mut dyn rand::RngCore) {
-        if !std::mem::take(&mut self.sample_due) {
-            return;
-        }
-        let sample = &mut self.ecdf_scratch.sample;
-        match self.config.ecdf {
-            EcdfStrategy::Subsample(k) if k < n_items as usize => {
-                selection_sample(k, n_items, sample, rng)
-            }
-            _ => sample.clear(),
+        if std::mem::take(&mut self.sample_due) {
+            self.ecdf_scratch
+                .draw_sample(self.config.ecdf, n_items, rng);
         }
     }
 
     /// Empirical cdf value of `x` among user `u`'s un-interacted items
-    /// (Eq. 16), via a one-threshold pass over the same id set as the
-    /// draws: the epoch sample once one is drawn, else all of `I⁻ᵤ`.
-    /// Diagnostic path (allocates local block scratch); the sampling hot
-    /// path batches all m thresholds into a single pass instead.
+    /// (Eq. 16), via a one-threshold [`fused_ecdf_counts`] pass over the
+    /// same id set as the draws: the epoch sample once one is drawn, else
+    /// all of `I⁻ᵤ`. Diagnostic path: it allocates a local scratch with a
+    /// copy of the sample (and so codes the sample afresh when it takes
+    /// the coded pass); the sampling hot path batches all m thresholds
+    /// into a single pass instead.
     fn likelihood_f(&self, u: u32, x: f32, ctx: &SampleContext<'_>) -> f64 {
         let mut counts = Vec::new();
-        let scanned = counts_over(
-            &self.ecdf_scratch.sample,
+        let mut scratch = EcdfScratch {
+            sample: self.ecdf_scratch.sample.clone(),
+            ..EcdfScratch::default()
+        };
+        let scanned = fused_ecdf_counts(
+            self.config.ecdf,
             ctx.scorer,
             ctx.train,
             u,
             &[x],
             &mut counts,
-            &mut Block::default(),
+            &mut scratch,
         );
         if scanned == 0 {
             return 0.5;
@@ -886,7 +1079,10 @@ impl NegativeSampler for BnsSampler {
     }
 
     fn take_epoch_stats(&mut self) -> Option<PosteriorStats> {
-        Some(std::mem::take(&mut self.epoch_stats))
+        let mut stats = std::mem::take(&mut self.epoch_stats);
+        stats.ecdf_rows = std::mem::take(&mut self.ecdf_scratch.rows);
+        stats.ecdf_rescored = std::mem::take(&mut self.ecdf_scratch.rescored);
+        Some(stats)
     }
 }
 
@@ -895,9 +1091,9 @@ mod tests {
     use super::*;
     use bns_data::{Interactions, Popularity};
     use bns_model::scorer::FixedScorer;
-    use bns_model::Scorer;
+    use bns_model::{MatrixFactorization, PairwiseModel, Scorer};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     struct Fixture {
         train: Interactions,
@@ -1399,5 +1595,283 @@ mod tests {
             fn_hits < trials / 10,
             "false-negative hits: {fn_hits}/{trials}"
         );
+    }
+
+    /// Scores through a model but hides its rows, so every Eq. 16 pass
+    /// takes the gather.
+    struct Hidden<M>(M);
+
+    impl<M: std::ops::Deref<Target: Scorer>> Scorer for Hidden<M> {
+        fn n_users(&self) -> u32 {
+            self.0.n_users()
+        }
+        fn n_items(&self) -> u32 {
+            self.0.n_items()
+        }
+        fn score(&self, u: u32, i: u32) -> f32 {
+            self.0.score(u, i)
+        }
+        fn score_all(&self, u: u32, out: &mut [f32]) {
+            self.0.score_all(u, out)
+        }
+        fn score_items(&self, u: u32, items: &[u32], out: &mut [f32]) {
+            self.0.score_items(u, items, out)
+        }
+        fn score_tile(&self, users: &[u32], first: u32, out: &mut [f32]) {
+            self.0.score_tile(users, first, out)
+        }
+    }
+
+    impl<M: std::ops::DerefMut<Target: PairwiseModel>> PairwiseModel for Hidden<M> {
+        fn begin_epoch(&mut self, epoch: usize) {
+            self.0.begin_epoch(epoch)
+        }
+        fn begin_batch(&mut self) {
+            self.0.begin_batch()
+        }
+        fn accumulate_triple(&mut self, u: u32, pos: u32, neg: u32, lr: f32, reg: f32) -> f32 {
+            self.0.accumulate_triple(u, pos, neg, lr, reg)
+        }
+        fn update_batch(&mut self, batch: &TripleBatch, lr: f32, reg: f32, infos: &mut Vec<f32>) {
+            self.0.update_batch(batch, lr, reg, infos)
+        }
+        fn end_batch(&mut self, lr: f32, reg: f32) {
+            self.0.end_batch(lr, reg)
+        }
+    }
+
+    /// `n_users` users with a few positives each on an `n_items` catalog.
+    fn small_train(n_users: u32, n_items: u32) -> Interactions {
+        let pairs: Vec<(u32, u32)> = (0..n_users)
+            .flat_map(|u| (0..4u32).map(move |t| (u, (u * 37 + t * 101) % n_items)))
+            .collect();
+        Interactions::from_pairs(n_users, n_items, &pairs).unwrap()
+    }
+
+    /// A fresh coding of the sample's current item rows.
+    fn fresh_copy(model: &MatrixFactorization, sample: &[u32]) -> CodedRows {
+        let mut fresh = CodedRows::new();
+        fresh.rebuild(model.dim(), sample.iter().map(|&i| model.item_embedding(i)));
+        fresh
+    }
+
+    #[test]
+    fn coded_copy_is_exactly_fresh_after_every_model_call() {
+        let (n_users, n_items) = (6u32, 300u32);
+        let train = small_train(n_users, n_items);
+        let strategy = EcdfStrategy::Subsample(120);
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut model = MatrixFactorization::new(n_users, n_items, 13, 0.3, &mut rng).unwrap();
+        let mut scratch = EcdfScratch::default();
+        scratch.draw_sample(strategy, n_items, &mut rng);
+        let thresholds = [-0.05f32, 0.0, 0.02];
+        let (mut counts, mut gathered) = (Vec::new(), Vec::new());
+        // One pass per model call: the copy must equal a fresh coding bit
+        // for bit, from one full build plus per-call row refreshes.
+        let mut pass = |model: &MatrixFactorization, scratch: &mut EcdfScratch, u: u32| {
+            let scanned = fused_ecdf_counts(
+                strategy,
+                model,
+                &train,
+                u,
+                &thresholds,
+                &mut counts,
+                scratch,
+            );
+            let reference = fused_ecdf_counts(
+                strategy,
+                &Hidden(model),
+                &train,
+                u,
+                &thresholds,
+                &mut gathered,
+                &mut EcdfScratch {
+                    sample: scratch.sample.clone(),
+                    ..EcdfScratch::default()
+                },
+            );
+            assert_eq!((scanned, &counts), (reference, &gathered));
+            assert_eq!(scratch.coded.rows, fresh_copy(model, &scratch.sample));
+        };
+        pass(&model, &mut scratch, 0);
+        assert_eq!(scratch.coded.builds, 1);
+        let mut batch = TripleBatch::new();
+        let mut infos = Vec::new();
+        for step in 0..300u32 {
+            let u = rng.random_range(0..n_users);
+            // Draw positives and negatives from the sample half the time,
+            // so refreshed rows are often sampled ones.
+            let item = |rng: &mut StdRng| {
+                if rng.random_range(0..2) == 0 {
+                    scratch.sample[rng.random_range(0..scratch.sample.len())]
+                } else {
+                    rng.random_range(0..n_items)
+                }
+            };
+            if step % 5 == 0 {
+                let (pos, neg) = (item(&mut rng), item(&mut rng));
+                if pos != neg {
+                    model.accumulate_triple(u, pos, neg, 0.5, 0.01);
+                }
+            } else {
+                let k = rng.random_range(1..4usize);
+                batch.begin_fill(k);
+                for _ in 0..rng.random_range(1..5) {
+                    let pos = item(&mut rng);
+                    let negs: Vec<u32> = (0..k)
+                        .map(|_| loop {
+                            let j = item(&mut rng);
+                            if j != pos {
+                                break j;
+                            }
+                        })
+                        .collect();
+                    batch
+                        .push_row(rng.random_range(0..n_users), pos)
+                        .copy_from_slice(&negs);
+                }
+                model.update_batch(&batch, 0.5, 0.01, &mut infos);
+            }
+            pass(&model, &mut scratch, u);
+        }
+        assert_eq!(scratch.coded.builds, 1, "every call was one write behind");
+
+        // Sequences the write record cannot cover force a rebuild: two
+        // writes between passes, a clone that then diverges, and a
+        // redrawn sample.
+        let s = scratch.sample.clone();
+        model.accumulate_triple(0, s[0], s[1], 0.5, 0.01);
+        model.accumulate_triple(1, s[2], s[3], 0.5, 0.01);
+        pass(&model, &mut scratch, 2);
+        assert_eq!(scratch.coded.builds, 2);
+        let mut twin = model.clone();
+        twin.accumulate_triple(3, s[4], s[5], 0.5, 0.01);
+        pass(&twin, &mut scratch, 3);
+        assert_eq!(scratch.coded.builds, 3);
+        model.accumulate_triple(4, s[6], s[7], 0.5, 0.01);
+        pass(&model, &mut scratch, 4);
+        assert_eq!(scratch.coded.builds, 4);
+        model.infonce_update(5, s[8], &[s[9], s[10]], 0.5, 0.01, 0.5);
+        pass(&model, &mut scratch, 5);
+        assert_eq!(scratch.coded.builds, 4, "InfoNCE writes are recorded");
+        scratch.draw_sample(strategy, n_items, &mut rng);
+        pass(&model, &mut scratch, 0);
+        assert_eq!(scratch.coded.builds, 5);
+    }
+
+    #[test]
+    fn ecdf_counters_sum_each_draws_scanned_rows() {
+        let (n_users, n_items) = (8u32, 400u32);
+        let train = small_train(n_users, n_items);
+        let pop = Popularity::from_interactions(&train);
+        let mut rng = StdRng::seed_from_u64(22);
+        let model = MatrixFactorization::new(n_users, n_items, 8, 0.3, &mut rng).unwrap();
+        let cfg = BnsConfig {
+            ecdf: EcdfStrategy::Subsample(150),
+            ..BnsConfig::default()
+        };
+        let hidden = Hidden(&model);
+        for scorer in [&model as &dyn Scorer, &hidden] {
+            let ctx = SampleContext {
+                scorer,
+                train: &train,
+                popularity: &pop,
+                user_scores: &[],
+                epoch: 0,
+            };
+            let mut s = BnsSampler::new(cfg, Box::new(PopularityPrior::new(&pop))).unwrap();
+            s.on_epoch_start(0);
+            let mut expected = 0u64;
+            for (u, pos) in train.iter_pairs() {
+                s.sample(u, pos, &ctx, &mut rng).unwrap();
+                let sample = &s.ecdf_scratch.sample;
+                let scanned = sample.iter().filter(|&&i| !train.contains(u, i)).count();
+                expected += scanned as u64;
+            }
+            let stats = s.take_epoch_stats().unwrap();
+            assert_eq!(stats.draws, train.len() as u64);
+            assert_eq!(stats.ecdf_rows, expected);
+            assert!(stats.ecdf_rescored <= stats.ecdf_rows);
+            if scorer.row_tables().is_none() {
+                assert_eq!(
+                    stats.ecdf_rescored, stats.ecdf_rows,
+                    "the gather scores all"
+                );
+            } else {
+                assert!(stats.ecdf_rescored < stats.ecdf_rows / 4, "{stats:?}");
+            }
+            let next = s.take_epoch_stats().unwrap();
+            assert_eq!((next.ecdf_rows, next.ecdf_rescored), (0, 0));
+        }
+    }
+
+    /// Every triple and info value of a run, and its stats.
+    #[derive(Default)]
+    struct Trace(Vec<(usize, u32, u32, u32, u32)>);
+
+    impl crate::TrainObserver for Trace {
+        fn on_triple(&mut self, epoch: usize, u: u32, pos: u32, neg: u32, info: f32) {
+            self.0.push((epoch, u, pos, neg, info.to_bits()));
+        }
+        fn on_epoch_end(&mut self, _: usize, _: &dyn Scorer) {}
+    }
+
+    #[test]
+    fn training_on_the_coded_pass_is_the_gather_trace() {
+        let (n_users, n_items) = (24u32, 500u32);
+        let dataset = bns_data::Dataset::new(
+            "coded-trace",
+            small_train(n_users, n_items),
+            Interactions::from_pairs(n_users, n_items, &[(0, 7), (5, 9)]).unwrap(),
+        )
+        .unwrap();
+        let cfg = BnsConfig {
+            ecdf: EcdfStrategy::Subsample(64),
+            ..BnsConfig::default()
+        };
+        let batched = crate::TrainConfig {
+            batch_size: 8,
+            k_negatives: 2,
+            ..crate::TrainConfig::paper_mf(3, 5)
+        };
+        for config in [crate::TrainConfig::paper_mf(3, 4), batched] {
+            let run = |hide: bool| {
+                let mut rng = StdRng::seed_from_u64(23);
+                let model = MatrixFactorization::new(n_users, n_items, 16, 0.1, &mut rng).unwrap();
+                let prior = Box::new(PopularityPrior::new(dataset.popularity()));
+                let mut sampler = BnsSampler::new(cfg, prior).unwrap();
+                let mut trace = Trace::default();
+                let mut model = model;
+                let stats = if hide {
+                    let mut hidden = Hidden(&mut model);
+                    crate::train(&mut hidden, &dataset, &mut sampler, &config, &mut trace)
+                } else {
+                    crate::train(&mut model, &dataset, &mut sampler, &config, &mut trace)
+                };
+                (trace.0, stats.unwrap(), model)
+            };
+            let (coded, mut coded_stats, coded_model) = run(false);
+            let (gather, mut gather_stats, gather_model) = run(true);
+            assert!(coded.len() >= 3 * 90, "{} triples", coded.len());
+            assert_eq!(coded, gather);
+            let rescored = |stats: &mut crate::TrainStats| -> Vec<u64> {
+                let out = stats
+                    .posterior_per_epoch
+                    .iter()
+                    .map(|p| p.ecdf_rescored)
+                    .collect();
+                for p in &mut stats.posterior_per_epoch {
+                    p.ecdf_rescored = 0;
+                }
+                out
+            };
+            let (a, b) = (rescored(&mut coded_stats), rescored(&mut gather_stats));
+            assert!(a.iter().zip(&b).all(|(a, b)| a < b), "{a:?} vs {b:?}");
+            coded_stats.wall_seconds = 0.0;
+            gather_stats.wall_seconds = 0.0;
+            assert_eq!(coded_stats, gather_stats);
+            assert_eq!(coded_model.items(), gather_model.items());
+            assert_eq!(coded_model.users(), gather_model.users());
+        }
     }
 }

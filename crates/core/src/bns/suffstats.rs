@@ -20,6 +20,14 @@ pub struct PosteriorStats {
     pub unbias_sum: f64,
     /// Σ selection value `info·[1 − (1+λ)·unbias]` — Eq. (32).
     pub risk_sum: f64,
+    /// Rows the Eq. (16) passes scanned: the cdf denominators, summed over
+    /// passes (one pass per draw on the per-pair path, one per user run on
+    /// the batched path).
+    pub ecdf_rows: u64,
+    /// Of `ecdf_rows`, the rows scored exactly through
+    /// `Scorer::score_items`: all of them on the gather pass, only the
+    /// ambiguous ones on the coded pass.
+    pub ecdf_rescored: u64,
 }
 
 impl PosteriorStats {

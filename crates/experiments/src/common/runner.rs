@@ -13,7 +13,7 @@ use bns_data::synthetic::generate;
 use bns_data::{split_random, Dataset, DatasetPreset, Occupations, SplitConfig};
 use bns_eval::{evaluate_ranking, RankingReport};
 use bns_model::snapshot::{SnapshotKind, SnapshotScorer};
-use bns_model::{Embedding, LightGcn, MatrixFactorization, PairwiseModel, Scorer};
+use bns_model::{Embedding, LightGcn, MatrixFactorization, PairwiseModel, RowTables, Scorer};
 use bns_serve::ModelArtifact;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -125,6 +125,13 @@ impl Scorer for AnyModel {
         match self {
             AnyModel::Mf(m) => m.score_tile(users, first, out),
             AnyModel::Gcn(m) => m.score_tile(users, first, out),
+        }
+    }
+
+    fn row_tables(&self) -> Option<RowTables<'_>> {
+        match self {
+            AnyModel::Mf(m) => m.row_tables(),
+            AnyModel::Gcn(m) => m.row_tables(),
         }
     }
 }

@@ -26,6 +26,16 @@
 //! thresholds against catalog scores computed in a separate blocked pass,
 //! and the one that lets evaluation score a tile of users at a time.
 //!
+//! One more entry point sits **outside** that bit contract:
+//! [`coded_block_counts`] scores a block of eight rows of
+//! [`crate::coded::CodedRows`] (i16 codes, a per-row scale and error
+//! bound) and decides `dot(user, row) ≤ t` for a set of thresholds from
+//! an approximate score and a rigorous bound on its error, handing back
+//! the rows it cannot decide for an exact re-score. Its approximate
+//! scores never reach a result, only its decisions, which equal the exact
+//! kernel's comparisons; so its vector and portable bodies may round
+//! differently. It runs BNS's coded Eq. 16 pass.
+//!
 //! **The ISA is chosen at build time.** When the build targets x86-64
 //! with AVX2 and FMA (the workspace builds with `target-cpu=native`, see
 //! `.cargo/config.toml`), [`dot`] runs one 256-bit FMA per 8-lane chunk
@@ -344,6 +354,220 @@ pub fn gather_dots(user: &[f32], items: &[f32], ids: &[u32], out: &mut [f32]) {
     for (slot, &i) in out.iter_mut().zip(ids) {
         let row = &items[i as usize * d..(i as usize + 1) * d];
         *slot = dot(user, row);
+    }
+}
+
+/// Rows per block of the coded count kernel: one 8-lane FMA scores one
+/// dimension of eight coded rows.
+pub const BLOCK_ROWS: usize = 8;
+
+/// Rounds `x` up to the nearest `f32` (`+∞` above `f32::MAX`; NaN stays
+/// NaN). The coded bounds are computed in `f64` and stored this way.
+pub(crate) fn round_up_f32(x: f64) -> f32 {
+    let y = x as f32;
+    if f64::from(y) < x {
+        y.next_up()
+    } else {
+        y
+    }
+}
+
+/// `U ≥ (1 + 8·2⁻²⁴)·‖user‖₂ + 2⁻¹⁰⁰`, the user-side factor of the
+/// per-row slack of [`coded_block_counts`]: the norm is summed in `f64`,
+/// inflated past its `f64` rounding error, then rounded up to `f32`.
+/// `+∞` or NaN for a non-finite row, which makes every row of that user
+/// ambiguous.
+pub fn norm_bound(user: &[f32]) -> f32 {
+    let sq: f64 = user.iter().map(|&x| f64::from(x) * f64::from(x)).sum();
+    let f64_error = 1.0 + 4.0 * (user.len() as f64 + 8.0) * f64::EPSILON;
+    let norm = sq.sqrt() * f64_error * (1.0 + 8.0 / (1u64 << 24) as f64);
+    round_up_f32((norm + (-100f64).exp2()) * f64_error)
+}
+
+/// One block of [`BLOCK_ROWS`] coded rows, as [`coded_block_counts`]
+/// reads it (laid out by `crate::coded::CodedRows`).
+#[derive(Debug, Clone, Copy)]
+pub struct CodedBlock<'a> {
+    /// `d × 8` i16 codes, dimension-major: `codes[k·8 + l]` is dimension
+    /// `k` of row `l`.
+    pub codes: &'a [i16],
+    /// Per-row scales `s`.
+    pub scales: &'a [f32; BLOCK_ROWS],
+    /// Per-row bounds `B ≥ ‖h − ĥ‖₂ + γ(‖h‖₂ + ‖ĥ‖₂)`, `γ = γ_{d+2}`.
+    pub bounds: &'a [f32; BLOCK_ROWS],
+}
+
+/// The coded count kernel: for one user row and m `thresholds`, decides
+/// `x ≤ t` for the eight rows of one coded block from their i16 codes, and
+/// hands back the rows it cannot decide.
+///
+/// Row `l` of the block is coded as `ĥ = s·c` (see [`CodedBlock`]). The
+/// kernel computes the approximate score `a = s·Σₖ uₖcₖ` and the slack
+///
+/// ```text
+/// b = (U·B) + 2⁻¹²⁶,   U = norm_bound(user) ≥ (1 + 8ε)‖u‖₂ + 2⁻¹⁰⁰,
+/// ```
+///
+/// and counts, per threshold, the rows with `a ≤ t` among the rows that
+/// every threshold decides: those with `|a − t| > b` for all m `t`. It
+/// returns the other rows of `live` as a lane mask; the caller scores
+/// them exactly. Lanes outside `live` are neither counted nor returned.
+///
+/// **Why the decision is exact.** Let `x` be the exact kernel's score
+/// `dot(u, h)` and `ε = 2⁻²⁴`. Any `f32` dot product of length d, in any
+/// order, with or without FMA, is within `γ_d·Σ|uₖhₖ|` of the real one,
+/// plus `2⁻¹⁵⁰` per rounding that underflows (Higham, *Accuracy and
+/// Stability*, §3.1). So
+///
+/// ```text
+/// |x − u·h|   ≤ γ_d·‖u‖‖h‖ + (d+1)·2⁻¹⁵⁰
+/// |u·h − u·ĥ| ≤ ‖u‖·‖h − ĥ‖
+/// |u·ĥ − a|   ≤ γ_{d+1}·‖u‖‖ĥ‖ + (s·(d+1)(1+ε) + 1)·2⁻¹⁵⁰
+/// ```
+///
+/// (the last line is the sum `Σₖ uₖcₖ` of exact codes, then one multiply
+/// by `s`), so `|x − a| ≤ ‖u‖·B + (d+2)·2⁻¹⁵⁰ + 2(d+2)·s·2⁻¹⁵⁰`. The
+/// computed `b` takes two `f32` roundings, each at worst `(1 − ε)`
+/// relative or `2⁻¹⁵⁰` absolute, so `b ≥ (1 − ε)²·U·B + (1 − ε)·(2⁻¹²⁶ −
+/// 2⁻¹⁵⁰)`. The `(1 + 8ε)‖u‖` part of `U` covers `(1 + ε)‖u‖·B`; the
+/// `2⁻¹⁰⁰` part covers the `s` term, because `B ≥ γ‖h‖ ≥ (d+2)·2⁻²⁴·max|hₖ|`
+/// and `s ≤ (1 + ε)·max|hₖ| / 32767 + 2⁻¹⁴⁹`; `2⁻¹²⁶` covers the rest for
+/// `d < 2²²`. So `b ≥ (1 + ε)` times the bound on `|x − a|`. The computed
+/// `|a − t|` is at most `(1 + ε)` times the real one, so `|a − t| > b`
+/// proves `|x − a| < |a − t|`: `x` lies on `a`'s side of `t`. (The slack
+/// terms are normal numbers, not the subnormal `(d+2)·2⁻¹⁵⁰`, because
+/// subnormal operands cost a microcode assist per instruction on x86;
+/// they decide nothing any real score needs.)
+///
+/// The bound assumes no overflow, so a row is always ambiguous when `a` is
+/// not finite or `b ≥ 2¹⁰²`: `b ≥ γ_d·‖u‖‖h‖` keeps every partial sum of
+/// `x` below `2¹²⁶`. Non-finite inputs land there too: a non-finite row
+/// has `B = +∞`, a non-finite user `U = +∞` or NaN, and a NaN `a` or `t`
+/// fails `|a − t| > b`.
+///
+/// **Bits.** `a` and `b` never reach a result — only the decisions do, and
+/// those agree with `x ≤ t` exactly — so this kernel is outside the
+/// module's bit contract: the AVX2 body keeps four accumulators and the
+/// portable body one sum per lane, and their `a` may differ in the low
+/// bits.
+#[inline]
+pub fn coded_block_counts(
+    user: &[f32],
+    norm: f32,
+    block: CodedBlock<'_>,
+    thresholds: &[f32],
+    live: u8,
+    counts: &mut [u32],
+) -> u8 {
+    let d = user.len();
+    debug_assert_eq!(
+        block.codes.len(),
+        d * BLOCK_ROWS,
+        "one code per dimension and row"
+    );
+    debug_assert_eq!(thresholds.len(), counts.len(), "one count per threshold");
+    // 2¹⁰²: past it the bound no longer rules out overflow in `x`.
+    let cap = f32::from_bits((127 + 102) << 23);
+    let (lanes, _) = block.codes.as_chunks::<BLOCK_ROWS>();
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    ))]
+    {
+        use std::arch::x86_64::*;
+        // SAFETY: the enclosing cfg guarantees the build targets AVX2 and
+        // FMA; each unaligned load reads exactly one `[i16; 8]` row of
+        // codes (16 bytes) or one `[f32; 8]` of scales or bounds.
+        unsafe {
+            let code = |row: &[i16; BLOCK_ROWS]| {
+                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(_mm_loadu_si128(row.as_ptr().cast())))
+            };
+            // Four accumulators keep the FMA chain short; the order of the
+            // sum is free (see **Bits**).
+            let mut acc = [_mm256_setzero_ps(); 4];
+            let (quads, rest) = lanes.as_chunks::<4>();
+            let (user_quads, user_rest) = user.as_chunks::<4>();
+            for (rows, us) in quads.iter().zip(user_quads) {
+                for t in 0..4 {
+                    acc[t] = _mm256_fmadd_ps(_mm256_set1_ps(us[t]), code(&rows[t]), acc[t]);
+                }
+            }
+            for (row, &uk) in rest.iter().zip(user_rest) {
+                acc[0] = _mm256_fmadd_ps(_mm256_set1_ps(uk), code(row), acc[0]);
+            }
+            let sum = _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
+            let a = _mm256_mul_ps(sum, _mm256_loadu_ps(block.scales.as_ptr()));
+            let b = _mm256_add_ps(
+                _mm256_mul_ps(_mm256_set1_ps(norm), _mm256_loadu_ps(block.bounds.as_ptr())),
+                _mm256_set1_ps(f32::MIN_POSITIVE),
+            );
+            let sign = _mm256_set1_ps(-0.0);
+            let ok = _mm256_and_ps(
+                _mm256_cmp_ps::<_CMP_LT_OQ>(b, _mm256_set1_ps(cap)),
+                _mm256_cmp_ps::<_CMP_LT_OQ>(
+                    _mm256_andnot_ps(sign, a),
+                    _mm256_set1_ps(f32::INFINITY),
+                ),
+            );
+            let b = _mm256_blendv_ps(_mm256_set1_ps(f32::INFINITY), b, ok);
+            let mut sure_lanes = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
+            for &t in thresholds {
+                let gap = _mm256_andnot_ps(sign, _mm256_sub_ps(a, _mm256_set1_ps(t)));
+                sure_lanes = _mm256_and_ps(sure_lanes, _mm256_cmp_ps::<_CMP_GT_OQ>(gap, b));
+            }
+            let sure = _mm256_movemask_ps(sure_lanes) as u8;
+            let keep = live & sure;
+            if keep != 0 {
+                for (count, &t) in counts.iter_mut().zip(thresholds) {
+                    let le = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(a, _mm256_set1_ps(t)));
+                    *count += (le as u8 & keep).count_ones();
+                }
+            }
+            live & !sure
+        }
+    }
+    #[cfg(not(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    )))]
+    {
+        let mut sum = [0.0f32; BLOCK_ROWS];
+        for (row, &uk) in lanes.iter().zip(user) {
+            for (acc, &c) in sum.iter_mut().zip(row) {
+                *acc += uk * f32::from(c);
+            }
+        }
+        let mut a = [0.0f32; BLOCK_ROWS];
+        let mut b = [0.0f32; BLOCK_ROWS];
+        for l in 0..BLOCK_ROWS {
+            a[l] = sum[l] * block.scales[l];
+            b[l] = norm * block.bounds[l] + f32::MIN_POSITIVE;
+            let ok = b[l] < cap && a[l].abs() < f32::INFINITY;
+            if !ok {
+                b[l] = f32::INFINITY;
+            }
+        }
+        let mut sure = 0xFFu8;
+        for &t in thresholds {
+            for l in 0..BLOCK_ROWS {
+                // NaN gaps compare false: not sure.
+                let decided = (a[l] - t).abs() > b[l];
+                sure &= !(u8::from(!decided) << l);
+            }
+        }
+        let keep = live & sure;
+        if keep != 0 {
+            for (count, &t) in counts.iter_mut().zip(thresholds) {
+                let mut le = 0u8;
+                for (l, &al) in a.iter().enumerate() {
+                    le |= u8::from(al <= t) << l;
+                }
+                *count += (le & keep).count_ones();
+            }
+        }
+        live & !sure
     }
 }
 

@@ -24,7 +24,11 @@
 //! * [`kernel`] — the unrolled `mul_add` scoring kernels (dot / GEMV /
 //!   gather-dot / user-tiled GEMM) with one
 //!   fixed summation order shared by every scoring entry point, plus the
-//!   shared per-triple BPR step.
+//!   shared per-triple BPR step, and the bound-checked count kernel over
+//!   [`coded`] rows.
+//! * [`coded`] — [`coded::CodedRows`]: a compact i16 copy of a set of
+//!   rows with a rigorous per-row error bound, which decides score
+//!   threshold tests exactly for all but the few rows near a threshold.
 //! * [`batch`] — the SoA [`batch::TripleBatch`] buffer: `{users, pos,
 //!   negs}` with `k ≥ 1` negatives per positive, filled by batched
 //!   samplers and consumed by [`scorer::PairwiseModel::update_batch`].
@@ -33,6 +37,7 @@
 //!   bitwise, consumed by the `bns-serve` artifact format.
 
 pub mod batch;
+pub mod coded;
 pub mod embedding;
 pub mod kernel;
 pub mod lightgcn;
@@ -47,7 +52,7 @@ pub use embedding::Embedding;
 pub use lightgcn::LightGcn;
 pub use mf::MatrixFactorization;
 pub use optim::{LrSchedule, SgdConfig};
-pub use scorer::{PairwiseModel, Scorer};
+pub use scorer::{PairwiseModel, RowTables, Scorer, TableStamp};
 pub use snapshot::{SnapshotKind, SnapshotScorer};
 
 /// Errors produced by the model layer.

@@ -17,18 +17,36 @@
 use crate::batch::TripleBatch;
 use crate::embedding::Embedding;
 use crate::loss::info;
-use crate::scorer::{PairwiseModel, Scorer};
+use crate::scorer::{PairwiseModel, RowTables, Scorer, TableStamp};
 use crate::{ModelError, Result};
 use rand::Rng;
 
 /// BPR matrix factorization model.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MatrixFactorization {
     users: Embedding,
     items: Embedding,
+    /// The item table's write record: its current stamp, and the item
+    /// rows the latest write changed (see [`Scorer::row_tables`]).
+    stamp: TableStamp,
+    changed: Vec<u32>,
     /// Reusable scratch of the blocked `update_batch` path (gather ids,
     /// gathered scores, per-triple gradients, the pre-update user row).
     scratch: BatchScratch,
+}
+
+impl Clone for MatrixFactorization {
+    /// A clone is a new table: it gets a fresh stamp, so a copy made from
+    /// one of the two models is never taken for a copy of the other.
+    fn clone(&self) -> Self {
+        Self {
+            users: self.users.clone(),
+            items: self.items.clone(),
+            stamp: TableStamp::fresh(),
+            changed: Vec::new(),
+            scratch: self.scratch.clone(),
+        }
+    }
 }
 
 /// Reusable buffers of the blocked batch update; steady-state
@@ -56,6 +74,8 @@ impl MatrixFactorization {
         Ok(Self {
             users: Embedding::normal_init(n_users as usize, dim, init_std, rng)?,
             items: Embedding::normal_init(n_items as usize, dim, init_std, rng)?,
+            stamp: TableStamp::fresh(),
+            changed: Vec::new(),
             scratch: BatchScratch::default(),
         })
     }
@@ -76,6 +96,8 @@ impl MatrixFactorization {
         Ok(Self {
             users,
             items,
+            stamp: TableStamp::fresh(),
+            changed: Vec::new(),
             scratch: BatchScratch::default(),
         })
     }
@@ -110,6 +132,15 @@ impl MatrixFactorization {
         self.users.sq_norm() + self.items.sq_norm()
     }
 
+    /// Bumps the write record for a call that changes the item rows
+    /// `ids` (and possibly user rows, which callers read directly).
+    /// Allocation-free once `changed` holds the largest call's ids.
+    fn record_writes(&mut self, ids: impl IntoIterator<Item = u32>) {
+        self.stamp = self.stamp.next();
+        self.changed.clear();
+        self.changed.extend(ids);
+    }
+
     /// Mutable user row, exposed for gradient-check tests only.
     #[cfg(test)]
     pub(crate) fn users_mut_for_test(&mut self, u: u32) -> &mut [f32] {
@@ -141,6 +172,7 @@ impl MatrixFactorization {
         debug_assert!(!negs.contains(&pos), "negatives must exclude the positive");
         let tau = temperature;
         let dim = self.users.dim();
+        self.record_writes(std::iter::once(pos).chain(negs.iter().copied()));
 
         // Stable softmax over {pos} ∪ negs.
         let s_pos = self.score(u, pos) / tau;
@@ -232,6 +264,16 @@ impl Scorer for MatrixFactorization {
             out,
         );
     }
+
+    fn row_tables(&self) -> Option<RowTables<'_>> {
+        Some(RowTables {
+            users: self.users.as_slice(),
+            items: self.items.as_slice(),
+            dim: self.items.dim(),
+            stamp: self.stamp,
+            changed: &self.changed,
+        })
+    }
 }
 
 impl PairwiseModel for MatrixFactorization {
@@ -241,6 +283,7 @@ impl PairwiseModel for MatrixFactorization {
 
     fn accumulate_triple(&mut self, u: u32, pos: u32, neg: u32, lr: f32, reg: f32) -> f32 {
         debug_assert_ne!(pos, neg, "positive and negative item must differ");
+        self.record_writes([pos, neg]);
         let g = info(self.score(u, pos), self.score(u, neg));
         let wu = self.users.row_mut(u as usize);
         let (hi, hj) = self.items.two_rows_mut(pos as usize, neg as usize);
@@ -271,6 +314,7 @@ impl PairwiseModel for MatrixFactorization {
     fn update_batch(&mut self, batch: &TripleBatch, lr: f32, reg: f32, infos: &mut Vec<f32>) {
         infos.clear();
         infos.reserve(batch.n_triples());
+        self.record_writes(batch.pos().iter().chain(batch.negs()).copied());
         let k = batch.k();
         let dim = self.users.dim();
         for (row, (&u, &pos)) in batch.users().iter().zip(batch.pos()).enumerate() {
@@ -469,6 +513,46 @@ mod tests {
         for i in 0..6u32 {
             assert_eq!(seq.item_embedding(i), blocked.item_embedding(i));
         }
+    }
+
+    #[test]
+    fn write_record_names_every_item_row_a_call_changes() {
+        let mut m = model(23);
+        let stamp = |m: &MatrixFactorization| m.row_tables().unwrap().stamp;
+        // A clone is a different table: same rows, a fresh stamp.
+        assert_ne!(stamp(&m.clone()), stamp(&m));
+        // Each write moves the stamp one step and names every changed row.
+        let write = |m: &mut MatrixFactorization, call: &dyn Fn(&mut MatrixFactorization)| {
+            let (before, items) = (stamp(m), m.items().clone());
+            call(m);
+            let tables = m.row_tables().unwrap();
+            assert_eq!(tables.stamp.previous(), Some(before));
+            for i in 0..m.n_items() {
+                if m.item_embedding(i) != items.row(i as usize) {
+                    assert!(tables.changed.contains(&i), "row {i} changed unrecorded");
+                }
+            }
+        };
+        write(&mut m, &|m| {
+            m.accumulate_triple(0, 1, 2, 0.1, 0.0);
+        });
+        assert_eq!(m.row_tables().unwrap().changed, &[1, 2]);
+        for (k, rows) in [
+            (1usize, &[(0u32, 3u32, [4u32, 0])][..]),
+            (2, &[(1, 5, [0, 2]), (3, 1, [4, 4])]),
+        ] {
+            write(&mut m, &|m| {
+                let mut batch = TripleBatch::new();
+                batch.begin_fill(k);
+                for &(u, pos, negs) in rows {
+                    batch.push_row(u, pos).copy_from_slice(&negs[..k]);
+                }
+                m.update_batch(&batch, 0.1, 0.01, &mut Vec::new());
+            });
+        }
+        write(&mut m, &|m| {
+            m.infonce_update(2, 0, &[3, 5], 0.1, 0.01, 0.5);
+        });
     }
 
     #[test]

@@ -6,6 +6,71 @@
 //! batch hooks, provided by [`PairwiseModel`].
 
 use crate::batch::TripleBatch;
+use bns_sync::ClaimCursor;
+use std::sync::LazyLock;
+
+/// Identifies one state of a model's item table: which table, and how
+/// many writes it has taken.
+///
+/// Every table gets a process-unique id when it is built or cloned, and
+/// every call that writes item rows bumps its version, so two equal stamps
+/// always name the same table contents. A holder of a copy made at some
+/// stamp can tell from the current stamp whether the copy is still fresh.
+///
+/// Only this crate's models mint stamps, so only they can hand out
+/// [`RowTables`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableStamp {
+    /// Process-unique id of the table.
+    table: u64,
+    /// Writes the table has taken since it got its id.
+    version: u64,
+}
+
+impl TableStamp {
+    /// A stamp for a newly built (or cloned) table: a fresh id, version 0.
+    pub(crate) fn fresh() -> Self {
+        static IDS: LazyLock<ClaimCursor> = LazyLock::new(|| ClaimCursor::new(0));
+        Self {
+            table: IDS.claim() as u64,
+            version: 0,
+        }
+    }
+
+    /// The stamp after one more write.
+    pub(crate) fn next(self) -> Self {
+        Self {
+            version: self.version + 1,
+            ..self
+        }
+    }
+
+    /// The stamp before the latest write, if the table has taken one.
+    pub fn previous(self) -> Option<Self> {
+        Some(Self {
+            version: self.version.checked_sub(1)?,
+            ..self
+        })
+    }
+}
+
+/// Read access to a model whose scores are `kernel::dot(users[u],
+/// items[i])` over two contiguous row-major tables, with a record of the
+/// item rows its latest write changed.
+#[derive(Debug, Clone, Copy)]
+pub struct RowTables<'a> {
+    /// Row-major `n_users × dim` user table.
+    pub users: &'a [f32],
+    /// Row-major `n_items × dim` item table.
+    pub items: &'a [f32],
+    /// Row dimension.
+    pub dim: usize,
+    /// The item table's current state.
+    pub stamp: TableStamp,
+    /// Every item row that differs between `stamp.previous()` and `stamp`
+    /// (ids may repeat).
+    pub changed: &'a [u32],
+}
 
 /// Read-only access to predicted scores `x̂ᵤᵢ`.
 pub trait Scorer {
@@ -71,6 +136,16 @@ pub trait Scorer {
                 self.score_items(u, ids, slots);
             }
         }
+    }
+
+    /// The model's contiguous user and item tables and its item write
+    /// record, for callers that keep their own copy of some item rows
+    /// (BNS's coded Eq. 16 pass). `None`, the default, tells them to score
+    /// through [`Scorer::score_items`] instead. A model returning `Some`
+    /// must score exactly `kernel::dot` over these rows and must bump
+    /// [`RowTables::stamp`] on every write to an item row.
+    fn row_tables(&self) -> Option<RowTables<'_>> {
+        None
     }
 }
 

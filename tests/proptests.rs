@@ -13,12 +13,31 @@ use bns::data::{split_random, Interactions, SplitConfig};
 use bns::eval::{ndcg_at_k, precision_at_k, recall_at_k, top_k_masked};
 use bns::model::loss::{bpr_log_likelihood, info, sigmoid};
 use bns::model::scorer::FixedScorer;
-use bns::model::{kernel, Scorer};
+use bns::model::{kernel, Embedding, MatrixFactorization, Scorer};
 use bns::stats::dist::Continuous;
 use bns::stats::{Ecdf, Normal, Welford};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Forwards scoring to a model but hides its rows, so an Eq. 16 pass
+/// through it takes the gather.
+struct GatherOnly<'a>(&'a dyn Scorer);
+
+impl Scorer for GatherOnly<'_> {
+    fn n_users(&self) -> u32 {
+        self.0.n_users()
+    }
+    fn n_items(&self) -> u32 {
+        self.0.n_items()
+    }
+    fn score(&self, u: u32, i: u32) -> f32 {
+        self.0.score(u, i)
+    }
+    fn score_items(&self, u: u32, items: &[u32], out: &mut [f32]) {
+        self.0.score_items(u, items, out)
+    }
+}
 
 proptest! {
     // ---------- Eq. (15): the unbias posterior ----------
@@ -288,6 +307,78 @@ proptest! {
                 .count();
             // Each threshold must match the independent scan exactly.
             prop_assert_eq!(counts[c] as usize, all_le - pos_le);
+        }
+    }
+
+    /// The coded Eq. 16 pass (MF exposes its rows, and `Subsample(k)` below
+    /// the catalog size draws a sample) must count exactly what the gather
+    /// pass counts, threshold for threshold, on rows built to sit at the
+    /// edge of its error bound: thresholds at sampled rows' scores and one
+    /// ulp either side, exact ties, zero, constant and one-element rows,
+    /// rows of norm ~1e30, and users that are tiny or not finite.
+    #[test]
+    fn coded_ecdf_counts_match_the_gather_pass(
+        n_items in 40u32..300,
+        d in 1usize..20,
+        k_frac in 0.05f64..0.95,
+        values in prop::collection::vec(-2.0f32..2.0, 6000),
+        user_values in prop::collection::vec(-2.0f32..2.0, 20),
+        positives in prop::collection::btree_set(0u32..300, 0..30),
+        picks in prop::collection::vec(0usize..10_000, 10),
+        seed in 0u64..1_000_000,
+    ) {
+        let strategy = EcdfStrategy::Subsample(((n_items as f64 * k_frac) as usize).max(1));
+        let (mut coded, mut gathered) = (EcdfScratch::default(), EcdfScratch::default());
+        coded.draw_sample(strategy, n_items, &mut StdRng::seed_from_u64(seed));
+        gathered.draw_sample(strategy, n_items, &mut StdRng::seed_from_u64(seed));
+        let sample = coded.sample().to_vec();
+        prop_assert!(!sample.is_empty() && sample.len() < n_items as usize);
+        let at = |p: usize| sample[picks[p] % sample.len()] as usize;
+
+        let mut items: Vec<f32> = values.iter().copied().cycle().take(n_items as usize * d).collect();
+        let twin = at(4);
+        let source: Vec<f32> = items[twin * d..(twin + 1) * d].to_vec();
+        let mut row = |i: usize, f: &dyn Fn(usize, f32) -> f32| {
+            for (k, x) in items[i * d..(i + 1) * d].iter_mut().enumerate() {
+                *x = f(k, *x);
+            }
+        };
+        row(at(0), &|_, _| 0.0);
+        row(at(1), &|_, _| 0.37);
+        row(at(2), &|k, x| if k == 0 { 1e4 } else { x * 1e-3 });
+        row(at(3), &|_, x| x * 1e30);
+        row(at(5), &|k, _| source[k] * (1.0 + f32::EPSILON));
+        row(at(6), &|k, _| source[k]);
+
+        let user: Vec<f32> = user_values[..d].to_vec();
+        let mut users = user.clone();
+        users.extend(user.iter().map(|x| x * 1e-30));
+        users.extend(user.iter().enumerate().map(|(k, &x)| if k == d / 2 { f32::NAN } else { x }));
+        users.extend(user.iter().enumerate().map(|(k, &x)| if k == 0 { f32::INFINITY } else { x }));
+        let model = MatrixFactorization::from_embeddings(
+            Embedding::from_vec(4, d, users).unwrap(),
+            Embedding::from_vec(n_items as usize, d, items).unwrap(),
+        ).unwrap();
+        prop_assert!(model.row_tables().is_some());
+        let pairs: Vec<(u32, u32)> = positives
+            .iter()
+            .filter(|&&p| p < n_items)
+            .flat_map(|&p| [(0, p), (3, p)])
+            .collect();
+        let train = Interactions::from_pairs(4, n_items, &pairs).unwrap();
+
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        for u in 0..4u32 {
+            let mut thresholds = Vec::new();
+            for p in [0, 1, 2, 3, 4, 5, 7, 8, 9] {
+                let x = model.score(u, at(p) as u32);
+                thresholds.extend([x, x.next_up(), x.next_down()]);
+            }
+            let scanned = fused_ecdf_counts(strategy, &model, &train, u, &thresholds, &mut a, &mut coded);
+            let reference =
+                fused_ecdf_counts(strategy, &GatherOnly(&model), &train, u, &thresholds, &mut b, &mut gathered);
+            prop_assert_eq!(scanned, reference);
+            prop_assert_eq!(&a, &b);
         }
     }
 

@@ -2,9 +2,9 @@
 // audits, spliced into each audit test binary with `include!` (files in
 // `tests/support/` are not themselves test targets, and `//!` inner docs
 // would be illegal at the include site). One source of truth:
-// `tests/sampler_alloc.rs` at the repo root and
-// `crates/serve/tests/query_alloc.rs` both use it, so an allocator-gate
-// fix lands in every audit at once.
+// `tests/sampler_alloc.rs` and `tests/coded_pass_alloc.rs` at the repo
+// root and `crates/serve/tests/query_alloc.rs` all use it, so an
+// allocator-gate fix lands in every audit at once.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
