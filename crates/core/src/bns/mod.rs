@@ -55,8 +55,9 @@
 //!
 //! Gathering the sampled rows is most of a draw: each one is a scattered
 //! 128-byte row (d = 32) fetched from the item table. When the scorer
-//! exposes its rows ([`Scorer::row_tables`]: MF does) and an epoch sample
-//! exists, the pass instead reads a compact copy of the sample's rows,
+//! exposes its rows ([`Scorer::row_tables`]: MF, a refreshed LightGCN and
+//! a frozen artifact do) and an epoch sample exists, the pass instead
+//! reads a compact copy of the sample's rows,
 //! [`CodedRows`]: i16 codes with a per-row scale, dimension-major in
 //! blocks of 8 rows, and a per-row bound
 //! `B ≥ ‖h − ĥ‖₂ + γ_{d+2}(‖h‖₂ + ‖ĥ‖₂)` on the coding error. For every
@@ -81,11 +82,13 @@
 //!   Before each pass the copy is brought to the current stamp: nothing
 //!   when it is there, a re-code of the changed rows that are in the
 //!   sample when it is one write behind, and a full rebuild in any other
-//!   case (several writes between passes, another model, a clone). It is
-//!   never stale, whatever calls reach the model.
-//! * **Fallback.** Scorers that expose no rows (LightGCN, frozen
-//!   artifacts, wrappers that do not forward `row_tables`) and the exact
-//!   pass take the gather, which is also the tests' reference.
+//!   case (several writes between passes, another model, a clone, a
+//!   LightGCN refresh, which rewrites the whole table under a fresh
+//!   stamp). It is never stale, whatever calls reach the model.
+//! * **Fallback.** Only scorers that expose no rows gather: a stale
+//!   LightGCN, `FixedScorer`, and wrappers that hide or do not forward
+//!   `row_tables`. The exact pass gathers too, and the gather is the
+//!   tests' reference.
 
 pub mod prior;
 pub mod risk;
@@ -185,19 +188,18 @@ impl CodedSample {
     /// and a full rebuild otherwise — so the copy is never stale, whatever
     /// calls reached the model in between.
     fn refresh(&mut self, tables: &RowTables<'_>, sample: &[u32]) {
-        let d = tables.dim;
-        let row = |i: u32| &tables.items[i as usize * d..(i as usize + 1) * d];
         match self.stamp {
             Some(held) if held == tables.stamp => {}
             Some(held) if Some(held) == tables.stamp.previous() => {
                 for &i in tables.changed {
                     if let Ok(r) = sample.binary_search(&i) {
-                        self.rows.set(r, row(i));
+                        self.rows.set(r, tables.item(i));
                     }
                 }
             }
             _ => {
-                self.rows.rebuild(d, sample.iter().map(|&i| row(i)));
+                self.rows
+                    .rebuild(tables.dim, sample.iter().map(|&i| tables.item(i)));
                 self.builds += 1;
             }
         }
@@ -387,8 +389,7 @@ fn coded_pass(
     // from pass to pass, and a growing buffer would allocate mid-epoch.
     block.ids.reserve(ECDF_BLOCK);
     block.scores.reserve(ECDF_BLOCK);
-    let d = tables.dim;
-    let user = &tables.users[u as usize * d..(u as usize + 1) * d];
+    let user = tables.user(u);
     // Sample positions of the user's positives, ascending.
     let mut from = 0usize;
     let skip = train.items_of(u).iter().filter_map(|&p| {
@@ -1091,7 +1092,7 @@ mod tests {
     use super::*;
     use bns_data::{Interactions, Popularity};
     use bns_model::scorer::FixedScorer;
-    use bns_model::{MatrixFactorization, PairwiseModel, Scorer};
+    use bns_model::{LightGcn, MatrixFactorization, PairwiseModel, Scorer};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -1816,6 +1817,49 @@ mod tests {
         fn on_epoch_end(&mut self, _: usize, _: &dyn Scorer) {}
     }
 
+    /// Trains clones of `model` with BNS at `Subsample(64)` on the coded
+    /// pass and behind [`Hidden`] (every Eq. 16 pass gathers), asserts that
+    /// both runs give the same triples, stats and tables, and returns the
+    /// coded run's full rebuilds of its copy.
+    fn coded_run_is_the_gather_run<M: PairwiseModel + Clone>(
+        model: &M,
+        dataset: &bns_data::Dataset,
+        config: &crate::TrainConfig,
+    ) -> u64 {
+        let run = |hide: bool| {
+            let cfg = BnsConfig {
+                ecdf: EcdfStrategy::Subsample(64),
+                ..BnsConfig::default()
+            };
+            let prior = Box::new(PopularityPrior::new(dataset.popularity()));
+            let mut sampler = BnsSampler::new(cfg, prior).unwrap();
+            let (mut model, mut trace) = (model.clone(), Trace::default());
+            let mut stats = if hide {
+                let mut hidden = Hidden(&mut model);
+                crate::train(&mut hidden, dataset, &mut sampler, config, &mut trace)
+            } else {
+                crate::train(&mut model, dataset, &mut sampler, config, &mut trace)
+            }
+            .unwrap();
+            stats.wall_seconds = 0.0;
+            let rescored: Vec<u64> = (stats.posterior_per_epoch.iter_mut())
+                .map(|p| std::mem::take(&mut p.ecdf_rescored))
+                .collect();
+            let builds = sampler.ecdf_scratch.coded.builds;
+            (trace.0, stats, rescored, model, builds)
+        };
+        let (coded, coded_stats, a, coded_model, builds) = run(false);
+        let (gather, gather_stats, b, gather_model, _) = run(true);
+        assert!(coded.len() >= 3 * 90, "{} triples", coded.len());
+        assert_eq!(coded, gather);
+        assert!(a.iter().zip(&b).all(|(a, b)| a < b), "{a:?} vs {b:?}");
+        assert_eq!(coded_stats, gather_stats);
+        let (a, b) = (coded_model.row_tables(), gather_model.row_tables());
+        let (a, b) = (a.expect("trained rows"), b.expect("trained rows"));
+        assert_eq!((a.users, a.items), (b.users, b.items));
+        builds
+    }
+
     #[test]
     fn training_on_the_coded_pass_is_the_gather_trace() {
         let (n_users, n_items) = (24u32, 500u32);
@@ -1825,53 +1869,24 @@ mod tests {
             Interactions::from_pairs(n_users, n_items, &[(0, 7), (5, 9)]).unwrap(),
         )
         .unwrap();
-        let cfg = BnsConfig {
-            ecdf: EcdfStrategy::Subsample(64),
-            ..BnsConfig::default()
-        };
+        let mut rng = StdRng::seed_from_u64(23);
+        let mf = MatrixFactorization::new(n_users, n_items, 16, 0.1, &mut rng).unwrap();
         let batched = crate::TrainConfig {
             batch_size: 8,
             k_negatives: 2,
             ..crate::TrainConfig::paper_mf(3, 5)
         };
+        // MF records every write, so its copy is rebuilt only when each
+        // epoch redraws the sample.
         for config in [crate::TrainConfig::paper_mf(3, 4), batched] {
-            let run = |hide: bool| {
-                let mut rng = StdRng::seed_from_u64(23);
-                let model = MatrixFactorization::new(n_users, n_items, 16, 0.1, &mut rng).unwrap();
-                let prior = Box::new(PopularityPrior::new(dataset.popularity()));
-                let mut sampler = BnsSampler::new(cfg, prior).unwrap();
-                let mut trace = Trace::default();
-                let mut model = model;
-                let stats = if hide {
-                    let mut hidden = Hidden(&mut model);
-                    crate::train(&mut hidden, &dataset, &mut sampler, &config, &mut trace)
-                } else {
-                    crate::train(&mut model, &dataset, &mut sampler, &config, &mut trace)
-                };
-                (trace.0, stats.unwrap(), model)
-            };
-            let (coded, mut coded_stats, coded_model) = run(false);
-            let (gather, mut gather_stats, gather_model) = run(true);
-            assert!(coded.len() >= 3 * 90, "{} triples", coded.len());
-            assert_eq!(coded, gather);
-            let rescored = |stats: &mut crate::TrainStats| -> Vec<u64> {
-                let out = stats
-                    .posterior_per_epoch
-                    .iter()
-                    .map(|p| p.ecdf_rescored)
-                    .collect();
-                for p in &mut stats.posterior_per_epoch {
-                    p.ecdf_rescored = 0;
-                }
-                out
-            };
-            let (a, b) = (rescored(&mut coded_stats), rescored(&mut gather_stats));
-            assert!(a.iter().zip(&b).all(|(a, b)| a < b), "{a:?} vs {b:?}");
-            coded_stats.wall_seconds = 0.0;
-            gather_stats.wall_seconds = 0.0;
-            assert_eq!(coded_stats, gather_stats);
-            assert_eq!(coded_model.items(), gather_model.items());
-            assert_eq!(coded_model.users(), gather_model.users());
+            assert_eq!(coded_run_is_the_gather_run(&mf, &dataset, &config), 3);
         }
+        // LightGCN rewrites its whole table at every batch's refresh, so
+        // every batch after the first of an epoch rebuilds the copy too.
+        let gcn = LightGcn::new(dataset.train(), 16, 1, 0.1, &mut rng).unwrap();
+        let config = crate::TrainConfig::paper_lightgcn(3, 8, 6);
+        let batches = dataset.train().len().div_ceil(8) as u64;
+        let builds = coded_run_is_the_gather_run(&gcn, &dataset, &config);
+        assert_eq!(builds, 3 * batches);
     }
 }

@@ -13,7 +13,7 @@ use bns_data::synthetic::generate;
 use bns_data::{split_random, Dataset, DatasetPreset, Occupations, SplitConfig};
 use bns_eval::{evaluate_ranking, RankingReport};
 use bns_model::snapshot::{SnapshotKind, SnapshotScorer};
-use bns_model::{Embedding, LightGcn, MatrixFactorization, PairwiseModel, RowTables, Scorer};
+use bns_model::{LightGcn, MatrixFactorization, PairwiseModel, RowTables, Scorer};
 use bns_serve::ModelArtifact;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -107,27 +107,6 @@ impl Scorer for AnyModel {
         }
     }
 
-    fn score_all(&self, u: u32, out: &mut [f32]) {
-        match self {
-            AnyModel::Mf(m) => m.score_all(u, out),
-            AnyModel::Gcn(m) => m.score_all(u, out),
-        }
-    }
-
-    fn score_items(&self, u: u32, items: &[u32], out: &mut [f32]) {
-        match self {
-            AnyModel::Mf(m) => m.score_items(u, items, out),
-            AnyModel::Gcn(m) => m.score_items(u, items, out),
-        }
-    }
-
-    fn score_tile(&self, users: &[u32], first: u32, out: &mut [f32]) {
-        match self {
-            AnyModel::Mf(m) => m.score_tile(users, first, out),
-            AnyModel::Gcn(m) => m.score_tile(users, first, out),
-        }
-    }
-
     fn row_tables(&self) -> Option<RowTables<'_>> {
         match self {
             AnyModel::Mf(m) => m.row_tables(),
@@ -141,13 +120,6 @@ impl SnapshotScorer for AnyModel {
         match self {
             AnyModel::Mf(m) => m.snapshot_kind(),
             AnyModel::Gcn(m) => m.snapshot_kind(),
-        }
-    }
-
-    fn snapshot_embeddings(&self) -> bns_model::Result<(Embedding, Embedding)> {
-        match self {
-            AnyModel::Mf(m) => m.snapshot_embeddings(),
-            AnyModel::Gcn(m) => m.snapshot_embeddings(),
         }
     }
 }

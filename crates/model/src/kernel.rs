@@ -19,6 +19,11 @@
 //!   item row read once for the whole tile (the ranking protocol's
 //!   `Scorer::score_tile`, dispatched by [`score_tile`]).
 //!
+//! `Scorer`'s provided `score_all`, `score_items` and `score_tile` run
+//! [`gemv`], [`gather_dots`] and [`score_tile`] over the tables of any
+//! model that exposes them (`Scorer::row_tables`), so no model carries its
+//! own copy of those bodies.
+//!
 //! Because all four share one accumulation structure, `score(u, i)`,
 //! `score_all(u, ..)[i]`, `score_items(u, [i], ..)` and `score_tile`
 //! return **bitwise identical** values for the same model state — the
@@ -315,9 +320,9 @@ pub fn gemm(users: [&[f32]; TILE], items: &[f32], out: &mut [f32]) {
     }
 }
 
-/// The `Scorer::score_tile` body of every model whose item rows are one
-/// contiguous row-major `table`: scores the users `users` (their rows
-/// given by `row`) against items `first ..` into `out` (one row of
+/// The provided `Scorer::score_tile` body over a model's row tables (one
+/// contiguous row-major item `table`): scores the users `users` (their
+/// rows given by `row`) against items `first ..` into `out` (one row of
 /// `out.len() / users.len()` scores per user). A full tile goes through
 /// [`gemm`], anything shorter through [`gemv`] per user.
 pub fn score_tile<'a>(

@@ -10,8 +10,9 @@
 //! * [`embedding`] — flat row-major `f32` embedding tables with seeded
 //!   initialization.
 //! * [`scorer`] — the [`scorer::Scorer`] trait (read-only score access
-//!   used by samplers and evaluation) and the [`scorer::PairwiseModel`]
-//!   trait (adds BPR updates).
+//!   used by samplers and evaluation, whose batched methods run the
+//!   kernels over a model's [`scorer::RowTables`]) and the
+//!   [`scorer::PairwiseModel`] trait (adds BPR updates).
 //! * [`mf`] — matrix factorization with per-triple SGD (the paper trains MF
 //!   with batch size 1).
 //! * [`lightgcn`] — LightGCN: symmetric-normalized bipartite adjacency,
@@ -32,9 +33,9 @@
 //! * [`batch`] — the SoA [`batch::TripleBatch`] buffer: `{users, pos,
 //!   negs}` with `k ≥ 1` negatives per positive, filled by batched
 //!   samplers and consumed by [`scorer::PairwiseModel::update_batch`].
-//! * [`snapshot`] — the [`snapshot::SnapshotScorer`] freeze point: dense
-//!   `(users, items)` tables reproducing a trained scorer's values
-//!   bitwise, consumed by the `bns-serve` artifact format.
+//! * [`snapshot`] — the [`snapshot::SnapshotScorer`] freeze point: the
+//!   provenance tag of a scorer whose row tables the `bns-serve` artifact
+//!   copies, reproducing its values bitwise.
 
 pub mod batch;
 pub mod coded;

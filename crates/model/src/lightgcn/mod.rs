@@ -26,7 +26,7 @@ pub use graph::NormAdjacency;
 use crate::batch::TripleBatch;
 use crate::embedding::Embedding;
 use crate::loss::info;
-use crate::scorer::{PairwiseModel, Scorer};
+use crate::scorer::{PairwiseModel, RowTables, Scorer, TableStamp};
 use crate::{ModelError, Result};
 use bns_data::Interactions;
 use rand::Rng;
@@ -47,6 +47,10 @@ pub struct LightGcn {
     touched: Vec<u32>,
     /// Dirty flag: `final_emb` must be recomputed before scoring.
     stale: bool,
+    /// The state of `final_emb`: a fresh stamp per [`LightGcn::refresh`],
+    /// which rewrites the whole table (see [`Scorer::row_tables`]). A
+    /// clone shares it until either copy refreshes, and so do its rows.
+    stamp: TableStamp,
     /// Scratch buffers for propagation.
     buf_a: Vec<f32>,
     buf_b: Vec<f32>,
@@ -83,6 +87,7 @@ impl LightGcn {
             grad: vec![0.0; sz],
             touched: Vec::new(),
             stale: true,
+            stamp: TableStamp::fresh(),
             buf_a: vec![0.0; sz],
             buf_b: vec![0.0; sz],
         };
@@ -96,7 +101,8 @@ impl LightGcn {
         (self.adj.n_users() + i) as usize
     }
 
-    /// Recomputes `final_emb = (1/(K+1)) Σ_k Ãᵏ base`.
+    /// Recomputes `final_emb = (1/(K+1)) Σ_k Ãᵏ base`, under a fresh
+    /// [`TableStamp`].
     pub fn refresh(&mut self) {
         propagate_mean(
             &self.adj,
@@ -108,6 +114,7 @@ impl LightGcn {
             &mut self.buf_b,
         );
         self.stale = false;
+        self.stamp = TableStamp::fresh();
     }
 
     /// Number of propagation layers `K`.
@@ -116,8 +123,9 @@ impl LightGcn {
     }
 
     /// Whether the propagated embeddings are stale (a base-embedding update
-    /// has been applied since the last [`LightGcn::refresh`]). Scores and
-    /// snapshots must only be read when this is `false`.
+    /// has been applied since the last [`LightGcn::refresh`]). Scores must
+    /// only be read when this is `false`, and [`Scorer::row_tables`] is
+    /// `None` until then.
     pub fn is_stale(&self) -> bool {
         self.stale
     }
@@ -125,11 +133,6 @@ impl LightGcn {
     /// Embedding dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Final (propagated) embedding of a node — users first, then items.
-    pub fn final_embedding(&self, node: usize) -> &[f32] {
-        &self.final_emb[node * self.dim..(node + 1) * self.dim]
     }
 
     /// Base embedding of a node (for tests).
@@ -225,36 +228,22 @@ impl Scorer for LightGcn {
         )
     }
 
-    fn score_all(&self, u: u32, out: &mut [f32]) {
-        debug_assert!(
-            !self.stale,
-            "scores read from a stale LightGCN; call refresh()"
-        );
-        debug_assert_eq!(out.len(), self.n_items() as usize);
-        let d = self.dim;
-        let un = u as usize;
-        let user_row = &self.final_emb[un * d..(un + 1) * d];
-        let items_start = self.adj.n_users() as usize;
-        for (i, slot) in out.iter_mut().enumerate() {
-            let node = items_start + i;
-            *slot = crate::kernel::dot(user_row, &self.final_emb[node * d..(node + 1) * d]);
+    /// The propagated table, split at the first item node; `None` while
+    /// stale.
+    fn row_tables(&self) -> Option<RowTables<'_>> {
+        if self.stale {
+            return None;
         }
-    }
-
-    fn score_tile(&self, users: &[u32], first: u32, out: &mut [f32]) {
-        debug_assert!(
-            !self.stale,
-            "scores read from a stale LightGCN; call refresh()"
-        );
-        let d = self.dim;
-        let (user_rows, item_rows) = self.final_emb.split_at(self.adj.n_users() as usize * d);
-        crate::kernel::score_tile(
-            |u| &user_rows[u as usize * d..(u as usize + 1) * d],
-            item_rows,
+        let (users, items) = self
+            .final_emb
+            .split_at(self.adj.n_users() as usize * self.dim);
+        Some(RowTables {
             users,
-            first,
-            out,
-        );
+            items,
+            dim: self.dim,
+            stamp: self.stamp,
+            changed: &[],
+        })
     }
 }
 
@@ -413,6 +402,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn row_tables_hide_while_stale_and_each_refresh_mints_a_stamp() {
+        let mut m = model(1, 8);
+        let stamp = |m: &LightGcn| m.row_tables().map(|t| t.stamp);
+        let first = stamp(&m).expect("a new model is refreshed");
+        // A clone holds the same rows until either copy refreshes.
+        assert_eq!(stamp(&m.clone()), Some(first));
+        m.base_embedding_mut(0)[0] += 1.0;
+        assert!(m.is_stale() && m.row_tables().is_none());
+        m.refresh();
+        let tables = m.row_tables().unwrap();
+        // A refresh rewrites the whole table: a new id, no one-write record.
+        assert_ne!(tables.stamp, first);
+        assert_eq!(tables.stamp.previous(), None);
+        assert!(tables.changed.is_empty());
+        let second = tables.stamp;
+        m.begin_batch();
+        m.accumulate_triple(0, 0, 3, 0.0, 0.0);
+        m.end_batch(0.1, 0.0);
+        let third = stamp(&m).expect("end_batch refreshes");
+        assert!(third != first && third != second);
     }
 
     #[test]

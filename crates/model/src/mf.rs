@@ -239,32 +239,6 @@ impl Scorer for MatrixFactorization {
         crate::kernel::dot(self.users.row(u as usize), self.items.row(i as usize))
     }
 
-    fn score_all(&self, u: u32, out: &mut [f32]) {
-        debug_assert_eq!(out.len(), self.items.len());
-        // Algorithm 1 line 4 (get rating vector x̂ᵤ): one streaming GEMV
-        // over the contiguous item table with the unrolled kernel.
-        crate::kernel::gemv(self.users.row(u as usize), self.items.as_slice(), out);
-    }
-
-    fn score_items(&self, u: u32, items: &[u32], out: &mut [f32]) {
-        crate::kernel::gather_dots(
-            self.users.row(u as usize),
-            self.items.as_slice(),
-            items,
-            out,
-        );
-    }
-
-    fn score_tile(&self, users: &[u32], first: u32, out: &mut [f32]) {
-        crate::kernel::score_tile(
-            |u| self.users.row(u as usize),
-            self.items.as_slice(),
-            users,
-            first,
-            out,
-        );
-    }
-
     fn row_tables(&self) -> Option<RowTables<'_>> {
         Some(RowTables {
             users: self.users.as_slice(),

@@ -12,13 +12,14 @@ use std::sync::LazyLock;
 /// Identifies one state of a model's item table: which table, and how
 /// many writes it has taken.
 ///
-/// Every table gets a process-unique id when it is built or cloned, and
-/// every call that writes item rows bumps its version, so two equal stamps
-/// always name the same table contents. A holder of a copy made at some
-/// stamp can tell from the current stamp whether the copy is still fresh.
+/// Every table gets a process-unique id when it is built, cloned or
+/// rewritten whole, and every call that writes some of its item rows bumps
+/// its version, so two equal stamps always name the same table contents.
+/// A holder of a copy made at some stamp can tell from the current stamp
+/// whether the copy is still fresh.
 ///
-/// Only this crate's models mint stamps, so only they can hand out
-/// [`RowTables`].
+/// Ids come only from [`TableStamp::fresh`]; versions advance only inside
+/// this crate, whose models record the rows each write changed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TableStamp {
     /// Process-unique id of the table.
@@ -28,8 +29,10 @@ pub struct TableStamp {
 }
 
 impl TableStamp {
-    /// A stamp for a newly built (or cloned) table: a fresh id, version 0.
-    pub(crate) fn fresh() -> Self {
+    /// A stamp for a newly built (or cloned, or wholly rewritten) table:
+    /// a fresh id, version 0. No stamp minted before it names the same
+    /// table, so a holder of an older copy always rebuilds it.
+    pub fn fresh() -> Self {
         static IDS: LazyLock<ClaimCursor> = LazyLock::new(|| ClaimCursor::new(0));
         Self {
             table: IDS.claim() as u64,
@@ -72,7 +75,32 @@ pub struct RowTables<'a> {
     pub changed: &'a [u32],
 }
 
+impl<'a> RowTables<'a> {
+    /// User `u`'s row.
+    #[inline]
+    pub fn user(&self, u: u32) -> &'a [f32] {
+        let at = u as usize * self.dim;
+        &self.users[at..at + self.dim]
+    }
+
+    /// Item `i`'s row.
+    #[inline]
+    pub fn item(&self, i: u32) -> &'a [f32] {
+        let at = i as usize * self.dim;
+        &self.items[at..at + self.dim]
+    }
+}
+
 /// Read-only access to predicted scores `x̂ᵤᵢ`.
+///
+/// A scorer implements [`Scorer::score`] and, when its scores are
+/// `kernel::dot` of a user row and a row of one contiguous item table
+/// (MF, LightGCN over its propagated table, a frozen artifact),
+/// [`Scorer::row_tables`]. The batched methods are provided: with row
+/// tables they run the kernel entry points over them, and without they
+/// loop over `score`. A wrapper that scores through an inner model
+/// forwards `score` and `row_tables`, or overrides the batched methods
+/// itself; one that forwards neither gets the loops over `score`.
 pub trait Scorer {
     /// Number of users in the model.
     fn n_users(&self) -> u32;
@@ -84,12 +112,18 @@ pub trait Scorer {
     fn score(&self, u: u32, i: u32) -> f32;
 
     /// Fills `out` (length `n_items`) with user `u`'s scores for every item
-    /// — the "rating vector x̂ᵤ" of Algorithm 1, line 4. Implementations
-    /// should specialize this; the default loops over [`Scorer::score`].
+    /// — the "rating vector x̂ᵤ" of Algorithm 1, line 4: one
+    /// [`crate::kernel::gemv`] over the item table when the scorer has
+    /// [`Scorer::row_tables`], else a loop over [`Scorer::score`].
     fn score_all(&self, u: u32, out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.n_items() as usize);
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.score(u, i as u32);
+        match self.row_tables() {
+            Some(tables) => crate::kernel::gemv(tables.user(u), tables.items, out),
+            None => {
+                for (i, slot) in out.iter_mut().enumerate() {
+                    *slot = self.score(u, i as u32);
+                }
+            }
         }
     }
 
@@ -98,14 +132,20 @@ pub trait Scorer {
     /// handful of specific items instead of the whole catalog.
     ///
     /// Repeated ids are allowed (each slot is filled independently).
-    /// Implementations must produce values bitwise identical to
-    /// [`Scorer::score`] / [`Scorer::score_all`] for the same `(u, item)`,
-    /// so samplers can mix the three access paths freely; the default
-    /// loops over [`Scorer::score`], which satisfies that by construction.
+    /// Values are bitwise identical to [`Scorer::score`] /
+    /// [`Scorer::score_all`] for the same `(u, item)`, so samplers can mix
+    /// the three access paths freely: [`crate::kernel::gather_dots`] over
+    /// [`Scorer::row_tables`] runs `score`'s `dot`, and without row tables
+    /// this loops over `score`.
     fn score_items(&self, u: u32, items: &[u32], out: &mut [f32]) {
         debug_assert_eq!(items.len(), out.len(), "one output slot per item");
-        for (slot, &i) in out.iter_mut().zip(items) {
-            *slot = self.score(u, i);
+        match self.row_tables() {
+            Some(tables) => crate::kernel::gather_dots(tables.user(u), tables.items, items, out),
+            None => {
+                for (slot, &i) in out.iter_mut().zip(items) {
+                    *slot = self.score(u, i);
+                }
+            }
         }
     }
 
@@ -114,13 +154,16 @@ pub trait Scorer {
     /// users against a block of consecutive items, the streamed form of
     /// the ranking protocol.
     ///
-    /// Implementations must produce values bitwise identical to
-    /// [`Scorer::score_all`]'s. Models whose item rows are contiguous
-    /// override it with [`crate::kernel::score_tile`]; the default calls
-    /// [`Scorer::score_items`] on chunks of consecutive ids, which
-    /// satisfies the contract by construction.
+    /// Values are bitwise identical to [`Scorer::score_all`]'s: with
+    /// [`Scorer::row_tables`] this is [`crate::kernel::score_tile`], and
+    /// without it calls [`Scorer::score_items`] on chunks of consecutive
+    /// ids.
     fn score_tile(&self, users: &[u32], first: u32, out: &mut [f32]) {
         const CHUNK: usize = 64;
+        if let Some(tables) = self.row_tables() {
+            crate::kernel::score_tile(|u| tables.user(u), tables.items, users, first, out);
+            return;
+        }
         let len = out.len() / users.len().max(1);
         if len == 0 {
             return;
@@ -139,11 +182,14 @@ pub trait Scorer {
     }
 
     /// The model's contiguous user and item tables and its item write
-    /// record, for callers that keep their own copy of some item rows
-    /// (BNS's coded Eq. 16 pass). `None`, the default, tells them to score
-    /// through [`Scorer::score_items`] instead. A model returning `Some`
-    /// must score exactly `kernel::dot` over these rows and must bump
-    /// [`RowTables::stamp`] on every write to an item row.
+    /// record: the one dense view behind the provided batched methods,
+    /// the artifact freeze and BNS's coded Eq. 16 pass (which keeps its
+    /// own copy of some item rows). `None`, the default, tells callers to
+    /// score through [`Scorer::score`] / [`Scorer::score_items`] instead.
+    /// A model returning `Some` must score exactly `kernel::dot` over
+    /// these rows, and its [`RowTables::stamp`] must name the rows'
+    /// contents: bump it on every write to an item row, with the rows
+    /// written in [`RowTables::changed`], or mint a fresh one.
     fn row_tables(&self) -> Option<RowTables<'_>> {
         None
     }

@@ -2,26 +2,24 @@
 //!
 //! Every scorer the workspace trains ultimately ranks with a dot product
 //! between a user row and an item row (MF directly; LightGCN after
-//! propagating and layer-averaging its base embeddings).
-//! [`SnapshotScorer`] exposes that common dense form: a `(users, items)`
-//! pair of [`Embedding`] tables such that
-//! `kernel::dot(users.row(u), items.row(i))` is **bitwise identical** to
-//! the live model's [`Scorer::score`] — the contract `bns-serve` builds
-//! its immutable [`ModelArtifact`] on.
+//! propagating and layer-averaging its base embeddings). That dense form
+//! is [`Scorer::row_tables`]: a `(users, items)` pair of contiguous tables
+//! such that `kernel::dot` of a user row and an item row is **bitwise
+//! identical** to the live model's [`Scorer::score`]. `bns-serve` copies
+//! those tables into its immutable [`ModelArtifact`]; a model with no row
+//! tables (a stale LightGCN) cannot be frozen.
 //!
 //! The bitwise guarantee holds because every scoring path in the workspace
-//! shares one summation order ([`crate::kernel`]): MF scores through
-//! `kernel::dot`, and LightGCN through `kernel::dot` on its propagated
-//! rows — so copying the tables and re-running the kernel reproduces
-//! every score exactly.
+//! shares one summation order ([`crate::kernel`]), so copying the tables
+//! and re-running the kernel reproduces every score exactly.
+//! [`SnapshotScorer`] adds only the provenance tag the artifact header
+//! records.
 //!
 //! [`ModelArtifact`]: https://docs.rs/bns-serve
 
-use crate::embedding::Embedding;
 use crate::lightgcn::LightGcn;
 use crate::mf::MatrixFactorization;
 use crate::scorer::Scorer;
-use crate::{ModelError, Result};
 
 /// Which live scorer a frozen snapshot came from (stored in the artifact
 /// header for provenance; all kinds serve through the same dense form).
@@ -62,21 +60,21 @@ impl SnapshotKind {
     }
 }
 
-/// A scorer that can freeze itself into dense `(users, items)` embedding
-/// tables reproducing its scores bitwise through [`crate::kernel::dot`].
+/// A scorer that can be frozen into a serving artifact: its dense tables
+/// are [`Scorer::row_tables`], and this names the model they came from.
 ///
 /// ```
-/// use bns_model::{MatrixFactorization, Scorer, SnapshotScorer};
-/// use bns_model::kernel;
+/// use bns_model::{kernel, MatrixFactorization, Scorer, SnapshotKind, SnapshotScorer};
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = StdRng::seed_from_u64(7);
 /// let model = MatrixFactorization::new(3, 5, 8, 0.1, &mut rng)?;
-/// let (users, items) = model.snapshot_embeddings()?;
+/// assert_eq!(model.snapshot_kind(), SnapshotKind::Mf);
+/// let tables = model.row_tables().expect("MF always exposes its rows");
 /// for u in 0..3u32 {
 ///     for i in 0..5u32 {
-///         let frozen = kernel::dot(users.row(u as usize), items.row(i as usize));
+///         let frozen = kernel::dot(tables.user(u), tables.item(i));
 ///         assert_eq!(frozen.to_bits(), model.score(u, i).to_bits());
 ///     }
 /// }
@@ -85,54 +83,19 @@ impl SnapshotKind {
 pub trait SnapshotScorer: Scorer {
     /// Provenance tag recorded in the frozen artifact.
     fn snapshot_kind(&self) -> SnapshotKind;
-
-    /// The dense `(users, items)` tables. Errors when the model is not in
-    /// a scoreable state (a stale LightGCN that needs `refresh()`).
-    fn snapshot_embeddings(&self) -> Result<(Embedding, Embedding)>;
 }
 
 impl SnapshotScorer for MatrixFactorization {
     fn snapshot_kind(&self) -> SnapshotKind {
         SnapshotKind::Mf
     }
-
-    fn snapshot_embeddings(&self) -> Result<(Embedding, Embedding)> {
-        Ok((self.users().clone(), self.items().clone()))
-    }
 }
 
 impl SnapshotScorer for LightGcn {
+    /// The propagation is baked in: the frozen tables are the propagated,
+    /// layer-averaged rows the live model scores with.
     fn snapshot_kind(&self) -> SnapshotKind {
         SnapshotKind::LightGcnPropagated
-    }
-
-    /// Splits the propagated node table into user rows and item rows.
-    /// The propagation is baked in: the artifact scores with a plain dot
-    /// over these rows, exactly like the live model's [`Scorer::score`]
-    /// on its `final_emb`. Errors when the model is stale (an update has
-    /// been applied since the last `refresh()`), because the frozen scores
-    /// would not match what the live model would serve after refreshing.
-    fn snapshot_embeddings(&self) -> Result<(Embedding, Embedding)> {
-        if self.is_stale() {
-            return Err(ModelError::InvalidConfig(
-                "cannot snapshot a stale LightGCN; call refresh() first".into(),
-            ));
-        }
-        let d = self.dim();
-        let n_users = self.n_users() as usize;
-        let n_items = self.n_items() as usize;
-        let mut users = Vec::with_capacity(n_users * d);
-        for node in 0..n_users {
-            users.extend_from_slice(self.final_embedding(node));
-        }
-        let mut items = Vec::with_capacity(n_items * d);
-        for node in n_users..n_users + n_items {
-            items.extend_from_slice(self.final_embedding(node));
-        }
-        Ok((
-            Embedding::from_vec(n_users, d, users)?,
-            Embedding::from_vec(n_items, d, items)?,
-        ))
     }
 }
 
@@ -153,17 +116,22 @@ mod tests {
         assert_eq!(SnapshotKind::from_tag(99), None);
     }
 
+    /// `kernel::dot` over the row tables reproduces every live score.
+    fn assert_rows_score_bitwise(m: &dyn Scorer) {
+        let tables = m.row_tables().expect("a fresh model exposes its rows");
+        for u in 0..m.n_users() {
+            for i in 0..m.n_items() {
+                let frozen = crate::kernel::dot(tables.user(u), tables.item(i));
+                assert_eq!(frozen.to_bits(), m.score(u, i).to_bits());
+            }
+        }
+    }
+
     #[test]
     fn mf_snapshot_scores_bitwise() {
         let mut rng = StdRng::seed_from_u64(1);
         let m = MatrixFactorization::new(4, 6, 8, 0.1, &mut rng).unwrap();
-        let (users, items) = m.snapshot_embeddings().unwrap();
-        for u in 0..4u32 {
-            for i in 0..6u32 {
-                let frozen = crate::kernel::dot(users.row(u as usize), items.row(i as usize));
-                assert_eq!(frozen.to_bits(), m.score(u, i).to_bits());
-            }
-        }
+        assert_rows_score_bitwise(&m);
     }
 
     #[test]
@@ -171,23 +139,6 @@ mod tests {
         let train = Interactions::from_pairs(3, 4, &[(0, 0), (0, 2), (1, 1), (2, 3)]).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let m = LightGcn::new(&train, 8, 1, 0.1, &mut rng).unwrap();
-        let (users, items) = m.snapshot_embeddings().unwrap();
-        for u in 0..3u32 {
-            for i in 0..4u32 {
-                let frozen = crate::kernel::dot(users.row(u as usize), items.row(i as usize));
-                assert_eq!(frozen.to_bits(), m.score(u, i).to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn stale_lightgcn_snapshot_is_rejected() {
-        let train = Interactions::from_pairs(2, 3, &[(0, 0), (1, 1)]).unwrap();
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut m = LightGcn::new(&train, 4, 1, 0.1, &mut rng).unwrap();
-        m.base_embedding_mut(0)[0] += 1.0; // marks the model stale
-        assert!(m.snapshot_embeddings().is_err());
-        m.refresh();
-        assert!(m.snapshot_embeddings().is_ok());
+        assert_rows_score_bitwise(&m);
     }
 }

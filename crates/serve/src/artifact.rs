@@ -55,7 +55,7 @@ use bns_data::serialize::{decode_interactions_storage, encode_interactions};
 use bns_data::storage::{F32Buf, Storage};
 use bns_data::Interactions;
 use bns_model::snapshot::{SnapshotKind, SnapshotScorer};
-use bns_model::{kernel, Embedding, Scorer};
+use bns_model::{kernel, RowTables, Scorer, TableStamp};
 use std::sync::Arc;
 
 /// Format magic — the file starts with the literal bytes `b"BNSA"`
@@ -122,55 +122,6 @@ pub fn fnv1a64_words(bytes: &[u8]) -> u64 {
     hash.wrapping_mul(0x0000_0100_0000_01B3)
 }
 
-/// A frozen embedding table: heap-owned (freeze/decode) or a zero-copy
-/// view into shared artifact storage (mapped load). Row access is a plain
-/// slice either way, so the scoring kernels cannot tell the difference.
-#[derive(Debug, Clone)]
-enum TableStore {
-    Owned(Embedding),
-    View {
-        buf: F32Buf,
-        rows: usize,
-        dim: usize,
-    },
-}
-
-impl TableStore {
-    fn rows(&self) -> usize {
-        match self {
-            TableStore::Owned(e) => e.len(),
-            TableStore::View { rows, .. } => *rows,
-        }
-    }
-
-    fn dim(&self) -> usize {
-        match self {
-            TableStore::Owned(e) => e.dim(),
-            TableStore::View { dim, .. } => *dim,
-        }
-    }
-
-    #[inline]
-    fn row(&self, r: usize) -> &[f32] {
-        match self {
-            TableStore::Owned(e) => e.row(r),
-            TableStore::View { buf, dim, .. } => &buf.as_slice()[r * dim..(r + 1) * dim],
-        }
-    }
-
-    fn as_slice(&self) -> &[f32] {
-        match self {
-            TableStore::Owned(e) => e.as_slice(),
-            TableStore::View { buf, .. } => buf.as_slice(),
-        }
-    }
-
-    /// Whether the table's bytes live in a live file mapping.
-    fn backing_is_mapped(&self) -> bool {
-        matches!(self, TableStore::View { buf, .. } if buf.is_mapped())
-    }
-}
-
 /// An immutable frozen scorer: dense user/item tables plus the seen-item
 /// CSR, scoring through the same kernel as the live models.
 ///
@@ -198,8 +149,15 @@ impl TableStore {
 #[derive(Debug, Clone)]
 pub struct ModelArtifact {
     kind: SnapshotKind,
-    users: TableStore,
-    items: TableStore,
+    /// Minted at freeze or load and never changed: the tables never are.
+    stamp: TableStamp,
+    /// Row-major `n_users × dim` and `n_items × dim` tables: heap-owned
+    /// (freeze, decode) or zero-copy views into a mapped file. Row access
+    /// is a plain slice either way, so the kernels cannot tell them apart.
+    users: F32Buf,
+    items: F32Buf,
+    dim: usize,
+    /// Training positives; its shape is the tables' `n_users × n_items`.
     seen: Interactions,
     index: Option<IvfIndex>,
 }
@@ -209,9 +167,10 @@ impl ModelArtifact {
     /// used for `exclude_seen` filtering at query time.
     ///
     /// The frozen scores are bitwise identical to the live model's: the
-    /// dense tables come from [`SnapshotScorer::snapshot_embeddings`]
-    /// (whose contract is exactness) and this type scores them through
-    /// the same [`bns_model::kernel`] entry points.
+    /// dense tables are copied from [`Scorer::row_tables`] (whose contract
+    /// is exactness) and this type scores them through the same
+    /// [`bns_model::kernel`] entry points. A scorer without row tables (a
+    /// stale LightGCN) is rejected with [`ServeError::Invalid`].
     ///
     /// Catalogs of at least [`AUTO_INDEX_MIN_ITEMS`] items also get a
     /// freeze-time IVF index (default [`IvfConfig`]); smaller ones freeze
@@ -243,15 +202,28 @@ impl ModelArtifact {
                 scorer.n_items()
             )));
         }
-        let (users, items) = scorer
-            .snapshot_embeddings()
-            .map_err(|e| ServeError::Invalid(format!("snapshot failed: {e}")))?;
-        let index =
-            ivf.map(|cfg| IvfIndex::build(items.as_slice(), items.len(), items.dim(), &cfg));
+        let tables = scorer.row_tables().ok_or_else(|| {
+            ServeError::Invalid(
+                "scorer exposes no row tables to freeze (a stale LightGCN needs refresh())".into(),
+            )
+        })?;
+        let (n_users, n_items, dim) = (seen.n_users(), seen.n_items() as usize, tables.dim);
+        if dim == 0
+            || tables.users.len() != n_users as usize * dim
+            || tables.items.len() != n_items * dim
+        {
+            return Err(ServeError::Invalid(format!(
+                "row tables of dim {dim} do not hold {n_users} × {n_items} rows"
+            )));
+        }
+        let (users, items) = (tables.users.to_vec(), tables.items.to_vec());
+        let index = ivf.map(|cfg| IvfIndex::build(&items, n_items, dim, &cfg));
         Ok(Self {
             kind: scorer.snapshot_kind(),
-            users: TableStore::Owned(users),
-            items: TableStore::Owned(items),
+            stamp: TableStamp::fresh(),
+            users: users.into(),
+            items: items.into(),
+            dim,
             seen: seen.clone(),
             index,
         })
@@ -264,7 +236,7 @@ impl ModelArtifact {
 
     /// Embedding dimensionality.
     pub fn dim(&self) -> usize {
-        self.users.dim()
+        self.dim
     }
 
     /// The frozen seen-item CSR (training positives at freeze time).
@@ -280,16 +252,22 @@ impl ModelArtifact {
         self.index.as_ref()
     }
 
-    /// One frozen user row.
-    pub(crate) fn user_row(&self, u: u32) -> &[f32] {
-        self.users.row(u as usize)
+    /// The frozen tables under the artifact's one stamp.
+    pub(crate) fn tables(&self) -> RowTables<'_> {
+        RowTables {
+            users: self.users.as_slice(),
+            items: self.items.as_slice(),
+            dim: self.dim,
+            stamp: self.stamp,
+            changed: &[],
+        }
     }
 
     /// Whether the tables serve zero-copy out of a live file mapping
     /// (true only for [`ModelArtifact::load_mapped`] on a platform where
     /// the mapped views qualified).
     pub fn is_mapped(&self) -> bool {
-        self.users.backing_is_mapped() && self.items.backing_is_mapped()
+        self.users.is_mapped() && self.items.is_mapped()
     }
 
     /// Encodes into the self-describing checksummed binary format
@@ -310,9 +288,9 @@ impl ModelArtifact {
             MAGIC,
             VERSION,
             self.kind.tag(),
-            self.users.rows() as u32,
-            self.items.rows() as u32,
-            self.users.dim() as u32,
+            self.n_users(),
+            self.n_items(),
+            self.dim as u32,
         ] {
             buf.extend_from_slice(&field.to_le_bytes());
         }
@@ -461,13 +439,8 @@ impl ModelArtifact {
             ));
         }
 
-        let table = |words, rows| TableStore::View {
-            buf: F32Buf::from_words(storage, words),
-            rows,
-            dim,
-        };
-        let users = table(users, n_users);
-        let items = table(items, n_items);
+        let users = F32Buf::from_words(storage, users);
+        let items = F32Buf::from_words(storage, items);
 
         let seen = decode_interactions_storage(storage, seen_at, seen_len)
             .map_err(|e| ServeError::Invalid(format!("seen CSR: {e}")))?;
@@ -484,8 +457,10 @@ impl ModelArtifact {
         };
         Ok(Self {
             kind,
+            stamp: TableStamp::fresh(),
             users,
             items,
+            dim,
             seen,
             index,
         })
@@ -523,40 +498,21 @@ pub(crate) fn put_f32s(buf: &mut Vec<u8>, values: &[f32]) {
 
 impl Scorer for ModelArtifact {
     fn n_users(&self) -> u32 {
-        self.users.rows() as u32
+        self.seen.n_users()
     }
 
     fn n_items(&self) -> u32 {
-        self.items.rows() as u32
+        self.seen.n_items()
     }
 
     #[inline]
     fn score(&self, u: u32, i: u32) -> f32 {
-        kernel::dot(self.users.row(u as usize), self.items.row(i as usize))
+        let tables = self.tables();
+        kernel::dot(tables.user(u), tables.item(i))
     }
 
-    fn score_all(&self, u: u32, out: &mut [f32]) {
-        debug_assert_eq!(out.len(), self.items.rows());
-        kernel::gemv(self.users.row(u as usize), self.items.as_slice(), out);
-    }
-
-    fn score_items(&self, u: u32, items: &[u32], out: &mut [f32]) {
-        kernel::gather_dots(
-            self.users.row(u as usize),
-            self.items.as_slice(),
-            items,
-            out,
-        );
-    }
-
-    fn score_tile(&self, users: &[u32], first: u32, out: &mut [f32]) {
-        kernel::score_tile(
-            |u| self.users.row(u as usize),
-            self.items.as_slice(),
-            users,
-            first,
-            out,
-        );
+    fn row_tables(&self) -> Option<RowTables<'_>> {
+        Some(self.tables())
     }
 }
 
@@ -616,6 +572,52 @@ mod tests {
                 for i in 0..5 {
                     assert_eq!(tile[t * 5 + i].to_bits(), all[2 + i].to_bits(), "user {u}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn freeze_rejects_a_stale_lightgcn() {
+        let train = Interactions::from_pairs(2, 3, &[(0, 0), (1, 1)]).unwrap();
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut m = bns_model::LightGcn::new(&train, 4, 1, 0.1, &mut rng).unwrap();
+        m.base_embedding_mut(0)[0] += 1.0; // marks the model stale
+        assert!(matches!(
+            ModelArtifact::freeze(&m, &train),
+            Err(ServeError::Invalid(_))
+        ));
+        m.refresh();
+        let artifact = ModelArtifact::freeze(&m, &train).unwrap();
+        assert_eq!(artifact.kind(), SnapshotKind::LightGcnPropagated);
+        assert_eq!(artifact.score(1, 2).to_bits(), m.score(1, 2).to_bits());
+    }
+
+    #[test]
+    fn every_backing_exposes_the_frozen_rows_under_one_stamp() {
+        let (model, seen) = fixture();
+        let owned = ModelArtifact::freeze(&model, &seen).unwrap();
+        let path = std::env::temp_dir().join(format!(
+            "bns_artifact_rows_test_{}.bnsa",
+            std::process::id()
+        ));
+        owned.save(&path).unwrap();
+        let decoded = ModelArtifact::decode(&owned.encode()).unwrap();
+        let mapped = ModelArtifact::load_mapped(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let live = model.row_tables().unwrap();
+        let mut all = vec![0.0f32; 7];
+        let mut tile = vec![0.0f32; 4 * 7];
+        for artifact in [&owned, &decoded, &mapped] {
+            let tables = artifact
+                .row_tables()
+                .expect("an artifact always has its rows");
+            assert_eq!((tables.users, tables.items), (live.users, live.items));
+            assert_eq!((tables.dim, tables.changed), (8, &[][..]));
+            for u in 0..4u32 {
+                artifact.score_all(u, &mut all);
+                artifact.score_items(u, &[6, 0, 6], &mut all[..3]);
+                artifact.score_tile(&[0, 1, 2, 3], 0, &mut tile);
+                assert_eq!(artifact.row_tables().unwrap().stamp, tables.stamp);
             }
         }
     }

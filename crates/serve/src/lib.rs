@@ -8,8 +8,9 @@
 //! * [`artifact`] — [`ModelArtifact`]: a versioned, checksummed,
 //!   memory-layout-stable binary freeze of any trained
 //!   [`bns_model::SnapshotScorer`] (MF, LightGCN with the propagation
-//!   baked in) together with the training-positive CSR used for
-//!   seen-item filtering. Save → load → score is **bitwise identical**
+//!   baked in), copied from its [`bns_model::Scorer::row_tables`],
+//!   together with the training-positive CSR used for seen-item
+//!   filtering. Save → load → score is **bitwise identical**
 //!   to the live model, so offline evaluation numbers carry over to
 //!   serving exactly.
 //! * [`index`] — [`IvfIndex`]: the freeze-time IVF candidate-generation

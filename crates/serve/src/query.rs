@@ -326,7 +326,7 @@ impl QueryEngine {
         out: &mut Vec<u32>,
     ) -> Result<()> {
         let index = self.artifact.index().ok_or(ServeError::NoIndex)?;
-        let urow = self.artifact.user_row(user);
+        let urow = self.artifact.tables().user(user);
         scratch.cluster_scores.resize(index.n_clusters(), 0.0);
         index.score_clusters(urow, &mut scratch.cluster_scores);
         top_k_masked_into(
