@@ -6,7 +6,7 @@
 //! the performance guide.
 
 use crate::{ModelError, Result};
-use bns_stats::dist::{Continuous, Normal};
+use bns_stats::dist::Normal;
 use rand::Rng;
 
 /// An `n × dim` table of `f32` embeddings.
@@ -51,7 +51,15 @@ impl Embedding {
             ));
         }
         let dist = Normal::new(0.0, std).expect("validated std");
-        let data = (0..n * dim).map(|_| dist.sample(rng) as f32).collect();
+        // The batched fill draws what one `sample` per value would, bit for
+        // bit and with the same RNG state after.
+        let mut data = Vec::with_capacity(n * dim);
+        let mut draws = [0.0f64; 256];
+        while data.len() < n * dim {
+            let draws = &mut draws[..(n * dim - data.len()).min(256)];
+            dist.fill(rng, draws);
+            data.extend(draws.iter().map(|&z| z as f32));
+        }
         Ok(Self { data, n, dim })
     }
 

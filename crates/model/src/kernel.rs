@@ -39,7 +39,11 @@
 //! the rows it cannot decide for an exact re-score. Its approximate
 //! scores never reach a result, only its decisions, which equal the exact
 //! kernel's comparisons; so its vector and portable bodies may round
-//! differently. It runs BNS's coded Eq. 16 pass.
+//! differently. It runs BNS's coded Eq. 16 pass. [`i8_block_open`] is its
+//! serving counterpart: over eight rows of [`crate::coded::I8Rows`] (i8
+//! codes) and an i16-coded user it proves, from an exact integer dot and
+//! a rigorous slack, which rows score strictly below a floor, and hands
+//! back the rest for an exact re-score. It runs exact serving's scan.
 //!
 //! **The ISA is chosen at build time.** When the build targets x86-64
 //! with AVX2 and FMA (the workspace builds with `target-cpu=native`, see
@@ -573,6 +577,181 @@ pub fn coded_block_counts(
             }
         }
         live & !sure
+    }
+}
+
+/// The largest user code magnitude [`i8_block_open`] accepts at dimension
+/// `d`: `min(32767, ⌊(2³¹ − 1) / (127·d)⌋)`, so that a sum of `d` products
+/// of a user code and an i8 row code can never leave `i32`.
+pub fn user_code_max(d: usize) -> i32 {
+    let cap = i32::MAX as usize / (127 * d.max(1));
+    cap.min(i16::MAX as usize) as i32
+}
+
+/// The user side of [`i8_block_open`]: i16 codes `q` with a scale `t`, so
+/// `û = t·q`, and the two norms its slack needs.
+#[derive(Debug, Clone, Copy)]
+pub struct I8Query<'a> {
+    /// The codes two to a word: dimension `2p` in the low 16 bits of
+    /// `pairs[p]`, `2p + 1` in the high 16 (zero past an odd `d`). Every
+    /// code is at most [`user_code_max`] in magnitude.
+    pub pairs: &'a [i32],
+    /// The scale `t`.
+    pub scale: f32,
+    /// `≥ (1 + 8ε)·‖u‖₂ + 2⁻¹⁰⁰` ([`norm_bound`]).
+    pub norm: f32,
+    /// `≥ (1 + 8ε)·‖u − û‖₂`.
+    pub err: f32,
+}
+
+/// One block of [`BLOCK_ROWS`] rows of i8 serving codes, as
+/// [`i8_block_open`] reads it (laid out by `crate::coded::I8Rows`).
+#[derive(Debug, Clone, Copy)]
+pub struct I8Block<'a> {
+    /// `⌈d/2⌉ × 16` codes in dimension pairs: `codes[16p + 2l + j]` is
+    /// dimension `2p + j` of row `l` (zero past an odd `d`).
+    pub codes: &'a [i8],
+    /// Per-row scales `s`: `ĥ = s·c`.
+    pub scales: &'a [f32; BLOCK_ROWS],
+    /// Per-row `B ≥ ‖h − ĥ‖₂ + γ_{d+2}·‖h‖₂ + γ₃·‖ĥ‖₂`.
+    pub bounds: &'a [f32; BLOCK_ROWS],
+    /// Per-row `N ≥ (1 + γ₃)·‖ĥ‖₂`.
+    pub norms: &'a [f32; BLOCK_ROWS],
+}
+
+/// The serving pre-filter kernel: for one user and the eight rows of one
+/// i8 block, returns the rows of `live` whose exact score could still
+/// reach `floor`, as a lane mask. Every row it leaves out has
+/// `dot(user, h) < floor`, strictly.
+///
+/// The integer dot `D = Σₖ qₖcₖ` is exact in `i32` (the codes are bounded
+/// by [`user_code_max`]), so `û·ĥ = s·t·D` exactly. The kernel computes
+/// `a = fl(D)·fl(s·t)` and the slack
+///
+/// ```text
+/// b = (norm·B + err·N) + 2⁻⁹⁰
+/// ```
+///
+/// and leaves a row out iff `fl(floor − a) > b`.
+///
+/// **Why that is exact.** Let `x = dot(u, h)` and `ε = 2⁻²⁴`. As for
+/// [`coded_block_counts`] (Higham, *Accuracy and Stability*, §3.1),
+///
+/// ```text
+/// x − u·h   ≤ γ_d·‖u‖‖h‖ + (d+1)·2⁻¹⁵⁰
+/// u·h − u·ĥ ≤ ‖u‖·‖h − ĥ‖
+/// u·ĥ − û·ĥ ≤ ‖u − û‖·‖ĥ‖
+/// û·ĥ − a   ≤ γ₃·‖û‖‖ĥ‖ + 2⁻¹¹⁷,   ‖û‖ ≤ ‖u‖ + ‖u − û‖
+/// ```
+///
+/// (three roundings make `a`; an underflow of `s·t` costs at most
+/// `|D|·2⁻¹⁵⁰ ≤ 2⁻¹¹⁹`). So `x − a ≤ ‖u‖·B + ‖u − û‖·N + 2⁻¹¹⁶`. The
+/// computed `b` takes three roundings, each at worst `(1 − ε)` relative
+/// or `2⁻¹⁵⁰` absolute, and the `(1 + 8ε)` in `norm` and `err` outweighs
+/// them and one more `(1 + ε)`; so `b ≥ (1 + ε)·(x − a)`. The computed
+/// `floor − a` is at most `(1 + ε)` times the real one when it exceeds
+/// `b ≥ 2⁻⁹¹`, so `fl(floor − a) > b` proves `floor − a > x − a`.
+///
+/// As there, the bound assumes no overflow, so a row is always kept when
+/// `a` is not finite or `b ≥ 2¹⁰²`, and non-finite inputs land there: a
+/// non-finite row has `B = +∞`, a non-finite user `norm` or `err` `+∞`
+/// or NaN. A NaN or `−∞` floor keeps every row.
+///
+/// **Bits.** `D` is exact and `a`, `b` and the test are the same `f32`
+/// operations, without fusion, in the AVX2 and the portable body, so both
+/// bodies keep the same rows.
+#[inline]
+pub fn i8_block_open(user: I8Query<'_>, block: I8Block<'_>, floor: f32, live: u8) -> u8 {
+    debug_assert_eq!(
+        block.codes.len(),
+        user.pairs.len() * 2 * BLOCK_ROWS,
+        "one code per dimension pair and row"
+    );
+    // 2¹⁰², as in `coded_block_counts`, and the absolute slack 2⁻⁹⁰.
+    let cap = f32::from_bits((127 + 102) << 23);
+    let tiny = f32::from_bits((127 - 90) << 23);
+    let (pairs, _) = block.codes.as_chunks::<{ 2 * BLOCK_ROWS }>();
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    ))]
+    {
+        use std::arch::x86_64::*;
+        // SAFETY: the enclosing cfg guarantees the build targets AVX2; each
+        // unaligned load reads exactly one `[i8; 16]` dimension pair of
+        // codes (16 bytes) or one `[f32; 8]` of scales, bounds or norms.
+        unsafe {
+            let widen =
+                |c: &[i8; 2 * BLOCK_ROWS]| _mm256_cvtepi8_epi16(_mm_loadu_si128(c.as_ptr().cast()));
+            // Two accumulators halve the add chain; integer sums are exact
+            // in any order.
+            let mut acc = [_mm256_setzero_si256(); 2];
+            let (duos, rest) = pairs.as_chunks::<2>();
+            let (user_duos, user_rest) = user.pairs.as_chunks::<2>();
+            for (c, q) in duos.iter().zip(user_duos) {
+                for j in 0..2 {
+                    let prod = _mm256_madd_epi16(widen(&c[j]), _mm256_set1_epi32(q[j]));
+                    acc[j] = _mm256_add_epi32(acc[j], prod);
+                }
+            }
+            for (c, &q) in rest.iter().zip(user_rest) {
+                let prod = _mm256_madd_epi16(widen(c), _mm256_set1_epi32(q));
+                acc[0] = _mm256_add_epi32(acc[0], prod);
+            }
+            let dots = _mm256_cvtepi32_ps(_mm256_add_epi32(acc[0], acc[1]));
+            let st = _mm256_mul_ps(
+                _mm256_loadu_ps(block.scales.as_ptr()),
+                _mm256_set1_ps(user.scale),
+            );
+            let a = _mm256_mul_ps(dots, st);
+            let b = _mm256_add_ps(
+                _mm256_add_ps(
+                    _mm256_mul_ps(
+                        _mm256_set1_ps(user.norm),
+                        _mm256_loadu_ps(block.bounds.as_ptr()),
+                    ),
+                    _mm256_mul_ps(
+                        _mm256_set1_ps(user.err),
+                        _mm256_loadu_ps(block.norms.as_ptr()),
+                    ),
+                ),
+                _mm256_set1_ps(tiny),
+            );
+            let ok = _mm256_and_ps(
+                _mm256_cmp_ps::<_CMP_LT_OQ>(b, _mm256_set1_ps(cap)),
+                _mm256_cmp_ps::<_CMP_LT_OQ>(
+                    _mm256_andnot_ps(_mm256_set1_ps(-0.0), a),
+                    _mm256_set1_ps(f32::INFINITY),
+                ),
+            );
+            let gap = _mm256_sub_ps(_mm256_set1_ps(floor), a);
+            let out = _mm256_and_ps(ok, _mm256_cmp_ps::<_CMP_GT_OQ>(gap, b));
+            live & !(_mm256_movemask_ps(out) as u8)
+        }
+    }
+    #[cfg(not(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    )))]
+    {
+        let mut dots = [0i32; BLOCK_ROWS];
+        for (c, &q) in pairs.iter().zip(user.pairs) {
+            let (q0, q1) = (i32::from(q as i16), q >> 16);
+            for (l, dot) in dots.iter_mut().enumerate() {
+                *dot += i32::from(c[2 * l]) * q0 + i32::from(c[2 * l + 1]) * q1;
+            }
+        }
+        let mut out = 0u8;
+        for (l, &dot) in dots.iter().enumerate() {
+            let a = dot as f32 * (block.scales[l] * user.scale);
+            let b = (user.norm * block.bounds[l] + user.err * block.norms[l]) + tiny;
+            let ok = b < cap && a.abs() < f32::INFINITY;
+            // NaN gaps compare false: the row stays.
+            out |= u8::from(ok && floor - a > b) << l;
+        }
+        live & !out
     }
 }
 

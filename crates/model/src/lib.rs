@@ -25,11 +25,13 @@
 //! * [`kernel`] — the unrolled `mul_add` scoring kernels (dot / GEMV /
 //!   gather-dot / user-tiled GEMM) with one
 //!   fixed summation order shared by every scoring entry point, plus the
-//!   shared per-triple BPR step, and the bound-checked count kernel over
+//!   shared per-triple BPR step, and the bound-checked kernels over
 //!   [`coded`] rows.
 //! * [`coded`] — [`coded::CodedRows`]: a compact i16 copy of a set of
 //!   rows with a rigorous per-row error bound, which decides score
-//!   threshold tests exactly for all but the few rows near a threshold.
+//!   threshold tests exactly for all but the few rows near a threshold;
+//!   and [`coded::I8Rows`]: i8 serving codes of an item table whose scan
+//!   passes over every row provably below a running top-k floor.
 //! * [`batch`] — the SoA [`batch::TripleBatch`] buffer: `{users, pos,
 //!   negs}` with `k ≥ 1` negatives per positive, filled by batched
 //!   samplers and consumed by [`scorer::PairwiseModel::update_batch`].

@@ -43,8 +43,12 @@ pub struct LightGcn {
     final_emb: Vec<f32>,
     /// Per-batch gradient w.r.t. `final_emb` (ascent direction).
     grad: Vec<f32>,
-    /// Nodes with a non-zero gradient this batch.
+    /// Nodes some triple of this batch touched, each once.
     touched: Vec<u32>,
+    /// Whether each node is in `touched`.
+    in_touched: Vec<bool>,
+    /// Backward-pass scratch: the batch gradient w.r.t. `base`.
+    grad_base: Vec<f32>,
     /// Dirty flag: `final_emb` must be recomputed before scoring.
     stale: bool,
     /// The state of `final_emb`: a fresh stamp per [`LightGcn::refresh`],
@@ -86,6 +90,8 @@ impl LightGcn {
             final_emb: vec![0.0; sz],
             grad: vec![0.0; sz],
             touched: Vec::new(),
+            in_touched: vec![false; n_nodes],
+            grad_base: vec![0.0; sz],
             stale: true,
             stamp: TableStamp::fresh(),
             buf_a: vec![0.0; sz],
@@ -146,15 +152,18 @@ impl LightGcn {
         &mut self.base[node * self.dim..(node + 1) * self.dim]
     }
 
+    /// Records `node` in `touched` unless this batch already has.
+    fn touch(&mut self, node: usize) {
+        if !self.in_touched[node] {
+            self.in_touched[node] = true;
+            self.touched.push(node as u32);
+        }
+    }
+
     fn add_grad(&mut self, node: usize, coeff: f32, from: usize) {
         // grad[node] += coeff · final_emb[from]
         let d = self.dim;
-        if self.grad[node * d..(node + 1) * d]
-            .iter()
-            .all(|&x| x == 0.0)
-        {
-            self.touched.push(node as u32);
-        }
+        self.touch(node);
         for k in 0..d {
             self.grad[node * d + k] += coeff * self.final_emb[from * d + k];
         }
@@ -163,12 +172,7 @@ impl LightGcn {
     fn add_grad_diff(&mut self, node: usize, coeff: f32, a: usize, b: usize) {
         // grad[node] += coeff · (final_emb[a] − final_emb[b])
         let d = self.dim;
-        if self.grad[node * d..(node + 1) * d]
-            .iter()
-            .all(|&x| x == 0.0)
-        {
-            self.touched.push(node as u32);
-        }
+        self.touch(node);
         for k in 0..d {
             self.grad[node * d + k] +=
                 coeff * (self.final_emb[a * d + k] - self.final_emb[b * d + k]);
@@ -300,21 +304,19 @@ impl PairwiseModel for LightGcn {
             return;
         }
         // Backward: grad_base = (1/(K+1)) Σ_k Ãᵏ grad  (Ã symmetric).
-        let n = self.adj.n_nodes();
         let d = self.dim;
-        let mut grad_base = vec![0.0f32; n * d];
         propagate_mean(
             &self.adj,
             &self.grad,
             self.layers,
             d,
-            &mut grad_base,
+            &mut self.grad_base,
             &mut self.buf_a,
             &mut self.buf_b,
         );
         // SGD ascent step with L2 on the batch's ego (base) embeddings only,
         // matching the reference implementation's regularization.
-        for (b, &g) in self.base.iter_mut().zip(grad_base.iter()) {
+        for (b, &g) in self.base.iter_mut().zip(self.grad_base.iter()) {
             *b += lr * g;
         }
         for &node in &self.touched {
@@ -326,6 +328,7 @@ impl PairwiseModel for LightGcn {
         // Zero the sparse grad rows and refresh the propagated embeddings.
         for &node in &self.touched {
             self.grad[node as usize * d..(node as usize + 1) * d].fill(0.0);
+            self.in_touched[node as usize] = false;
         }
         self.touched.clear();
         self.refresh();
@@ -518,6 +521,39 @@ mod tests {
         m.accumulate_triple(0, 0, 3, 0.0, 0.0);
         m.end_batch(0.0, 0.9); // lr 0: only the reg term could move rows
         assert_eq!(m.base_embedding(untouched_node), &before[..]);
+    }
+
+    #[test]
+    fn a_zero_gradient_triple_does_not_shrink_its_rows_twice() {
+        // A saturated triple (info rounds to 0) leaves the gradient rows of
+        // its nodes all zero; a second triple on the same user and positive
+        // must not record them again, or `end_batch` shrinks them twice.
+        let mut m = model(1, 10);
+        let (u, pos, neg, other) = (0u32, 0u32, 3u32, 2u32);
+        let (un, pn) = (u as usize, 3 + pos as usize);
+        for (node, sign) in [
+            (un, 1.0f32),
+            (pn, 1.0),
+            (3 + neg as usize, -1.0),
+            (3 + 2, -1.0),
+        ] {
+            m.base_embedding_mut(node).fill(sign * 20.0);
+        }
+        m.refresh();
+        let (lr, reg) = (0.1f32, 0.5f32);
+        m.begin_batch();
+        assert_eq!(m.accumulate_triple(u, pos, neg, lr, reg), 0.0);
+        assert_eq!(m.accumulate_triple(u, pos, other, lr, reg), 0.0);
+        let mut touched = m.touched.clone();
+        touched.sort_unstable();
+        touched.dedup();
+        assert_eq!(touched.len(), m.touched.len(), "touched {:?}", m.touched);
+        let before = m.base_embedding(un).to_vec();
+        m.end_batch(lr, reg);
+        // Zero gradient: only the L2 shrink moves the row, exactly once.
+        for (after, b) in m.base_embedding(un).iter().zip(&before) {
+            assert_eq!(*after, b - lr * reg * b);
+        }
     }
 
     #[test]

@@ -54,9 +54,10 @@ use bns_data::le::Reader;
 use bns_data::serialize::{decode_interactions_storage, encode_interactions};
 use bns_data::storage::{F32Buf, Storage};
 use bns_data::Interactions;
+use bns_model::coded::I8Rows;
 use bns_model::snapshot::{SnapshotKind, SnapshotScorer};
 use bns_model::{kernel, RowTables, Scorer, TableStamp};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Format magic — the file starts with the literal bytes `b"BNSA"`
 /// (BNS Artifact), stored here as the little-endian `u32` the encoder
@@ -160,6 +161,9 @@ pub struct ModelArtifact {
     /// Training positives; its shape is the tables' `n_users × n_items`.
     seen: Interactions,
     index: Option<IvfIndex>,
+    /// The i8 serving codes of the item table, built by the first exact
+    /// query and shared by every clone (never serialized).
+    codes: Arc<OnceLock<I8Rows>>,
 }
 
 impl ModelArtifact {
@@ -226,6 +230,7 @@ impl ModelArtifact {
             dim,
             seen: seen.clone(),
             index,
+            codes: Arc::default(),
         })
     }
 
@@ -261,6 +266,16 @@ impl ModelArtifact {
             stamp: self.stamp,
             changed: &[],
         }
+    }
+
+    /// The i8 serving codes of the item table ([`I8Rows`]), which exact
+    /// queries scan before re-scoring the few rows that can reach the
+    /// top-k. Built on first use (about 10 ms at 100k items × d = 32) and
+    /// shared by every clone of this artifact; an artifact swapped into
+    /// an engine brings its own.
+    pub(crate) fn codes(&self) -> &I8Rows {
+        self.codes
+            .get_or_init(|| I8Rows::from_table(self.items.as_slice(), self.dim))
     }
 
     /// Whether the tables serve zero-copy out of a live file mapping
@@ -463,6 +478,7 @@ impl ModelArtifact {
             dim,
             seen,
             index,
+            codes: Arc::default(),
         })
     }
 

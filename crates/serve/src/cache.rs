@@ -2,7 +2,7 @@
 //!
 //! Real recommendation traffic is heavily skewed (the `serve_bench` load
 //! generator models it as Zipf-distributed users), so a small cache in
-//! front of the GEMV + top-k path absorbs most of the load. Entries are
+//! front of the scoring + top-k path absorbs most of the load. Entries are
 //! stamped with the engine's **generation** counter: swapping in a new
 //! artifact bumps the generation once, which logically invalidates every
 //! cached list without walking the map — stale entries are then evicted

@@ -7,7 +7,7 @@
 //! other shards' cursors until every shard is exhausted — the same
 //! shard-then-steal structure as a classic work-stealing deque, built from
 //! nothing but `AtomicUsize::fetch_add`. Skewed request costs (cache hits
-//! vs full GEMV queries, hot vs cold users) therefore cannot strand work
+//! vs full-catalog queries, hot vs cold users) therefore cannot strand work
 //! behind a slow shard.
 //!
 //! Scheduling never changes answers: each request is claimed by exactly

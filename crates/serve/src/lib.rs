@@ -18,11 +18,12 @@
 //!   the v3 artifact section, turning top-k from an exhaustive scan into
 //!   a centroid scan plus a few probed clusters.
 //! * [`query`] — [`QueryEngine`]: answers `top_k(user, k, exclude_seen)`
-//!   over an artifact through the same unrolled GEMV kernel and top-k
-//!   selection heap the evaluation protocol uses, with reusable per-worker
+//!   over an artifact through the same dot kernel and top-k selection
+//!   buffer the evaluation protocol uses, with reusable per-worker
 //!   [`QueryScratch`] so the steady-state query path is allocation-free.
-//!   An [`IndexMode`] knob picks exhaustive scoring (bitwise-exact) or
-//!   IVF probing (recall-gated approximate).
+//!   An [`IndexMode`] knob picks exact ranking (an i8 pre-filter pass
+//!   plus an exact re-score of the rows that can reach the top-k;
+//!   bitwise-exact) or IVF probing (recall-gated approximate).
 //! * [`engine`] — the multi-threaded request loop: `std::thread::scope`
 //!   workers draining a sharded work-stealing queue of [`Request`]s one
 //!   claim at a time, recording per-request latency into a [`ServeReport`], whose

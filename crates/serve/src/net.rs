@@ -649,7 +649,8 @@ fn serve_http(ctx: &mut ConnCtx<'_>, stream: &mut TcpStream, buf: &[u8]) -> Http
     };
     match path {
         "/metrics" => {
-            let body = ctx.shared.metrics.render_text();
+            let mut body = ctx.shared.metrics.render_text();
+            ctx.shared.engine.read().render_metrics(&mut body);
             let ok = write_http(stream, 200, "text/plain", &body).is_ok();
             ctx.shared
                 .metrics
@@ -938,6 +939,29 @@ mod tests {
             "{body}"
         );
         assert!(body.contains("bns_connections_accepted"), "{body}");
+    }
+
+    #[test]
+    fn metrics_expose_the_exact_query_counters() {
+        let server = NetServer::bind("127.0.0.1:0", engine(8), quick_cfg()).unwrap();
+        let addr = server.local_addr();
+        let body = http_get(addr, "/metrics");
+        assert!(body.contains("\nbns_exact_queries 0\n"), "{body}");
+        assert!(body.contains("\nbns_exact_rescored_rows 0\n"), "{body}");
+        let mut client = WireClient::connect(addr).unwrap();
+        for user in 0..3u32 {
+            let resp = client.top_k(user, 4, true, ModeRequest::Exact).unwrap();
+            assert_eq!(resp.status, Status::Ok);
+        }
+        let body = http_get(addr, "/metrics");
+        assert!(body.contains("\nbns_exact_queries 3\n"), "{body}");
+        let rescored: u64 = body
+            .lines()
+            .find_map(|l| l.strip_prefix("bns_exact_rescored_rows "))
+            .and_then(|v| v.parse().ok())
+            .expect("rescored-row counter");
+        // Each query re-scores at least the k = 4 rows that fill it.
+        assert!(rescored >= 12, "{rescored} rows re-scored");
     }
 
     #[test]

@@ -66,7 +66,7 @@ pub const OP_PING: u8 = 0x02;
 
 /// `flags` bit 0: mask the user's frozen training positives.
 pub const FLAG_EXCLUDE_SEEN: u8 = 0b0000_0001;
-/// `flags` bits 1–2 = `01`: force the exact exhaustive path.
+/// `flags` bits 1–2 = `01`: force the exact path.
 pub const FLAG_MODE_EXACT: u8 = 0b0000_0010;
 /// `flags` bits 1–2 = `10`: force the IVF path at the default width.
 pub const FLAG_MODE_IVF: u8 = 0b0000_0100;
@@ -165,7 +165,7 @@ pub enum ModeRequest {
     /// Serve with whatever the engine is configured for.
     #[default]
     Default,
-    /// Force the exact exhaustive path.
+    /// Force the exact path.
     Exact,
     /// Force the IVF path at the artifact's default probe width.
     Ivf,

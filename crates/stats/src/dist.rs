@@ -73,6 +73,34 @@ impl Normal {
     pub fn sd(&self) -> f64 {
         self.sd
     }
+
+    /// Fills `out` with draws: bit for bit the values, and the RNG state,
+    /// that `out.len()` calls of [`Continuous::sample`] leave.
+    ///
+    /// The polar method rejects ~21% of its trials at random, a branch no
+    /// predictor learns. Here every trial is written at a cursor that
+    /// advances by the acceptance bit, so the trial loop has no
+    /// data-dependent branch; the `ln`/`sqrt` transform then runs over
+    /// each accepted block.
+    pub fn fill<R: Rng + ?Sized>(&self, rng: &mut R, out: &mut [f64]) {
+        const BLOCK: usize = 256;
+        let mut radii = [0.0f64; BLOCK];
+        for chunk in out.chunks_mut(BLOCK) {
+            let mut at = 0;
+            while at < chunk.len() {
+                let u = 2.0 * unit(rng) - 1.0;
+                let v = 2.0 * unit(rng) - 1.0;
+                let s = u * u + v * v;
+                chunk[at] = u;
+                radii[at] = s;
+                at += usize::from((s > 0.0) & (s < 1.0));
+            }
+            for (x, &s) in chunk.iter_mut().zip(&radii) {
+                let factor = (-2.0 * s.ln() / s).sqrt();
+                *x = self.mean + self.sd * *x * factor;
+            }
+        }
+    }
 }
 
 impl Continuous for Normal {
@@ -394,6 +422,27 @@ mod tests {
         assert!(GammaDist::new(1.0, 0.0).is_err());
         assert!(Exponential::new(0.0).is_err());
         assert!(UniformDist::new(2.0, 2.0).is_err());
+    }
+
+    #[test]
+    fn normal_fill_is_repeated_sample_bit_for_bit() {
+        // Lengths around the fill's 256-draw block, and a non-standard law.
+        for (n, mean, sd) in [
+            (0, 0.0, 1.0),
+            (1, 0.0, 1.0),
+            (255, 2.5, 0.1),
+            (1000, -1.0, 3.0),
+        ] {
+            let dist = Normal::new(mean, sd).unwrap();
+            let mut one = StdRng::seed_from_u64(n as u64 + 17);
+            let mut batched = one.clone();
+            let want: Vec<u64> = (0..n).map(|_| dist.sample(&mut one).to_bits()).collect();
+            let mut got = vec![f64::NAN; n];
+            dist.fill(&mut batched, &mut got);
+            let got: Vec<u64> = got.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "n = {n}");
+            assert_eq!(batched.next_u64(), one.next_u64(), "RNG state, n = {n}");
+        }
     }
 
     /// `(pdf, lo, hi, tolerance)` rows for the integration check.

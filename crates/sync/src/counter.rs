@@ -37,6 +37,15 @@ impl Counter {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Adds `n`.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        #[cfg(bns_model_check)]
+        crate::model::point("Counter::add");
+        // ordering: Relaxed — as for `incr`: statistics only.
+        self.count.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Reads the current total.
     #[inline]
     pub fn get(&self) -> u64 {
@@ -59,6 +68,9 @@ mod tests {
         c.incr();
         c.incr();
         assert_eq!(c.get(), 2);
+        c.add(40);
+        c.add(0);
+        assert_eq!(c.get(), 42);
     }
 
     #[test]
