@@ -37,23 +37,25 @@ run cargo run --release --offline --locked -p bns-lint
 RUSTFLAGS="-C target-cpu=native --cfg bns_model_check" \
     run cargo test -q -p bns-check --offline --locked
 # Portable kernel: every build above targets this host, so on an AVX2 + FMA
-# machine `kernel::dot` and `kernel::gemm` compile only their vector bodies.
-# Build for baseline x86-64 (no AVX2, no FMA) in a separate target dir so
-# the scalar bodies, the top-k selection they feed, the provided `Scorer`
-# methods every model scores through, BNS's coded Eq. 16 pass (on the
-# portable body of the coded count kernel) and exact serving's i8 scan (on
-# the portable body of its integer kernel) are compiled and tested too.
-# The two equivalence suites pin the live models, the frozen artifact and
-# the batched trainer to each other bit for bit on that body.
+# machine `kernel::dot` and `kernel::tile_scan` compile only their vector
+# bodies. Build for baseline x86-64 (no AVX2, no FMA) in a separate target
+# dir so the scalar bodies, the top-k selection they feed, the provided
+# `Scorer` methods every model scores through, the ranking protocol's tile
+# scan, BNS's coded Eq. 16 pass (on the portable body of the coded count
+# kernel) and exact serving's i8 scan (on the portable body of its integer
+# kernel) are compiled and tested too. The two equivalence suites pin the
+# live models, the frozen artifact and the batched trainer to each other
+# bit for bit on that body; `reproducibility` ranks one model with 1 and 8
+# evaluation threads on the scalar tile body.
 RUSTFLAGS="-C target-cpu=x86-64" \
     run cargo test -q -p bns-model -p bns-core -p bns-eval -p bns-serve --lib --offline --locked --target-dir target/portable
 RUSTFLAGS="-C target-cpu=x86-64" \
-    run cargo test -q -p bns --test serve_equivalence --test batch_equivalence --offline --locked --target-dir target/portable
+    run cargo test -q -p bns --test serve_equivalence --test batch_equivalence --test reproducibility --offline --locked --target-dir target/portable
 # Exact serving against a plain dot + top-k reference on adversarial
-# tables, and the query allocation audit (two test threads, as above), on
-# the same portable body.
+# tables, every selection path over NaN and infinite rows, and the query
+# allocation audit (two test threads, as above), on the same portable body.
 RUSTFLAGS="-C target-cpu=x86-64" \
-    run cargo test -q -p bns-serve --test exact_prefilter --test query_alloc --offline --locked --target-dir target/portable -- --test-threads=2
+    run cargo test -q -p bns-serve --test exact_prefilter --test non_finite --test query_alloc --offline --locked --target-dir target/portable -- --test-threads=2
 # Lint the same portable build: code that is dead under one cfg (a helper
 # only the scalar bodies call) shows up on one target only, and the clippy
 # step above sees the native one.

@@ -1618,9 +1618,6 @@ mod tests {
         fn score_items(&self, u: u32, items: &[u32], out: &mut [f32]) {
             self.0.score_items(u, items, out)
         }
-        fn score_tile(&self, users: &[u32], first: u32, out: &mut [f32]) {
-            self.0.score_tile(users, first, out)
-        }
     }
 
     impl<M: std::ops::DerefMut<Target: PairwiseModel>> PairwiseModel for Hidden<M> {

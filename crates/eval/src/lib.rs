@@ -8,8 +8,8 @@
 //!   metrics).
 //! * [`ranking`] — the full ranking protocol: score every evaluable user,
 //!   mask training positives, average metrics (parallelized with std::thread
-//!   scoped threads; each worker scores a tile of users per streamed item
-//!   block).
+//!   scoped threads; each worker scores and selects eight users per pass
+//!   over the item table).
 //! * [`quality`] — the paper's sampling-quality instruments: TNR (Eq. 33)
 //!   and INF (Eq. 34) per-epoch trackers and the Fig. 1 score-distribution
 //!   probe, implemented as [`bns_core::TrainObserver`]s.

@@ -8,23 +8,27 @@
 //! Scoring users is embarrassingly parallel; users are partitioned across
 //! std::thread scoped workers and partial sums merged at the end.
 //!
-//! Each worker ranks [`TILE`] users at a time. It walks the catalog in
-//! blocks of 256 items: [`Scorer::score_tile`] scores the tile against one
-//! block (each item row is read once for the whole tile), and each user's
-//! [`MaskedScan`] selects from that block while its scores are still in
-//! L1. Then the tile's metrics are added in user order. No catalog-sized
-//! score vector exists, and every score and every ranked list is the one
-//! per-user `score_all` + `top_k_masked` would give.
+//! A model with row tables ([`Scorer::row_tables`]) is ranked eight
+//! users at a time by one fused pass, [`kernel::tile_scan`]: each item row
+//! is read once for the whole tile and scored against the eight users in
+//! the lanes of one register, and only the scores above a user's current
+//! k-th best (or every score while the user's list is not full) leave the
+//! kernel, to be masked by a cursor over the user's sorted training
+//! positives and offered to the user's [`TopKBuffer`]. No score block
+//! exists. A model without row tables is ranked one user at a time from
+//! [`Scorer::score_items`] over chunks of consecutive ids, each chunk fed
+//! to a [`MaskedScan`]. Either way every score and every ranked list is
+//! the one per-user `score_all` + `top_k_masked` would give, and the
+//! metrics are added in user order.
 
 use crate::metrics::{ndcg_at_k, precision_at_k, recall_at_k};
 use crate::topk::{MaskedScan, TopKBuffer};
 use bns_data::Dataset;
-use bns_model::kernel::TILE;
+use bns_model::kernel::{self, UserTile, LANES};
 use bns_model::Scorer;
 
-/// Items scored per [`Scorer::score_tile`] call: a `TILE × BLOCK` score
-/// block is 4 KB, small enough to stay in L1 between scoring and selection.
-const BLOCK: usize = 256;
+/// Ids per [`Scorer::score_items`] call when a model has no row tables.
+const CHUNK: usize = 64;
 
 /// Metrics at one cutoff K.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,47 +86,78 @@ pub fn evaluate_ranking(
 
     let n_threads = n_threads.max(1).min(users.len());
     let chunk = users.len().div_ceil(n_threads);
+    let n_items = dataset.n_items();
+    let tables = model.row_tables();
     // Partial metric sums per thread: [k_idx] → (p, r, n).
     let partials: Vec<Vec<(f64, f64, f64)>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(n_threads);
         for worker in users.chunks(chunk) {
             handles.push(scope.spawn(move || {
                 // One set of buffers per worker thread, reused across all
-                // of its tiles: the score block, one selector per tile
-                // slot and the ranked-id list. The per-tile loop is
-                // allocation-free once these are warm.
-                let n_items = dataset.n_items();
-                let mut block = vec![0.0f32; TILE * BLOCK];
-                let mut topk: [TopKBuffer; TILE] = Default::default();
+                // of its users: one selector per tile lane and the
+                // ranked-id list. The per-user loop is allocation-free
+                // once these are warm.
+                let mut topk: [TopKBuffer; LANES] = Default::default();
                 let mut ranked: Vec<u32> = Vec::with_capacity(max_k);
                 let mut sums = vec![(0.0f64, 0.0f64, 0.0f64); ks.len()];
-                for tile in worker.chunks(TILE) {
-                    let mut scans = [MaskedScan::default(); TILE];
-                    for buffer in &mut topk[..tile.len()] {
-                        buffer.begin(max_k);
+                let mut add = |buffer: &TopKBuffer, u: u32| {
+                    buffer.emit(&mut ranked);
+                    let relevant = dataset.test().items_of(u);
+                    for (ki, &k) in ks.iter().enumerate() {
+                        sums[ki].0 += precision_at_k(&ranked, relevant, k);
+                        sums[ki].1 += recall_at_k(&ranked, relevant, k);
+                        sums[ki].2 += ndcg_at_k(&ranked, relevant, k);
                     }
-                    let mut first = 0u32;
-                    while first < n_items {
-                        let len = BLOCK.min((n_items - first) as usize);
-                        let scores = &mut block[..tile.len() * len];
-                        model.score_tile(tile, first, scores);
-                        for (t, &u) in tile.iter().enumerate() {
-                            scans[t].feed(
-                                &scores[t * len..(t + 1) * len],
-                                first,
-                                dataset.train().items_of(u),
-                                &mut topk[t],
-                            );
+                };
+                match tables {
+                    Some(tables) => {
+                        let items = &tables.items[..n_items as usize * tables.dim];
+                        let mut tile = UserTile::default();
+                        for tile_users in worker.chunks(LANES) {
+                            tile.set(tables.dim, tile_users.iter().map(|&u| tables.user(u)));
+                            let mut masks: [&[u32]; LANES] = [&[]; LANES];
+                            for (mask, &u) in masks.iter_mut().zip(tile_users) {
+                                *mask = dataset.train().items_of(u);
+                            }
+                            let mut cursors = [0usize; LANES];
+                            for buffer in &mut topk[..tile_users.len()] {
+                                buffer.begin(max_k);
+                            }
+                            // Ids arrive ascending per lane, so one cursor
+                            // per user walks its sorted mask.
+                            kernel::tile_scan(&tile, items, |t, id, score| {
+                                let (masked, at) = (masks[t], &mut cursors[t]);
+                                while *at < masked.len() && masked[*at] < id {
+                                    *at += 1;
+                                }
+                                if masked.get(*at) != Some(&id) {
+                                    topk[t].offer(score, id);
+                                }
+                                topk[t].floor()
+                            });
+                            for (&u, buffer) in tile_users.iter().zip(&topk) {
+                                add(buffer, u);
+                            }
                         }
-                        first += len as u32;
                     }
-                    for (&u, buffer) in tile.iter().zip(&topk) {
-                        buffer.emit(&mut ranked);
-                        let relevant = dataset.test().items_of(u);
-                        for (ki, &k) in ks.iter().enumerate() {
-                            sums[ki].0 += precision_at_k(&ranked, relevant, k);
-                            sums[ki].1 += recall_at_k(&ranked, relevant, k);
-                            sums[ki].2 += ndcg_at_k(&ranked, relevant, k);
+                    None => {
+                        let (mut ids, mut scores) = ([0u32; CHUNK], [0.0f32; CHUNK]);
+                        let buffer = &mut topk[0];
+                        for &u in worker {
+                            let masked = dataset.train().items_of(u);
+                            let mut scan = MaskedScan::default();
+                            buffer.begin(max_k);
+                            let mut first = 0u32;
+                            while first < n_items {
+                                let len = CHUNK.min((n_items - first) as usize);
+                                for (id, i) in ids[..len].iter_mut().zip(first..) {
+                                    *id = i;
+                                }
+                                model.score_items(u, &ids[..len], &mut scores[..len]);
+                                scan.feed(&scores[..len], first, masked, buffer);
+                                first += len as u32;
+                            }
+                            add(buffer, u);
                         }
                     }
                 }
@@ -293,8 +328,8 @@ mod tests {
         }
     }
 
-    /// A scorer with only `score`, `score_all` and `score_items`, so
-    /// `evaluate_ranking` takes the default `score_tile`.
+    /// A scorer with only `score`, `score_all` and `score_items` (no row
+    /// tables), so `evaluate_ranking` ranks it through `score_items`.
     struct Plain<'a>(&'a MatrixFactorization);
 
     impl Scorer for Plain<'_> {
@@ -377,6 +412,73 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn ties_short_lists_and_negative_infinity_match_the_per_user_protocol() {
+        // 13 users (a full tile and a short one) × 40 items. Items 8..32
+        // share one row, so their scores tie exactly across every k-th
+        // slot and the id decides; items 0..4 score `−∞` for every user (a
+        // `−∞` coordinate against a positive user coordinate), ahead of
+        // every finite score in id order.
+        let (n_users, n_items, dim) = (13u32, 40u32, 5usize);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut users = Embedding::normal_init(n_users as usize, dim, 0.5, &mut rng).unwrap();
+        let mut items = Embedding::normal_init(n_items as usize, dim, 0.5, &mut rng).unwrap();
+        for u in 0..n_users as usize {
+            users.row_mut(u)[0] = users.row_mut(u)[0].abs() + 0.1;
+        }
+        let tied = items.row_mut(8).to_vec();
+        for i in 9..32 {
+            items.row_mut(i).copy_from_slice(&tied);
+        }
+        for i in 0..4 {
+            items.row_mut(i)[0] = f32::NEG_INFINITY;
+        }
+        let model = MatrixFactorization::from_embeddings(users, items).unwrap();
+        assert_eq!(model.score(0, 1), f32::NEG_INFINITY);
+        let (mut train, mut test) = (Vec::new(), Vec::new());
+        for u in 0..n_users {
+            if u % 4 == 3 {
+                // Three unmasked items, two of them `−∞` and seen first:
+                // fewer than k, so every `−∞` enters a list that is never
+                // full.
+                train.extend(
+                    (0..n_items)
+                        .filter(|i| ![1, 3, 20].contains(i))
+                        .map(|i| (u, i)),
+                );
+                test.extend([(u, 1), (u, 20)]);
+            } else {
+                // Mask a few tied ids so the tie straddles the cut at
+                // different ids per user.
+                train.extend([(u, 8 + u % 5), (u, 12 + u), (u, 33)]);
+                test.extend([(u, 20 + u % 7), (u, 2), (u, 36)]);
+            }
+        }
+        train.sort_unstable();
+        train.dedup();
+        test.retain(|p| train.binary_search(p).is_err());
+        let d = Dataset::new(
+            "ties",
+            Interactions::from_pairs(n_users, n_items, &train).unwrap(),
+            Interactions::from_pairs(n_users, n_items, &test).unwrap(),
+        )
+        .unwrap();
+        let ks = [1, 5, 20];
+        for threads in [1, 2] {
+            let want = reference(&model, &d, &ks, threads);
+            assert_eq!(want.n_users, 13);
+            assert_eq!(evaluate_ranking(&model, &d, &ks, threads), want);
+            assert_eq!(evaluate_ranking(&Plain(&model), &d, &ks, threads), want);
+        }
+        // The short users rank all three items, `−∞` ones included.
+        let mut scores = vec![0.0f32; n_items as usize];
+        model.score_all(3, &mut scores);
+        assert_eq!(
+            top_k_masked(&scores, d.train().items_of(3), 20),
+            vec![20, 1, 3]
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 /// Returns the item ids of the `k` highest-scored items, excluding the
 /// (sorted) `masked` items, ordered by descending score. Ties break toward
-/// the lower item id for determinism.
+/// the lower item id for determinism; NaN scores are never ranked.
 ///
 /// Allocates two vectors per call; hot loops over many users should hold a
 /// [`TopKBuffer`] and call [`top_k_masked_into`] instead.
@@ -26,10 +26,11 @@ pub fn top_k_masked(scores: &[f32], masked: &[u32], k: usize) -> Vec<u32> {
 /// resets it for a cutoff, [`offer`](Self::offer) feeds one `(score, id)`
 /// candidate, and [`emit`](Self::emit) writes the ranked ids out. Every
 /// selection path in the workspace — the dense [`MaskedScan`] of
-/// [`top_k_masked_into`] and of the ranking protocol, and the
-/// cluster-at-a-time candidate stream of the IVF serving path — funnels
-/// through the same `offer`, so the ordering rule (descending score, ties
-/// toward the lower id) has exactly one implementation.
+/// [`top_k_masked_into`], the ranking protocol's tile scan, exact
+/// serving's pre-filtered scan and the cluster-at-a-time candidate stream
+/// of the IVF serving path — funnels through the same `offer`, so the
+/// ordering rule (descending score, ties toward the lower id, NaN never
+/// kept) has exactly one implementation.
 #[derive(Debug, Default, Clone)]
 pub struct TopKBuffer {
     best: Vec<(f32, u32)>,
@@ -48,21 +49,35 @@ impl TopKBuffer {
     /// under the (score desc, id asc) order. Candidates may arrive in any
     /// id order; equal `(score, id)` re-offers are idempotent in effect
     /// because ids are unique per extraction.
+    ///
+    /// A NaN score is never kept (it has no place in the order, and once
+    /// in the `k`-th slot nothing could displace it); `±∞` are ordered
+    /// like any other score. So a non-finite row in a model's table (an
+    /// artifact accepts one) drops out of every selection that funnels
+    /// through here instead of corrupting it.
     #[inline]
     pub fn offer(&mut self, score: f32, id: u32) {
-        if self.k == 0 {
+        if self.k == 0 || score.is_nan() {
             return;
         }
-        debug_assert!(score.is_finite(), "score for item {id} is not finite");
         let better = |&(bs, bi): &(f32, u32)| score > bs || (score == bs && id < bi);
         if self.best.len() < self.k {
-            let pos = self.best.iter().position(better).unwrap_or(self.best.len());
-            self.best.insert(pos, (score, id));
+            self.best.push((score, id));
         } else if better(self.best.last().expect("k > 0")) {
-            let pos = self.best.iter().position(better).expect("strictly better");
-            self.best.insert(pos, (score, id));
-            self.best.pop();
+            *self.best.last_mut().expect("k > 0") = (score, id);
+        } else {
+            return;
         }
+        // The candidate sits in the last slot: walk it up past every entry
+        // it beats, so it lands in the first slot whose entry it beats in
+        // one pass over the sorted list.
+        let best = &mut self.best[..];
+        let mut at = best.len() - 1;
+        while at > 0 && better(&best[at - 1]) {
+            best[at] = best[at - 1];
+            at -= 1;
+        }
+        best[at] = (score, id);
     }
 
     /// The score of the current `k`-th best candidate, or `None` while the
@@ -103,8 +118,9 @@ pub fn top_k_masked_into(
     buffer.emit(out);
 }
 
-/// The masked dense scan behind [`top_k_masked_into`], resumable across
-/// blocks of consecutive item ids: after [`TopKBuffer::begin`], feed the
+/// The masked dense scan behind [`top_k_masked_into`] (and the ranking
+/// protocol for a model without row tables), resumable across blocks of
+/// consecutive item ids: after [`TopKBuffer::begin`], feed the
 /// catalog in ascending blocks to one `MaskedScan` and the same buffer,
 /// then [`TopKBuffer::emit`]. The result does not depend on where the
 /// blocks split.
@@ -211,6 +227,29 @@ mod tests {
         let mut out = Vec::new();
         buffer.emit(&mut out);
         assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn nan_is_never_kept_and_infinities_rank_like_scores() {
+        let inf = f32::INFINITY;
+        let scores = [f32::NAN, 0.5, -inf, inf, f32::NAN, 0.5, inf, -0.0];
+        assert_eq!(top_k_masked(&scores, &[], 3), vec![3, 6, 1]);
+        assert_eq!(top_k_masked(&scores, &[], 8), vec![3, 6, 1, 5, 7, 2]);
+        assert_eq!(top_k_masked(&scores, &[3], 2), vec![6, 1]);
+        // A NaN offered while the buffer is not full is not kept, so it
+        // never becomes the floor.
+        let mut buffer = TopKBuffer::default();
+        buffer.begin(2);
+        buffer.offer(f32::NAN, 0);
+        buffer.offer(-inf, 1);
+        assert_eq!(buffer.floor(), None);
+        buffer.offer(f32::NAN, 2);
+        buffer.offer(-inf, 3);
+        assert_eq!(buffer.floor(), Some(-inf));
+        buffer.offer(-1.0, 4);
+        let mut out = Vec::new();
+        buffer.emit(&mut out);
+        assert_eq!(out, vec![4, 1]);
     }
 
     #[test]

@@ -15,21 +15,24 @@
 //! * [`gemv`] — user row × the whole item table (the full rating vector),
 //! * [`gather_dots`] — user row × an arbitrary subset of item rows (the
 //!   candidate-scoring path of `ScoreAccess::Candidates` samplers),
-//! * [`gemm`] — a tile of [`TILE`] user rows × a block of item rows, each
-//!   item row read once for the whole tile (the ranking protocol's
-//!   `Scorer::score_tile`, dispatched by [`score_tile`]).
+//! * [`tile_scan`] — a [`UserTile`] of up to [`LANES`] users, one per
+//!   `f32` lane, × every item row, each row read once for the whole tile,
+//!   with a per-lane floor test that hands only the scores that could
+//!   enter a top-k selection to a visitor (the ranking protocol's loop,
+//!   which scores and selects in one pass).
 //!
-//! `Scorer`'s provided `score_all`, `score_items` and `score_tile` run
-//! [`gemv`], [`gather_dots`] and [`score_tile`] over the tables of any
-//! model that exposes them (`Scorer::row_tables`), so no model carries its
-//! own copy of those bodies.
+//! `Scorer`'s provided `score_all` and `score_items` run [`gemv`] and
+//! [`gather_dots`] over the tables of any model that exposes them
+//! (`Scorer::row_tables`), and the ranking protocol runs [`tile_scan`]
+//! over them, so no model carries its own copy of those bodies.
 //!
 //! Because all four share one accumulation structure, `score(u, i)`,
-//! `score_all(u, ..)[i]`, `score_items(u, [i], ..)` and `score_tile`
-//! return **bitwise identical** values for the same model state — the
-//! property the fused BNS draw relies on when it compares candidate
-//! thresholds against catalog scores computed in a separate blocked pass,
-//! and the one that lets evaluation score a tile of users at a time.
+//! `score_all(u, ..)[i]`, `score_items(u, [i], ..)` and the scores
+//! [`tile_scan`] visits are **bitwise identical** for the same model
+//! state — the property the fused BNS draw relies on when it compares
+//! candidate thresholds against catalog scores computed in a separate
+//! blocked pass, and the one that lets evaluation score eight users at a
+//! time.
 //!
 //! One more entry point sits **outside** that bit contract:
 //! [`coded_block_counts`] scores a block of eight rows of
@@ -49,9 +52,9 @@
 //! with AVX2 and FMA (the workspace builds with `target-cpu=native`, see
 //! `.cargo/config.toml`), [`dot`] runs one 256-bit FMA per 8-lane chunk
 //! into one vector accumulator and reduces it with SSE adds and shuffles,
-//! and [`gemm`] runs the same FMAs into one accumulator per (user, item)
-//! pair and reduces eight such pairs side by side with the same tree;
-//! every other build runs the portable scalar body. The summation
+//! and [`tile_scan`] runs the same FMAs with eight users in the lanes of
+//! each accumulator and reduces them with the same tree as vertical adds;
+//! every other build runs the portable scalar bodies. The summation
 //! order is the same in all of them — per-lane multiply-adds, the same
 //! reduction tree, the same tail — so on any build with FMA the vector
 //! bodies are bit for bit the scalar body, and the training trace does
@@ -63,7 +66,8 @@
 //! accuracy against an `f64` scalar reference is property-tested here and
 //! in `tests/proptests.rs` (≤ 1e-5 relative).
 
-/// Number of independent accumulators in the unrolled kernels.
+/// Number of independent accumulators in the unrolled kernels, and of
+/// users in a [`UserTile`].
 pub const LANES: usize = 8;
 
 /// One multiply-accumulate step.
@@ -211,26 +215,72 @@ pub fn gemv(user: &[f32], items: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Users scored together by [`gemm`]: one tile of the ranking protocol.
-pub const TILE: usize = 4;
+/// Up to [`LANES`] user rows copied dimension-major, one user per `f32`
+/// lane: the tile [`tile_scan`] scores. `cols[k·LANES + t]` is dimension
+/// `k` of user `t`; the lanes past the tile's users hold zeros.
+/// Reusable: [`UserTile::set`] is allocation-free once the buffer holds a
+/// tile of the dimension.
+#[derive(Debug, Clone, Default)]
+pub struct UserTile {
+    cols: Vec<f32>,
+    dim: usize,
+    len: usize,
+}
 
-/// User-tiled GEMM: fills `out[t·n + i] = dot(users[t], items[i·d ..
-/// (i+1)·d])` for [`TILE`] user rows of length `d` and the row-major
-/// `n × d` block `items`, where `n = out.len() / TILE`.
+impl UserTile {
+    /// Copies `rows` (at most [`LANES`], each of length `dim`) into the
+    /// tile, in lane order.
+    pub fn set<'a>(&mut self, dim: usize, rows: impl IntoIterator<Item = &'a [f32]>) {
+        self.dim = dim;
+        self.cols.clear();
+        self.cols.resize(dim * LANES, 0.0);
+        self.len = 0;
+        for (t, row) in rows.into_iter().enumerate() {
+            assert!(t < LANES, "a tile holds at most {LANES} users");
+            assert_eq!(row.len(), dim, "user row dimension mismatch");
+            for (k, &x) in row.iter().enumerate() {
+                self.cols[k * LANES + t] = x;
+            }
+            self.len = t + 1;
+        }
+    }
+}
+
+/// Scores every user of `tile` against every row of the row-major item
+/// table `items` and selects in the same pass: the ranking protocol's
+/// loop.
 ///
-/// Each item chunk is loaded once for the whole tile instead of once per
-/// user. Every `(user, row)` pair keeps its own accumulator, fed in
-/// [`dot`]'s chunk order and reduced by [`dot`]'s tree plus [`dot`]'s
-/// tail, so every score is bit for bit [`dot`]'s. The vector body takes
-/// item rows two at a time and runs the eight reductions of such a pair
-/// side by side in one register (`hadd` adds the same pairs the tree adds).
-#[inline]
-pub fn gemm(users: [&[f32]; TILE], items: &[f32], out: &mut [f32]) {
-    let d = users[0].len();
-    let n = out.len() / TILE;
-    debug_assert!(users.iter().all(|u| u.len() == d), "user rows must agree");
-    debug_assert_eq!(out.len(), TILE * n, "one output row per tile user");
-    debug_assert_eq!(items.len(), d * n, "item block shape does not match d × n");
+/// Each lane `t` (user `t` of the tile) keeps a floor and starts *open*.
+/// Rows arrive in ascending id order; for each row, lane by lane, the
+/// score `dot(user t, row)` goes to `visit(t, id, score)` iff the lane is
+/// open or the score is **strictly** greater than the lane's floor (a
+/// NaN score is never greater). The visitor's answer sets the lane's
+/// state: `Some(floor)` closes the lane at that floor, `None` keeps it
+/// open, so an open lane sees every score, `−∞` and NaN included. This is
+/// a top-k selection's admission rule: while the selection is not full
+/// every candidate may enter, and once it is, with ids ascending, only a
+/// score above the k-th best can. Lanes past the tile's users are never
+/// visited.
+///
+/// Every score is bit for bit [`dot`]'s. The vector body holds eight
+/// users in the eight lanes of a register: it streams item rows two at a
+/// time, accumulates `fma(user column k, broadcast(row[k]), acc[k mod
+/// 8])` in [`dot`]'s chunk order, and reduces the eight accumulators with
+/// [`dot`]'s tree as vertical adds (each half of the tree in its own pass
+/// over the row), then adds [`dot`]'s tail (`+ 0.0` when `d` is a
+/// multiple of eight, as in [`dot`]). The portable body computes
+/// [`dot`]'s portable sum per lane. Both compare with the same strict `>`.
+pub fn tile_scan(
+    tile: &UserTile,
+    items: &[f32],
+    mut visit: impl FnMut(usize, u32, f32) -> Option<f32>,
+) {
+    let d = tile.dim;
+    let n = items.len().checked_div(d).unwrap_or(0);
+    debug_assert_eq!(items.len(), n * d, "item table shape does not match d");
+    if tile.len == 0 || n == 0 {
+        return;
+    }
     #[cfg(all(
         target_arch = "x86_64",
         target_feature = "avx2",
@@ -238,78 +288,74 @@ pub fn gemm(users: [&[f32]; TILE], items: &[f32], out: &mut [f32]) {
     ))]
     {
         use std::arch::x86_64::*;
-        // The pair reduction below interleaves exactly four users.
-        const _: () = assert!(TILE == 4);
-        if d == 0 || n == 0 {
-            // No rows to stream, as in `gemv`.
-            return;
-        }
         let k = d / LANES;
-        let user_chunks = users.map(|u| &u.as_chunks::<LANES>().0[..k]);
-        // `dot`'s scalar tail of each user against `row`.
-        #[inline(always)]
-        fn tails(users: [&[f32]; TILE], row: &[f32], from: usize) -> [f32; TILE] {
-            let mut tails = [0.0f32; TILE];
-            if row.len() > from {
-                for (tail, u) in tails.iter_mut().zip(users) {
-                    for (&x, &y) in u[from..].iter().zip(&row[from..]) {
-                        *tail = x.mul_add(y, *tail);
-                    }
-                }
-            }
-            tails
-        }
+        // The user columns of one chunk of eight dimensions, and of the
+        // tail dimensions.
+        let (user_chunks, user_tail) = tile.cols.as_chunks::<{ LANES * LANES }>();
+        let user_chunks = &user_chunks[..k];
+        let user_tail = &user_tail.as_chunks::<LANES>().0[..d - k * LANES];
         let row = |i: usize| &items[i * d..(i + 1) * d];
-        let mut rows = out.chunks_exact_mut(n);
-        let mut outs: [&mut [f32]; TILE] =
-            std::array::from_fn(|_| rows.next().expect("one output row per tile user"));
-        for i in (0..n).step_by(2) {
-            // An odd last row pairs with itself; its copy is not written.
-            let (r0, r1) = (row(i), row((i + 1).min(n - 1)));
-            let (c0, c1) = (
-                &r0.as_chunks::<LANES>().0[..k],
-                &r1.as_chunks::<LANES>().0[..k],
-            );
-            let (t0, t1) = (tails(users, r0, k * LANES), tails(users, r1, k * LANES));
-            let mut scores = [0.0f32; 2 * TILE];
-            // SAFETY: the enclosing cfg guarantees the build targets AVX2
-            // and FMA; each unaligned load reads exactly the eight floats
-            // of one `&[f32; 8]` chunk, and the one store writes the eight
-            // floats of `scores`.
-            unsafe {
-                let mut a0 = [_mm256_setzero_ps(); TILE];
-                let mut a1 = [_mm256_setzero_ps(); TILE];
-                for c in 0..k {
-                    let x0 = _mm256_loadu_ps(c0[c].as_ptr());
-                    let x1 = _mm256_loadu_ps(c1[c].as_ptr());
-                    for t in 0..TILE {
-                        let w = _mm256_loadu_ps(user_chunks[t][c].as_ptr());
-                        a0[t] = _mm256_fmadd_ps(w, x0, a0[t]);
-                        a1[t] = _mm256_fmadd_ps(w, x1, a1[t]);
+        let active = u8::MAX >> (LANES - tile.len);
+        let (mut floors, mut open) = ([0.0f32; LANES], active);
+        let mut scores = [0.0f32; LANES];
+        // SAFETY: the enclosing cfg guarantees the build targets AVX2 and
+        // FMA; each unaligned load reads exactly the eight floats of one
+        // `[f32; 8]` (a user column, `floors`), and each store writes the
+        // eight floats of `scores`.
+        unsafe {
+            let mut floor = _mm256_loadu_ps(floors.as_ptr());
+            for i in (0..n).step_by(2) {
+                // An odd last row pairs with itself; its copy is not visited.
+                let (r0, r1) = (row(i), row((i + 1).min(n - 1)));
+                let (c0, t0) = r0.as_chunks::<LANES>();
+                let (c1, t1) = r1.as_chunks::<LANES>();
+                // `dot`'s tree in its two halves, `(a0 + a4) + (a1 + a5)`
+                // and `(a2 + a6) + (a3 + a7)`, each summed in its own pass
+                // over the chunks: four accumulators per row are live at a
+                // time, which with the column and two broadcasts fits the
+                // sixteen vector registers of AVX2 without a spill.
+                let half = |chains: [usize; 4]| {
+                    let mut a0 = [_mm256_setzero_ps(); 4];
+                    let mut a1 = [_mm256_setzero_ps(); 4];
+                    for ((u, h0), h1) in user_chunks.iter().zip(c0).zip(c1) {
+                        for (j, &l) in chains.iter().enumerate() {
+                            let w = _mm256_loadu_ps(u[l * LANES..].as_ptr());
+                            a0[j] = _mm256_fmadd_ps(w, _mm256_set1_ps(h0[l]), a0[j]);
+                            a1[j] = _mm256_fmadd_ps(w, _mm256_set1_ps(h1[l]), a1[j]);
+                        }
                     }
-                }
-                // `reduce`'s first level for two accumulators P, Q at once:
-                // [P.lo + P.hi | Q.lo + Q.hi] = (a0+a4, …, a3+a7) of each.
-                let halves = |p: __m256, q: __m256| {
-                    _mm256_add_ps(
-                        _mm256_permute2f128_ps(p, q, 0x20),
-                        _mm256_permute2f128_ps(p, q, 0x31),
-                    )
+                    let tree = |a: [__m256; 4]| {
+                        _mm256_add_ps(_mm256_add_ps(a[0], a[1]), _mm256_add_ps(a[2], a[3]))
+                    };
+                    (tree(a0), tree(a1))
                 };
-                // `hadd` adds adjacent lanes: the second level gives
-                // (s0+s1, s2+s3) of each, and the third (s0+s1)+(s2+s3).
-                // Pairing (user t, user t+2) in the first level leaves the
-                // result lanes in the order (u0r0, u0r1, u1r0, u1r1, …).
-                let left = _mm256_hadd_ps(halves(a0[0], a0[2]), halves(a1[0], a1[2]));
-                let right = _mm256_hadd_ps(halves(a0[1], a0[3]), halves(a1[1], a1[3]));
-                let tail = _mm256_setr_ps(t0[0], t1[0], t0[1], t1[1], t0[2], t1[2], t0[3], t1[3]);
-                let sums = _mm256_add_ps(_mm256_hadd_ps(left, right), tail);
-                _mm256_storeu_ps(scores.as_mut_ptr(), sums);
-            }
-            for (o, s) in outs.iter_mut().zip(scores.as_chunks::<2>().0) {
-                o[i] = s[0];
-                if i + 1 < n {
-                    o[i + 1] = s[1];
+                let (p0, p1) = half([0, 4, 1, 5]);
+                let (q0, q1) = half([2, 6, 3, 7]);
+                let (mut s0, mut s1) = (_mm256_setzero_ps(), _mm256_setzero_ps());
+                for ((u, &x0), &x1) in user_tail.iter().zip(t0).zip(t1) {
+                    let w = _mm256_loadu_ps(u.as_ptr());
+                    s0 = _mm256_fmadd_ps(w, _mm256_set1_ps(x0), s0);
+                    s1 = _mm256_fmadd_ps(w, _mm256_set1_ps(x1), s1);
+                }
+                let pair = [
+                    _mm256_add_ps(_mm256_add_ps(p0, q0), s0),
+                    _mm256_add_ps(_mm256_add_ps(p1, q1), s1),
+                ];
+                for (id, s) in (i..n.min(i + 2)).zip(pair) {
+                    let above = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(s, floor)) as u8;
+                    let lanes = (above | open) & active;
+                    if lanes != 0 {
+                        _mm256_storeu_ps(scores.as_mut_ptr(), s);
+                        visit_lanes(
+                            id as u32,
+                            lanes,
+                            &scores,
+                            &mut floors,
+                            &mut open,
+                            &mut visit,
+                        );
+                        floor = _mm256_loadu_ps(floors.as_ptr());
+                    }
                 }
             }
         }
@@ -319,37 +365,74 @@ pub fn gemm(users: [&[f32]; TILE], items: &[f32], out: &mut [f32]) {
         target_feature = "avx2",
         target_feature = "fma"
     )))]
-    for (user, row) in users.iter().zip(out.chunks_exact_mut(n.max(1))) {
-        gemv(user, items, row);
+    tile_scan_scalar(tile, items, &mut visit);
+}
+
+/// The portable body of [`tile_scan`]: [`dot_scalar`]'s sum per lane,
+/// read from the tile's columns, and the same strict compare.
+#[cfg(any(
+    test,
+    not(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    ))
+))]
+fn tile_scan_scalar(
+    tile: &UserTile,
+    items: &[f32],
+    mut visit: impl FnMut(usize, u32, f32) -> Option<f32>,
+) {
+    let d = tile.dim;
+    let (user_chunks, user_tail) = tile.cols.as_chunks::<{ LANES * LANES }>();
+    let (mut floors, mut open) = ([0.0f32; LANES], u8::MAX >> (LANES - tile.len));
+    let mut scores = [0.0f32; LANES];
+    for (id, row) in (0u32..).zip(items.chunks_exact(d.max(1))) {
+        let (chunks, tail) = row.as_chunks::<LANES>();
+        let mut lanes = 0u8;
+        for (t, score) in scores.iter_mut().enumerate().take(tile.len) {
+            let mut acc = [0.0f32; LANES];
+            for (u, h) in user_chunks.iter().zip(chunks) {
+                for l in 0..LANES {
+                    acc[l] = fmadd(u[l * LANES + t], h[l], acc[l]);
+                }
+            }
+            let mut rest = 0.0f32;
+            for (j, &y) in tail.iter().enumerate() {
+                rest = fmadd(user_tail[j * LANES + t], y, rest);
+            }
+            *score = reduce(acc, rest);
+            lanes |= u8::from(open >> t & 1 == 1 || *score > floors[t]) << t;
+        }
+        if lanes != 0 {
+            visit_lanes(id, lanes, &scores, &mut floors, &mut open, &mut visit);
+        }
     }
 }
 
-/// The provided `Scorer::score_tile` body over a model's row tables (one
-/// contiguous row-major item `table`): scores the users `users` (their
-/// rows given by `row`) against items `first ..` into `out` (one row of
-/// `out.len() / users.len()` scores per user). A full tile goes through
-/// [`gemm`], anything shorter through [`gemv`] per user.
-pub fn score_tile<'a>(
-    row: impl Fn(u32) -> &'a [f32],
-    table: &[f32],
-    users: &[u32],
-    first: u32,
-    out: &mut [f32],
+/// Visits the lanes of `lanes` for row `id` in ascending order and
+/// records each lane's answer (see [`tile_scan`]). Out of line: kept
+/// apart, the visitor leaves the scan's row loop as tight as it is
+/// without one.
+#[inline(never)]
+fn visit_lanes(
+    id: u32,
+    mut lanes: u8,
+    scores: &[f32; LANES],
+    floors: &mut [f32; LANES],
+    open: &mut u8,
+    visit: &mut impl FnMut(usize, u32, f32) -> Option<f32>,
 ) {
-    let Some(&u0) = users.first() else {
-        return;
-    };
-    let d = row(u0).len();
-    let n = out.len() / users.len();
-    let start = first as usize * d;
-    let items = &table[start..start + n * d];
-    match <[u32; TILE]>::try_from(users) {
-        Ok(tile) => gemm(tile.map(row), items, out),
-        Err(_) => {
-            for (&u, scores) in users.iter().zip(out.chunks_exact_mut(n.max(1))) {
-                gemv(row(u), items, scores);
+    while lanes != 0 {
+        let t = lanes.trailing_zeros() as usize;
+        match visit(t, id, scores[t]) {
+            Some(floor) => {
+                floors[t] = floor;
+                *open &= !(1 << t);
             }
+            None => *open |= 1 << t,
         }
+        lanes &= lanes - 1;
     }
 }
 
@@ -885,31 +968,187 @@ mod tests {
                     let want = dot_scalar(&user, row(i as usize));
                     assert_eq!(got.to_bits(), want.to_bits(), "gather d={d} id {i}");
                 }
-                // Four distinct users, then a tile that repeats a user,
-                // against all 13 rows (an odd count, so the last row is
-                // scored on its own).
-                let others = [200, 300, 400].map(|s| rough(d, seed + s));
-                let distinct = [&user[..], &others[0], &others[1], &others[2]];
-                let repeated = [&user[..], &others[0], &user, &others[1]];
-                for tile in [distinct, repeated] {
-                    let mut block = vec![f32::NAN; TILE * n];
-                    gemm(tile, &table, &mut block);
-                    for (t, u) in tile.iter().enumerate() {
-                        for i in 0..n {
-                            let got = block[t * n + i];
-                            // As for `gemv`, a 0-column table has no rows.
-                            if d > 0 {
-                                let want = dot_scalar(u, row(i));
-                                assert_eq!(
-                                    got.to_bits(),
-                                    want.to_bits(),
-                                    "gemm d={d} user {t} row {i}"
-                                );
-                            }
-                        }
+                // Eight distinct users, then a short tile that repeats a
+                // user, against all 13 rows (an odd count, so the last
+                // row is scored on its own).
+                let others: Vec<Vec<f32>> = (1..8).map(|s| rough(d, seed + 100 * s)).collect();
+                let mut distinct = vec![&user[..]];
+                distinct.extend(others.iter().map(|o| &o[..]));
+                let repeated = [&user[..], &others[0], &user];
+                for users in [&distinct[..], &repeated[..]] {
+                    // As for `gemv`, a 0-column table has no rows.
+                    if d > 0 {
+                        assert_tile_scores_are_dot(users, &table, &format!("d={d}"));
                     }
                 }
             }
+        }
+    }
+
+    /// Every score each tile-scan body visits, with every lane kept open:
+    /// `(lane, id, bits)` in visit order.
+    fn tile_visits(users: &[&[f32]], table: &[f32], scalar: bool) -> Vec<(usize, u32, u32)> {
+        let mut tile = UserTile::default();
+        tile.set(users[0].len(), users.iter().copied());
+        let mut seen = Vec::new();
+        let visit = |t: usize, id: u32, s: f32| {
+            seen.push((t, id, s.to_bits()));
+            None
+        };
+        if scalar {
+            tile_scan_scalar(&tile, table, visit);
+        } else {
+            tile_scan(&tile, table, visit);
+        }
+        seen
+    }
+
+    /// Pins both tile-scan bodies to `dot`: with every lane open each
+    /// body visits every (row, lane) in row-then-lane order with `dot`'s
+    /// bits.
+    fn assert_tile_scores_are_dot(users: &[&[f32]], table: &[f32], what: &str) {
+        let d = users[0].len();
+        let want: Vec<(usize, u32, u32)> = (0u32..)
+            .zip(table.chunks_exact(d))
+            .flat_map(|(i, row)| {
+                users
+                    .iter()
+                    .enumerate()
+                    .map(move |(t, u)| (t, i, dot(u, row).to_bits()))
+            })
+            .collect();
+        for scalar in [false, true] {
+            assert_eq!(
+                tile_visits(users, table, scalar),
+                want,
+                "{what}, scalar body {scalar}"
+            );
+        }
+    }
+
+    #[test]
+    fn tile_scan_scores_are_dot_bit_for_bit() {
+        // Rows with signed zeros, subnormals and 1e30-scale entries among
+        // full-mantissa ones, at each dimension class: below a chunk, one
+        // chunk, chunks plus a tail.
+        let special = [0.0f32, -0.0, 1e-40, -3e-42, 1e30, -2e30, f32::MIN_POSITIVE];
+        for d in [1usize, 7, 8, 13, 32, 33] {
+            for n in [1usize, 2, 5, 9] {
+                let mut table = rough(d * n, d as u64 + 7);
+                for (x, &v) in table.iter_mut().step_by(3).zip(special.iter().cycle()) {
+                    *x = v;
+                }
+                // A row of zeros and a row of negative zeros: their
+                // scores are `+0.0` through `dot`'s tail, never `-0.0`.
+                table[..d].iter_mut().for_each(|x| *x = -0.0);
+                for len in 1..=LANES {
+                    let rows: Vec<Vec<f32>> = (0..len)
+                        .map(|t| {
+                            let mut u = rough(d, 50 + t as u64);
+                            if t % 3 == 1 {
+                                u.iter_mut().step_by(2).for_each(|x| *x = 0.0);
+                            }
+                            if t % 4 == 2 {
+                                u.iter_mut().for_each(|x| *x *= 1e-20);
+                            }
+                            u
+                        })
+                        .collect();
+                    let users: Vec<&[f32]> = rows.iter().map(|r| &r[..]).collect();
+                    assert_tile_scores_are_dot(&users, &table, &format!("d={d} n={n} len={len}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tile_scan_visits_open_lanes_and_scores_above_the_floor() {
+        // Each lane follows a different floor policy; both bodies must
+        // visit exactly what the rule says, in order.
+        let (d, n) = (13, 41);
+        let table = rough(d * n, 3);
+        let rows: Vec<Vec<f32>> = (0..5).map(|t| rough(d, 9 + t)).collect();
+        let users: Vec<&[f32]> = rows.iter().map(|r| &r[..]).collect();
+        // Lane t closes at the running max from its (t+1)-th visit on,
+        // except lane 4, which reopens every third visit; lane 2 closes at
+        // `-∞`, so every non-NaN score passes it.
+        let policy = |t: usize, count: usize, best: f32| match t {
+            2 => Some(f32::NEG_INFINITY),
+            4 if count.is_multiple_of(3) => None,
+            _ if count > t => Some(best),
+            _ => None,
+        };
+        let run = |scalar: bool| {
+            let mut tile = UserTile::default();
+            tile.set(d, users.iter().copied());
+            let (mut counts, mut best) = ([0usize; LANES], [f32::NEG_INFINITY; LANES]);
+            let mut seen = Vec::new();
+            let visit = |t: usize, id: u32, s: f32| {
+                seen.push((t, id));
+                counts[t] += 1;
+                best[t] = best[t].max(s);
+                policy(t, counts[t], best[t])
+            };
+            if scalar {
+                tile_scan_scalar(&tile, &table, visit);
+            } else {
+                tile_scan(&tile, &table, visit);
+            }
+            seen
+        };
+        let mut want = Vec::new();
+        let (mut counts, mut best) = ([0usize; LANES], [f32::NEG_INFINITY; LANES]);
+        let mut state: [Option<f32>; LANES] = [None; LANES];
+        for (i, row) in (0u32..).zip(table.chunks_exact(d)) {
+            for (t, u) in users.iter().enumerate() {
+                let s = dot(u, row);
+                if state[t].is_none_or(|f| s > f) {
+                    want.push((t, i));
+                    counts[t] += 1;
+                    best[t] = best[t].max(s);
+                    state[t] = policy(t, counts[t], best[t]);
+                }
+            }
+        }
+        assert!(want.len() < 5 * n, "the floors pass some scores over");
+        assert_eq!(run(false), want);
+        assert_eq!(run(true), want);
+    }
+
+    #[test]
+    fn tile_scan_never_visits_a_nan_above_a_floor_but_an_open_lane_sees_it() {
+        let d = 9;
+        let mut table = rough(d * 4, 5);
+        table[0] = f32::NAN; // row 0, before any other score
+        table[2 * d] = f32::INFINITY; // row 2
+        let users = [vec![0.5f32; d], vec![-0.5f32; d]];
+        let users: Vec<&[f32]> = users.iter().map(|u| &u[..]).collect();
+        for scalar in [false, true] {
+            // Lane 0 stays open; lane 1 closes at `-∞` after its first
+            // visit.
+            let mut tile = UserTile::default();
+            tile.set(d, users.iter().copied());
+            let mut seen = Vec::new();
+            let visit = |t: usize, id: u32, s: f32| {
+                seen.push((t, id, s));
+                (t == 1).then_some(f32::NEG_INFINITY)
+            };
+            if scalar {
+                tile_scan_scalar(&tile, &table, visit);
+            } else {
+                tile_scan(&tile, &table, visit);
+            }
+            let ids: Vec<(usize, u32)> = seen.iter().map(|&(t, i, _)| (t, i)).collect();
+            // Both lanes start open, so both see row 0's NaN. Row 2
+            // scores `+∞` for lane 0 and `-∞` for lane 1, which is not
+            // above lane 1's floor.
+            assert_eq!(
+                ids,
+                [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (0, 3), (1, 3)],
+                "scalar body {scalar}"
+            );
+            assert!(seen[0].2.is_nan() && seen[1].2.is_nan());
+            assert_eq!(seen[4].2, f32::INFINITY);
         }
     }
 

@@ -391,19 +391,29 @@ mod tests {
     }
 
     #[test]
-    fn score_tile_is_bitwise_score_all() {
+    fn tile_scan_is_bitwise_score_all() {
         let m = model(2, 2);
+        let tables = m.row_tables().expect("a new model is refreshed");
         let mut all = vec![0.0f32; 4];
-        // A full tile (user 2 twice) and a short one, over items 1..4.
+        // A tile that repeats user 2, and a short one, over items 1..4;
+        // every lane is kept open, so every score is visited.
         for users in [&[2u32, 0, 1, 2][..], &[1, 0]] {
-            let mut tile = vec![f32::NAN; users.len() * 3];
-            m.score_tile(users, 1, &mut tile);
-            for (t, &u) in users.iter().enumerate() {
-                m.score_all(u, &mut all);
-                for i in 0..3 {
-                    assert_eq!(tile[t * 3 + i].to_bits(), all[1 + i].to_bits(), "user {u}");
-                }
-            }
+            let mut tile = crate::kernel::UserTile::default();
+            tile.set(tables.dim, users.iter().map(|&u| tables.user(u)));
+            let mut visited = vec![0usize; users.len()];
+            crate::kernel::tile_scan(&tile, &tables.items[tables.dim..], |t, i, s| {
+                m.score_all(users[t], &mut all);
+                assert_eq!(i, visited[t] as u32, "user {}", users[t]);
+                assert_eq!(
+                    s.to_bits(),
+                    all[1 + i as usize].to_bits(),
+                    "user {}",
+                    users[t]
+                );
+                visited[t] += 1;
+                None
+            });
+            assert!(visited.iter().all(|&v| v == 3));
         }
     }
 

@@ -98,7 +98,9 @@ impl<'a> RowTables<'a> {
 /// (MF, LightGCN over its propagated table, a frozen artifact),
 /// [`Scorer::row_tables`]. The batched methods are provided: with row
 /// tables they run the kernel entry points over them, and without they
-/// loop over `score`. A wrapper that scores through an inner model
+/// loop over `score`. The ranking protocol scores a model with row tables
+/// eight users at a time straight from the tables, and one without
+/// through [`Scorer::score_items`]. A wrapper that scores through an inner model
 /// forwards `score` and `row_tables`, or overrides the batched methods
 /// itself; one that forwards neither gets the loops over `score`.
 pub trait Scorer {
@@ -149,40 +151,9 @@ pub trait Scorer {
         }
     }
 
-    /// Fills `out[t·len + i]` with user `users[t]`'s score for item
-    /// `first + i`, where `len = out.len() / users.len()` — a tile of
-    /// users against a block of consecutive items, the streamed form of
-    /// the ranking protocol.
-    ///
-    /// Values are bitwise identical to [`Scorer::score_all`]'s: with
-    /// [`Scorer::row_tables`] this is [`crate::kernel::score_tile`], and
-    /// without it calls [`Scorer::score_items`] on chunks of consecutive
-    /// ids.
-    fn score_tile(&self, users: &[u32], first: u32, out: &mut [f32]) {
-        const CHUNK: usize = 64;
-        if let Some(tables) = self.row_tables() {
-            crate::kernel::score_tile(|u| tables.user(u), tables.items, users, first, out);
-            return;
-        }
-        let len = out.len() / users.len().max(1);
-        if len == 0 {
-            return;
-        }
-        debug_assert_eq!(out.len(), users.len() * len, "one score row per user");
-        let mut ids = [0u32; CHUNK];
-        for (&u, row) in users.iter().zip(out.chunks_exact_mut(len)) {
-            for (c, slots) in row.chunks_mut(CHUNK).enumerate() {
-                let ids = &mut ids[..slots.len()];
-                for (id, i) in ids.iter_mut().zip(first + (c * CHUNK) as u32..) {
-                    *id = i;
-                }
-                self.score_items(u, ids, slots);
-            }
-        }
-    }
-
     /// The model's contiguous user and item tables and its item write
     /// record: the one dense view behind the provided batched methods,
+    /// the ranking protocol's tile scan ([`crate::kernel::tile_scan`]),
     /// the artifact freeze and BNS's coded Eq. 16 pass (which keeps its
     /// own copy of some item rows). `None`, the default, tells callers to
     /// score through [`Scorer::score`] / [`Scorer::score_items`] instead.

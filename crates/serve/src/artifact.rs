@@ -579,16 +579,22 @@ mod tests {
             assert_eq!(s.to_bits(), all[i as usize].to_bits());
             assert_eq!(s.to_bits(), gathered[i as usize].to_bits());
         }
-        // A full tile (user 2 twice) and a short one, over items 2..7.
+        // The ranking protocol's tile scan over the artifact's rows: a
+        // tile that repeats user 2 and a short one, over items 2..7, with
+        // every lane kept open so every score is visited.
+        let tables = artifact.row_tables().unwrap();
         for users in [&[2u32, 0, 2, 3][..], &[1, 2]] {
-            let mut tile = vec![f32::NAN; users.len() * 5];
-            artifact.score_tile(users, 2, &mut tile);
-            for (t, &u) in users.iter().enumerate() {
-                artifact.score_all(u, &mut all);
-                for i in 0..5 {
-                    assert_eq!(tile[t * 5 + i].to_bits(), all[2 + i].to_bits(), "user {u}");
-                }
-            }
+            let mut tile = kernel::UserTile::default();
+            tile.set(tables.dim, users.iter().map(|&u| tables.user(u)));
+            let mut visits = 0;
+            kernel::tile_scan(&tile, &tables.items[2 * tables.dim..], |t, i, s| {
+                artifact.score_all(users[t], &mut all);
+                let want = all[2 + i as usize];
+                assert_eq!(s.to_bits(), want.to_bits(), "user {}", users[t]);
+                visits += 1;
+                None
+            });
+            assert_eq!(visits, users.len() * 5);
         }
     }
 
@@ -622,7 +628,9 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let live = model.row_tables().unwrap();
         let mut all = vec![0.0f32; 7];
-        let mut tile = vec![0.0f32; 4 * 7];
+        let held_out = Interactions::from_pairs(4, 7, &[(0, 0), (1, 2), (2, 5), (3, 4)]).unwrap();
+        let data = bns_data::Dataset::new("backings", seen.clone(), held_out).unwrap();
+        let ranked = bns_eval::evaluate_ranking(&model, &data, &[1, 3], 1);
         for artifact in [&owned, &decoded, &mapped] {
             let tables = artifact
                 .row_tables()
@@ -632,9 +640,14 @@ mod tests {
             for u in 0..4u32 {
                 artifact.score_all(u, &mut all);
                 artifact.score_items(u, &[6, 0, 6], &mut all[..3]);
-                artifact.score_tile(&[0, 1, 2, 3], 0, &mut tile);
                 assert_eq!(artifact.row_tables().unwrap().stamp, tables.stamp);
             }
+            // The ranking protocol ranks every backing as the live model.
+            assert_eq!(
+                bns_eval::evaluate_ranking(artifact, &data, &[1, 3], 1),
+                ranked
+            );
+            assert_eq!(artifact.row_tables().unwrap().stamp, tables.stamp);
         }
     }
 

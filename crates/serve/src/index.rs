@@ -347,6 +347,11 @@ impl IvfIndex {
     /// the Cauchy–Schwarz upper bound on any member's inner product with
     /// `u`. Centroid dots go through the shared [`kernel::gemv`], so the
     /// pass is bit-deterministic like every other scoring path.
+    ///
+    /// A NaN bound (a non-finite member makes its cluster's centroid or
+    /// radius non-finite) bounds nothing, so it reads `+∞`: such a cluster
+    /// ranks first among the probes and never ends the probe loop early,
+    /// and its finite members are scored like any others.
     pub fn score_clusters(&self, user: &[f32], out: &mut [f32]) {
         debug_assert_eq!(user.len(), self.dim, "user row must match index dim");
         debug_assert_eq!(out.len(), self.n_clusters(), "one slot per cluster");
@@ -354,6 +359,9 @@ impl IvfIndex {
         let unorm = kernel::dot(user, user).sqrt();
         for (slot, &r) in out.iter_mut().zip(self.radii.as_slice()) {
             *slot += unorm * r;
+            if slot.is_nan() {
+                *slot = f32::INFINITY;
+            }
         }
     }
 

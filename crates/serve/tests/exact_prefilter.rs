@@ -7,7 +7,7 @@
 //! ties (duplicated rows), near ties among rows the i8 codes hold
 //! exactly, constant, zero, subnormal-scale and huge-norm
 //! rows (some past the kernel's overflow cap), and non-finite rows, which
-//! every user has seen (an unmasked non-finite score has no rank). The
+//! every user has seen (and which are queried unmasked too). The
 //! users include a zero user and one dominated by a single coordinate;
 //! masks cover the unmasked top rows; `k` runs past the number of
 //! unmasked rows; `d` covers 1, odd and even widths, and one wide enough
@@ -152,14 +152,9 @@ fn check_case(seed: u64, d: usize, n_items: usize, with_non_finite: bool) -> Res
         let masked = seen.items_of(u);
         let unmasked = n_items - masked.len();
         for k in [1, 3, 10, unmasked, unmasked + 5, n_items] {
-            // An unmasked non-finite row has no rank: those tables are
-            // only queried with the seen items excluded.
-            let excludes: &[bool] = if with_non_finite {
-                &[true]
-            } else {
-                &[true, false]
-            };
-            for &exclude in excludes {
+            // Unmasked, a non-finite row scores NaN (never ranked) or
+            // `±∞` (ranked like any score), as in the reference.
+            for exclude in [true, false] {
                 let mask: &[u32] = if exclude { masked } else { &[] };
                 let want = reference(&users[u as usize], &items, mask, k);
                 let got = engine.top_k(u, k, exclude).map_err(|e| e.to_string())?;
