@@ -42,8 +42,8 @@ RUSTFLAGS="-C target-cpu=native --cfg bns_model_check" \
 # dir so the scalar bodies, the top-k selection they feed, the provided
 # `Scorer` methods every model scores through, the ranking protocol's tile
 # scan, BNS's coded Eq. 16 pass (on the portable body of the coded count
-# kernel) and exact serving's i8 scan (on the portable body of its integer
-# kernel) are compiled and tested too. The two equivalence suites pin the
+# kernel) and serving's i8 scan, exact and IVF (on the portable body of its
+# integer kernel) are compiled and tested too. The two equivalence suites pin the
 # live models, the frozen artifact and the batched trainer to each other
 # bit for bit on that body; `reproducibility` ranks one model with 1 and 8
 # evaluation threads on the scalar tile body.
@@ -51,11 +51,13 @@ RUSTFLAGS="-C target-cpu=x86-64" \
     run cargo test -q -p bns-model -p bns-core -p bns-eval -p bns-serve --lib --offline --locked --target-dir target/portable
 RUSTFLAGS="-C target-cpu=x86-64" \
     run cargo test -q -p bns --test serve_equivalence --test batch_equivalence --test reproducibility --offline --locked --target-dir target/portable
-# Exact serving against a plain dot + top-k reference on adversarial
-# tables, every selection path over NaN and infinite rows, and the query
-# allocation audit (two test threads, as above), on the same portable body.
+# Both serving modes scan through the portable body of the integer kernel
+# here: exact and IVF serving against plain dot + top-k references on
+# adversarial tables, IVF's recall gate, every selection path over NaN and
+# infinite rows, and the query allocation audit (two test threads, as
+# above).
 RUSTFLAGS="-C target-cpu=x86-64" \
-    run cargo test -q -p bns-serve --test exact_prefilter --test non_finite --test query_alloc --offline --locked --target-dir target/portable -- --test-threads=2
+    run cargo test -q -p bns-serve --test exact_prefilter --test ivf_recall --test non_finite --test query_alloc --offline --locked --target-dir target/portable -- --test-threads=2
 # Lint the same portable build: code that is dead under one cfg (a helper
 # only the scalar bodies call) shows up on one target only, and the clippy
 # step above sees the native one.

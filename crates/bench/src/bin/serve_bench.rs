@@ -11,7 +11,7 @@
 //!   count, so on a small box a "multi_thread" section can legitimately
 //!   have run serial, and says so);
 //! * a cached multi-thread run (generation-stamped LRU in front of the
-//!   GEMV path) with its hit rate;
+//!   i8 scan) with its hit rate;
 //! * an **IVF section**: the same traffic through the probe path
 //!   ([`bns_serve::IndexMode::Ivf`]), with the measured recall@10 of the
 //!   approximate answers against the exact ranking and the throughput

@@ -26,9 +26,9 @@ pub fn top_k_masked(scores: &[f32], masked: &[u32], k: usize) -> Vec<u32> {
 /// resets it for a cutoff, [`offer`](Self::offer) feeds one `(score, id)`
 /// candidate, and [`emit`](Self::emit) writes the ranked ids out. Every
 /// selection path in the workspace — the dense [`MaskedScan`] of
-/// [`top_k_masked_into`], the ranking protocol's tile scan, exact
-/// serving's pre-filtered scan and the cluster-at-a-time candidate stream
-/// of the IVF serving path — funnels through the same `offer`, so the
+/// [`top_k_masked_into`], the ranking protocol's tile scan and serving's
+/// pre-filtered scan, over the whole catalog or the probed IVF clusters —
+/// funnels through the same `offer`, so the
 /// ordering rule (descending score, ties toward the lower id, NaN never
 /// kept) has exactly one implementation.
 #[derive(Debug, Default, Clone)]
@@ -81,11 +81,11 @@ impl TopKBuffer {
     }
 
     /// The score of the current `k`-th best candidate, or `None` while the
-    /// selection is not yet full. A candidate stream whose per-block upper
-    /// bound falls **strictly** below this floor cannot change the
-    /// selection — the admission test behind bound-ordered probe
-    /// termination in the IVF serving path. (At the floor exactly, a
-    /// lower-id tie could still displace, so equality must keep probing.)
+    /// selection is not yet full. A candidate whose upper bound falls
+    /// **strictly** below this floor cannot change the selection — the
+    /// test behind the pre-filtered scans of ranking evaluation and
+    /// serving. (At the floor exactly, a lower-id tie could still
+    /// displace, so equality must be offered.)
     #[inline]
     pub fn floor(&self) -> Option<f32> {
         (self.k > 0 && self.best.len() == self.k).then(|| self.best.last().expect("k > 0").0)

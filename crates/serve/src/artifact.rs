@@ -18,8 +18,8 @@
 //!            of the training-positive CSR (the per-user exclusion mask)
 //!   index_len u64 (0 = no index), then index_len bytes: the IVF section —
 //!            n_clusters u32, centroid f32 bit patterns, per-cluster radii,
-//!            cluster offsets, cluster-sorted item permutation
-//!            (see [`crate::index`])
+//!            cluster offsets, cluster-sorted item permutation, and the
+//!            item rows in that order (see [`crate::index`])
 //! footer:
 //!   digests  n_chunks × u64   word-FNV digest per CHUNK_SIZE payload slice
 //!   chunk_size u64
@@ -38,7 +38,8 @@
 //! bit flip in payload or footer (verified over the mapped bytes before
 //! any view is handed out; the IVF section sits inside the digested
 //! payload, so it is covered for free), and the CSR and IVF sections
-//! re-validate every structural invariant. The v1 single-trailing-checksum
+//! re-validate every structural invariant, down to the IVF rows being the
+//! item table's rows bit for bit. The v1 single-trailing-checksum
 //! format is rejected with the typed [`ServeError::UnsupportedVersion`];
 //! v2 artifacts (no index section) still load, with
 //! [`ModelArtifact::index`] absent — Exact-only serving.
@@ -161,9 +162,21 @@ pub struct ModelArtifact {
     /// Training positives; its shape is the tables' `n_users × n_items`.
     seen: Interactions,
     index: Option<IvfIndex>,
-    /// The i8 serving codes of the item table, built by the first exact
-    /// query and shared by every clone (never serialized).
+    /// The i8 serving codes of the item rows in scan order, built by the
+    /// first query and shared by every clone (never serialized).
     codes: Arc<OnceLock<I8Rows>>,
+}
+
+/// The item rows in the order both query modes scan them: the index's
+/// `perm` order (its `vectors` rows) when the artifact carries one, id
+/// order otherwise.
+pub(crate) struct ScanOrder<'a> {
+    /// The i8 serving codes of `rows`.
+    pub codes: &'a I8Rows,
+    /// Row-major item rows in scan order.
+    pub rows: &'a [f32],
+    /// The item id of each row (`perm`), or `None` in id order.
+    pub ids: Option<&'a [u32]>,
 }
 
 impl ModelArtifact {
@@ -268,14 +281,20 @@ impl ModelArtifact {
         }
     }
 
-    /// The i8 serving codes of the item table ([`I8Rows`]), which exact
-    /// queries scan before re-scoring the few rows that can reach the
-    /// top-k. Built on first use (about 10 ms at 100k items × d = 32) and
-    /// shared by every clone of this artifact; an artifact swapped into
-    /// an engine brings its own.
-    pub(crate) fn codes(&self) -> &I8Rows {
-        self.codes
-            .get_or_init(|| I8Rows::from_table(self.items.as_slice(), self.dim))
+    /// The item rows in scan order with their i8 serving codes
+    /// ([`I8Rows`]), which queries scan before re-scoring the few rows
+    /// that can reach the top-k. The codes are built on first use (about
+    /// 10 ms at 100k items × d = 32) and shared by every clone of this
+    /// artifact; an artifact swapped into an engine brings its own.
+    pub(crate) fn scan_order(&self) -> ScanOrder<'_> {
+        let (rows, ids) = match &self.index {
+            Some(index) => (index.vectors(), Some(index.perm())),
+            None => (self.items.as_slice(), None),
+        };
+        let codes = self
+            .codes
+            .get_or_init(|| I8Rows::from_table(rows, self.dim));
+        ScanOrder { codes, rows, ids }
     }
 
     /// Whether the tables serve zero-copy out of a live file mapping
@@ -470,6 +489,21 @@ impl ModelArtifact {
             Some((at, len)) => Some(IvfIndex::parse(storage, at, len, n_items, dim)?),
             None => None,
         };
+        if let Some(index) = &index {
+            // Queries re-score the index's rows in place of the item rows,
+            // so they must be the same bits. (The branch-free compare per
+            // row vectorizes; an early exit per element ran ~3× slower.)
+            let differs = |(row, &id): (&[f32], &u32)| {
+                let item = &items.as_slice()[id as usize * dim..][..dim];
+                let diff = row.iter().zip(item);
+                diff.fold(0, |acc, (a, b)| acc | (a.to_bits() ^ b.to_bits())) != 0
+            };
+            let mut rows = index.vectors().chunks_exact(dim).zip(index.perm());
+            if let Some(j) = rows.position(differs) {
+                let msg = format!("ivf index: row {j} is not its item's row");
+                return Err(ServeError::Invalid(msg));
+            }
+        }
         Ok(Self {
             kind,
             stamp: TableStamp::fresh(),

@@ -3,13 +3,13 @@
 //!
 //! ## Why
 //!
-//! `QueryEngine::top_k` in exact mode is an exhaustive GEMV — perfect
-//! recall, `O(n_items)` per query, which collapses at million-item
-//! catalogs (BENCH_scale.json: 15.7k q/s at 10k items down to 157 q/s at
-//! 1M). The retrieval-vs-ranking split of the negative-sampling survey
-//! (Ma et al., 2409.07237) assumes a candidate-generation stage in front
-//! of exact scoring; this module is that stage, built entirely at
-//! [`crate::ModelArtifact::freeze`] time and stored inside the artifact.
+//! `QueryEngine::top_k` in exact mode scans every item's i8 code —
+//! perfect recall, but `O(n_items)` per query, which grows with the
+//! catalog however cheap each row is. The retrieval-vs-ranking split of
+//! the negative-sampling survey (Ma et al., 2409.07237) assumes a
+//! candidate-generation stage in front of exact scoring; this module is
+//! that stage, built entirely at [`crate::ModelArtifact::freeze`] time and
+//! stored inside the artifact.
 //!
 //! ## What is stored
 //!
@@ -22,24 +22,24 @@
 //!   **contiguous** (within a cluster, ascending id);
 //! * `offsets` — `n_clusters + 1` bounds into `perm`;
 //! * `vectors` — the item rows copied into `perm` order (the classic
-//!   IVF-Flat inverted-list layout). This spends one extra copy of the
-//!   item table so that probing a cluster is a **sequential** scan: the
-//!   gather-through-`perm` alternative turns every candidate into a
-//!   random cache line, and at million-item catalogs that DRAM latency —
-//!   not arithmetic — is what separates a ~10× win from the ≥ 50× the
-//!   probe fraction promises.
+//!   IVF-Flat inverted-list layout), bit for bit the item table's rows
+//!   (checked when an artifact loads). An artifact with an index serves
+//!   both query modes from this order: its i8 serving codes are coded
+//!   from `vectors`, a cluster is the contiguous row range
+//!   `offsets[c]..offsets[c + 1]` of one scan, and the few rows the codes
+//!   cannot rule out are re-scored against the neighbouring `vectors` row
+//!   instead of a random-access gather through `perm`.
 //!
 //! At query time the engine scores all centroids with the shared
-//! [`kernel::gemv`], probes the best `nprobe` clusters' contiguous rows
-//! through the same [`kernel::gemv`] (bound-ordered, terminating early
-//! once no remaining bound can beat the current k-th best), and selects
-//! with the same [`bns_eval::topk`] tie-break as the exact path. Clusters
-//! are ranked by the **upper bound** `u·c + ‖u‖·r_c ≥ max_{i∈c} u·h_i`
+//! [`kernel::gemv`], then runs the exact mode's i8 scan over the best
+//! `nprobe` clusters' row ranges, in bound order, and selects with the
+//! same [`bns_eval::topk`] tie-break as the exact path. Clusters are
+//! ranked by the **upper bound** `u·c + ‖u‖·r_c ≥ max_{i∈c} u·h_i`
 //! rather than the raw centroid score: for max-inner-product retrieval
 //! the bound stops high-variance clusters (which hide extreme items
 //! behind a mediocre mean) from being skipped, which is what carries
-//! recall@10 at small probe fractions — and it makes the early
-//! termination lossless.
+//! recall@10 at small probe fractions. (The bound is computed in `f32`
+//! without rounding slack, so it orders clusters; it decides nothing.)
 //!
 //! ## Determinism
 //!
@@ -58,6 +58,7 @@ use bns_data::le::Reader;
 use bns_data::storage::{F32Buf, Storage, U32Buf};
 use bns_model::kernel;
 use bns_sync::splitmix64;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Configuration of the freeze-time k-means build.
@@ -116,9 +117,6 @@ pub struct IvfIndex {
     /// Item rows in `perm` order — bit-identical copies of the frozen
     /// table, laid out so each cluster scans sequentially.
     vectors: F32Buf,
-    /// Largest cluster size — the steady-state capacity of the per-worker
-    /// candidate-score scratch (derived from `offsets`, not stored).
-    max_cluster_len: usize,
 }
 
 impl IvfIndex {
@@ -274,11 +272,6 @@ impl IvfIndex {
             slot.copy_from_slice(&items[id as usize * dim..(id as usize + 1) * dim]);
         }
 
-        let max_cluster_len = offsets
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0);
         Self {
             dim,
             n_items,
@@ -287,7 +280,6 @@ impl IvfIndex {
             offsets: U32Buf::from(offsets),
             perm: U32Buf::from(perm),
             vectors: F32Buf::from(vectors),
-            max_cluster_len,
         }
     }
 
@@ -304,12 +296,6 @@ impl IvfIndex {
     /// Embedding dimensionality.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// Size of the largest cluster (steady-state scratch capacity for the
-    /// probe path).
-    pub fn max_cluster_len(&self) -> usize {
-        self.max_cluster_len
     }
 
     /// The default probe width: a constant 64 clusters (clamped to the
@@ -331,16 +317,19 @@ impl IvfIndex {
 
     /// Members of cluster `c` as a contiguous slice of item ids.
     pub fn cluster_items(&self, c: usize) -> &[u32] {
-        let offsets = self.offsets.as_slice();
-        &self.perm.as_slice()[offsets[c] as usize..offsets[c + 1] as usize]
+        &self.perm.as_slice()[self.cluster_rows(c)]
     }
 
-    /// The embedding rows of cluster `c`'s members, contiguous and in the
-    /// same order as [`cluster_items`](Self::cluster_items) — the
-    /// sequential scan surface of the probe path.
-    pub fn cluster_vectors(&self, c: usize) -> &[f32] {
+    /// Cluster `c`'s positions in `perm` order: the rows of
+    /// [`vectors`](Self::vectors) and of the scan that hold its members.
+    pub(crate) fn cluster_rows(&self, c: usize) -> Range<usize> {
         let offsets = self.offsets.as_slice();
-        &self.vectors.as_slice()[offsets[c] as usize * self.dim..offsets[c + 1] as usize * self.dim]
+        offsets[c] as usize..offsets[c + 1] as usize
+    }
+
+    /// The item rows in `perm` order, row-major.
+    pub(crate) fn vectors(&self) -> &[f32] {
+        self.vectors.as_slice()
     }
 
     /// Scores every cluster for probe ordering: `out[c] = u·cᶜ + ‖u‖·r_c`,
@@ -350,8 +339,8 @@ impl IvfIndex {
     ///
     /// A NaN bound (a non-finite member makes its cluster's centroid or
     /// radius non-finite) bounds nothing, so it reads `+∞`: such a cluster
-    /// ranks first among the probes and never ends the probe loop early,
-    /// and its finite members are scored like any others.
+    /// ranks first among the probes, and its finite members are scored
+    /// like any others.
     pub fn score_clusters(&self, user: &[f32], out: &mut [f32]) {
         debug_assert_eq!(user.len(), self.dim, "user row must match index dim");
         debug_assert_eq!(out.len(), self.n_clusters(), "one slot per cluster");
@@ -447,12 +436,6 @@ impl IvfIndex {
                 seen[w] |= 1 << b;
             }
         }
-        let max_cluster_len = offsets
-            .as_slice()
-            .windows(2)
-            .map(|w| (w[1] - w[0]) as usize)
-            .max()
-            .unwrap_or(0);
         Ok(Self {
             dim,
             n_items,
@@ -461,7 +444,6 @@ impl IvfIndex {
             offsets,
             perm,
             vectors,
-            max_cluster_len,
         })
     }
 }
@@ -528,18 +510,19 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s), "every item must be indexed");
         // The inverted-list rows are bit-identical copies of the table.
-        for c in 0..index.n_clusters() {
-            let rows = index.cluster_vectors(c);
-            for (j, &i) in index.cluster_items(c).iter().enumerate() {
-                let orig = &items[i as usize * d..(i as usize + 1) * d];
-                let copy = &rows[j * d..(j + 1) * d];
-                assert!(
-                    orig.iter()
-                        .zip(copy)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "cluster {c} row {j} diverges from item {i}"
-                );
-            }
+        for (j, (&i, copy)) in index
+            .perm()
+            .iter()
+            .zip(index.vectors().chunks_exact(d))
+            .enumerate()
+        {
+            let orig = &items[i as usize * d..(i as usize + 1) * d];
+            assert!(
+                orig.iter()
+                    .zip(copy)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "row {j} diverges from item {i}"
+            );
         }
     }
 
@@ -585,7 +568,6 @@ mod tests {
         let parsed = IvfIndex::parse(&storage, 0, len, n, d).unwrap();
         assert_eq!(parsed.n_clusters(), built.n_clusters());
         assert_eq!(parsed.perm(), built.perm());
-        assert_eq!(parsed.max_cluster_len(), built.max_cluster_len());
         let user = pseudo_table(1, d, 5);
         let mut sa = vec![0.0f32; built.n_clusters()];
         let mut sb = vec![0.0f32; built.n_clusters()];
@@ -640,8 +622,8 @@ mod tests {
     #[test]
     fn probe_bound_dominates_member_scores() {
         // The cluster score must upper-bound every member's inner product
-        // with the user — the property that makes bound-ordered probing
-        // safe for recall.
+        // with the user (up to the rounding the f32 bound does not cover)
+        // — the property that lets the bound order probes for recall.
         let (n, d) = (150usize, 8usize);
         let items = pseudo_table(n, d, 7);
         let index = IvfIndex::build(&items, n, d, &IvfConfig::default());

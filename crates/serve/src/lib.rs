@@ -21,9 +21,10 @@
 //!   over an artifact through the same dot kernel and top-k selection
 //!   buffer the evaluation protocol uses, with reusable per-worker
 //!   [`QueryScratch`] so the steady-state query path is allocation-free.
-//!   An [`IndexMode`] knob picks exact ranking (an i8 pre-filter pass
-//!   plus an exact re-score of the rows that can reach the top-k;
-//!   bitwise-exact) or IVF probing (recall-gated approximate).
+//!   Both modes run one i8 pre-filter scan plus an exact re-score of the
+//!   rows that can reach the top-k; an [`IndexMode`] knob picks its range:
+//!   every row (exact ranking, bitwise-exact) or the probed IVF clusters'
+//!   rows (recall-gated approximate).
 //! * [`engine`] — the multi-threaded request loop: `std::thread::scope`
 //!   workers draining a sharded work-stealing queue of [`Request`]s one
 //!   claim at a time, recording per-request latency into a [`ServeReport`], whose

@@ -943,25 +943,46 @@ mod tests {
 
     #[test]
     fn metrics_expose_the_exact_query_counters() {
-        let server = NetServer::bind("127.0.0.1:0", engine(8), quick_cfg()).unwrap();
+        let mut rng = StdRng::seed_from_u64(8);
+        let model = MatrixFactorization::new(6, 12, 8, 0.1, &mut rng).unwrap();
+        let seen = Interactions::from_pairs(6, 12, &[(0, 0), (0, 3), (1, 2)]).unwrap();
+        let artifact =
+            ModelArtifact::freeze_with(&model, &seen, Some(crate::IvfConfig::default())).unwrap();
+        let server =
+            NetServer::bind("127.0.0.1:0", QueryEngine::new(artifact), quick_cfg()).unwrap();
         let addr = server.local_addr();
         let body = http_get(addr, "/metrics");
-        assert!(body.contains("\nbns_exact_queries 0\n"), "{body}");
-        assert!(body.contains("\nbns_exact_rescored_rows 0\n"), "{body}");
+        for name in ["exact", "ivf"] {
+            assert!(
+                body.contains(&format!("\nbns_{name}_queries 0\n")),
+                "{body}"
+            );
+            assert!(
+                body.contains(&format!("\nbns_{name}_rescored_rows 0\n")),
+                "{body}"
+            );
+        }
         let mut client = WireClient::connect(addr).unwrap();
         for user in 0..3u32 {
             let resp = client.top_k(user, 4, true, ModeRequest::Exact).unwrap();
             assert_eq!(resp.status, Status::Ok);
         }
+        for user in 0..2u32 {
+            let resp = client.top_k(user, 4, true, ModeRequest::Ivf).unwrap();
+            assert_eq!(resp.status, Status::Ok);
+        }
         let body = http_get(addr, "/metrics");
         assert!(body.contains("\nbns_exact_queries 3\n"), "{body}");
-        let rescored: u64 = body
-            .lines()
-            .find_map(|l| l.strip_prefix("bns_exact_rescored_rows "))
-            .and_then(|v| v.parse().ok())
-            .expect("rescored-row counter");
+        assert!(body.contains("\nbns_ivf_queries 2\n"), "{body}");
+        let rescored = |name: &str| -> u64 {
+            body.lines()
+                .find_map(|l| l.strip_prefix(&format!("bns_{name}_rescored_rows ")))
+                .and_then(|v| v.parse().ok())
+                .expect("rescored-row counter")
+        };
         // Each query re-scores at least the k = 4 rows that fill it.
-        assert!(rescored >= 12, "{rescored} rows re-scored");
+        assert!(rescored("exact") >= 12, "{body}");
+        assert!(rescored("ivf") >= 8, "{body}");
     }
 
     #[test]

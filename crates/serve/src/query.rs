@@ -7,28 +7,30 @@
 //! item ids, so a query's answer is a pure function of the artifact —
 //! bit-for-bit reproducible across runs, threads and machines.
 //!
-//! Two retrieval strategies share that selection machinery, picked by
-//! [`IndexMode`]:
+//! Both retrieval strategies, picked by [`IndexMode`], run one scan over
+//! the artifact's i8 serving codes ([`bns_model::coded::I8Rows`]), kept in
+//! the artifact's scan order: the IVF index's cluster-contiguous `perm`
+//! order when it carries an index, id order otherwise. For each block of
+//! eight rows the kernel bounds every row's exact score from above and
+//! passes over the rows whose bound falls strictly below the current k-th
+//! best; each remaining row is mapped to its item id, masked if seen, or
+//! scored with `kernel::dot` against its scan-order row and offered to the
+//! [`TopKBuffer`]. A passed-over row could neither enter nor tie the
+//! selection, so the answer is bit for bit that of scoring every scanned
+//! row.
 //!
-//! * **Exact** — one pass over the artifact's i8 serving codes
-//!   ([`bns_model::coded::I8Rows`]). For each block of eight rows the
-//!   kernel bounds every row's exact score from above and passes over the
-//!   rows whose bound falls strictly below the current k-th best; the
-//!   rest (~0.1% of a 100k catalog) are scored with `kernel::dot` and
-//!   offered to the [`TopKBuffer`] in ascending id order. A passed-over
-//!   row could neither enter nor tie the selection, so the answer is bit
-//!   for bit that of scoring every row, in `O(n_items)` integer work.
-//! * **Ivf** — score the artifact's freeze-time cluster centroids
-//!   ([`crate::index`]), probe the best `nprobe` clusters' contiguous item
-//!   ranges with the same gather kernel, mask seen items, select with the
-//!   same [`TopKBuffer`]. Still deterministic (a pure function of
+//! * **Exact** scans every row: the answer is the exact ranking, in
+//!   `O(n_items)` integer work plus a few hundred `dot`s.
+//! * **Ivf** ranks the artifact's freeze-time clusters ([`crate::index`])
+//!   by their centroid bounds and scans only the best `nprobe` clusters'
+//!   row ranges. Still deterministic (a pure function of
 //!   `(artifact, nprobe)`), but approximate against the exact ranking —
 //!   gated by measured recall@k (`crates/serve/tests/ivf_recall.rs`)
 //!   instead of bit equality.
 //!
 //! The hot paths are **allocation-free in steady state**: callers (or the
 //! [`crate::engine`] workers) hold one [`QueryScratch`] per thread and the
-//! user codes, score vectors, selection buffers and output lists are all
+//! user codes, cluster bounds, selection buffer and output lists are all
 //! reused — the same discipline the samplers follow
 //! (`tests/sampler_alloc.rs`), pinned for this crate by
 //! `crates/serve/tests/query_alloc.rs`.
@@ -49,9 +51,10 @@ pub enum IndexMode {
     /// artifact's i8 codes, then `kernel::dot` on the few rows that can
     /// reach the top-k. Bitwise-exact, `O(n_items)`.
     Exact,
-    /// IVF candidate generation: probe the `nprobe` best clusters of the
-    /// artifact's freeze-time index. Requires the artifact to carry one
-    /// ([`ModelArtifact::index`]); `nprobe ≥ 1`.
+    /// IVF candidate generation: the same pass, over only the `nprobe`
+    /// best clusters of the artifact's freeze-time index. Exact over the
+    /// probed rows, approximate over the catalog. Requires the artifact to
+    /// carry an index ([`ModelArtifact::index`]); `nprobe ≥ 1`.
     Ivf {
         /// How many clusters to probe per query. Higher is slower and
         /// more exact; [`crate::IvfIndex::default_nprobe`] is the
@@ -61,17 +64,15 @@ pub enum IndexMode {
 }
 
 /// Reusable per-worker buffers for [`QueryEngine::top_k_into`]: the
-/// coded user, score vectors and top-k selection scratch for every
-/// retrieval strategy. Steady-state allocation-free once warm.
+/// coded user and the top-k selection buffer both modes scan with, and
+/// IVF's cluster bounds and chosen probes. Steady-state allocation-free
+/// once warm.
 #[derive(Debug, Default)]
 pub struct QueryScratch {
-    pub(crate) user: I8User,
-    pub(crate) topk: TopKBuffer,
-    // IVF probe path.
-    pub(crate) cluster_scores: Vec<f32>,
-    pub(crate) probe_ids: Vec<u32>,
-    pub(crate) cand_scores: Vec<f32>,
-    pub(crate) probe_topk: TopKBuffer,
+    user: I8User,
+    topk: TopKBuffer,
+    cluster_scores: Vec<f32>,
+    probe_ids: Vec<u32>,
 }
 
 impl QueryScratch {
@@ -111,6 +112,8 @@ pub struct QueryEngine {
     cache_lookups: Counter,
     exact_queries: Counter,
     rescored_rows: Counter,
+    ivf_queries: Counter,
+    ivf_rescored_rows: Counter,
     mode: IndexMode,
 }
 
@@ -126,6 +129,8 @@ impl QueryEngine {
             cache_lookups: Counter::new(),
             exact_queries: Counter::new(),
             rescored_rows: Counter::new(),
+            ivf_queries: Counter::new(),
+            ivf_rescored_rows: Counter::new(),
             mode: IndexMode::Exact,
         }
     }
@@ -217,18 +222,22 @@ impl QueryEngine {
 
     /// Rows exact-mode queries re-scored with `kernel::dot` since
     /// construction: the unmasked rows the i8 pre-filter could not rule
-    /// out (every one while the selection is filling; a median of ~116 of
-    /// 100k per query on the serve-exact benchmark at k = 10).
+    /// out (every one while the selection is filling). On the serve-exact
+    /// benchmark at k = 10 that is a median of ~166 of 100k rows per query
+    /// in the IVF index's cluster order, which its artifact scans, and
+    /// ~118 in id order.
     pub fn rescored_rows(&self) -> u64 {
         self.rescored_rows.get()
     }
 
-    /// Appends the exact-mode counters to a `GET /metrics` body, one
-    /// `name value` line each.
+    /// Appends the per-mode query and re-scored-row counters to a
+    /// `GET /metrics` body, one `name value` line each.
     pub(crate) fn render_metrics(&self, out: &mut String) {
         for (name, c) in [
             ("bns_exact_queries", &self.exact_queries),
             ("bns_exact_rescored_rows", &self.rescored_rows),
+            ("bns_ivf_queries", &self.ivf_queries),
+            ("bns_ivf_rescored_rows", &self.ivf_rescored_rows),
         ] {
             let _ = writeln!(out, "{name} {}", c.get());
         }
@@ -327,12 +336,7 @@ impl QueryEngine {
             }
         }
 
-        match mode {
-            IndexMode::Exact => self.exact_search(user, k, exclude_seen, scratch, out),
-            IndexMode::Ivf { nprobe } => {
-                self.ivf_search(user, k, exclude_seen, nprobe, scratch, out)?;
-            }
-        }
+        self.search(user, k, exclude_seen, mode, scratch, out)?;
 
         if let Some(cache) = &self.cache {
             cache.lock().insert(key, generation, out);
@@ -340,130 +344,79 @@ impl QueryEngine {
         Ok(())
     }
 
-    /// The exact path: one scan of the artifact's i8 codes. Every row the
-    /// scan cannot rule out (see [`bns_model::coded::I8Rows::scan`]) is
-    /// masked by a cursor over the sorted seen list or scored with
-    /// `kernel::dot` and offered, in ascending id order, to the shared
-    /// [`TopKBuffer`], whose k-th best score is the floor of the next
-    /// block. A row the scan passes over scores strictly below that floor,
-    /// so offering it would have changed nothing: the answer equals
-    /// `top_k_masked` over `score_all` bit for bit.
-    fn exact_search(
+    /// Both modes' one scan over the artifact's i8 codes in scan order
+    /// (see [`ModelArtifact::scan_order`]): exact mode scans every row,
+    /// IVF the best `nprobe` clusters' row ranges in bound order. Every
+    /// row the scan cannot rule out (see [`bns_model::coded::I8Rows::scan`])
+    /// is mapped to its item id, masked by a binary search over the sorted
+    /// seen list, or scored with `kernel::dot` against its scan-order row
+    /// and offered to the [`TopKBuffer`], whose k-th best score is the
+    /// floor of the next block. A row the scan passes over scores strictly
+    /// below that floor, so offering it would have changed nothing: the
+    /// answer equals `top_k_masked` over the scanned rows' exact scores bit
+    /// for bit (over every row in exact mode).
+    fn search(
         &self,
         user: u32,
         k: usize,
         exclude_seen: bool,
-        scratch: &mut QueryScratch,
-        out: &mut Vec<u32>,
-    ) {
-        self.exact_queries.incr();
-        if k == 0 {
-            out.clear();
-            return;
-        }
-        let tables = self.artifact.tables();
-        let urow = tables.user(user);
-        let masked: &[u32] = if exclude_seen {
-            self.artifact.seen().items_of(user)
-        } else {
-            &[]
-        };
-        scratch.user.set(urow);
-        scratch.topk.begin(k);
-        let topk = &mut scratch.topk;
-        let (mut mask_idx, mut rescored) = (0usize, 0u64);
-        self.artifact.codes().scan(&scratch.user, |r| {
-            let id = r as u32;
-            while mask_idx < masked.len() && masked[mask_idx] < id {
-                mask_idx += 1;
-            }
-            if masked.get(mask_idx) != Some(&id) {
-                rescored += 1;
-                topk.offer(kernel::dot(urow, tables.item(id)), id);
-            }
-            topk.floor().unwrap_or(f32::NEG_INFINITY)
-        });
-        self.rescored_rows.add(rescored);
-        topk.emit(out);
-    }
-
-    /// The IVF probe path: rank clusters by the Cauchy–Schwarz bound
-    /// `u·c + ‖u‖·r_c`, gather-score the `nprobe` best clusters'
-    /// contiguous item ranges, mask seen items, select through the shared
-    /// [`TopKBuffer`]. Deterministic; allocation-free once the scratch has
-    /// warmed to the index's cluster count and largest cluster.
-    fn ivf_search(
-        &self,
-        user: u32,
-        k: usize,
-        exclude_seen: bool,
-        nprobe: usize,
+        mode: IndexMode,
         scratch: &mut QueryScratch,
         out: &mut Vec<u32>,
     ) -> Result<()> {
-        let index = self.artifact.index().ok_or(ServeError::NoIndex)?;
+        let (queries, rescored_rows) = match mode {
+            IndexMode::Exact => (&self.exact_queries, &self.rescored_rows),
+            IndexMode::Ivf { .. } => (&self.ivf_queries, &self.ivf_rescored_rows),
+        };
+        queries.incr();
+        if k == 0 {
+            out.clear();
+            return Ok(());
+        }
         let urow = self.artifact.tables().user(user);
-        scratch.cluster_scores.resize(index.n_clusters(), 0.0);
-        index.score_clusters(urow, &mut scratch.cluster_scores);
-        top_k_masked_into(
-            &scratch.cluster_scores,
-            &[],
-            nprobe,
-            &mut scratch.topk,
-            &mut scratch.probe_ids,
-        );
-
+        let probes = match mode {
+            IndexMode::Exact => None,
+            IndexMode::Ivf { nprobe } => {
+                let index = self.artifact.index().ok_or(ServeError::NoIndex)?;
+                let (bounds, probes) = (&mut scratch.cluster_scores, &mut scratch.probe_ids);
+                bounds.resize(index.n_clusters(), 0.0);
+                index.score_clusters(urow, bounds);
+                top_k_masked_into(bounds, &[], nprobe, &mut scratch.topk, probes);
+                Some(index)
+            }
+        };
         let masked: &[u32] = if exclude_seen {
             self.artifact.seen().items_of(user)
         } else {
             &[]
         };
-        scratch.cand_scores.resize(index.max_cluster_len(), 0.0);
-        scratch.probe_topk.begin(k);
-        for &c in &scratch.probe_ids {
-            // Bound-ordered early termination. Probes arrive in descending
-            // Cauchy–Schwarz bound order and no member of cluster `c` can
-            // score above its bound, so once the bound drops strictly
-            // below the current k-th best the remaining probes cannot
-            // alter the selection — the output is identical to probing
-            // all `nprobe` clusters. Strict `<`: a tie at the floor could
-            // still displace through the (score desc, id asc) order.
-            if let Some(floor) = scratch.probe_topk.floor() {
-                if scratch.cluster_scores[c as usize] < floor {
-                    break;
-                }
+        let order = self.artifact.scan_order();
+        scratch.user.set(urow);
+        scratch.topk.begin(k);
+        let mut rescored = 0u64;
+        let mut visit = |r: usize| {
+            let id = order.ids.map_or(r as u32, |ids| ids[r]);
+            if masked.binary_search(&id).is_err() {
+                rescored += 1;
+                let row = &order.rows[r * urow.len()..][..urow.len()];
+                scratch.topk.offer(kernel::dot(urow, row), id);
             }
-            let ids = index.cluster_items(c as usize);
-            // Contiguous inverted-list rows: the probe streams like the
-            // exact scan does, just over 1–2% of the catalog. Same `dot`
-            // kernel underneath, so scores are bitwise what a gather over
-            // the original table would produce.
-            kernel::gemv(
-                urow,
-                index.cluster_vectors(c as usize),
-                &mut scratch.cand_scores[..ids.len()],
-            );
-            // Floor pre-filter: once the selection is full, a candidate
-            // strictly below the k-th best cannot enter (a tie at the
-            // floor still can, through the lower-id rule), so the common
-            // case is one predictable compare per row instead of an
-            // `offer` call. The floor only moves on the rare accept.
-            let mut floor = scratch.probe_topk.floor().unwrap_or(f32::NEG_INFINITY);
-            for (&id, &score) in ids.iter().zip(scratch.cand_scores.iter()) {
-                if score < floor {
-                    continue;
+            scratch.topk.floor().unwrap_or(f32::NEG_INFINITY)
+        };
+        let (codes, mut floor) = (order.codes, f32::NEG_INFINITY);
+        match probes {
+            None => {
+                codes.scan(&scratch.user, 0..codes.len(), floor, visit);
+            }
+            Some(index) => {
+                for &c in &scratch.probe_ids {
+                    let rows = index.cluster_rows(c as usize);
+                    floor = codes.scan(&scratch.user, rows, floor, &mut visit);
                 }
-                // The mask is sorted-unique but probe order is not id
-                // order, so a binary search replaces the dense path's
-                // merge cursor.
-                if !masked.is_empty() && masked.binary_search(&id).is_ok() {
-                    continue;
-                }
-                scratch.probe_topk.offer(score, id);
-                floor = scratch.probe_topk.floor().unwrap_or(f32::NEG_INFINITY);
             }
         }
-        scratch.probe_topk.emit(out);
+        rescored_rows.add(rescored);
+        scratch.topk.emit(out);
         Ok(())
     }
 
@@ -740,6 +693,7 @@ mod tests {
         e.top_k(0, 10, true).unwrap();
         e.set_index_mode(IndexMode::Ivf { nprobe: 2 }).unwrap();
         e.top_k(1, 10, true).unwrap();
+        e.top_k(1, 10, true).unwrap(); // a cache hit scores nothing
         assert_eq!((e.exact_queries(), e.rescored_rows()), (4, rescored));
         let mut text = String::new();
         e.render_metrics(&mut text);
@@ -747,6 +701,25 @@ mod tests {
         assert!(
             text.contains(&format!("bns_exact_rescored_rows {rescored}\n")),
             "{text}"
+        );
+        // The IVF query counts on its own lines: it re-scores at least the
+        // k rows that fill it, and at most the two clusters it probes.
+        assert!(text.contains("bns_ivf_queries 1\n"), "{text}");
+        let ivf_rescored: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("bns_ivf_rescored_rows "))
+            .and_then(|v| v.parse().ok())
+            .expect("IVF re-scored-row counter");
+        let index = e.artifact().index().unwrap();
+        let mut bounds = vec![0.0f32; index.n_clusters()];
+        index.score_clusters(e.artifact().tables().user(1), &mut bounds);
+        let probed: usize = bns_eval::topk::top_k_masked(&bounds, &[], 2)
+            .iter()
+            .map(|&c| index.cluster_items(c as usize).len())
+            .sum();
+        assert!(
+            (10..=probed as u64).contains(&ivf_rescored),
+            "{ivf_rescored} of {probed} probed rows re-scored"
         );
     }
 

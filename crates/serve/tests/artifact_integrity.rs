@@ -303,7 +303,8 @@ fn truncation_of_an_indexed_artifact_at_every_length_is_rejected() {
 fn corrupted_index_behind_a_valid_checksum_is_rejected() {
     // Duplicate the first permutation entry into the second slot and
     // re-stamp: checksums pass, the index structural validation must
-    // refuse the non-permutation — on both load paths.
+    // refuse the non-permutation — on both load paths. Then the same for
+    // an index row that differs from the item table.
     let mut buf = encoded_indexed();
     let payload_end = buf.len() - footer_len(&buf);
     let n_items = 40usize;
@@ -320,6 +321,21 @@ fn corrupted_index_behind_a_valid_checksum_is_rejected() {
     ));
     assert!(matches!(
         load_mapped_bytes(&buf, "ixperm"),
+        Err(ServeError::Invalid(_))
+    ));
+
+    // A vector row that is not its item's row (one mantissa bit off):
+    // queries would rank that item by a row that is not its own.
+    let mut buf = encoded_indexed();
+    let vectors_at = payload_end - 4 * n_items * dim;
+    buf[vectors_at] ^= 0x01;
+    restamp(&mut buf);
+    assert!(matches!(
+        ModelArtifact::decode(&buf),
+        Err(ServeError::Invalid(_))
+    ));
+    assert!(matches!(
+        load_mapped_bytes(&buf, "ixrows"),
         Err(ServeError::Invalid(_))
     ));
 }

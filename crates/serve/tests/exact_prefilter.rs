@@ -1,7 +1,11 @@
-//! The exact serving path against a plain reference on adversarial
-//! tables: whatever rows the i8 pre-filter passes over, an
-//! `IndexMode::Exact` answer must equal `kernel::dot` over every row
-//! followed by `top_k_masked`, list for list.
+//! The serving paths against a plain reference on adversarial tables:
+//! whatever rows the i8 pre-filter passes over, an `IndexMode::Exact`
+//! answer must equal `kernel::dot` over every row followed by
+//! `top_k_masked`, list for list, whether the artifact scans its rows in
+//! id order (no index) or in the index's `perm` order; and an
+//! `IndexMode::Ivf` answer, at every `nprobe`, must equal the same
+//! selection over the members of the clusters the index's public bounds
+//! choose.
 //!
 //! The tables mix the rows a bound is most likely to get wrong: exact
 //! ties (duplicated rows), near ties among rows the i8 codes hold
@@ -16,7 +20,7 @@
 use bns_data::Interactions;
 use bns_eval::topk::top_k_masked;
 use bns_model::{kernel, Embedding, MatrixFactorization};
-use bns_serve::{ModelArtifact, QueryEngine};
+use bns_serve::{IndexMode, IvfConfig, IvfIndex, ModelArtifact, QueryEngine, QueryScratch};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -83,6 +87,29 @@ fn reference(user: &[f32], items: &[Vec<f32>], masked: &[u32], k: usize) -> Vec<
     top_k_masked(&scores, masked, k)
 }
 
+/// The IVF reference through the index's public API: rank the clusters by
+/// `score_clusters`, score the `nprobe` best clusters' members with
+/// `kernel::dot` (every other item scores NaN, which is never ranked),
+/// then select.
+fn ivf_reference(
+    index: &IvfIndex,
+    user: &[f32],
+    items: &[Vec<f32>],
+    nprobe: usize,
+    masked: &[u32],
+    k: usize,
+) -> Vec<u32> {
+    let mut bounds = vec![0.0f32; index.n_clusters()];
+    index.score_clusters(user, &mut bounds);
+    let mut scores = vec![f32::NAN; items.len()];
+    for c in top_k_masked(&bounds, &[], nprobe) {
+        for &i in index.cluster_items(c as usize) {
+            scores[i as usize] = kernel::dot(user, &items[i as usize]);
+        }
+    }
+    top_k_masked(&scores, masked, k)
+}
+
 fn check_case(seed: u64, d: usize, n_items: usize, with_non_finite: bool) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut items: Vec<Vec<f32>> = Vec::with_capacity(n_items);
@@ -144,11 +171,19 @@ fn check_case(seed: u64, d: usize, n_items: usize, with_non_finite: bool) -> Res
         Embedding::from_vec(n_items, d, flat(&items)).map_err(|e| e.to_string())?,
     )
     .map_err(|e| e.to_string())?;
-    let engine = QueryEngine::new(
-        ModelArtifact::freeze_with(&model, &seen, None).map_err(|e| e.to_string())?,
-    );
+    // Exact mode scans id order without an index and the index's `perm`
+    // order with one.
+    let freeze = |ivf: Option<IvfConfig>| {
+        ModelArtifact::freeze_with(&model, &seen, ivf)
+            .map(QueryEngine::new)
+            .map_err(|e| e.to_string())
+    };
+    let (plain, indexed) = (freeze(None)?, freeze(Some(IvfConfig::default()))?);
+    let index = indexed.artifact().index().ok_or("no index")?;
+    let (mut scratch, mut got) = (QueryScratch::new(), Vec::new());
 
     for u in 0..n_users {
+        let user = &users[u as usize];
         let masked = seen.items_of(u);
         let unmasked = n_items - masked.len();
         for k in [1, 3, 10, unmasked, unmasked + 5, n_items] {
@@ -156,12 +191,28 @@ fn check_case(seed: u64, d: usize, n_items: usize, with_non_finite: bool) -> Res
             // `±∞` (ranked like any score), as in the reference.
             for exclude in [true, false] {
                 let mask: &[u32] = if exclude { masked } else { &[] };
-                let want = reference(&users[u as usize], &items, mask, k);
-                let got = engine.top_k(u, k, exclude).map_err(|e| e.to_string())?;
-                if got != want {
-                    return Err(format!(
-                        "user {u}, k {k}, exclude {exclude}: got {got:?}, want {want:?}"
-                    ));
+                let want = reference(user, &items, mask, k);
+                for (order, engine) in [("id", &plain), ("perm", &indexed)] {
+                    let got = engine.top_k(u, k, exclude).map_err(|e| e.to_string())?;
+                    if got != want {
+                        return Err(format!(
+                            "{order} order, user {u}, k {k}, exclude {exclude}: \
+                             got {got:?}, want {want:?}"
+                        ));
+                    }
+                }
+                for nprobe in 1..=index.n_clusters() {
+                    let want = ivf_reference(index, user, &items, nprobe, mask, k);
+                    let mode = Some(IndexMode::Ivf { nprobe });
+                    indexed
+                        .top_k_with_mode_into(u, k, exclude, mode, &mut scratch, &mut got)
+                        .map_err(|e| e.to_string())?;
+                    if got != want {
+                        return Err(format!(
+                            "ivf nprobe {nprobe}, user {u}, k {k}, exclude {exclude}: \
+                             got {got:?}, want {want:?}"
+                        ));
+                    }
                 }
             }
         }
