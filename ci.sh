@@ -21,6 +21,16 @@ run cargo test -q --workspace --offline --locked --no-fail-fast
 # them concurrently.
 run cargo test -q -p bns --test sampler_alloc --offline --locked -- --test-threads=2
 run cargo test -q -p bns-serve --test query_alloc --offline --locked -- --test-threads=2
+# One-core path: under `taskset -c 0` available_parallelism() is 1, so the
+# serve engine's core clamp takes every batch to one worker. Rerun the
+# engine tests, the frozen-vs-live serve suite and the clamp pin there. The
+# p99 tail test stays out: it fails under outside CPU load (ROADMAP 6(d)).
+if command -v taskset >/dev/null; then
+    run taskset -c 0 cargo test -q -p bns-serve --lib --offline --locked engine
+    run taskset -c 0 cargo test -q -p bns --test serve_equivalence --offline --locked
+    run taskset -c 0 cargo test -q -p bns-serve --test tail_latency --offline --locked \
+        worker_count_never_exceeds_the_core_count
+fi
 run cargo test -q --doc --workspace --offline --locked
 run cargo fmt --all --check
 run cargo clippy --workspace --all-targets --offline --locked -- -D warnings

@@ -15,7 +15,7 @@
 //! * **sampler draws/sec** — RNS (the O(1) floor) and BNS at its defaults
 //!   (an Eq. 16 pass over at most `DKW_SAMPLE` = 18,445 item ids) through
 //!   the real `sample_pair` path;
-//! * **serve queries/sec** — the work-stealing engine over the mapped
+//! * **serve queries/sec** — the shared-cursor engine over the mapped
 //!   artifact, Zipf-skewed traffic, p50/p99 per tier — exhaustive scan
 //!   **and** the IVF probe path at the default width, with measured
 //!   recall@10 and the speedup pinned next to each other. The item table

@@ -244,7 +244,7 @@ fn main() {
     let single = engine.serve(&requests, 1).expect("valid requests");
     let exact_qps = single.queries_per_sec();
 
-    // Multi-thread work-stealing run.
+    // Multi-thread shared-cursor run.
     let engine = QueryEngine::new(loaded.clone());
     engine.serve(warm, threads).expect("warm-up");
     let multi = engine.serve(&requests, threads).expect("valid requests");

@@ -3,7 +3,7 @@
 //! This crate holds no runtime code — its value is the integration tests
 //! under `tests/`, which drive the deterministic interleaving scheduler in
 //! [`bns_sync::model`] against the protocols the serve path relies on:
-//! work-stealing claim exclusivity and the cache-generation swap protocol.
+//! shared-cursor claim exclusivity and the cache-generation swap protocol.
 //!
 //! The scenarios are gated behind `--cfg bns_model_check` (so they compile
 //! to nothing in tier-1 builds, where the facade types are *not*

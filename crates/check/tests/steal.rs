@@ -1,4 +1,4 @@
-//! Work-stealing scenarios: every index is claimed exactly once — the
+//! Shared-cursor scenarios: every index is claimed exactly once — the
 //! contract `serve_parallel` (crates/serve/src/engine.rs) builds on — and
 //! the checker catches the non-atomic variant that breaks it.
 #![cfg(bns_model_check)]
@@ -8,35 +8,22 @@ use bns_sync::{ClaimCursor, Counter};
 use std::sync::Arc;
 
 /// The claim loop of `serve_parallel`, reduced to its protocol: workers
-/// visit their own shard first, then steal from the others, claiming via
-/// `ClaimCursor`. Returns each worker's claimed indices.
-fn steal_protocol(n_items: usize, n_workers: usize) -> Vec<Vec<usize>> {
-    let chunk = n_items.div_ceil(n_workers);
-    let bounds: Arc<Vec<(usize, usize)>> = Arc::new(
-        (0..n_workers)
-            .map(|s| (s * chunk, ((s + 1) * chunk).min(n_items)))
-            .collect(),
-    );
-    let cursors: Arc<Vec<ClaimCursor>> =
-        Arc::new(bounds.iter().map(|&(lo, _)| ClaimCursor::new(lo)).collect());
+/// claim from one shared `ClaimCursor` until the index reaches `n_items`.
+/// Returns each worker's claimed indices.
+fn claim_protocol(n_items: usize, n_workers: usize) -> Vec<Vec<usize>> {
+    let cursor = Arc::new(ClaimCursor::new());
     let handles: Vec<_> = (0..n_workers)
-        .map(|w| {
-            let bounds = Arc::clone(&bounds);
-            let cursors = Arc::clone(&cursors);
+        .map(|_| {
+            let cursor = Arc::clone(&cursor);
             spawn(move || {
                 let mut mine = Vec::new();
-                for visit in 0..bounds.len() {
-                    let shard = (w + visit) % bounds.len();
-                    let (_, end) = bounds[shard];
-                    loop {
-                        let idx = cursors[shard].claim();
-                        if idx >= end {
-                            break;
-                        }
-                        mine.push(idx);
+                loop {
+                    let idx = cursor.claim();
+                    if idx >= n_items {
+                        break mine;
                     }
+                    mine.push(idx);
                 }
-                mine
             })
         })
         .collect();
@@ -56,11 +43,11 @@ fn assert_exactly_once(parts: Vec<Vec<usize>>, n_items: usize) {
 #[test]
 fn every_index_claimed_exactly_once_exhaustive() {
     let report = check(
-        "steal: 4 items / 2 workers, all schedules",
+        "claim: 4 items / 2 workers, all schedules",
         Mode::Exhaustive {
             max_executions: 200_000,
         },
-        || assert_exactly_once(steal_protocol(4, 2), 4),
+        || assert_exactly_once(claim_protocol(4, 2), 4),
     );
     assert!(report.complete, "state space must be fully enumerated");
     assert!(
@@ -72,12 +59,12 @@ fn every_index_claimed_exactly_once_exhaustive() {
 #[test]
 fn every_index_claimed_exactly_once_randomized() {
     let report = check(
-        "steal: 12 items / 3 workers, seeded random",
+        "claim: 12 items / 3 workers, seeded random",
         Mode::Random {
             seed: 0xB2D5,
             iterations: 300,
         },
-        || assert_exactly_once(steal_protocol(12, 3), 12),
+        || assert_exactly_once(claim_protocol(12, 3), 12),
     );
     assert_eq!(report.executions, 300);
 }

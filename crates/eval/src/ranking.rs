@@ -408,7 +408,7 @@ mod tests {
                 assert_eq!(
                     evaluate_ranking(&Plain(&model), &d, &ks, threads),
                     want,
-                    "default score_tile, dim {dim}"
+                    "score_items fallback, dim {dim}"
                 );
             }
         }

@@ -6,8 +6,7 @@
 
 use crate::common::config::{ModelKind, RunConfig};
 use bns_core::{
-    build_sampler, train, NegativeSampler, NoopObserver, SamplerConfig, TrainConfig, TrainObserver,
-    TrainStats,
+    build_sampler, train, NoopObserver, SamplerConfig, TrainConfig, TrainObserver, TrainStats,
 };
 use bns_data::synthetic::generate;
 use bns_data::{split_random, Dataset, DatasetPreset, Occupations, SplitConfig};
@@ -205,22 +204,6 @@ pub fn train_model(
         observer,
     )
     .expect("training run");
-    (model, stats)
-}
-
-/// Trains a boxed sampler directly (for configurations that need a custom
-/// prior object not expressible as [`SamplerConfig`]).
-pub fn train_model_with_sampler(
-    prepared: &PreparedDataset,
-    preset: DatasetPreset,
-    kind: ModelKind,
-    sampler: &mut dyn NegativeSampler,
-    cfg: &RunConfig,
-    observer: &mut dyn TrainObserver,
-) -> (AnyModel, TrainStats) {
-    let mut model = AnyModel::build(kind, &prepared.dataset, cfg);
-    let tc = paper_train_config(kind, preset, cfg);
-    let stats = train(&mut model, &prepared.dataset, sampler, &tc, observer).expect("training run");
     (model, stats)
 }
 

@@ -562,7 +562,7 @@ mod tests {
     fn wall_clock_scoped_to_core_model_and_data() {
         let text = "let t = Instant::now();\n";
         assert_eq!(lint_source("crates/core/src/trainer.rs", text).len(), 1);
-        assert_eq!(lint_source("crates/model/src/hogwild.rs", text).len(), 1);
+        assert_eq!(lint_source("crates/model/src/mf.rs", text).len(), 1);
         assert_eq!(lint_source("crates/data/src/synthetic.rs", text).len(), 1);
         assert!(lint_source("crates/serve/src/engine.rs", text).is_empty());
     }

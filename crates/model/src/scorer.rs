@@ -7,7 +7,6 @@
 
 use crate::batch::TripleBatch;
 use bns_sync::ClaimCursor;
-use std::sync::LazyLock;
 
 /// Identifies one state of a model's item table: which table, and how
 /// many writes it has taken.
@@ -33,7 +32,7 @@ impl TableStamp {
     /// a fresh id, version 0. No stamp minted before it names the same
     /// table, so a holder of an older copy always rebuilds it.
     pub fn fresh() -> Self {
-        static IDS: LazyLock<ClaimCursor> = LazyLock::new(|| ClaimCursor::new(0));
+        static IDS: ClaimCursor = ClaimCursor::new();
         Self {
             table: IDS.claim() as u64,
             version: 0,

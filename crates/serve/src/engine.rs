@@ -1,14 +1,10 @@
-//! The multi-threaded request loop: scoped workers over a work-stealing
-//! request queue.
+//! The multi-threaded request loop: scoped workers claiming requests
+//! from one shared cursor.
 //!
-//! A request batch is split into one contiguous shard per worker, each
-//! with an atomic claim cursor. A worker drains its own shard first
-//! (cache-friendly: its requests are adjacent), then **steals** from the
-//! other shards' cursors until every shard is exhausted — the same
-//! shard-then-steal structure as a classic work-stealing deque, built from
-//! nothing but `AtomicUsize::fetch_add`. Skewed request costs (cache hits
-//! vs full-catalog queries, hot vs cold users) therefore cannot strand work
-//! behind a slow shard.
+//! Every worker loops on [`ClaimCursor::claim`] until the claimed index
+//! passes the batch length, so whichever worker is free takes the next
+//! request. Skewed request costs (cache hits vs full-catalog queries, hot
+//! vs cold users) therefore cannot strand work behind a slow worker.
 //!
 //! Scheduling never changes answers: each request is claimed by exactly
 //! one worker, computed with that worker's private [`QueryScratch`], and
@@ -20,12 +16,11 @@
 //! no throughput but push the latency tail out by the scheduler timeslice
 //! — a preempted worker holds its claimed request for a full quantum
 //! (~10ms under default CFS), which is three orders of magnitude above a
-//! normal query. Each shard cursor lives on its own cache line
-//! ([`CachePadded`]) so claims on different shards never contend.
+//! normal query.
 
 use crate::query::{QueryEngine, QueryScratch};
 use bns_model::Scorer;
-use bns_sync::{CachePadded, ClaimCursor};
+use bns_sync::ClaimCursor;
 use std::time::Instant;
 
 /// One top-k query: `user`, cutoff `k`, and whether the user's frozen
@@ -87,9 +82,9 @@ impl ServeReport {
     }
 }
 
-/// Runs the sharded work-stealing loop. Requests must be pre-validated
-/// (the engine's public `serve` wrapper does); a worker panics on an
-/// invalid user rather than dropping the request silently.
+/// Runs the shared-cursor loop. Requests must be pre-validated (the
+/// engine's public `serve` wrapper does); a worker panics on an invalid
+/// user rather than dropping the request silently.
 pub(crate) fn serve_parallel(
     engine: &QueryEngine,
     requests: &[Request],
@@ -97,72 +92,50 @@ pub(crate) fn serve_parallel(
 ) -> ServeReport {
     let requested_threads = n_threads;
     let n = requests.len();
-    if n == 0 {
-        return ServeReport {
-            results: Vec::new(),
-            wall_seconds: 0.0,
-            threads: 0,
-            requested_threads,
-        };
-    }
     // Cap at the core count: an extra CPU-bound worker on a saturated box
     // cannot raise throughput, but its preemptions stretch p99 by a whole
-    // scheduler quantum per involuntary context switch.
+    // scheduler quantum per involuntary context switch. An empty batch
+    // gets zero workers.
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let n_threads = n_threads.max(1).min(n).min(cores);
     let n_items = engine.artifact().n_items() as usize;
-    let chunk = n.div_ceil(n_threads);
-    // Shard s covers [s·chunk, min((s+1)·chunk, n)); cursor s is the next
-    // unclaimed index in that shard. ClaimCursor claims are exclusive, so
-    // every request is answered exactly once (pinned across interleavings
-    // by the bns-check `steal` scenarios); overshoot past the shard end is
-    // bounded by one failed claim per visiting worker.
-    let bounds: Vec<(usize, usize)> = (0..n_threads)
-        .map(|s| (s * chunk, ((s + 1) * chunk).min(n)))
-        .collect();
-    let cursors: Vec<CachePadded<ClaimCursor>> = bounds
-        .iter()
-        .map(|&(lo, _)| CachePadded::new(ClaimCursor::new(lo)))
-        .collect();
+    // ClaimCursor claims are exclusive, so every request is answered
+    // exactly once (pinned across interleavings by the bns-check `steal`
+    // scenarios); each worker overshoots `n` by one failed claim.
+    let cursor = ClaimCursor::new();
 
     let started = Instant::now();
-    let mut parts: Vec<Vec<(usize, RankedList)>> = std::thread::scope(|scope| {
+    let parts: Vec<Vec<(usize, RankedList)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n_threads)
-            .map(|w| {
-                let cursors = &cursors;
-                let bounds = &bounds;
+            .map(|_| {
+                let cursor = &cursor;
                 scope.spawn(move || {
                     let mut scratch = QueryScratch::new();
                     let mut local: Vec<(usize, RankedList)> = Vec::new();
-                    for visit in 0..n_threads {
-                        let shard = (w + visit) % n_threads;
-                        let (_, end) = bounds[shard];
-                        loop {
-                            let idx = cursors[shard].claim();
-                            if idx >= end {
-                                break;
-                            }
-                            let r = requests[idx];
-                            // Allocate the answer buffer before starting
-                            // the clock: latency_ns measures the query,
-                            // not the allocator. A list never outgrows
-                            // the catalog, whatever `k` asks for.
-                            let mut items = Vec::with_capacity(r.k.min(n_items));
-                            let t0 = Instant::now();
-                            engine
-                                .top_k_into(r.user, r.k, r.exclude_seen, &mut scratch, &mut items)
-                                .expect("requests validated before serve_parallel");
-                            local.push((
-                                idx,
-                                RankedList {
-                                    user: r.user,
-                                    items,
-                                    latency_ns: t0.elapsed().as_nanos() as u64,
-                                },
-                            ));
+                    loop {
+                        let idx = cursor.claim();
+                        if idx >= n {
+                            break local;
                         }
+                        let r = requests[idx];
+                        // Allocate the answer buffer before starting the
+                        // clock: latency_ns measures the query, not the
+                        // allocator. A list never outgrows the catalog,
+                        // whatever `k` asks for.
+                        let mut items = Vec::with_capacity(r.k.min(n_items));
+                        let t0 = Instant::now();
+                        engine
+                            .top_k_into(r.user, r.k, r.exclude_seen, &mut scratch, &mut items)
+                            .expect("requests validated before serve_parallel");
+                        local.push((
+                            idx,
+                            RankedList {
+                                user: r.user,
+                                items,
+                                latency_ns: t0.elapsed().as_nanos() as u64,
+                            },
+                        ));
                     }
-                    local
                 })
             })
             .collect();
@@ -174,11 +147,9 @@ pub(crate) fn serve_parallel(
     let wall_seconds = started.elapsed().as_secs_f64();
 
     let mut slots: Vec<Option<RankedList>> = (0..n).map(|_| None).collect();
-    for part in parts.iter_mut() {
-        for (idx, ranked) in part.drain(..) {
-            debug_assert!(slots[idx].is_none(), "request {idx} answered twice");
-            slots[idx] = Some(ranked);
-        }
+    for (idx, ranked) in parts.into_iter().flatten() {
+        debug_assert!(slots[idx].is_none(), "request {idx} answered twice");
+        slots[idx] = Some(ranked);
     }
     let results = slots
         .into_iter()

@@ -26,8 +26,8 @@
 //!   every row (exact ranking, bitwise-exact) or the probed IVF clusters'
 //!   rows (recall-gated approximate).
 //! * [`engine`] — the multi-threaded request loop: `std::thread::scope`
-//!   workers draining a sharded work-stealing queue of [`Request`]s one
-//!   claim at a time, recording per-request latency into a [`ServeReport`], whose
+//!   workers claiming [`Request`]s one at a time from one shared cursor,
+//!   recording per-request latency into a [`ServeReport`], whose
 //!   percentiles follow the workspace's one nearest-rank rule
 //!   ([`bns_sync::nearest_rank`]).
 //! * [`cache`] — [`TopKCache`]: an optional generation-stamped LRU for
@@ -58,7 +58,7 @@
 //!
 //! Serving is **bitwise deterministic given an artifact**: the engine only
 //! reads frozen tables through the fixed-summation-order kernel, ties
-//! break toward lower item ids (`bns_eval::topk`), and the work-stealing
+//! break toward lower item ids (`bns_eval::topk`), and the shared-cursor
 //! scheduler affects only *which thread* answers a request, never the
 //! answer. Training is bit-exact too (same seed, same binary, same
 //! tables), so a frozen artifact is reproducible from its seed. The IVF

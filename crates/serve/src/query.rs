@@ -84,7 +84,8 @@ impl QueryScratch {
 
 /// Answers `top_k(user, k, exclude_seen)` queries over a frozen artifact,
 /// optionally through a generation-stamped LRU cache, and fans request
-/// batches out to a work-stealing thread pool ([`QueryEngine::serve`]).
+/// batches out to scoped workers that share one claim cursor
+/// ([`QueryEngine::serve`]).
 ///
 /// ```
 /// use bns_data::Interactions;
@@ -430,8 +431,8 @@ impl QueryEngine {
         Ok(out)
     }
 
-    /// Serves a batch of requests on `n_threads` scoped workers draining
-    /// a work-stealing queue; see [`crate::engine`] for the scheduling
+    /// Serves a batch of requests on `n_threads` scoped workers claiming
+    /// from one shared cursor; see [`crate::engine`] for the scheduling
     /// contract. Validates every request — and that the
     /// configured [`IndexMode`] is servable — up front, so the report
     /// covers all of them in input order.

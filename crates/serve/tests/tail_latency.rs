@@ -1,6 +1,6 @@
 //! Regression pin for the multi-thread latency tail.
 //!
-//! The original work-stealing loop spawned however many workers the
+//! The original batch loop spawned however many workers the
 //! caller asked for. On a box with fewer cores than workers, every
 //! involuntary preemption parked a claimed request for a full scheduler
 //! quantum (~10ms under default CFS), blowing the 4-thread p99 out to

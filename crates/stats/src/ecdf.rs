@@ -55,11 +55,6 @@ impl Ecdf {
         self.sorted.is_empty()
     }
 
-    /// The sorted backing sample.
-    pub fn sorted_data(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// The empirical quantile (inverse cdf) at level `p ∈ [0, 1]`, using the
     /// left-continuous generalized inverse.
     pub fn quantile(&self, p: f64) -> Result<f64> {

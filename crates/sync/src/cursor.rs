@@ -1,33 +1,33 @@
-//! Work-stealing claim cursor.
+//! Shared claim cursor.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A monotonically advancing index cursor whose `fetch_add` claims are
 /// exclusive.
 ///
-/// This is the primitive under the serve engine's sharded work-stealing
-/// loop: each shard has one cursor, every worker (owner or thief) claims
-/// the next index with [`claim`](Self::claim), and RMW atomicity alone
-/// guarantees no index is handed out twice. Claims past the shard's end
-/// are simply discarded by the caller's bounds check.
+/// This is the primitive under the serve engine's batch loop: the workers
+/// share one cursor, each claims the next request index with
+/// [`claim`](Self::claim), and RMW atomicity alone guarantees no index is
+/// handed out twice. Claims past the batch's end are simply discarded by
+/// the caller's bounds check.
 ///
 /// ```
 /// use bns_sync::ClaimCursor;
 ///
-/// let cursor = ClaimCursor::new(10);
-/// assert_eq!(cursor.claim(), 10);
-/// assert_eq!(cursor.claim(), 11);
+/// let cursor = ClaimCursor::new();
+/// assert_eq!(cursor.claim(), 0);
+/// assert_eq!(cursor.claim(), 1);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ClaimCursor {
     next: AtomicUsize,
 }
 
 impl ClaimCursor {
-    /// Creates a cursor whose first claim returns `start`.
-    pub fn new(start: usize) -> Self {
+    /// Creates a cursor whose first claim returns 0.
+    pub const fn new() -> Self {
         Self {
-            next: AtomicUsize::new(start),
+            next: AtomicUsize::new(0),
         }
     }
 
@@ -52,13 +52,13 @@ mod tests {
 
     #[test]
     fn claims_are_sequential_from_start() {
-        let c = ClaimCursor::new(3);
-        assert_eq!((c.claim(), c.claim(), c.claim()), (3, 4, 5));
+        let c = ClaimCursor::new();
+        assert_eq!((c.claim(), c.claim(), c.claim()), (0, 1, 2));
     }
 
     #[test]
     fn concurrent_claims_are_exclusive_and_complete() {
-        let c = ClaimCursor::new(0);
+        let c = ClaimCursor::new();
         let mut seen: Vec<usize> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| {

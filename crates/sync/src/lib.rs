@@ -9,14 +9,13 @@
 //!
 //! | Type | Protocol | Orderings |
 //! |------|----------|-----------|
-//! | [`ClaimCursor`] | work-stealing claim loops: exclusivity comes from RMW atomicity alone | `Relaxed` `fetch_add` |
+//! | [`ClaimCursor`] | one shared cursor that workers claim indices from: exclusivity comes from RMW atomicity alone | `Relaxed` `fetch_add` |
 //! | [`Generation`] | cache-invalidation epochs: the bump publishes "a new artifact is live" | `Release` bump / `Acquire` read |
 //! | [`Counter`] | statistics (hit/lookup counts) that no control flow depends on | `Relaxed` |
 //! | [`PoisonFlag`] | sticky cross-thread failure latch | `Release` set / `Acquire` read |
 //! | [`Mutex`] | plain mutual exclusion, modeled under the checker | n/a |
 //! | [`RwLock`] | read-mostly shared state with rare exclusive swaps (the serve hot-swap protocol) | n/a |
 //! | [`LatencyHistogram`] | fixed log-bucket latency statistics: one relaxed RMW per sample, no clock inside | `Relaxed` |
-//! | [`CachePadded`] | layout shim: gives each element of an array of contended atomics its own cache line | n/a |
 //!
 //! Narrowing the API is the point: a call site cannot pick a wrong ordering
 //! because the ordering is baked into the type, and a new protocol needs a
@@ -48,7 +47,6 @@ mod generation;
 mod histogram;
 pub mod model;
 mod mutex;
-mod padded;
 mod rwlock;
 
 pub use counter::Counter;
@@ -57,7 +55,6 @@ pub use flag::PoisonFlag;
 pub use generation::Generation;
 pub use histogram::{nearest_rank, HistogramSnapshot, LatencyHistogram, HISTOGRAM_BUCKETS};
 pub use mutex::{Mutex, MutexGuard};
-pub use padded::CachePadded;
 pub use rwlock::{ReadGuard, RwLock, WriteGuard};
 
 /// The SplitMix64 output function (Steele, Lea & Flood, 2014): the

@@ -49,7 +49,7 @@
 //! use std::sync::Arc;
 //!
 //! check("two workers claim disjoint indices", Mode::Exhaustive { max_executions: 10_000 }, || {
-//!     let cursor = Arc::new(ClaimCursor::new(0));
+//!     let cursor = Arc::new(ClaimCursor::new());
 //!     let workers: Vec<_> = (0..2)
 //!         .map(|_| {
 //!             let cursor = Arc::clone(&cursor);

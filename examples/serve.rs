@@ -115,7 +115,7 @@ fn main() {
     );
 
     // 4. Serve a Zipf-ish request burst through the multi-threaded
-    //    work-stealing loop and print what production would see.
+    //    shared-cursor loop and print what production would see.
     let requests: Vec<Request> = (0..2_000)
         .map(|i| Request {
             user: dataset.evaluable_users()[(i * i) % dataset.evaluable_users().len()],
