@@ -46,6 +46,20 @@ run cargo run --release --offline --locked -p bns-lint
 # target-cpu=native to keep the build cache warm and codegen consistent.
 RUSTFLAGS="-C target-cpu=native --cfg bns_model_check" \
     run cargo test -q -p bns-check --offline --locked
+# AVX2 kernel bodies on an AVX-512 host: there the builds above compile
+# the AVX-512 bodies of the two scan kernels (`kernel::tile_scan` over
+# sixteen users, `kernel::coded_block_counts` over sixteen coded rows), so
+# build for x86-64-v3 (AVX2 + FMA) in a separate target dir to compile and
+# test the AVX2 bodies and their eight-lane layouts too. With the portable
+# steps below, all three bodies are tested on one host.
+if rustc --print cfg -C target-cpu=native | grep -q 'target_feature="avx512f"'; then
+    RUSTFLAGS="-C target-cpu=x86-64-v3" \
+        run cargo test -q -p bns-model -p bns-core -p bns-eval --lib --offline --locked --target-dir target/avx2
+    RUSTFLAGS="-C target-cpu=x86-64-v3" \
+        run cargo test -q -p bns --test batch_equivalence --test reproducibility --offline --locked --target-dir target/avx2
+    RUSTFLAGS="-C target-cpu=x86-64-v3" \
+        run cargo clippy -p bns-model -p bns-core -p bns-eval --lib --offline --locked --target-dir target/avx2 -- -D warnings
+fi
 # Portable kernel: every build above targets this host, so on an AVX2 + FMA
 # machine `kernel::dot` and `kernel::tile_scan` compile only their vector
 # bodies. Build for baseline x86-64 (no AVX2, no FMA) in a separate target

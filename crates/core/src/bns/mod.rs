@@ -59,7 +59,8 @@
 //! a frozen artifact do) and an epoch sample exists, the pass instead
 //! reads a compact copy of the sample's rows,
 //! [`CodedRows`]: i16 codes with a per-row scale, dimension-major in
-//! blocks of 8 rows, and a per-row bound
+//! blocks of `bns_model::kernel::WIDTH` rows (16 on AVX-512F builds, 8 on
+//! others: one register's lanes), and a per-row bound
 //! `B ≥ ‖h − ĥ‖₂ + γ_{d+2}(‖h‖₂ + ‖ĥ‖₂)` on the coding error. For every
 //! row, `bns_model::kernel::coded_block_counts` computes an approximate
 //! score `a` and decides `x̂ ≤ t` for each threshold whenever
@@ -69,6 +70,9 @@
 //! equals the gather pass's count, integer for integer: every F̂, draw,
 //! RNG word and NDCG bit is unchanged, and the pass reads 72 B per row
 //! from a 1.33 MB table instead of scattered rows of the whole catalog.
+//! The block height and the kernel body (AVX-512, AVX2 or portable)
+//! change only the speed: every decision is exact, so the counts are the
+//! same on every build.
 //!
 //! * **Why i16.** On the train-bns model (planted popularity column),
 //!   i16 codes leave 0.39% of the scanned rows ambiguous; i8 codes leave

@@ -8,8 +8,9 @@
 //!   metrics).
 //! * [`ranking`] — the full ranking protocol: score every evaluable user,
 //!   mask training positives, average metrics (parallelized with std::thread
-//!   scoped threads; each worker scores and selects eight users per pass
-//!   over the item table).
+//!   scoped threads; each worker scores and selects a tile of
+//!   `bns_model::kernel::WIDTH` users per pass over the item table: 16 on
+//!   AVX-512F builds, 8 on others).
 //! * [`quality`] — the paper's sampling-quality instruments: TNR (Eq. 33)
 //!   and INF (Eq. 34) per-epoch trackers and the Fig. 1 score-distribution
 //!   probe, implemented as [`bns_core::TrainObserver`]s.

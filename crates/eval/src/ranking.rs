@@ -8,10 +8,11 @@
 //! Scoring users is embarrassingly parallel; users are partitioned across
 //! std::thread scoped workers and partial sums merged at the end.
 //!
-//! A model with row tables ([`Scorer::row_tables`]) is ranked eight
-//! users at a time by one fused pass, [`kernel::tile_scan`]: each item row
-//! is read once for the whole tile and scored against the eight users in
-//! the lanes of one register, and only the scores above a user's current
+//! A model with row tables ([`Scorer::row_tables`]) is ranked
+//! [`kernel::WIDTH`] users at a time (16 on AVX-512F builds, 8 on others)
+//! by one fused pass, [`kernel::tile_scan`]: each item row is read once for
+//! the whole tile and scored against the tile's users in the lanes of one
+//! register, and only the scores above a user's current
 //! k-th best (or every score while the user's list is not full) leave the
 //! kernel, to be masked by a cursor over the user's sorted training
 //! positives and offered to the user's [`TopKBuffer`]. No score block
@@ -24,7 +25,7 @@
 use crate::metrics::{ndcg_at_k, precision_at_k, recall_at_k};
 use crate::topk::{MaskedScan, TopKBuffer};
 use bns_data::Dataset;
-use bns_model::kernel::{self, UserTile, LANES};
+use bns_model::kernel::{self, UserTile, WIDTH};
 use bns_model::Scorer;
 
 /// Ids per [`Scorer::score_items`] call when a model has no row tables.
@@ -97,7 +98,7 @@ pub fn evaluate_ranking(
                 // of its users: one selector per tile lane and the
                 // ranked-id list. The per-user loop is allocation-free
                 // once these are warm.
-                let mut topk: [TopKBuffer; LANES] = Default::default();
+                let mut topk: [TopKBuffer; WIDTH] = Default::default();
                 let mut ranked: Vec<u32> = Vec::with_capacity(max_k);
                 let mut sums = vec![(0.0f64, 0.0f64, 0.0f64); ks.len()];
                 let mut add = |buffer: &TopKBuffer, u: u32| {
@@ -113,13 +114,13 @@ pub fn evaluate_ranking(
                     Some(tables) => {
                         let items = &tables.items[..n_items as usize * tables.dim];
                         let mut tile = UserTile::default();
-                        for tile_users in worker.chunks(LANES) {
+                        for tile_users in worker.chunks(WIDTH) {
                             tile.set(tables.dim, tile_users.iter().map(|&u| tables.user(u)));
-                            let mut masks: [&[u32]; LANES] = [&[]; LANES];
+                            let mut masks: [&[u32]; WIDTH] = [&[]; WIDTH];
                             for (mask, &u) in masks.iter_mut().zip(tile_users) {
                                 *mask = dataset.train().items_of(u);
                             }
-                            let mut cursors = [0usize; LANES];
+                            let mut cursors = [0usize; WIDTH];
                             for buffer in &mut topk[..tile_users.len()] {
                                 buffer.begin(max_k);
                             }
@@ -479,6 +480,48 @@ mod tests {
             top_k_masked(&scores, d.train().items_of(3), 20),
             vec![20, 1, 3]
         );
+    }
+
+    #[test]
+    fn full_and_short_tiles_of_the_build_width_match_the_per_user_protocol() {
+        // 2·WIDTH + 3 users: two full tiles and a short one on one thread,
+        // a full and a short tile per worker on two, at either build width.
+        let n_users = 2 * WIDTH as u32 + 3;
+        let (n_items, dim) = (300u32, 9usize);
+        let mut rng = StdRng::seed_from_u64(29);
+        let users = Embedding::normal_init(n_users as usize, dim, 0.5, &mut rng).unwrap();
+        let items = Embedding::normal_init(n_items as usize, dim, 0.5, &mut rng).unwrap();
+        let model = MatrixFactorization::from_embeddings(users, items).unwrap();
+        let (mut train, mut test) = (Vec::new(), Vec::new());
+        let mut scores = vec![0.0f32; n_items as usize];
+        for u in 0..n_users {
+            // Mask some of each user's best items, so masking decides the
+            // list, and test on others near the top.
+            model.score_all(u, &mut scores);
+            let mut order: Vec<u32> = (0..n_items).collect();
+            order.sort_by(|&a, &b| scores[b as usize].total_cmp(&scores[a as usize]));
+            let (head, rest) = order.split_at(3 + u as usize % 4);
+            train.extend(head.iter().map(|&i| (u, i)));
+            test.extend(
+                rest[..30]
+                    .iter()
+                    .skip(u as usize % 3)
+                    .step_by(4)
+                    .map(|&i| (u, i)),
+            );
+        }
+        let d = Dataset::new(
+            "width",
+            Interactions::from_pairs(n_users, n_items, &train).unwrap(),
+            Interactions::from_pairs(n_users, n_items, &test).unwrap(),
+        )
+        .unwrap();
+        let ks = [1, 5, 20];
+        for threads in [1, 2] {
+            let want = reference(&model, &d, &ks, threads);
+            assert_eq!(want.n_users, n_users as usize);
+            assert_eq!(evaluate_ranking(&model, &d, &ks, threads), want);
+        }
     }
 
     #[test]

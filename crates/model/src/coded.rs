@@ -16,8 +16,9 @@
 //! with a non-finite entry gets `B = +∞` and is never decided from its
 //! codes.
 //!
-//! Rows are kept in blocks of [`BLOCK_ROWS`] (8), dimension-major, so one
-//! 8-lane FMA scores one dimension of a block; the last block is padded
+//! Rows are kept in blocks of [`kernel::WIDTH`] (16 on AVX-512F builds,
+//! 8 on others), dimension-major, so one FMA of the build's widest
+//! register scores one dimension of a block; the last block is padded
 //! with zero rows that are never counted. At d = 32 a row costs 64 B of
 //! codes plus its scale and bound: 72 B, against 128 B for the `f32` row.
 //!
@@ -43,7 +44,7 @@
 //! and ~85 of the ~12k rows of 64 probed clusters. [`I8Rows::scan`] takes
 //! a row range, so both serving modes scan one code table.
 
-use crate::kernel::{self, CodedBlock, I8Block, I8Query, BLOCK_ROWS};
+use crate::kernel::{self, CodedBlock, I8Block, I8Query, BLOCK_ROWS, WIDTH};
 use std::ops::Range;
 
 /// Largest code magnitude: codes span `[-32767, 32767]`.
@@ -104,12 +105,13 @@ fn code_row(row: &[f32], code_max: f64, mut store: impl FnMut(usize, f64)) -> (f
 pub struct CodedRows {
     dim: usize,
     len: usize,
-    /// `blocks × dim × 8` codes; block `b` holds rows `8b .. 8b + 8`, and
-    /// `codes[(b·dim + k)·8 + l]` is dimension `k` of row `8b + l`.
+    /// `blocks × dim × W` codes (`W` = [`WIDTH`]); block `b` holds rows
+    /// `Wb .. Wb + W`, and `codes[(b·dim + k)·W + l]` is dimension `k` of
+    /// row `Wb + l`.
     codes: Vec<i16>,
-    /// `blocks × 8` per-row scales.
+    /// `blocks × W` per-row scales.
     scales: Vec<f32>,
-    /// `blocks × 8` per-row error bounds.
+    /// `blocks × W` per-row error bounds.
     bounds: Vec<f32>,
 }
 
@@ -123,7 +125,7 @@ impl CodedRows {
     /// the buffers: allocation-free once they hold as many rows.
     pub fn rebuild<'a>(&mut self, dim: usize, rows: impl ExactSizeIterator<Item = &'a [f32]>) {
         let len = rows.len();
-        let padded = len.div_ceil(BLOCK_ROWS) * BLOCK_ROWS;
+        let padded = len.div_ceil(WIDTH) * WIDTH;
         self.dim = dim;
         self.len = len;
         self.codes.clear();
@@ -142,20 +144,19 @@ impl CodedRows {
         assert!(self.dim > 0, "coded rows need a positive dimension");
         assert!(r < self.len, "coded row {r} out of range");
         assert_eq!(row.len(), self.dim, "row dimension mismatch");
-        let (block, lane) = (r / BLOCK_ROWS, r % BLOCK_ROWS);
-        let base = block * self.dim * BLOCK_ROWS + lane;
+        let (block, lane) = (r / WIDTH, r % WIDTH);
+        let base = block * self.dim * WIDTH + lane;
         let codes = &mut self.codes[base..];
         let d = row.len();
         if !row.iter().all(|x| x.is_finite()) {
             for k in 0..d {
-                codes[k * BLOCK_ROWS] = 0;
+                codes[k * WIDTH] = 0;
             }
             self.scales[r] = 0.0;
             self.bounds[r] = f32::INFINITY;
             return;
         }
-        let (s, err, norm_h, norm_q) =
-            code_row(row, CODE_MAX, |k, c| codes[k * BLOCK_ROWS] = c as i16);
+        let (s, err, norm_h, norm_q) = code_row(row, CODE_MAX, |k, c| codes[k * WIDTH] = c as i16);
         let bound = (err + gamma(d as f64 + 2.0) * (norm_h + norm_q)) * f64_error(d);
         self.scales[r] = s;
         self.bounds[r] = kernel::round_up_f32(bound);
@@ -179,18 +180,18 @@ impl CodedRows {
         assert_eq!(user.len(), self.dim, "user dimension mismatch");
         assert_eq!(thresholds.len(), counts.len(), "one count per threshold");
         let norm = kernel::norm_bound(user);
-        let block_len = self.dim * BLOCK_ROWS;
+        let block_len = self.dim * WIDTH;
         let mut skip = skip.into_iter().peekable();
         let mut skipped = 0usize;
         let blocks = self
             .codes
             .chunks_exact(block_len.max(1))
-            .zip(self.scales.as_chunks::<BLOCK_ROWS>().0)
-            .zip(self.bounds.as_chunks::<BLOCK_ROWS>().0);
+            .zip(self.scales.as_chunks::<WIDTH>().0)
+            .zip(self.bounds.as_chunks::<WIDTH>().0);
         for (b, ((codes, scales), bounds)) in blocks.enumerate() {
-            let first = b * BLOCK_ROWS;
-            let end = (first + BLOCK_ROWS).min(self.len);
-            let mut live = u8::MAX >> (BLOCK_ROWS - (end - first));
+            let first = b * WIDTH;
+            let end = (first + WIDTH).min(self.len);
+            let mut live = kernel::first_lanes(end - first);
             while let Some(&r) = skip.peek() {
                 if r >= end {
                     break;
@@ -438,6 +439,18 @@ mod tests {
     fn coded(rows: &[Vec<f32>], user: &[f32], ts: &[f32], skip: &[usize]) -> (Vec<u32>, usize) {
         let mut set = CodedRows::new();
         set.rebuild(user.len(), rows.iter().map(Vec::as_slice));
+        counted(&set, rows, user, ts, skip)
+    }
+
+    /// The counts of `set`, which codes `rows`, with the ambiguous rows
+    /// scored exactly.
+    fn counted(
+        set: &CodedRows,
+        rows: &[Vec<f32>],
+        user: &[f32],
+        ts: &[f32],
+        skip: &[usize],
+    ) -> (Vec<u32>, usize) {
         let mut counts = vec![0u32; ts.len()];
         let mut open = Vec::new();
         let live = set.count_le(user, ts, skip.iter().copied(), &mut counts, |r| {
@@ -503,6 +516,62 @@ mod tests {
     }
 
     #[test]
+    fn every_row_count_and_upper_lane_counts_exactly() {
+        // Every row count up to three blocks and one row, so the last
+        // block is partial in its lower and its upper half at either
+        // build width. Skips sit in lanes 8 to 15 of a 16-row block, and a
+        // non-finite row in the upper half of the first.
+        let d = 7;
+        let user = rough(d, 3);
+        let bad = WIDTH - 3;
+        for len in 1..=3 * WIDTH + 1 {
+            let mut rows: Vec<Vec<f32>> = (0..len).map(|r| rough(d, 900 + r as u64)).collect();
+            if len > bad {
+                rows[bad][2] = f32::INFINITY;
+            }
+            let mut ts: Vec<f32> = rows
+                .iter()
+                .step_by(4)
+                .map(|h| kernel::dot(&user, h))
+                .collect();
+            ts.extend([f32::NEG_INFINITY, 0.0, f32::INFINITY]);
+            let skip: Vec<usize> = (0..len).filter(|r| r % 16 >= 8 && r % 3 != 1).collect();
+            let (got, open) = coded(&rows, &user, &ts, &skip);
+            assert_eq!(got, exact(&rows, &user, &ts, &skip), "{len} rows");
+            if len > bad && !skip.contains(&bad) {
+                assert!(open >= 1, "{len} rows: the non-finite row is ambiguous");
+            }
+        }
+        // Re-code rows in the upper half of the second block with `set`:
+        // one to new finite values, one to a non-finite row, and the
+        // non-finite row of the first block back to finite values.
+        let len = 3 * WIDTH + 1;
+        let mut rows: Vec<Vec<f32>> = (0..len).map(|r| rough(d, 900 + r as u64)).collect();
+        rows[bad][2] = f32::INFINITY;
+        let mut set = CodedRows::new();
+        set.rebuild(d, rows.iter().map(Vec::as_slice));
+        let changes = [
+            (
+                2 * WIDTH - 2,
+                rough(d, 77).iter().map(|x| x * 4.0).collect(),
+            ),
+            (2 * WIDTH - 5, vec![f32::NAN; d]),
+            (bad, rough(d, 78)),
+        ];
+        for (r, row) in changes {
+            set.set(r, &row);
+            rows[r] = row;
+        }
+        let mut fresh = CodedRows::new();
+        fresh.rebuild(d, rows.iter().map(Vec::as_slice));
+        assert_eq!(set, fresh);
+        let ts: Vec<f32> = rows.iter().map(|h| kernel::dot(&user, h)).collect();
+        let skip = [2 * WIDTH - 1, 3 * WIDTH - 8];
+        let (got, _) = counted(&set, &rows, &user, &ts, &skip);
+        assert_eq!(got, exact(&rows, &user, &ts, &skip));
+    }
+
+    #[test]
     fn bound_covers_the_coding_error() {
         let d = 32;
         for seed in 0..50 {
@@ -511,7 +580,7 @@ mod tests {
             set.rebuild(d, std::iter::once(h.as_slice()));
             let s = f64::from(set.scales[0]);
             let err: f64 = (0..d)
-                .map(|k| f64::from(h[k]) - s * f64::from(set.codes[k * BLOCK_ROWS]))
+                .map(|k| f64::from(h[k]) - s * f64::from(set.codes[k * WIDTH]))
                 .map(|e| e * e)
                 .sum::<f64>()
                 .sqrt();

@@ -15,7 +15,7 @@
 //! * [`gemv`] — user row × the whole item table (the full rating vector),
 //! * [`gather_dots`] — user row × an arbitrary subset of item rows (the
 //!   candidate-scoring path of `ScoreAccess::Candidates` samplers),
-//! * [`tile_scan`] — a [`UserTile`] of up to [`LANES`] users, one per
+//! * [`tile_scan`] — a [`UserTile`] of up to [`WIDTH`] users, one per
 //!   `f32` lane, × every item row, each row read once for the whole tile,
 //!   with a per-lane floor test that hands only the scores that could
 //!   enter a top-k selection to a visitor (the ranking protocol's loop,
@@ -31,11 +31,11 @@
 //! [`tile_scan`] visits are **bitwise identical** for the same model
 //! state — the property the fused BNS draw relies on when it compares
 //! candidate thresholds against catalog scores computed in a separate
-//! blocked pass, and the one that lets evaluation score eight users at a
-//! time.
+//! blocked pass, and the one that lets evaluation score a tile of users at
+//! a time.
 //!
 //! One more entry point sits **outside** that bit contract:
-//! [`coded_block_counts`] scores a block of eight rows of
+//! [`coded_block_counts`] scores a block of [`WIDTH`] rows of
 //! [`crate::coded::CodedRows`] (i16 codes, a per-row scale and error
 //! bound) and decides `dot(user, row) ≤ t` for a set of thresholds from
 //! an approximate score and a rigorous bound on its error, handing back
@@ -48,27 +48,263 @@
 //! a rigorous slack, which rows score strictly below a floor, and hands
 //! back the rest for an exact re-score. It runs exact serving's scan.
 //!
-//! **The ISA is chosen at build time.** When the build targets x86-64
-//! with AVX2 and FMA (the workspace builds with `target-cpu=native`, see
-//! `.cargo/config.toml`), [`dot`] runs one 256-bit FMA per 8-lane chunk
-//! into one vector accumulator and reduces it with SSE adds and shuffles,
-//! and [`tile_scan`] runs the same FMAs with eight users in the lanes of
-//! each accumulator and reduces them with the same tree as vertical adds;
-//! every other build runs the portable scalar bodies. The summation
-//! order is the same in all of them — per-lane multiply-adds, the same
-//! reduction tree, the same tail — so on any build with FMA the vector
-//! bodies are bit for bit the scalar body, and the training trace does
-//! not depend on which body that build picked. A build without FMA runs
-//! the scalar body with a separate multiply and add (see `fmadd`), so its
-//! scores differ from an FMA build's in the low bits: like every build, it
-//! is reproducible per binary (same binary, same bits), not across ISAs.
-//! The unit tests pin the vector bodies to the scalar one bit for bit;
-//! accuracy against an `f64` scalar reference is property-tested here and
-//! in `tests/proptests.rs` (≤ 1e-5 relative).
+//! **The ISA is chosen at build time**, with no runtime dispatch. The
+//! workspace builds with `target-cpu=native` (see `.cargo/config.toml`),
+//! and there are three bodies:
+//!
+//! * **AVX-512F** (implies AVX2 and FMA): the two scan kernels,
+//!   [`tile_scan`] and [`coded_block_counts`], run on 512-bit registers,
+//!   so [`WIDTH`] is 16: sixteen users a tile, sixteen rows a coded block.
+//!   [`dot`] and [`i8_block_open`] run their AVX2 bodies.
+//! * **AVX2 + FMA**: every kernel runs on 256-bit registers and [`WIDTH`]
+//!   is 8.
+//! * **Any other build** runs the portable scalar bodies, with [`WIDTH`]
+//!   8.
+//!
+//! The two scan kernels have one vector body for both widths, written
+//! against the build's register (`simd::Lanes`), and the layouts they
+//! read (a [`UserTile`], a [`CodedBlock`]) are [`WIDTH`] lanes wide. [`dot`]
+//! runs one 256-bit FMA per 8-lane chunk into one vector accumulator and
+//! reduces it with SSE adds and shuffles; [`tile_scan`] runs the same FMAs
+//! with one user in each lane of its accumulators and reduces them with
+//! the same tree as vertical adds. The summation order is the same in all
+//! of them — per-lane multiply-adds, the same reduction tree, the same
+//! tail — so on any build with FMA the vector bodies are bit for bit the
+//! scalar body, and the training trace does not depend on which body that
+//! build picked. A build without FMA runs the scalar body with a separate
+//! multiply and add (see `fmadd`), so its scores differ from an FMA
+//! build's in the low bits: like every build, it is reproducible per
+//! binary (same binary, same bits), not across ISAs. The unit tests pin
+//! the vector bodies to the scalar one bit for bit; accuracy against an
+//! `f64` scalar reference is property-tested here and in
+//! `tests/proptests.rs` (≤ 1e-5 relative). `ci.sh` tests the AVX2 and the
+//! portable bodies on an AVX-512 host too, in builds of their own.
 
-/// Number of independent accumulators in the unrolled kernels, and of
-/// users in a [`UserTile`].
+/// Number of independent accumulators in the unrolled kernels: the chunk
+/// width of [`dot`]'s summation order.
 pub const LANES: usize = 8;
+
+/// The `f32` lanes of one register of the build's scan bodies: 16 on
+/// AVX-512F builds, 8 on every other build. It is the number of users in a
+/// [`UserTile`] and of rows in a [`CodedBlock`].
+pub const WIDTH: usize = if cfg!(all(target_arch = "x86_64", target_feature = "avx512f")) {
+    16
+} else {
+    8
+};
+
+/// The lane mask of the first `n` lanes (`n ≤ WIDTH`).
+pub(crate) fn first_lanes(n: usize) -> u16 {
+    ((1u32 << n) - 1) as u16
+}
+
+/// The register of the scan bodies ([`tile_scan`], [`coded_block_counts`])
+/// and the operations they are written in, so that one body serves both
+/// widths: a `__m512` with `__mmask16` compare masks on AVX-512F builds, a
+/// `__m256` with vector compare masks on AVX2 + FMA builds. Each method
+/// is the intrinsic of its name, or the few that make it up.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx2",
+    target_feature = "fma"
+))]
+mod simd {
+    use super::WIDTH;
+    use std::arch::x86_64::*;
+
+    /// [`WIDTH`] `f32` lanes.
+    pub(super) trait Lanes: Copy {
+        /// A lane mask as the compares produce it.
+        type Mask: Copy;
+        fn zero() -> Self;
+        fn splat(x: f32) -> Self;
+        fn load(x: &[f32; WIDTH]) -> Self;
+        fn store(self, out: &mut [f32; WIDTH]);
+        /// Widens [`WIDTH`] i16 codes to `f32`.
+        fn codes(c: &[i16; WIDTH]) -> Self;
+        /// `self · b + c`, rounded once.
+        fn fmadd(self, b: Self, c: Self) -> Self;
+        fn add(self, b: Self) -> Self;
+        fn sub(self, b: Self) -> Self;
+        fn mul(self, b: Self) -> Self;
+        fn abs(self) -> Self;
+        /// The lanes where `self P b` holds, for a `_CMP_*` predicate `P`.
+        fn cmp<const P: i32>(self, b: Self) -> Self::Mask;
+        fn all() -> Self::Mask;
+        fn and(m: Self::Mask, n: Self::Mask) -> Self::Mask;
+        /// `b` in the lanes of `m`, `a` in the others.
+        fn blend(m: Self::Mask, a: Self, b: Self) -> Self;
+        /// Bit `l` set iff lane `l` of `m` is.
+        fn bits(m: Self::Mask) -> u16;
+    }
+
+    /// The register of this build.
+    #[cfg(target_feature = "avx512f")]
+    pub(super) type V = __m512;
+
+    /// The register of this build.
+    #[cfg(not(target_feature = "avx512f"))]
+    pub(super) type V = __m256;
+
+    #[cfg(target_feature = "avx512f")]
+    impl Lanes for __m512 {
+        type Mask = __mmask16;
+        #[inline(always)]
+        fn zero() -> Self {
+            // SAFETY: the build targets AVX-512F (the cfg of this impl).
+            unsafe { _mm512_setzero_ps() }
+        }
+        #[inline(always)]
+        fn splat(x: f32) -> Self {
+            // SAFETY: the build targets AVX-512F.
+            unsafe { _mm512_set1_ps(x) }
+        }
+        #[inline(always)]
+        fn load(x: &[f32; WIDTH]) -> Self {
+            // SAFETY: AVX-512F; the load reads the 16 floats of `x`.
+            unsafe { _mm512_loadu_ps(x.as_ptr()) }
+        }
+        #[inline(always)]
+        fn store(self, out: &mut [f32; WIDTH]) {
+            // SAFETY: AVX-512F; the store writes the 16 floats of `out`.
+            unsafe { _mm512_storeu_ps(out.as_mut_ptr(), self) }
+        }
+        #[inline(always)]
+        fn codes(c: &[i16; WIDTH]) -> Self {
+            // SAFETY: AVX-512F; the load reads the 16 codes (32 bytes) of `c`.
+            unsafe {
+                _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(_mm256_loadu_si256(c.as_ptr().cast())))
+            }
+        }
+        #[inline(always)]
+        fn fmadd(self, b: Self, c: Self) -> Self {
+            // SAFETY: the build targets AVX-512F.
+            unsafe { _mm512_fmadd_ps(self, b, c) }
+        }
+        #[inline(always)]
+        fn add(self, b: Self) -> Self {
+            // SAFETY: the build targets AVX-512F.
+            unsafe { _mm512_add_ps(self, b) }
+        }
+        #[inline(always)]
+        fn sub(self, b: Self) -> Self {
+            // SAFETY: the build targets AVX-512F.
+            unsafe { _mm512_sub_ps(self, b) }
+        }
+        #[inline(always)]
+        fn mul(self, b: Self) -> Self {
+            // SAFETY: the build targets AVX-512F.
+            unsafe { _mm512_mul_ps(self, b) }
+        }
+        #[inline(always)]
+        fn abs(self) -> Self {
+            // SAFETY: the build targets AVX-512F.
+            unsafe { _mm512_abs_ps(self) }
+        }
+        #[inline(always)]
+        fn cmp<const P: i32>(self, b: Self) -> __mmask16 {
+            // SAFETY: the build targets AVX-512F.
+            unsafe { _mm512_cmp_ps_mask::<P>(self, b) }
+        }
+        #[inline(always)]
+        fn all() -> __mmask16 {
+            u16::MAX
+        }
+        #[inline(always)]
+        fn and(m: __mmask16, n: __mmask16) -> __mmask16 {
+            m & n
+        }
+        #[inline(always)]
+        fn blend(m: __mmask16, a: Self, b: Self) -> Self {
+            // SAFETY: the build targets AVX-512F.
+            unsafe { _mm512_mask_blend_ps(m, a, b) }
+        }
+        #[inline(always)]
+        fn bits(m: __mmask16) -> u16 {
+            m
+        }
+    }
+
+    #[cfg(not(target_feature = "avx512f"))]
+    impl Lanes for __m256 {
+        type Mask = __m256;
+        #[inline(always)]
+        fn zero() -> Self {
+            // SAFETY: the build targets AVX2 and FMA (the cfg of the module).
+            unsafe { _mm256_setzero_ps() }
+        }
+        #[inline(always)]
+        fn splat(x: f32) -> Self {
+            // SAFETY: the build targets AVX2.
+            unsafe { _mm256_set1_ps(x) }
+        }
+        #[inline(always)]
+        fn load(x: &[f32; WIDTH]) -> Self {
+            // SAFETY: AVX2; the load reads the 8 floats of `x`.
+            unsafe { _mm256_loadu_ps(x.as_ptr()) }
+        }
+        #[inline(always)]
+        fn store(self, out: &mut [f32; WIDTH]) {
+            // SAFETY: AVX2; the store writes the 8 floats of `out`.
+            unsafe { _mm256_storeu_ps(out.as_mut_ptr(), self) }
+        }
+        #[inline(always)]
+        fn codes(c: &[i16; WIDTH]) -> Self {
+            // SAFETY: AVX2; the load reads the 8 codes (16 bytes) of `c`.
+            unsafe { _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(_mm_loadu_si128(c.as_ptr().cast()))) }
+        }
+        #[inline(always)]
+        fn fmadd(self, b: Self, c: Self) -> Self {
+            // SAFETY: the build targets FMA.
+            unsafe { _mm256_fmadd_ps(self, b, c) }
+        }
+        #[inline(always)]
+        fn add(self, b: Self) -> Self {
+            // SAFETY: the build targets AVX2.
+            unsafe { _mm256_add_ps(self, b) }
+        }
+        #[inline(always)]
+        fn sub(self, b: Self) -> Self {
+            // SAFETY: the build targets AVX2.
+            unsafe { _mm256_sub_ps(self, b) }
+        }
+        #[inline(always)]
+        fn mul(self, b: Self) -> Self {
+            // SAFETY: the build targets AVX2.
+            unsafe { _mm256_mul_ps(self, b) }
+        }
+        #[inline(always)]
+        fn abs(self) -> Self {
+            // SAFETY: the build targets AVX2.
+            unsafe { _mm256_andnot_ps(_mm256_set1_ps(-0.0), self) }
+        }
+        #[inline(always)]
+        fn cmp<const P: i32>(self, b: Self) -> __m256 {
+            // SAFETY: the build targets AVX2.
+            unsafe { _mm256_cmp_ps::<P>(self, b) }
+        }
+        #[inline(always)]
+        fn all() -> __m256 {
+            // SAFETY: the build targets AVX2.
+            unsafe { _mm256_castsi256_ps(_mm256_set1_epi32(-1)) }
+        }
+        #[inline(always)]
+        fn and(m: __m256, n: __m256) -> __m256 {
+            // SAFETY: the build targets AVX2.
+            unsafe { _mm256_and_ps(m, n) }
+        }
+        #[inline(always)]
+        fn blend(m: __m256, a: Self, b: Self) -> Self {
+            // SAFETY: the build targets AVX2.
+            unsafe { _mm256_blendv_ps(a, b, m) }
+        }
+        #[inline(always)]
+        fn bits(m: __m256) -> u16 {
+            // SAFETY: the build targets AVX2.
+            unsafe { _mm256_movemask_ps(m) as u16 }
+        }
+    }
+}
 
 /// One multiply-accumulate step.
 ///
@@ -215,31 +451,45 @@ pub fn gemv(user: &[f32], items: &[f32], out: &mut [f32]) {
     }
 }
 
-/// Up to [`LANES`] user rows copied dimension-major, one user per `f32`
-/// lane: the tile [`tile_scan`] scores. `cols[k·LANES + t]` is dimension
-/// `k` of user `t`; the lanes past the tile's users hold zeros.
+/// One dimension of a [`UserTile`]: its value for each user, one per
+/// lane, aligned to its own size so that a register load of it never
+/// straddles two cache lines (a split load halves the scan's load rate).
+#[derive(Debug, Clone, Copy)]
+#[cfg_attr(
+    all(target_arch = "x86_64", target_feature = "avx512f"),
+    repr(C, align(64))
+)]
+#[cfg_attr(
+    not(all(target_arch = "x86_64", target_feature = "avx512f")),
+    repr(C, align(32))
+)]
+struct Column([f32; WIDTH]);
+
+/// Up to [`WIDTH`] user rows copied dimension-major, one user per `f32`
+/// lane: the tile [`tile_scan`] scores. Lane `t` of column `k` is
+/// dimension `k` of user `t`; the lanes past the tile's users hold zeros.
 /// Reusable: [`UserTile::set`] is allocation-free once the buffer holds a
 /// tile of the dimension.
 #[derive(Debug, Clone, Default)]
 pub struct UserTile {
-    cols: Vec<f32>,
+    cols: Vec<Column>,
     dim: usize,
     len: usize,
 }
 
 impl UserTile {
-    /// Copies `rows` (at most [`LANES`], each of length `dim`) into the
+    /// Copies `rows` (at most [`WIDTH`], each of length `dim`) into the
     /// tile, in lane order.
     pub fn set<'a>(&mut self, dim: usize, rows: impl IntoIterator<Item = &'a [f32]>) {
         self.dim = dim;
         self.cols.clear();
-        self.cols.resize(dim * LANES, 0.0);
+        self.cols.resize(dim, Column([0.0; WIDTH]));
         self.len = 0;
         for (t, row) in rows.into_iter().enumerate() {
-            assert!(t < LANES, "a tile holds at most {LANES} users");
+            assert!(t < WIDTH, "a tile holds at most {WIDTH} users");
             assert_eq!(row.len(), dim, "user row dimension mismatch");
             for (k, &x) in row.iter().enumerate() {
-                self.cols[k * LANES + t] = x;
+                self.cols[k].0[t] = x;
             }
             self.len = t + 1;
         }
@@ -262,14 +512,15 @@ impl UserTile {
 /// score above the k-th best can. Lanes past the tile's users are never
 /// visited.
 ///
-/// Every score is bit for bit [`dot`]'s. The vector body holds eight
-/// users in the eight lanes of a register: it streams item rows two at a
-/// time, accumulates `fma(user column k, broadcast(row[k]), acc[k mod
-/// 8])` in [`dot`]'s chunk order, and reduces the eight accumulators with
-/// [`dot`]'s tree as vertical adds (each half of the tree in its own pass
-/// over the row), then adds [`dot`]'s tail (`+ 0.0` when `d` is a
-/// multiple of eight, as in [`dot`]). The portable body computes
-/// [`dot`]'s portable sum per lane. Both compare with the same strict `>`.
+/// Every score is bit for bit [`dot`]'s. The vector body holds the
+/// tile's users in the [`WIDTH`] lanes of a register: it streams item rows
+/// two at a time, accumulates `fma(user column k, broadcast(row[k]),
+/// acc[k mod 8])` in [`dot`]'s chunk order, and reduces the eight
+/// accumulators with [`dot`]'s tree as vertical adds (on AVX2, each half
+/// of the tree in its own pass over the row), then adds [`dot`]'s tail
+/// (`+ 0.0` when `d` is a multiple of eight, as in [`dot`]). The portable
+/// body computes [`dot`]'s portable sum per lane. Both compare with the
+/// same strict `>`.
 pub fn tile_scan(
     tile: &UserTile,
     items: &[f32],
@@ -287,75 +538,56 @@ pub fn tile_scan(
         target_feature = "fma"
     ))]
     {
-        use std::arch::x86_64::*;
-        let k = d / LANES;
-        // The user columns of one chunk of eight dimensions, and of the
-        // tail dimensions.
-        let (user_chunks, user_tail) = tile.cols.as_chunks::<{ LANES * LANES }>();
-        let user_chunks = &user_chunks[..k];
-        let user_tail = &user_tail.as_chunks::<LANES>().0[..d - k * LANES];
+        use simd::{Lanes, V};
+        use std::arch::x86_64::_CMP_GT_OQ;
+        // The user columns, one per dimension: in chunks of eight
+        // dimensions, then the tail dimensions.
+        let (user_chunks, user_tail) = tile.cols.as_chunks::<LANES>();
         let row = |i: usize| &items[i * d..(i + 1) * d];
-        let active = u8::MAX >> (LANES - tile.len);
-        let (mut floors, mut open) = ([0.0f32; LANES], active);
-        let mut scores = [0.0f32; LANES];
-        // SAFETY: the enclosing cfg guarantees the build targets AVX2 and
-        // FMA; each unaligned load reads exactly the eight floats of one
-        // `[f32; 8]` (a user column, `floors`), and each store writes the
-        // eight floats of `scores`.
-        unsafe {
-            let mut floor = _mm256_loadu_ps(floors.as_ptr());
-            for i in (0..n).step_by(2) {
-                // An odd last row pairs with itself; its copy is not visited.
-                let (r0, r1) = (row(i), row((i + 1).min(n - 1)));
-                let (c0, t0) = r0.as_chunks::<LANES>();
-                let (c1, t1) = r1.as_chunks::<LANES>();
-                // `dot`'s tree in its two halves, `(a0 + a4) + (a1 + a5)`
-                // and `(a2 + a6) + (a3 + a7)`, each summed in its own pass
-                // over the chunks: four accumulators per row are live at a
-                // time, which with the column and two broadcasts fits the
-                // sixteen vector registers of AVX2 without a spill.
-                let half = |chains: [usize; 4]| {
-                    let mut a0 = [_mm256_setzero_ps(); 4];
-                    let mut a1 = [_mm256_setzero_ps(); 4];
-                    for ((u, h0), h1) in user_chunks.iter().zip(c0).zip(c1) {
-                        for (j, &l) in chains.iter().enumerate() {
-                            let w = _mm256_loadu_ps(u[l * LANES..].as_ptr());
-                            a0[j] = _mm256_fmadd_ps(w, _mm256_set1_ps(h0[l]), a0[j]);
-                            a1[j] = _mm256_fmadd_ps(w, _mm256_set1_ps(h1[l]), a1[j]);
-                        }
-                    }
-                    let tree = |a: [__m256; 4]| {
-                        _mm256_add_ps(_mm256_add_ps(a[0], a[1]), _mm256_add_ps(a[2], a[3]))
-                    };
-                    (tree(a0), tree(a1))
-                };
-                let (p0, p1) = half([0, 4, 1, 5]);
-                let (q0, q1) = half([2, 6, 3, 7]);
-                let (mut s0, mut s1) = (_mm256_setzero_ps(), _mm256_setzero_ps());
-                for ((u, &x0), &x1) in user_tail.iter().zip(t0).zip(t1) {
-                    let w = _mm256_loadu_ps(u.as_ptr());
-                    s0 = _mm256_fmadd_ps(w, _mm256_set1_ps(x0), s0);
-                    s1 = _mm256_fmadd_ps(w, _mm256_set1_ps(x1), s1);
-                }
-                let pair = [
-                    _mm256_add_ps(_mm256_add_ps(p0, q0), s0),
-                    _mm256_add_ps(_mm256_add_ps(p1, q1), s1),
-                ];
-                for (id, s) in (i..n.min(i + 2)).zip(pair) {
-                    let above = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(s, floor)) as u8;
-                    let lanes = (above | open) & active;
-                    if lanes != 0 {
-                        _mm256_storeu_ps(scores.as_mut_ptr(), s);
-                        visit_lanes(
-                            id as u32,
-                            lanes,
-                            &scores,
-                            &mut floors,
-                            &mut open,
-                            &mut visit,
-                        );
-                        floor = _mm256_loadu_ps(floors.as_ptr());
-                    }
+        let active = first_lanes(tile.len);
+        let (mut floors, mut open) = ([0.0f32; WIDTH], active);
+        let mut scores = [0.0f32; WIDTH];
+        let mut floor = V::load(&floors);
+        for i in (0..n).step_by(2) {
+            // An odd last row pairs with itself; its copy is not visited.
+            let (r0, r1) = (row(i), row((i + 1).min(n - 1)));
+            let (c0, t0) = r0.as_chunks::<LANES>();
+            let (c1, t1) = r1.as_chunks::<LANES>();
+            // `dot`'s tree in its two halves, `(a0 + a4) + (a1 + a5)` and
+            // `(a2 + a6) + (a3 + a7)`. AVX-512 has thirty-two vector
+            // registers: the eight accumulators of both rows, the column
+            // and two broadcasts fit, so one pass over the chunks sums both
+            // halves. AVX2 has sixteen, so each half takes its own pass
+            // with four accumulators per row live.
+            #[cfg(target_feature = "avx512f")]
+            let ([p0, q0], [p1, q1]) =
+                tree_halves([[0, 4, 1, 5], [2, 6, 3, 7]], user_chunks, c0, c1);
+            #[cfg(not(target_feature = "avx512f"))]
+            let (([p0], [p1]), ([q0], [q1])) = (
+                tree_halves([[0, 4, 1, 5]], user_chunks, c0, c1),
+                tree_halves([[2, 6, 3, 7]], user_chunks, c0, c1),
+            );
+            let (mut s0, mut s1) = (V::zero(), V::zero());
+            for ((u, &x0), &x1) in user_tail.iter().zip(t0).zip(t1) {
+                let w = V::load(&u.0);
+                s0 = w.fmadd(V::splat(x0), s0);
+                s1 = w.fmadd(V::splat(x1), s1);
+            }
+            let pair = [p0.add(q0).add(s0), p1.add(q1).add(s1)];
+            for (id, s) in (i..n.min(i + 2)).zip(pair) {
+                let above = V::bits(s.cmp::<_CMP_GT_OQ>(floor));
+                let lanes = (above | open) & active;
+                if lanes != 0 {
+                    s.store(&mut scores);
+                    visit_lanes(
+                        id as u32,
+                        lanes,
+                        &scores,
+                        &mut floors,
+                        &mut open,
+                        &mut visit,
+                    );
+                    floor = V::load(&floors);
                 }
             }
         }
@@ -366,6 +598,38 @@ pub fn tile_scan(
         target_feature = "fma"
     )))]
     tile_scan_scalar(tile, items, &mut visit);
+}
+
+/// Halves of [`dot`]'s tree for two item rows (chunks `c0`, `c1`) against
+/// the tile's user columns, summed in one pass over the chunks: for each
+/// `halves[h] = [i, j, k, l]`, each row's `(a_i + a_j) + (a_k + a_l)`,
+/// where `a_m` accumulates lane `m` of every chunk.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx2",
+    target_feature = "fma"
+))]
+#[inline(always)]
+fn tree_halves<const H: usize>(
+    halves: [[usize; 4]; H],
+    users: &[[Column; LANES]],
+    c0: &[[f32; LANES]],
+    c1: &[[f32; LANES]],
+) -> ([simd::V; H], [simd::V; H]) {
+    use simd::{Lanes, V};
+    let mut a0 = [[V::zero(); 4]; H];
+    let mut a1 = [[V::zero(); 4]; H];
+    for ((u, h0), h1) in users.iter().zip(c0).zip(c1) {
+        for (half, chains) in halves.iter().enumerate() {
+            for (j, &l) in chains.iter().enumerate() {
+                let w = V::load(&u[l].0);
+                a0[half][j] = w.fmadd(V::splat(h0[l]), a0[half][j]);
+                a1[half][j] = w.fmadd(V::splat(h1[l]), a1[half][j]);
+            }
+        }
+    }
+    let tree = |a: [V; 4]| a[0].add(a[1]).add(a[2].add(a[3]));
+    (a0.map(tree), a1.map(tree))
 }
 
 /// The portable body of [`tile_scan`]: [`dot_scalar`]'s sum per lane,
@@ -384,25 +648,25 @@ fn tile_scan_scalar(
     mut visit: impl FnMut(usize, u32, f32) -> Option<f32>,
 ) {
     let d = tile.dim;
-    let (user_chunks, user_tail) = tile.cols.as_chunks::<{ LANES * LANES }>();
-    let (mut floors, mut open) = ([0.0f32; LANES], u8::MAX >> (LANES - tile.len));
-    let mut scores = [0.0f32; LANES];
+    let (user_chunks, user_tail) = tile.cols.as_chunks::<LANES>();
+    let (mut floors, mut open) = ([0.0f32; WIDTH], first_lanes(tile.len));
+    let mut scores = [0.0f32; WIDTH];
     for (id, row) in (0u32..).zip(items.chunks_exact(d.max(1))) {
         let (chunks, tail) = row.as_chunks::<LANES>();
-        let mut lanes = 0u8;
+        let mut lanes = 0u16;
         for (t, score) in scores.iter_mut().enumerate().take(tile.len) {
             let mut acc = [0.0f32; LANES];
             for (u, h) in user_chunks.iter().zip(chunks) {
                 for l in 0..LANES {
-                    acc[l] = fmadd(u[l * LANES + t], h[l], acc[l]);
+                    acc[l] = fmadd(u[l].0[t], h[l], acc[l]);
                 }
             }
             let mut rest = 0.0f32;
-            for (j, &y) in tail.iter().enumerate() {
-                rest = fmadd(user_tail[j * LANES + t], y, rest);
+            for (u, &y) in user_tail.iter().zip(tail) {
+                rest = fmadd(u.0[t], y, rest);
             }
             *score = reduce(acc, rest);
-            lanes |= u8::from(open >> t & 1 == 1 || *score > floors[t]) << t;
+            lanes |= u16::from(open >> t & 1 == 1 || *score > floors[t]) << t;
         }
         if lanes != 0 {
             visit_lanes(id, lanes, &scores, &mut floors, &mut open, &mut visit);
@@ -417,10 +681,10 @@ fn tile_scan_scalar(
 #[inline(never)]
 fn visit_lanes(
     id: u32,
-    mut lanes: u8,
-    scores: &[f32; LANES],
-    floors: &mut [f32; LANES],
-    open: &mut u8,
+    mut lanes: u16,
+    scores: &[f32; WIDTH],
+    floors: &mut [f32; WIDTH],
+    open: &mut u16,
     visit: &mut impl FnMut(usize, u32, f32) -> Option<f32>,
 ) {
     while lanes != 0 {
@@ -449,8 +713,8 @@ pub fn gather_dots(user: &[f32], items: &[f32], ids: &[u32], out: &mut [f32]) {
     }
 }
 
-/// Rows per block of the coded count kernel: one 8-lane FMA scores one
-/// dimension of eight coded rows.
+/// Rows per block of the i8 serving codes: one 256-bit integer
+/// multiply-add scores a dimension pair of eight rows.
 pub const BLOCK_ROWS: usize = 8;
 
 /// Rounds `x` up to the nearest `f32` (`+∞` above `f32::MAX`; NaN stays
@@ -476,22 +740,22 @@ pub fn norm_bound(user: &[f32]) -> f32 {
     round_up_f32((norm + (-100f64).exp2()) * f64_error)
 }
 
-/// One block of [`BLOCK_ROWS`] coded rows, as [`coded_block_counts`]
-/// reads it (laid out by `crate::coded::CodedRows`).
+/// One block of [`WIDTH`] coded rows, as [`coded_block_counts`] reads it
+/// (laid out by `crate::coded::CodedRows`).
 #[derive(Debug, Clone, Copy)]
 pub struct CodedBlock<'a> {
-    /// `d × 8` i16 codes, dimension-major: `codes[k·8 + l]` is dimension
-    /// `k` of row `l`.
+    /// `d × WIDTH` i16 codes, dimension-major: `codes[k·WIDTH + l]` is
+    /// dimension `k` of row `l`.
     pub codes: &'a [i16],
     /// Per-row scales `s`.
-    pub scales: &'a [f32; BLOCK_ROWS],
+    pub scales: &'a [f32; WIDTH],
     /// Per-row bounds `B ≥ ‖h − ĥ‖₂ + γ(‖h‖₂ + ‖ĥ‖₂)`, `γ = γ_{d+2}`.
-    pub bounds: &'a [f32; BLOCK_ROWS],
+    pub bounds: &'a [f32; WIDTH],
 }
 
 /// The coded count kernel: for one user row and m `thresholds`, decides
-/// `x ≤ t` for the eight rows of one coded block from their i16 codes, and
-/// hands back the rows it cannot decide.
+/// `x ≤ t` for the [`WIDTH`] rows of one coded block from their i16 codes,
+/// and hands back the rows it cannot decide.
 ///
 /// Row `l` of the block is coded as `ĥ = s·c` (see [`CodedBlock`]). The
 /// kernel computes the approximate score `a = s·Σₖ uₖcₖ` and the slack
@@ -539,7 +803,7 @@ pub struct CodedBlock<'a> {
 ///
 /// **Bits.** `a` and `b` never reach a result — only the decisions do, and
 /// those agree with `x ≤ t` exactly — so this kernel is outside the
-/// module's bit contract: the AVX2 body keeps four accumulators and the
+/// module's bit contract: the vector body keeps four accumulators and the
 /// portable body one sum per lane, and their `a` may differ in the low
 /// bits.
 #[inline]
@@ -548,76 +812,66 @@ pub fn coded_block_counts(
     norm: f32,
     block: CodedBlock<'_>,
     thresholds: &[f32],
-    live: u8,
+    live: u16,
     counts: &mut [u32],
-) -> u8 {
+) -> u16 {
     let d = user.len();
     debug_assert_eq!(
         block.codes.len(),
-        d * BLOCK_ROWS,
+        d * WIDTH,
         "one code per dimension and row"
     );
     debug_assert_eq!(thresholds.len(), counts.len(), "one count per threshold");
     // 2¹⁰²: past it the bound no longer rules out overflow in `x`.
     let cap = f32::from_bits((127 + 102) << 23);
-    let (lanes, _) = block.codes.as_chunks::<BLOCK_ROWS>();
+    let (lanes, _) = block.codes.as_chunks::<WIDTH>();
     #[cfg(all(
         target_arch = "x86_64",
         target_feature = "avx2",
         target_feature = "fma"
     ))]
     {
-        use std::arch::x86_64::*;
-        // SAFETY: the enclosing cfg guarantees the build targets AVX2 and
-        // FMA; each unaligned load reads exactly one `[i16; 8]` row of
-        // codes (16 bytes) or one `[f32; 8]` of scales or bounds.
-        unsafe {
-            let code = |row: &[i16; BLOCK_ROWS]| {
-                _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(_mm_loadu_si128(row.as_ptr().cast())))
-            };
-            // Four accumulators keep the FMA chain short; the order of the
-            // sum is free (see **Bits**).
-            let mut acc = [_mm256_setzero_ps(); 4];
-            let (quads, rest) = lanes.as_chunks::<4>();
-            let (user_quads, user_rest) = user.as_chunks::<4>();
-            for (rows, us) in quads.iter().zip(user_quads) {
-                for t in 0..4 {
-                    acc[t] = _mm256_fmadd_ps(_mm256_set1_ps(us[t]), code(&rows[t]), acc[t]);
-                }
+        use simd::{Lanes, V};
+        use std::arch::x86_64::{_CMP_GT_OQ, _CMP_LE_OQ, _CMP_LT_OQ};
+        // Four accumulators keep the FMA chain short; the order of the sum
+        // is free (see **Bits**).
+        let mut acc = [V::zero(); 4];
+        let (quads, rest) = lanes.as_chunks::<4>();
+        let (user_quads, user_rest) = user.as_chunks::<4>();
+        for (rows, us) in quads.iter().zip(user_quads) {
+            for t in 0..4 {
+                acc[t] = V::splat(us[t]).fmadd(V::codes(&rows[t]), acc[t]);
             }
-            for (row, &uk) in rest.iter().zip(user_rest) {
-                acc[0] = _mm256_fmadd_ps(_mm256_set1_ps(uk), code(row), acc[0]);
-            }
-            let sum = _mm256_add_ps(_mm256_add_ps(acc[0], acc[1]), _mm256_add_ps(acc[2], acc[3]));
-            let a = _mm256_mul_ps(sum, _mm256_loadu_ps(block.scales.as_ptr()));
-            let b = _mm256_add_ps(
-                _mm256_mul_ps(_mm256_set1_ps(norm), _mm256_loadu_ps(block.bounds.as_ptr())),
-                _mm256_set1_ps(f32::MIN_POSITIVE),
-            );
-            let sign = _mm256_set1_ps(-0.0);
-            let ok = _mm256_and_ps(
-                _mm256_cmp_ps::<_CMP_LT_OQ>(b, _mm256_set1_ps(cap)),
-                _mm256_cmp_ps::<_CMP_LT_OQ>(
-                    _mm256_andnot_ps(sign, a),
-                    _mm256_set1_ps(f32::INFINITY),
-                ),
-            );
-            let b = _mm256_blendv_ps(_mm256_set1_ps(f32::INFINITY), b, ok);
-            let mut sure_lanes = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
-            for &t in thresholds {
-                let gap = _mm256_andnot_ps(sign, _mm256_sub_ps(a, _mm256_set1_ps(t)));
-                sure_lanes = _mm256_and_ps(sure_lanes, _mm256_cmp_ps::<_CMP_GT_OQ>(gap, b));
-            }
-            let sure = _mm256_movemask_ps(sure_lanes) as u8;
-            let keep = live & sure;
-            if keep != 0 {
-                for (count, &t) in counts.iter_mut().zip(thresholds) {
-                    let le = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_LE_OQ>(a, _mm256_set1_ps(t)));
-                    *count += (le as u8 & keep).count_ones();
-                }
-            }
-            live & !sure
         }
+        for (row, &uk) in rest.iter().zip(user_rest) {
+            acc[0] = V::splat(uk).fmadd(V::codes(row), acc[0]);
+        }
+        let a = acc[0]
+            .add(acc[1])
+            .add(acc[2].add(acc[3]))
+            .mul(V::load(block.scales));
+        let b = V::splat(norm)
+            .mul(V::load(block.bounds))
+            .add(V::splat(f32::MIN_POSITIVE));
+        let ok = V::and(
+            b.cmp::<_CMP_LT_OQ>(V::splat(cap)),
+            a.abs().cmp::<_CMP_LT_OQ>(V::splat(f32::INFINITY)),
+        );
+        let b = V::blend(ok, V::splat(f32::INFINITY), b);
+        let mut sure = V::all();
+        for &t in thresholds {
+            let gap = a.sub(V::splat(t)).abs();
+            sure = V::and(sure, gap.cmp::<_CMP_GT_OQ>(b));
+        }
+        let sure = V::bits(sure);
+        let keep = live & sure;
+        if keep != 0 {
+            for (count, &t) in counts.iter_mut().zip(thresholds) {
+                let le = V::bits(a.cmp::<_CMP_LE_OQ>(V::splat(t)));
+                *count += (le & keep).count_ones();
+            }
+        }
+        live & !sure
     }
     #[cfg(not(all(
         target_arch = "x86_64",
@@ -625,15 +879,15 @@ pub fn coded_block_counts(
         target_feature = "fma"
     )))]
     {
-        let mut sum = [0.0f32; BLOCK_ROWS];
+        let mut sum = [0.0f32; WIDTH];
         for (row, &uk) in lanes.iter().zip(user) {
             for (acc, &c) in sum.iter_mut().zip(row) {
                 *acc += uk * f32::from(c);
             }
         }
-        let mut a = [0.0f32; BLOCK_ROWS];
-        let mut b = [0.0f32; BLOCK_ROWS];
-        for l in 0..BLOCK_ROWS {
+        let mut a = [0.0f32; WIDTH];
+        let mut b = [0.0f32; WIDTH];
+        for l in 0..WIDTH {
             a[l] = sum[l] * block.scales[l];
             b[l] = norm * block.bounds[l] + f32::MIN_POSITIVE;
             let ok = b[l] < cap && a[l].abs() < f32::INFINITY;
@@ -641,20 +895,20 @@ pub fn coded_block_counts(
                 b[l] = f32::INFINITY;
             }
         }
-        let mut sure = 0xFFu8;
+        let mut sure = first_lanes(WIDTH);
         for &t in thresholds {
-            for l in 0..BLOCK_ROWS {
+            for l in 0..WIDTH {
                 // NaN gaps compare false: not sure.
                 let decided = (a[l] - t).abs() > b[l];
-                sure &= !(u8::from(!decided) << l);
+                sure &= !(u16::from(!decided) << l);
             }
         }
         let keep = live & sure;
         if keep != 0 {
             for (count, &t) in counts.iter_mut().zip(thresholds) {
-                let mut le = 0u8;
+                let mut le = 0u16;
                 for (l, &al) in a.iter().enumerate() {
-                    le |= u8::from(al <= t) << l;
+                    le |= u16::from(al <= t) << l;
                 }
                 *count += (le & keep).count_ones();
             }
@@ -1150,6 +1404,120 @@ mod tests {
             assert!(seen[0].2.is_nan() && seen[1].2.is_nan());
             assert_eq!(seen[4].2, f32::INFINITY);
         }
+    }
+
+    /// User `t` of a tile: a full-mantissa row, except in lanes 8 to 14
+    /// (the upper half of a 16-lane register), which hold signed zeros,
+    /// subnormals and 1e30-scale entries.
+    fn lane_user(d: usize, t: usize) -> Vec<f32> {
+        let mut u = rough(d, 80 + t as u64);
+        match t {
+            8 => u.iter_mut().for_each(|x| *x = -0.0),
+            9 => u.iter_mut().for_each(|x| *x *= 1e-39),
+            10 => u.iter_mut().for_each(|x| *x *= 1e30),
+            11 => u.iter_mut().step_by(2).for_each(|x| *x = -0.0),
+            12 => {
+                u.iter_mut().for_each(|x| *x = 0.0);
+                u[d - 1] = -3e-42;
+            }
+            13 => u.iter_mut().step_by(3).for_each(|x| *x = f32::MIN_POSITIVE),
+            14 => u.iter_mut().for_each(|x| *x *= -2e29),
+            _ => {}
+        }
+        u
+    }
+
+    #[test]
+    fn every_tile_length_scores_dot_bit_for_bit() {
+        // Odd dimensions (a tail after the chunks, or no chunk at all) and
+        // rows with signed zeros, subnormals and 1e30-scale entries.
+        let special = [-0.0f32, 0.0, 2e-41, -1e30, 1e-30, f32::MIN_POSITIVE];
+        for d in [1usize, 3, 9, 15, 31, 33] {
+            for n in [1usize, 2, 7] {
+                let mut table = rough(d * n, d as u64 + 40);
+                for (x, &v) in table
+                    .iter_mut()
+                    .skip(1)
+                    .step_by(4)
+                    .zip(special.iter().cycle())
+                {
+                    *x = v;
+                }
+                table[(n - 1) * d..].iter_mut().for_each(|x| *x = -0.0);
+                let rows: Vec<Vec<f32>> = (0..WIDTH).map(|t| lane_user(d, t)).collect();
+                for len in 1..=WIDTH {
+                    let users: Vec<&[f32]> = rows[..len].iter().map(|r| &r[..]).collect();
+                    assert_tile_scores_are_dot(&users, &table, &format!("d={d} n={n} len={len}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_lane_follows_the_floor_and_nan_rules() {
+        // A full tile, each lane on its own floor policy: both bodies must
+        // visit exactly what the rule says, in order. Row 2 scores NaN in
+        // every lane, row 9 `±∞` or NaN, and the last user has a NaN entry,
+        // so its lane scores NaN throughout.
+        let (d, n) = (11, 37);
+        let mut table = rough(d * n, 21);
+        table[2 * d + 4] = f32::NAN;
+        table[9 * d] = f32::INFINITY;
+        let mut rows: Vec<Vec<f32>> = (0..WIDTH).map(|t| lane_user(d, t)).collect();
+        rows[WIDTH - 1][2] = f32::NAN;
+        let users: Vec<&[f32]> = rows.iter().map(|r| &r[..]).collect();
+        // Lane t closes at its running max from its (t mod 4 + 1)-th
+        // visit on; lanes 2, 7 and 12 close at `-∞`, and lanes 4, 10 and
+        // 15 reopen on every third visit.
+        let policy = |t: usize, count: usize, best: f32| match t % 5 {
+            2 => Some(f32::NEG_INFINITY),
+            _ if t % 6 == 4 && count.is_multiple_of(3) => None,
+            _ if count > t % 4 => Some(best),
+            _ => None,
+        };
+        let run = |scalar: bool| {
+            let mut tile = UserTile::default();
+            tile.set(d, users.iter().copied());
+            let (mut counts, mut best) = ([0usize; WIDTH], [f32::NEG_INFINITY; WIDTH]);
+            let mut seen = Vec::new();
+            let visit = |t: usize, id: u32, s: f32| {
+                seen.push((t, id, s.to_bits()));
+                counts[t] += 1;
+                best[t] = best[t].max(s);
+                policy(t, counts[t], best[t])
+            };
+            if scalar {
+                tile_scan_scalar(&tile, &table, visit);
+            } else {
+                tile_scan(&tile, &table, visit);
+            }
+            seen
+        };
+        let mut want = Vec::new();
+        let (mut counts, mut best) = ([0usize; WIDTH], [f32::NEG_INFINITY; WIDTH]);
+        let mut state: [Option<f32>; WIDTH] = [None; WIDTH];
+        for (i, row) in (0u32..).zip(table.chunks_exact(d)) {
+            for (t, u) in users.iter().enumerate() {
+                let s = dot(u, row);
+                if state[t].is_none_or(|f| s > f) {
+                    want.push((t, i, s.to_bits()));
+                    counts[t] += 1;
+                    best[t] = best[t].max(s);
+                    state[t] = policy(t, counts[t], best[t]);
+                }
+            }
+        }
+        assert!(want.len() < WIDTH * n, "the floors pass some scores over");
+        // Open lanes see row 2's NaN; the NaN lane is visited only while
+        // it is open, then never again.
+        assert!(want
+            .iter()
+            .any(|&(_, i, s)| i == 2 && f32::from_bits(s).is_nan()));
+        let nan_lane = want.iter().filter(|&&(t, ..)| t == WIDTH - 1).count();
+        let closes = (1..).find(|&c| policy(WIDTH - 1, c, f32::NEG_INFINITY).is_some());
+        assert_eq!(Some(nan_lane), closes);
+        assert_eq!(run(false), want);
+        assert_eq!(run(true), want);
     }
 
     #[test]

@@ -98,7 +98,8 @@ impl<'a> RowTables<'a> {
 /// [`Scorer::row_tables`]. The batched methods are provided: with row
 /// tables they run the kernel entry points over them, and without they
 /// loop over `score`. The ranking protocol scores a model with row tables
-/// eight users at a time straight from the tables, and one without
+/// a tile of [`crate::kernel::WIDTH`] users at a time straight from the
+/// tables, and one without
 /// through [`Scorer::score_items`]. A wrapper that scores through an inner model
 /// forwards `score` and `row_tables`, or overrides the batched methods
 /// itself; one that forwards neither gets the loops over `score`.
