@@ -48,7 +48,8 @@ RUSTFLAGS="-C target-cpu=native --cfg bns_model_check" \
     run cargo test -q -p bns-check --offline --locked
 # AVX2 kernel bodies on an AVX-512 host: there the builds above compile
 # the AVX-512 bodies of the two scan kernels (`kernel::tile_scan` over
-# sixteen users, `kernel::coded_block_counts` over sixteen coded rows), so
+# sixteen users, `kernel::coded_tile_counts` over sixteen coded rows and
+# up to sixteen users), so
 # build for x86-64-v3 (AVX2 + FMA) in a separate target dir to compile and
 # test the AVX2 bodies and their eight-lane layouts too. With the portable
 # steps below, all three bodies are tested on one host.
@@ -57,6 +58,10 @@ if rustc --print cfg -C target-cpu=native | grep -q 'target_feature="avx512f"'; 
         run cargo test -q -p bns-model -p bns-core -p bns-eval --lib --offline --locked --target-dir target/avx2
     RUSTFLAGS="-C target-cpu=x86-64-v3" \
         run cargo test -q -p bns --test batch_equivalence --test reproducibility --offline --locked --target-dir target/avx2
+    # BNS training through the 8-lane coded pass and its look-ahead windows
+    # allocates nothing in steady state (two test threads, as above).
+    RUSTFLAGS="-C target-cpu=x86-64-v3" \
+        run cargo test -q -p bns --test coded_pass_alloc --offline --locked --target-dir target/avx2 -- --test-threads=2
     RUSTFLAGS="-C target-cpu=x86-64-v3" \
         run cargo clippy -p bns-model -p bns-core -p bns-eval --lib --offline --locked --target-dir target/avx2 -- -D warnings
 fi
@@ -75,6 +80,10 @@ RUSTFLAGS="-C target-cpu=x86-64" \
     run cargo test -q -p bns-model -p bns-core -p bns-eval -p bns-serve --lib --offline --locked --target-dir target/portable
 RUSTFLAGS="-C target-cpu=x86-64" \
     run cargo test -q -p bns --test serve_equivalence --test batch_equivalence --test reproducibility --offline --locked --target-dir target/portable
+# The allocation audit of BNS training through the portable coded pass,
+# batched and through look-ahead windows (two test threads, as above).
+RUSTFLAGS="-C target-cpu=x86-64" \
+    run cargo test -q -p bns --test coded_pass_alloc --offline --locked --target-dir target/portable -- --test-threads=2
 # Both serving modes scan through the portable body of the integer kernel
 # here: exact and IVF serving against plain dot + top-k references on
 # adversarial tables, IVF's recall gate, every selection path over NaN and

@@ -121,6 +121,7 @@ fn main() {
             popularity,
             user_scores: &[],
             epoch: 0,
+            upcoming: &[],
         };
         let mut batched_pass = |n_chunks: usize| {
             for chunk in mixed_pairs.chunks(BATCH).take(n_chunks) {

@@ -219,6 +219,7 @@ mod tests {
             popularity: &pop,
             user_scores: &user_scores,
             epoch: 0,
+            upcoming: &[],
         };
         let mut s = Aobpr::new(0.05).unwrap(); // λ = 5 ranks
         let mut rng = StdRng::seed_from_u64(0);
@@ -248,6 +249,7 @@ mod tests {
             popularity: &pop,
             user_scores: &user_scores,
             epoch: 0,
+            upcoming: &[],
         };
         let mut s = Aobpr::new(0.01).unwrap(); // extremely peaked: rank ≈ 0
         let mut rng = StdRng::seed_from_u64(1);
@@ -266,6 +268,7 @@ mod tests {
             popularity: &pop,
             user_scores: &user_scores,
             epoch: 0,
+            upcoming: &[],
         };
         let mut s = Aobpr::new(0.05).unwrap();
         let mut rng = StdRng::seed_from_u64(2);

@@ -61,18 +61,25 @@
 //! [`CodedRows`]: i16 codes with a per-row scale, dimension-major in
 //! blocks of `bns_model::kernel::WIDTH` rows (16 on AVX-512F builds, 8 on
 //! others: one register's lanes), and a per-row bound
-//! `B ≥ ‖h − ĥ‖₂ + γ_{d+2}(‖h‖₂ + ‖ĥ‖₂)` on the coding error. For every
-//! row, `bns_model::kernel::coded_block_counts` computes an approximate
-//! score `a` and decides `x̂ ≤ t` for each threshold whenever
-//! `|a − t| > ‖u‖₂·B` (plus a rigorously derived slack for the `f32`
-//! arithmetic, documented on the kernel). The few rows it cannot decide
-//! are re-scored exactly through [`Scorer::score_items`]. So every count
-//! equals the gather pass's count, integer for integer: every F̂, draw,
-//! RNG word and NDCG bit is unchanged, and the pass reads 72 B per row
-//! from a 1.33 MB table instead of scattered rows of the whole catalog.
-//! The block height and the kernel body (AVX-512, AVX2 or portable)
-//! change only the speed: every decision is exact, so the counts are the
-//! same on every build.
+//! `B ≥ ‖h − ĥ‖₂ + γ_{d+2}(‖h‖₂ + ‖ĥ‖₂)` on the coding error. One pass
+//! over the codes serves a tile of up to `WIDTH` users, each against its
+//! own thresholds (`bns_model::kernel::coded_tile_counts`, through
+//! [`CodedRows::count_tile`]): each block's codes are widened to `f32`
+//! once and accumulated for every user of the tile. For every row and
+//! user the kernel computes an approximate score `a` and decides `x̂ ≤ t`
+//! for each of the user's thresholds whenever `|a − t| > ‖u‖₂·B` (plus a
+//! rigorously derived slack for the `f32` arithmetic, documented on the
+//! kernel). The few rows it cannot decide are re-scored exactly with
+//! `kernel::dot` over the model's rows, bit for bit
+//! [`Scorer::score_items`]; the user's positives, counted like every
+//! sample row, are then taken back out. So every count equals the gather
+//! pass's count, integer for integer: every F̂, draw, RNG word and NDCG
+//! bit is unchanged, and the pass reads 72 B per row from a 1.33 MB table
+//! instead of scattered rows of the whole catalog. A batch tiles its
+//! distinct users; a lone draw is a tile of one. The tile length, the
+//! block height and the kernel body (AVX-512, AVX2 or portable) change
+//! only the speed: every decision is exact, so the counts are the same on
+//! every build.
 //!
 //! * **Why i16.** On the train-bns model (planted popularity column),
 //!   i16 codes leave 0.39% of the scanned rows ambiguous; i8 codes leave
@@ -93,6 +100,43 @@
 //!   LightGCN, `FixedScorer`, and wrappers that hide or do not forward
 //!   `row_tables`. The exact pass gathers too, and the gather is the
 //!   tests' reference.
+//!
+//! # The look-ahead window
+//!
+//! At batch size 1, the paper's MF setup, each call draws for one user,
+//! so a batch has no second user to share a pass with. The trainer
+//! announces the rest of the epoch in [`SampleContext::upcoming`], and
+//! the sampler shares one coded pass among the next `WIDTH` calls:
+//!
+//! 1. At the window's first call it plans the candidate sets and coins
+//!    of every call of the window. Their RNG words are the ones those
+//!    calls would draw, in the same order: scoring consumes none, and
+//!    within an epoch `train` draws nothing else from its RNG.
+//! 2. It runs one pass for all of them at the current model state: lane
+//!    `j` holds call `j`'s user row and its candidates' current scores.
+//! 3. Call `t + j` gathers its positive's and candidates' scores as
+//!    usual. If every item write since the pass is on record (below),
+//!    its user's row is bit for bit the lane's, and so are its
+//!    candidates' scores, the lane's counts are its counts at the pass;
+//!    for each sample row written since, it subtracts `[dot(u, then) ≤
+//!    t]` and adds `[dot(u, now) ≤ t]`, which makes them its counts now,
+//!    exactly. Otherwise (a user repeated in the window, a written
+//!    candidate) the call takes a pass of its own.
+//! 4. Each call, before the update, saves the rows of the sample that
+//!    its triple will write, as they are. A write is on record when the
+//!    item table's stamp is exactly one write past the previous call's
+//!    and every sample row it changed was saved; after any other write
+//!    (a wrapper that writes twice, a LightGCN refresh, a scorer without
+//!    rows) the rest of the window takes a pass per call.
+//!
+//! A window opens only when the item table took exactly one recorded
+//! write since the previous call, so a model that rewrites its table at
+//! every batch (a LightGCN refresh) never opens one. The coded copy is
+//! still refreshed at every call, and the trace is the gather's bit for
+//! bit (`tests::the_look_ahead_window_is_the_gather_trace`).
+//! [`PosteriorStats::ecdf_tiled`] and [`PosteriorStats::ecdf_fallbacks`]
+//! count the draws each way: on train-bns (300 users) about 2.5% fall
+//! back.
 
 pub mod prior;
 pub mod risk;
@@ -112,8 +156,10 @@ use crate::sampler::{
 use crate::{CoreError, Result};
 use bns_data::Interactions;
 use bns_model::coded::CodedRows;
+use bns_model::kernel::{self, CountTile, WIDTH};
 use bns_model::loss::info;
 use bns_model::{RowTables, Scorer, TableStamp, TripleBatch};
+use std::ops::Range;
 
 /// Items scored per block of the fused ECDF pass. 256 scores = 1 KiB —
 /// resident in L1 while the m threshold comparisons run over it.
@@ -126,8 +172,9 @@ const ECDF_BLOCK: usize = 256;
 pub const DKW_SAMPLE: usize = 18_445;
 
 /// Reusable scratch for [`fused_ecdf_counts`]: the block of item ids being
-/// scored and their scores, the epoch's Eq. (16) sample, and the coded
-/// copy of the sample's item rows (see "The coded pass" above).
+/// scored and their scores, the epoch's Eq. (16) sample, the coded copy of
+/// the sample's item rows (see "The coded pass" above) and the tile of
+/// users a coded pass counts.
 /// Steady-state allocation-free: the block is bounded by `ECDF_BLOCK` (256)
 /// ids, the sample by its size `k` and the coded copy by `k` rows (72 B a
 /// row at d = 32, ~1.33 MB at `DKW_SAMPLE`); all are reused across
@@ -139,8 +186,9 @@ pub struct EcdfScratch {
     sample: Vec<u32>,
     /// The coded copy of the sample's item rows.
     coded: CodedSample,
-    /// Exact counts of the rows a coded pass re-scores.
-    rescored_counts: Vec<u32>,
+    /// The users and thresholds of a coded pass, and its counts.
+    tile: CountTile,
+    tile_counts: Vec<u32>,
     /// Rows the passes scanned, and rows they scored exactly, since the
     /// owning sampler last took its epoch statistics.
     rows: u64,
@@ -159,7 +207,7 @@ impl EcdfScratch {
         rng: &mut dyn rand::RngCore,
     ) {
         match strategy {
-            EcdfStrategy::Subsample(k) if k < n_items as usize => {
+            EcdfStrategy::Subsample(k) if strategy.samples(n_items) => {
                 selection_sample(k, n_items, &mut self.sample, rng)
             }
             _ => self.sample.clear(),
@@ -172,6 +220,20 @@ impl EcdfScratch {
     pub fn sample(&self) -> &[u32] {
         &self.sample
     }
+
+    /// The model's rows when Eq. 16 takes the coded pass: the strategy
+    /// samples this catalog, the sample is drawn and the scorer exposes
+    /// its rows.
+    fn coded_tables<'a>(
+        &self,
+        strategy: EcdfStrategy,
+        scorer: &'a dyn Scorer,
+        train: &Interactions,
+    ) -> Option<RowTables<'a>> {
+        (strategy.samples(train.n_items()) && !self.sample.is_empty())
+            .then(|| scorer.row_tables())
+            .flatten()
+    }
 }
 
 /// The coded copy of the epoch sample's item rows, in sample order, and
@@ -179,10 +241,16 @@ impl EcdfScratch {
 #[derive(Debug, Default)]
 struct CodedSample {
     rows: CodedRows,
+    /// One bit per catalog item: whether it is in the sample.
+    members: Vec<u64>,
     /// `None` when no copy exists for the current sample.
     stamp: Option<TableStamp>,
     /// Full rebuilds so far.
     builds: u64,
+    /// A block of the rows a pass leaves open, with their lanes, and the
+    /// counts of the rows it scores exactly.
+    open: Vec<(u32, u32)>,
+    rescored_counts: Vec<u32>,
 }
 
 impl CodedSample {
@@ -196,19 +264,124 @@ impl CodedSample {
             Some(held) if held == tables.stamp => {}
             Some(held) if Some(held) == tables.stamp.previous() => {
                 for &i in tables.changed {
-                    if let Ok(r) = sample.binary_search(&i) {
+                    if self.contains(i) {
+                        let r = sample.partition_point(|&j| j < i);
                         self.rows.set(r, tables.item(i));
                     }
                 }
             }
             _ => {
-                self.rows
-                    .rebuild(tables.dim, sample.iter().map(|&i| tables.item(i)));
+                // The sample's rows lie scattered over the item table: ask
+                // for each a few rows before coding it.
+                let rows = sample.iter().enumerate().map(|(r, &i)| {
+                    if let Some(&next) = sample.get(r + 16) {
+                        kernel::prefetch(tables.item(next));
+                    }
+                    tables.item(i)
+                });
+                self.rows.rebuild(tables.dim, rows);
+                let n_items = tables.items.len() / tables.dim.max(1);
+                self.members.clear();
+                self.members.resize(n_items.div_ceil(64), 0);
+                for &i in sample {
+                    self.members[i as usize / 64] |= 1 << (i % 64);
+                }
                 self.builds += 1;
             }
         }
         self.stamp = Some(tables.stamp);
     }
+
+    /// Whether item `i` is in the sample the copy was built from.
+    fn contains(&self, i: u32) -> bool {
+        member(&self.members, i)
+    }
+
+    /// The coded Eq. (16) pass for `tile`, lane `t` being user `users[t]`:
+    /// refreshes the copy to the model's current item table, counts every
+    /// sample row the codes decide for each lane in one pass over the
+    /// codes ([`CodedRows::count_tile`]), scores the rows they leave open
+    /// exactly (`kernel::dot` over the model's rows, bit for bit what
+    /// [`Scorer::score_items`] gives), and takes each lane's user's
+    /// positives back out. Fills `counts`, laid out as
+    /// [`CountTile::thresholds`], with each lane's counts over its
+    /// sampled negatives, and `scanned` with their number: the gather
+    /// pass's counts and denominators exactly. Returns the number of rows
+    /// scored exactly.
+    #[allow(clippy::too_many_arguments)] // the pass's flat inputs
+    fn pass(
+        &mut self,
+        tables: &RowTables<'_>,
+        sample: &[u32],
+        train: &Interactions,
+        users: &[u32],
+        tile: &CountTile,
+        counts: &mut Vec<u32>,
+        scanned: &mut [usize],
+    ) -> u64 {
+        self.refresh(tables, sample);
+        let thresholds = tile.thresholds();
+        counts.clear();
+        counts.resize(thresholds.len(), 0);
+        let (open, extra, members) = (&mut self.open, &mut self.rescored_counts, &self.members);
+        extra.clear();
+        extra.resize(thresholds.len(), 0);
+        // Every sample row is counted once: by the codes' decisions, by an
+        // exact score for the rows they leave open, and the users'
+        // positives too, which the last loop takes back out.
+        let le = |lane: usize, x: f32| {
+            tile.lane(lane)
+                .map(move |c| (c, u32::from(x <= thresholds[c])))
+        };
+        let mut rescored = 0u64;
+        // Scores a block of open rows exactly. They lie scattered over the
+        // item table: ask for all of them before scoring any, so that
+        // their fetches overlap.
+        let mut score = |open: &mut Vec<(u32, u32)>| {
+            for &(_, r) in open.iter() {
+                kernel::prefetch(tables.item(sample[r as usize]));
+            }
+            for &(lane, r) in open.iter() {
+                let lane = lane as usize;
+                let x = kernel::dot(tables.user(users[lane]), tables.item(sample[r as usize]));
+                for (c, hit) in le(lane, x) {
+                    extra[c] += hit;
+                }
+            }
+            rescored += open.len() as u64;
+            open.clear();
+        };
+        // Full-block capacity up front: how many rows are open varies from
+        // pass to pass, and a growing buffer would allocate mid-epoch.
+        open.clear();
+        open.reserve(ECDF_BLOCK);
+        self.rows.count_tile(tile, counts, |lane, r| {
+            open.push((lane as u32, r as u32));
+            if open.len() == ECDF_BLOCK {
+                score(open);
+            }
+        });
+        score(open);
+        for (count, extra) in counts.iter_mut().zip(extra.iter()) {
+            *count += extra;
+        }
+        for ((lane, &u), n) in users.iter().enumerate().zip(scanned) {
+            *n = sample.len();
+            for &p in train.items_of(u).iter().filter(|&&p| member(members, p)) {
+                *n -= 1;
+                let x = kernel::dot(tables.user(u), tables.item(p));
+                for (c, hit) in le(lane, x) {
+                    counts[c] -= hit;
+                }
+            }
+        }
+        rescored
+    }
+}
+
+/// Whether bit `i` of `bits` is set (false past the end).
+fn member(bits: &[u64], i: u32) -> bool {
+    (bits.get(i as usize / 64)).is_some_and(|&w| w >> (i % 64) & 1 == 1)
 }
 
 /// The block of item ids being scored, and their scores.
@@ -314,9 +487,10 @@ fn ecdf_pass(
 ///
 /// When the scan is the epoch sample and the scorer exposes its rows
 /// ([`Scorer::row_tables`]), the pass reads the sample's coded copy
-/// instead (see "The coded pass" above) and gathers only the rows the
-/// codes cannot decide; its counts and return value are the gather's,
-/// integer for integer (`proptests::coded_ecdf_counts_match_the_gather_pass`).
+/// instead (see "The coded pass" above), as a tile of one user, and
+/// scores exactly only the rows the codes cannot decide; its counts and
+/// return value are the gather's, integer for integer
+/// (`proptests::coded_ecdf_counts_match_the_gather_pass`).
 /// Every call adds the rows it scanned, and the rows it scored exactly, to
 /// the counters the owning sampler reports as
 /// [`PosteriorStats::ecdf_rows`] and [`PosteriorStats::ecdf_rescored`].
@@ -329,89 +503,88 @@ pub fn fused_ecdf_counts(
     counts: &mut Vec<u32>,
     scratch: &mut EcdfScratch,
 ) -> usize {
-    let sampled = match strategy {
-        EcdfStrategy::Subsample(k) => k < train.n_items() as usize,
-        EcdfStrategy::Exact => false,
-    };
-    let scanned = match scorer.row_tables() {
-        Some(tables) if sampled && !scratch.sample.is_empty() => {
-            coded_pass(&tables, scorer, train, u, thresholds, counts, scratch)
+    let mut scanned = [0usize];
+    let ends = [thresholds.len()];
+    ecdf_runs(
+        strategy,
+        scorer,
+        train,
+        (&[u], &ends, thresholds),
+        counts,
+        &mut scanned,
+        scratch,
+    );
+    scanned[0]
+}
+
+/// Users and their Eq. (16) thresholds, one run per user: run `i` is user
+/// `users[i]` against `thresholds[ends[i − 1]..ends[i]]` (from 0 for
+/// `i = 0`).
+type Runs<'a> = (&'a [u32], &'a [usize], &'a [f32]);
+
+/// [`fused_ecdf_counts`] for several runs at once: fills `counts`
+/// (aligned with the runs' thresholds) and `scanned` (one per run). On the
+/// coded pass the runs go through [`CodedSample::pass`] in tiles of up to
+/// `kernel::WIDTH`, one pass over the codes per tile; otherwise each run
+/// takes its own gather pass.
+fn ecdf_runs(
+    strategy: EcdfStrategy,
+    scorer: &dyn Scorer,
+    train: &Interactions,
+    (users, ends, thresholds): Runs<'_>,
+    counts: &mut Vec<u32>,
+    scanned: &mut [usize],
+    scratch: &mut EcdfScratch,
+) {
+    debug_assert_eq!(users.len(), ends.len(), "one end per run");
+    counts.clear();
+    counts.resize(thresholds.len(), 0);
+    let (mut start, mut first_run) = (0usize, 0usize);
+    match scratch.coded_tables(strategy, scorer, train) {
+        Some(tables) => {
+            for (tile_users, tile_ends) in users.chunks(WIDTH).zip(ends.chunks(WIDTH)) {
+                let first = start;
+                scratch.tile.clear(tables.dim);
+                for (&u, &end) in tile_users.iter().zip(tile_ends) {
+                    scratch.tile.push(tables.user(u), &thresholds[start..end]);
+                    start = end;
+                }
+                scratch.rescored += scratch.coded.pass(
+                    &tables,
+                    &scratch.sample,
+                    train,
+                    tile_users,
+                    &scratch.tile,
+                    &mut scratch.tile_counts,
+                    &mut scanned[first_run..first_run + tile_users.len()],
+                );
+                counts[first..start].copy_from_slice(&scratch.tile_counts);
+                first_run += tile_users.len();
+            }
         }
-        _ => {
-            let sample = if sampled {
-                scratch.sample.as_slice()
+        None => {
+            let sample = if strategy.samples(train.n_items()) {
+                &scratch.sample[..]
             } else {
                 &[]
             };
-            let scanned = counts_over(
-                sample,
-                scorer,
-                train,
-                u,
-                thresholds,
-                counts,
-                &mut scratch.block,
-            );
-            scratch.rescored += scanned as u64;
-            scanned
+            for ((n, &u), &end) in scanned.iter_mut().zip(users).zip(ends) {
+                *n = counts_over(
+                    sample,
+                    scorer,
+                    train,
+                    u,
+                    &thresholds[start..end],
+                    &mut scratch.tile_counts,
+                    &mut scratch.block,
+                );
+                counts[start..end].copy_from_slice(&scratch.tile_counts);
+                scratch.rescored += *n as u64;
+                start = end;
+            }
         }
-    };
-    scratch.rows += scanned as u64;
-    scanned
-}
-
-/// The coded Eq. (16) pass over the epoch sample: refreshes the coded
-/// copy to the model's current item table, counts every row the codes
-/// decide, and re-scores the rest exactly through [`Scorer::score_items`]
-/// in `ECDF_BLOCK`-sized blocks. The user's positives are skipped with a
-/// merge cursor over the two sorted id lists. Counts, and the number of
-/// rows scanned, are those of the gather pass exactly.
-fn coded_pass(
-    tables: &RowTables<'_>,
-    scorer: &dyn Scorer,
-    train: &Interactions,
-    u: u32,
-    thresholds: &[f32],
-    counts: &mut Vec<u32>,
-    scratch: &mut EcdfScratch,
-) -> usize {
-    let EcdfScratch {
-        block,
-        sample,
-        coded,
-        rescored_counts,
-        rescored,
-        ..
-    } = scratch;
-    coded.refresh(tables, sample);
-    counts.clear();
-    counts.resize(thresholds.len(), 0);
-    rescored_counts.clear();
-    rescored_counts.resize(thresholds.len(), 0);
-    block.ids.clear();
-    // Full-block capacity up front: how many rows are ambiguous varies
-    // from pass to pass, and a growing buffer would allocate mid-epoch.
-    block.ids.reserve(ECDF_BLOCK);
-    block.scores.reserve(ECDF_BLOCK);
-    let user = tables.user(u);
-    // Sample positions of the user's positives, ascending.
-    let mut from = 0usize;
-    let skip = train.items_of(u).iter().filter_map(|&p| {
-        from += sample[from..].partition_point(|&i| i < p);
-        (sample.get(from) == Some(&p)).then_some(from)
-    });
-    let scanned = coded.rows.count_le(user, thresholds, skip, counts, |r| {
-        block.ids.push(sample[r]);
-        *rescored += 1;
-        if block.ids.len() == ECDF_BLOCK {
-            block.flush(scorer, u, thresholds, rescored_counts);
-        }
-    });
-    block.flush(scorer, u, thresholds, rescored_counts);
-    for (count, extra) in counts.iter_mut().zip(rescored_counts.iter()) {
-        *count += extra;
     }
-    scanned
+    scratch.rows += scanned.iter().sum::<usize>() as u64;
 }
 
 /// The gather pass of [`fused_ecdf_counts`], with the id set resolved: the
@@ -469,6 +642,14 @@ pub enum EcdfStrategy {
     /// ε = √(ln(2/δ)/(2n)) of the exact Eq. (16) cdf with probability
     /// ≥ 1 − δ, independent of the catalog size.
     Subsample(usize),
+}
+
+impl EcdfStrategy {
+    /// Whether the strategy scans a sample on an `n_items` catalog rather
+    /// than all of `I⁻ᵤ`.
+    fn samples(self, n_items: u32) -> bool {
+        matches!(self, EcdfStrategy::Subsample(k) if k < n_items as usize)
+    }
 }
 
 /// Descriptor of how to construct the prior (plain data; resolved against
@@ -578,33 +759,137 @@ enum Rule {
     MaxInfo,
 }
 
-/// Reusable buffers of the batched BNS draw: per-draw candidate records,
-/// their gathered scores and fused Eq. 16 counts, and the by-user grouping
-/// of the batch. Steady-state allocation-free once capacities are reached.
+/// Planned draws in draw order: each draw's user, positive, candidate set
+/// and selection rule. Phase 1 of a batched draw, and of a look-ahead
+/// window, fills it.
+#[derive(Debug, Default)]
+struct Draws {
+    /// Concatenated candidate sets.
+    cands: Vec<u32>,
+    users: Vec<u32>,
+    pos: Vec<u32>,
+    /// Each draw's candidates are `cands[start..start + len]`.
+    start: Vec<u32>,
+    len: Vec<u32>,
+    rule: Vec<Rule>,
+}
+
+impl Draws {
+    /// Plans `k` draws for each of `pairs`: every candidate set and
+    /// exploration coin, in pair-major, slot-minor order — all the
+    /// randomness of the looped per-pair path, since scoring consumes
+    /// none. A pair whose user has no negatives gets no draws and consumes
+    /// no randomness (its first slot fails before any draw). `kept` hears
+    /// each pair's outcome, in pair order.
+    #[allow(clippy::too_many_arguments)] // phase 1's flat inputs
+    fn plan(
+        &mut self,
+        pairs: &[(u32, u32)],
+        k: usize,
+        config: &BnsConfig,
+        ctx: &SampleContext<'_>,
+        rng: &mut dyn rand::RngCore,
+        candidates: &mut Vec<u32>,
+        mut kept: impl FnMut(bool),
+    ) {
+        self.cands.clear();
+        self.users.clear();
+        self.pos.clear();
+        self.start.clear();
+        self.len.clear();
+        self.rule.clear();
+        for &(u, pos) in pairs {
+            let mut ok = true;
+            for _ in 0..k {
+                if !fill_candidate_set(candidates, config.m, u, ctx, rng) {
+                    ok = false;
+                    break;
+                }
+                self.users.push(u);
+                self.pos.push(pos);
+                self.start.push(self.cands.len() as u32);
+                self.len.push(candidates.len() as u32);
+                self.cands.extend_from_slice(candidates);
+                self.rule
+                    .push(BnsSampler::resolve_rule(config.criterion, rng));
+            }
+            kept(ok);
+        }
+    }
+
+    /// Draw `d`'s candidates' positions in `cands`.
+    fn range(&self, d: usize) -> Range<usize> {
+        let start = self.start[d] as usize;
+        start..start + self.len[d] as usize
+    }
+}
+
+/// Reusable buffers of the batched BNS draw: the planned draws, their
+/// gathered scores and fused Eq. 16 counts, and the by-user grouping of
+/// the batch. Steady-state allocation-free once capacities are reached.
 #[derive(Debug, Default)]
 struct BatchScratch {
-    /// Concatenated candidate sets in draw order.
-    cands: Vec<u32>,
-    /// Scores aligned with `cands`.
+    draws: Draws,
+    /// Scores and Eq. 16 counts aligned with `draws.cands`.
     cand_scores: Vec<f32>,
-    /// Eq. 16 counts aligned with `cands`.
     ecdf: Vec<u32>,
-    /// Per-draw records (user, positive, candidate range, selection rule,
-    /// catalog-scan size, positive score).
-    draw_users: Vec<u32>,
-    draw_pos: Vec<u32>,
-    draw_start: Vec<u32>,
-    draw_len: Vec<u32>,
-    draw_rule: Vec<Rule>,
+    /// Per draw: rows scanned and the positive's score.
     draw_scanned: Vec<u32>,
     draw_pos_score: Vec<f32>,
     /// Draw indices grouped by user.
     order: Vec<u32>,
-    /// Per-run gather inputs/outputs and fused-pass thresholds.
+    /// One gather's inputs and outputs.
     run_ids: Vec<u32>,
     run_scores: Vec<f32>,
+    /// Per run of one user's draws: the user, the end of its thresholds,
+    /// and its draws' end in `order`; then all thresholds, their counts
+    /// and each run's scanned rows.
+    run_users: Vec<u32>,
+    run_ends: Vec<usize>,
+    run_order_ends: Vec<usize>,
     run_thresholds: Vec<f32>,
     run_counts: Vec<u32>,
+    run_scanned: Vec<usize>,
+}
+
+/// The look-ahead window at batch size 1 (see "The look-ahead window"
+/// above): the calls `SampleContext::upcoming` announced, planned at the
+/// window's first call, with one coded Eq. 16 pass over all of them at
+/// that call's model state, and the record of the sample rows written
+/// since. A few KB: `WIDTH` user rows and threshold sets, and the rows
+/// the window's triples write.
+#[derive(Debug, Default)]
+struct Window {
+    /// The planned calls' pairs and `k`, and the next call to serve.
+    pairs: Vec<(u32, u32)>,
+    k: usize,
+    next: usize,
+    /// Their draws: `k` for each call whose user has negatives.
+    draws: Draws,
+    /// Per planned call: its first draw in `draws`, and its lane of `tile`
+    /// (`None` for a call without draws).
+    first_draw: Vec<usize>,
+    lane: Vec<Option<usize>>,
+    /// The pass: each lane's user and thresholds (its candidates' scores)
+    /// at the window's first call, and its counts and scanned rows.
+    users: Vec<u32>,
+    tile: CountTile,
+    counts: Vec<u32>,
+    scanned: Vec<usize>,
+    /// The item table's stamp at the previous call, while every sample row
+    /// written since the pass is on record; `None` once one is not.
+    stamp: Option<TableStamp>,
+    /// The sample's items written since the pass, and their rows at the
+    /// pass.
+    written: Vec<u32>,
+    written_rows: Vec<f32>,
+}
+
+impl Window {
+    /// Whether planned calls are still to be served.
+    fn pending(&self) -> bool {
+        self.next < self.pairs.len()
+    }
 }
 
 /// The Bayesian negative sampler.
@@ -629,6 +914,11 @@ pub struct BnsSampler {
     sample_due: bool,
     /// Batched-draw buffers.
     batch: BatchScratch,
+    /// The look-ahead window of batch size 1.
+    window: Window,
+    /// The item table's stamp at the previous `sample_batch` call, when
+    /// the pass was coded.
+    last_stamp: Option<TableStamp>,
 }
 
 impl BnsSampler {
@@ -650,6 +940,8 @@ impl BnsSampler {
             ecdf_scratch: EcdfScratch::default(),
             sample_due: true,
             batch: BatchScratch::default(),
+            window: Window::default(),
+            last_stamp: None,
         })
     }
 
@@ -807,6 +1099,341 @@ impl BnsSampler {
         best
     }
 
+    /// Phases 1–3 of [`NegativeSampler::sample_batch`] for one batch.
+    fn batch_draw(
+        &mut self,
+        pairs: &[(u32, u32)],
+        k: usize,
+        ctx: &SampleContext<'_>,
+        rng: &mut dyn rand::RngCore,
+        out: &mut TripleBatch,
+    ) {
+        let b = &mut self.batch;
+        // Phase 1 (all the RNG): candidate sets + exploration coins in
+        // pair-major, slot-minor order.
+        let mut rows = pairs.iter();
+        b.draws.plan(
+            pairs,
+            k,
+            &self.config,
+            ctx,
+            rng,
+            &mut self.candidates,
+            |kept| {
+                let &(u, pos) = rows.next().expect("one outcome per pair");
+                if kept {
+                    out.push_row(u, pos);
+                }
+            },
+        );
+        let draws = &b.draws;
+
+        // Phase 2 (all the scoring): one gather per distinct user of the
+        // batch, then every user's Eq. 16 thresholds at once.
+        group_runs_by_user(&draws.users, &mut b.order);
+        b.cand_scores.clear();
+        b.cand_scores.resize(draws.cands.len(), 0.0);
+        b.ecdf.clear();
+        b.ecdf.resize(draws.cands.len(), 0);
+        b.draw_scanned.clear();
+        b.draw_scanned.resize(draws.users.len(), 0);
+        b.draw_pos_score.clear();
+        b.draw_pos_score.resize(draws.users.len(), 0.0);
+        b.run_users.clear();
+        b.run_ends.clear();
+        b.run_order_ends.clear();
+        b.run_thresholds.clear();
+        let mut run = 0usize;
+        while run < b.order.len() {
+            let user = draws.users[b.order[run] as usize];
+            let mut end = run;
+            while end < b.order.len() && draws.users[b.order[end] as usize] == user {
+                end += 1;
+            }
+            // One gather: [pos, candidates…] of every draw in the run.
+            b.run_ids.clear();
+            for &d in &b.order[run..end] {
+                b.run_ids.push(draws.pos[d as usize]);
+                b.run_ids
+                    .extend_from_slice(&draws.cands[draws.range(d as usize)]);
+            }
+            b.run_scores.clear();
+            b.run_scores.resize(b.run_ids.len(), 0.0);
+            ctx.scorer.score_items(user, &b.run_ids, &mut b.run_scores);
+            // Scatter scores and collect the run's Eq. 16 thresholds.
+            let mut cur = 0usize;
+            for &d in &b.order[run..end] {
+                let (d, cands) = (d as usize, draws.range(d as usize));
+                let l = cands.len();
+                b.draw_pos_score[d] = b.run_scores[cur];
+                b.cand_scores[cands.clone()].copy_from_slice(&b.run_scores[cur + 1..cur + 1 + l]);
+                b.run_thresholds.extend_from_slice(&b.cand_scores[cands]);
+                cur += 1 + l;
+            }
+            b.run_users.push(user);
+            b.run_ends.push(b.run_thresholds.len());
+            b.run_order_ends.push(end);
+            run = end;
+        }
+        b.run_scanned.clear();
+        b.run_scanned.resize(b.run_users.len(), 0);
+        ecdf_runs(
+            self.config.ecdf,
+            ctx.scorer,
+            ctx.train,
+            (&b.run_users, &b.run_ends, &b.run_thresholds),
+            &mut b.run_counts,
+            &mut b.run_scanned,
+            &mut self.ecdf_scratch,
+        );
+        let (mut cur, mut run) = (0usize, 0usize);
+        for (&end, &scanned) in b.run_order_ends.iter().zip(&b.run_scanned) {
+            for &d in &b.order[run..end] {
+                let cands = draws.range(d as usize);
+                let l = cands.len();
+                b.ecdf[cands].copy_from_slice(&b.run_counts[cur..cur + l]);
+                b.draw_scanned[d as usize] = scanned as u32;
+                cur += l;
+            }
+            run = end;
+        }
+
+        // Phase 3: the Eq. (32)/(35) selection per draw, in draw order.
+        for (d, slot) in out.negs_mut().iter_mut().enumerate() {
+            let cands = draws.range(d);
+            let best = Self::select_over_candidates(
+                self.prior.as_ref(),
+                self.lambda_now,
+                self.config.risk_order,
+                draws.rule[d],
+                draws.users[d],
+                &draws.cands[cands.clone()],
+                &b.cand_scores[cands.clone()],
+                b.draw_pos_score[d],
+                &b.ecdf[cands],
+                b.draw_scanned[d] as usize,
+            );
+            let signal = best.expect("non-empty candidate set always selects");
+            self.epoch_stats.record(&signal);
+            *slot = signal.item;
+        }
+    }
+
+    /// Opens a look-ahead window at `pair`'s call: plans the draws of it
+    /// and of the next `kernel::WIDTH − 1` (at most) pairs of
+    /// `ctx.upcoming`, which consumes their randomness in the order their
+    /// own calls would, and runs one coded Eq. 16 pass for all of them at
+    /// the current model state, each call's user in its own lane against
+    /// its candidates' current scores.
+    fn open_window(
+        &mut self,
+        pair: (u32, u32),
+        k: usize,
+        tables: &RowTables<'_>,
+        ctx: &SampleContext<'_>,
+        rng: &mut dyn rand::RngCore,
+    ) {
+        let w = &mut self.window;
+        let n = ctx.upcoming.len().min(WIDTH - 1);
+        w.pairs.clear();
+        w.pairs.push(pair);
+        w.pairs.extend_from_slice(&ctx.upcoming[..n]);
+        (w.k, w.next) = (k, 0);
+        w.first_draw.clear();
+        w.lane.clear();
+        let (mut drawn, mut lanes) = (0, 0);
+        w.draws.plan(
+            &w.pairs,
+            k,
+            &self.config,
+            ctx,
+            rng,
+            &mut self.candidates,
+            |kept| {
+                w.first_draw.push(drawn);
+                w.lane.push(kept.then_some(lanes));
+                if kept {
+                    (drawn, lanes) = (drawn + k, lanes + 1);
+                }
+            },
+        );
+        w.users.clear();
+        w.tile.clear(tables.dim);
+        // Every candidate's row, asked for at once so that the fetches
+        // overlap.
+        for &i in &w.draws.cands {
+            kernel::prefetch(tables.item(i));
+        }
+        for ((&(u, _), &first), lane) in w.pairs.iter().zip(&w.first_draw).zip(&w.lane) {
+            if lane.is_none() {
+                continue;
+            }
+            let cands = &w.draws.cands[window_cands(&w.draws, first, k)];
+            self.gather_scores.clear();
+            self.gather_scores.resize(cands.len(), 0.0);
+            ctx.scorer.score_items(u, cands, &mut self.gather_scores);
+            w.tile.push(tables.user(u), &self.gather_scores);
+            w.users.push(u);
+        }
+        let scratch = &mut self.ecdf_scratch;
+        w.scanned.clear();
+        w.scanned.resize(w.users.len(), 0);
+        scratch.rescored += scratch.coded.pass(
+            tables,
+            &scratch.sample,
+            ctx.train,
+            &w.users,
+            &w.tile,
+            &mut w.counts,
+            &mut w.scanned,
+        );
+        w.stamp = Some(tables.stamp);
+        // Room for every row the window's triples can write, up front: how
+        // many of them land in the sample varies from window to window,
+        // and a growing buffer would allocate mid-epoch.
+        let most = w.pairs.len() * (k + 1);
+        w.written.clear();
+        w.written.reserve(most);
+        w.written_rows.clear();
+        w.written_rows.reserve(most * tables.dim);
+    }
+
+    /// Serves the window's next planned call, which must be `pairs` with
+    /// the window's `k`. The call's draw takes its counts from the
+    /// window's pass, corrected for the sample rows written since, when
+    /// every such write is on record and its user's row and its
+    /// candidates' scores are what the pass scored, bit for bit; otherwise
+    /// it takes its own pass. Then it records the sample rows its triple
+    /// will write, as they are before the update.
+    fn window_call(
+        &mut self,
+        pairs: &[(u32, u32)],
+        k: usize,
+        ctx: &SampleContext<'_>,
+        out: &mut TripleBatch,
+    ) {
+        let w = &mut self.window;
+        let j = w.next;
+        assert!(
+            pairs == [w.pairs[j]] && k == w.k,
+            "sample_batch got {pairs:?} (k = {k}) where the previous call's \
+             `upcoming` announced {:?} (k = {})",
+            w.pairs[j],
+            w.k
+        );
+        w.next += 1;
+        let scratch = &mut self.ecdf_scratch;
+        let tables = ctx.scorer.row_tables();
+        // The coded copy follows every write, as without a window.
+        if let Some(t) = &tables {
+            scratch.coded.refresh(t, &scratch.sample);
+        }
+        let coded = &scratch.coded;
+        // On record: exactly one write since the previous call, and every
+        // sample row it changed is in `written`.
+        let on_record = j == 0
+            || tables.as_ref().zip(w.stamp).is_some_and(|(t, held)| {
+                t.stamp.previous() == Some(held)
+                    && (t.changed.iter()).all(|&i| !coded.contains(i) || w.written.contains(&i))
+            });
+        if !on_record {
+            w.stamp = None;
+        }
+        let Some(lane) = w.lane[j] else {
+            // The user has no negatives: no row, nothing written.
+            w.stamp = w.stamp.and(tables.map(|t| t.stamp));
+            return;
+        };
+        let (u, pos) = w.pairs[j];
+        let first = w.first_draw[j];
+        let cands = &w.draws.cands[window_cands(&w.draws, first, k)];
+        self.gather_ids.clear();
+        self.gather_ids.push(pos);
+        self.gather_ids.extend_from_slice(cands);
+        self.gather_scores.clear();
+        self.gather_scores.resize(self.gather_ids.len(), 0.0);
+        ctx.scorer
+            .score_items(u, &self.gather_ids, &mut self.gather_scores);
+        let (score_pos, cand_scores) = (self.gather_scores[0], &self.gather_scores[1..]);
+        let tiled = match &tables {
+            Some(t) if w.stamp.is_some() && w.tile.holds(lane, t.user(u), cand_scores) => {
+                let user = t.user(u);
+                self.ecdf_counts.clear();
+                (self.ecdf_counts).extend_from_slice(&w.counts[w.tile.lane(lane)]);
+                for (&i, then) in w.written.iter().zip(w.written_rows.chunks_exact(t.dim)) {
+                    if ctx.train.contains(u, i) {
+                        continue;
+                    }
+                    let (before, now) = (kernel::dot(user, then), kernel::dot(user, t.item(i)));
+                    for (count, &th) in self.ecdf_counts.iter_mut().zip(cand_scores) {
+                        *count = *count + u32::from(now <= th) - u32::from(before <= th);
+                    }
+                }
+                scratch.rows += w.scanned[lane] as u64;
+                Some(w.scanned[lane])
+            }
+            _ => None,
+        };
+        let scanned = tiled.unwrap_or_else(|| {
+            fused_ecdf_counts(
+                self.config.ecdf,
+                ctx.scorer,
+                ctx.train,
+                u,
+                cand_scores,
+                &mut self.ecdf_counts,
+                scratch,
+            )
+        });
+        let served = &mut self.epoch_stats;
+        if tiled.is_some() {
+            served.ecdf_tiled += k as u64;
+        } else {
+            served.ecdf_fallbacks += k as u64;
+        }
+
+        let row = out.push_row(u, pos);
+        let mut at = 0usize;
+        for (slot, d) in row.iter_mut().zip(first..first + k) {
+            let l = w.draws.len[d] as usize;
+            let best = Self::select_over_candidates(
+                self.prior.as_ref(),
+                self.lambda_now,
+                self.config.risk_order,
+                w.draws.rule[d],
+                u,
+                &w.draws.cands[w.draws.range(d)],
+                &cand_scores[at..at + l],
+                score_pos,
+                &self.ecdf_counts[at..at + l],
+                scanned,
+            );
+            let signal = best.expect("non-empty candidate set always selects");
+            self.epoch_stats.record(&signal);
+            *slot = signal.item;
+            at += l;
+        }
+        // Before the update: the rows of the sample this triple writes.
+        if let (Some(t), Some(_)) = (&tables, w.stamp) {
+            for &i in std::iter::once(&pos).chain(row.iter()) {
+                if scratch.coded.contains(i) && !w.written.contains(&i) {
+                    w.written.push(i);
+                    w.written_rows.extend_from_slice(t.item(i));
+                }
+            }
+            w.stamp = Some(t.stamp);
+        }
+        // The next call's rows, fetched while the model updates.
+        if let (Some(t), Some(&(_, pos)), Some(Some(_))) =
+            (&tables, w.pairs.get(j + 1), w.lane.get(j + 1))
+        {
+            kernel::prefetch(t.item(pos));
+            for &i in &w.draws.cands[window_cands(&w.draws, w.first_draw[j + 1], k)] {
+                kernel::prefetch(t.item(i));
+            }
+        }
+    }
+
     /// Fills `self.candidates` with the candidate set: either `m` uniform
     /// negatives, or — when `m` exceeds the user's negative count — every
     /// negative (the optimal sampler h*). Returns false if no negatives.
@@ -855,6 +1482,15 @@ fn fill_candidate_set(
     }
 }
 
+/// The positions in `draws.cands` of the `k` consecutive draws from
+/// `first`: one call's candidates.
+fn window_cands(draws: &Draws, first: usize, k: usize) -> Range<usize> {
+    match k {
+        0 => 0..0,
+        _ => draws.range(first).start..draws.range(first + k - 1).end,
+    }
+}
+
 impl NegativeSampler for BnsSampler {
     fn name(&self) -> &str {
         &self.display_name
@@ -867,6 +1503,10 @@ impl NegativeSampler for BnsSampler {
         ctx: &SampleContext<'_>,
         rng: &mut dyn rand::RngCore,
     ) -> Option<u32> {
+        assert!(
+            !self.window.pending(),
+            "sample called while a look-ahead window has planned draws"
+        );
         // BNS-2 warm start: plain RNS while the score function is unreliable.
         if self.epoch < self.config.warmup_epochs {
             return draw_uniform_negative(ctx.train, u, rng);
@@ -923,12 +1563,20 @@ impl NegativeSampler for BnsSampler {
     /// candidate sets and the per-draw exploration coin — the exact RNG
     /// sequence of the looped per-pair path, since scoring consumes none).
     /// Phase 2 groups the batch by user: `pos` + the candidates of *all* of
-    /// a user's draws go through **one** `score_items` gather, and all
-    /// their Eq. (16) thresholds through **one** blocked
-    /// [`fused_ecdf_counts`] pass (reusing [`EcdfScratch`]), so same-user
-    /// draws amortize the Eq. 16 pass that dominates a BNS draw. Phase 3 applies the Eq. (32)/(35)
-    /// selection per draw with the shared tie rules and records the
-    /// posterior statistics in draw order.
+    /// a user's draws go through **one** `score_items` gather, and the
+    /// Eq. (16) thresholds of every user of the batch through one coded
+    /// pass per tile of `kernel::WIDTH` users (one gather pass per user
+    /// without row tables), so the Eq. 16 pass that dominates a BNS draw
+    /// is shared. Phase 3 applies the Eq. (32)/(35) selection per draw
+    /// with the shared tie rules and records the posterior statistics in
+    /// draw order.
+    ///
+    /// At batch size 1, when `ctx.upcoming` announces the next pairs and
+    /// the pass is coded, the call opens a look-ahead window instead (see
+    /// "The look-ahead window" above): it plans the draws of up to
+    /// `kernel::WIDTH` calls, this one first, in the same RNG order, and
+    /// serves each of them, as its call comes, from one pass at this
+    /// call's model state.
     fn sample_batch(
         &mut self,
         pairs: &[(u32, u32)],
@@ -946,125 +1594,33 @@ impl NegativeSampler for BnsSampler {
             });
             return;
         }
-
-        if !pairs.is_empty() {
-            self.draw_epoch_sample(ctx.n_items(), rng);
+        if pairs.is_empty() {
+            return;
         }
-        let b = &mut self.batch;
-        b.cands.clear();
-        b.draw_users.clear();
-        b.draw_pos.clear();
-        b.draw_start.clear();
-        b.draw_len.clear();
-        b.draw_rule.clear();
-
-        // Phase 1 (all the RNG): candidate sets + exploration coins in
-        // pair-major, slot-minor order.
-        for &(u, pos) in pairs {
-            out.push_row(u, pos);
-            let mut ok = true;
-            for _ in 0..k {
-                // The shared candidate construction, into the scratch
-                // buffer directly (split borrow: `b` stays live).
-                if !fill_candidate_set(&mut self.candidates, self.config.m, u, ctx, rng) {
-                    ok = false;
-                    break;
-                }
-                b.draw_users.push(u);
-                b.draw_pos.push(pos);
-                b.draw_start.push(b.cands.len() as u32);
-                b.draw_len.push(self.candidates.len() as u32);
-                b.cands.extend_from_slice(&self.candidates);
-                b.draw_rule
-                    .push(Self::resolve_rule(self.config.criterion, rng));
-            }
-            if !ok {
-                // Saturated user: the first slot failed before any RNG use,
-                // so nothing of this pair was recorded.
-                out.pop_row();
-            }
+        self.draw_epoch_sample(ctx.n_items(), rng);
+        let tables = (self.ecdf_scratch).coded_tables(self.config.ecdf, ctx.scorer, ctx.train);
+        // Windows pay off only on a model whose item table took exactly
+        // one recorded write since the previous call, as MF's does; one
+        // that rewrites its table at every batch (a LightGCN refresh)
+        // would break every window after its first call.
+        let recorded = (tables.as_ref()).is_some_and(|t| {
+            t.stamp
+                .previous()
+                .is_some_and(|p| Some(p) == self.last_stamp)
+        });
+        self.last_stamp = tables.as_ref().map(|t| t.stamp);
+        if self.window.pending() {
+            self.window_call(pairs, k, ctx, out);
+            return;
         }
-
-        // Phase 2 (all the scoring): one gather + one fused Eq. 16 pass per
-        // distinct user of the batch.
-        group_runs_by_user(&b.draw_users, &mut b.order);
-        b.cand_scores.clear();
-        b.cand_scores.resize(b.cands.len(), 0.0);
-        b.ecdf.clear();
-        b.ecdf.resize(b.cands.len(), 0);
-        b.draw_scanned.clear();
-        b.draw_scanned.resize(b.draw_users.len(), 0);
-        b.draw_pos_score.clear();
-        b.draw_pos_score.resize(b.draw_users.len(), 0.0);
-        let mut run = 0usize;
-        while run < b.order.len() {
-            let user = b.draw_users[b.order[run] as usize];
-            let mut end = run;
-            while end < b.order.len() && b.draw_users[b.order[end] as usize] == user {
-                end += 1;
-            }
-            // One gather: [pos, candidates…] of every draw in the run.
-            b.run_ids.clear();
-            for &d in &b.order[run..end] {
-                let d = d as usize;
-                let (s, l) = (b.draw_start[d] as usize, b.draw_len[d] as usize);
-                b.run_ids.push(b.draw_pos[d]);
-                b.run_ids.extend_from_slice(&b.cands[s..s + l]);
-            }
-            b.run_scores.clear();
-            b.run_scores.resize(b.run_ids.len(), 0.0);
-            ctx.scorer.score_items(user, &b.run_ids, &mut b.run_scores);
-            // Scatter scores and collect the run's Eq. 16 thresholds.
-            b.run_thresholds.clear();
-            let mut cur = 0usize;
-            for &d in &b.order[run..end] {
-                let d = d as usize;
-                let (s, l) = (b.draw_start[d] as usize, b.draw_len[d] as usize);
-                b.draw_pos_score[d] = b.run_scores[cur];
-                b.cand_scores[s..s + l].copy_from_slice(&b.run_scores[cur + 1..cur + 1 + l]);
-                b.run_thresholds.extend_from_slice(&b.cand_scores[s..s + l]);
-                cur += 1 + l;
-            }
-            // One blocked Eq. 16 pass for every threshold of the run.
-            let scanned = fused_ecdf_counts(
-                self.config.ecdf,
-                ctx.scorer,
-                ctx.train,
-                user,
-                &b.run_thresholds,
-                &mut b.run_counts,
-                &mut self.ecdf_scratch,
-            );
-            let mut cur = 0usize;
-            for &d in &b.order[run..end] {
-                let d = d as usize;
-                let (s, l) = (b.draw_start[d] as usize, b.draw_len[d] as usize);
-                b.ecdf[s..s + l].copy_from_slice(&b.run_counts[cur..cur + l]);
-                b.draw_scanned[d] = scanned as u32;
-                cur += l;
-            }
-            run = end;
+        if let (Some(tables), [pair], false, true) =
+            (tables, pairs, ctx.upcoming.is_empty(), recorded)
+        {
+            self.open_window(*pair, k, &tables, ctx, rng);
+            self.window_call(pairs, k, ctx, out);
+            return;
         }
-
-        // Phase 3: the Eq. (32)/(35) selection per draw, in draw order.
-        for (d, slot) in out.negs_mut().iter_mut().enumerate() {
-            let (s, l) = (b.draw_start[d] as usize, b.draw_len[d] as usize);
-            let best = Self::select_over_candidates(
-                self.prior.as_ref(),
-                self.lambda_now,
-                self.config.risk_order,
-                b.draw_rule[d],
-                b.draw_users[d],
-                &b.cands[s..s + l],
-                &b.cand_scores[s..s + l],
-                b.draw_pos_score[d],
-                &b.ecdf[s..s + l],
-                b.draw_scanned[d] as usize,
-            );
-            let signal = best.expect("non-empty candidate set always selects");
-            self.epoch_stats.record(&signal);
-            *slot = signal.item;
-        }
+        self.batch_draw(pairs, k, ctx, rng, out);
     }
 
     fn score_access(&self) -> ScoreAccess {
@@ -1078,6 +1634,9 @@ impl NegativeSampler for BnsSampler {
     }
 
     fn on_epoch_start(&mut self, epoch: usize) {
+        // A window never outlives its epoch (`upcoming` ends there).
+        self.window.pairs.clear();
+        self.window.next = 0;
         self.epoch = epoch;
         self.sample_due = true;
         self.lambda_now = self.config.lambda.at(epoch);
@@ -1146,6 +1705,7 @@ mod tests {
                 popularity: &self.pop,
                 user_scores: &self.user_scores,
                 epoch: 0,
+                upcoming: &[],
             }
         }
     }
@@ -1239,6 +1799,7 @@ mod tests {
             popularity: &pop,
             user_scores: &[],
             epoch: 0,
+            upcoming: &[],
         };
         let mut rng = StdRng::seed_from_u64(6);
         s.sample(0, 500, &ctx, &mut rng).unwrap();
@@ -1367,6 +1928,7 @@ mod tests {
             popularity: &pop,
             user_scores: &[],
             epoch: 0,
+            upcoming: &[],
         };
         let pairs: Vec<(u32, u32)> = train.iter_pairs().collect();
         let exact = BnsConfig {
@@ -1415,6 +1977,7 @@ mod tests {
             popularity: &pop,
             user_scores: &[],
             epoch: 0,
+            upcoming: &[],
         };
         let cfg = BnsConfig::default();
         let mut s = BnsSampler::new(cfg, Box::new(PopularityPrior::new(&pop))).unwrap();
@@ -1555,6 +2118,7 @@ mod tests {
             popularity: &pop,
             user_scores: &[0.0, 0.0],
             epoch: 0,
+            upcoming: &[],
         };
         let mut rng = StdRng::seed_from_u64(4);
         assert_eq!(s.sample(0, 0, &ctx, &mut rng), None);
@@ -1584,6 +2148,7 @@ mod tests {
             popularity: &pop,
             user_scores: &scores,
             epoch: 0,
+            upcoming: &[],
         };
         let mut rng = StdRng::seed_from_u64(5);
         let mut fn_hits = 0usize;
@@ -1780,6 +2345,7 @@ mod tests {
                 popularity: &pop,
                 user_scores: &[],
                 epoch: 0,
+                upcoming: &[],
             };
             let mut s = BnsSampler::new(cfg, Box::new(PopularityPrior::new(&pop))).unwrap();
             s.on_epoch_start(0);
@@ -1844,7 +2410,11 @@ mod tests {
             .unwrap();
             stats.wall_seconds = 0.0;
             let rescored: Vec<u64> = (stats.posterior_per_epoch.iter_mut())
-                .map(|p| std::mem::take(&mut p.ecdf_rescored))
+                .map(|p| {
+                    // How the window served its draws is the coded run's own.
+                    (p.ecdf_tiled, p.ecdf_fallbacks) = (0, 0);
+                    std::mem::take(&mut p.ecdf_rescored)
+                })
                 .collect();
             let builds = sampler.ecdf_scratch.coded.builds;
             (trace.0, stats, rescored, model, builds)
@@ -1889,5 +2459,186 @@ mod tests {
         let batches = dataset.train().len().div_ceil(8) as u64;
         let builds = coded_run_is_the_gather_run(&gcn, &dataset, &config);
         assert_eq!(builds, 3 * batches);
+    }
+
+    /// A model that writes what no look-ahead window can follow: every
+    /// `twice`-th batch, one more triple before the batch's own update
+    /// (two writes, the last on record), and every `swap`-th batch its
+    /// update with the first negative replaced by the next item id (one
+    /// write that changes a row the sampler did not return).
+    #[derive(Clone)]
+    struct OffRecord<M> {
+        inner: M,
+        twice: usize,
+        swap: usize,
+        batches: usize,
+        swapped: TripleBatch,
+    }
+
+    impl<M: Scorer> Scorer for OffRecord<M> {
+        fn n_users(&self) -> u32 {
+            self.inner.n_users()
+        }
+        fn n_items(&self) -> u32 {
+            self.inner.n_items()
+        }
+        fn score(&self, u: u32, i: u32) -> f32 {
+            self.inner.score(u, i)
+        }
+        fn row_tables(&self) -> Option<RowTables<'_>> {
+            self.inner.row_tables()
+        }
+    }
+
+    impl<M: PairwiseModel> PairwiseModel for OffRecord<M> {
+        fn begin_epoch(&mut self, epoch: usize) {
+            self.inner.begin_epoch(epoch)
+        }
+        fn begin_batch(&mut self) {
+            self.inner.begin_batch()
+        }
+        fn accumulate_triple(&mut self, u: u32, pos: u32, neg: u32, lr: f32, reg: f32) -> f32 {
+            self.inner.accumulate_triple(u, pos, neg, lr, reg)
+        }
+        fn update_batch(&mut self, batch: &TripleBatch, lr: f32, reg: f32, infos: &mut Vec<f32>) {
+            self.batches += 1;
+            let n = self.inner.n_items();
+            // The item `by` ids after `neg`, stepping over `pos`.
+            let next = |pos: u32, neg: u32, by: u32| match (neg + by) % n {
+                j if j == pos => (j + 1) % n,
+                j => j,
+            };
+            let first = batch.iter().next();
+            if let (true, Some((u, pos, negs))) = (self.batches.is_multiple_of(self.twice), first) {
+                self.inner
+                    .accumulate_triple(u, pos, next(pos, negs[0], 2), lr, reg);
+            }
+            if self.batches.is_multiple_of(self.swap) {
+                self.swapped.begin_fill(batch.k());
+                for (u, pos, negs) in batch.iter() {
+                    let row = self.swapped.push_row(u, pos);
+                    row.copy_from_slice(negs);
+                    row[0] = next(pos, row[0], 1);
+                }
+                self.inner.update_batch(&self.swapped, lr, reg, infos);
+            } else {
+                self.inner.update_batch(batch, lr, reg, infos);
+            }
+        }
+        fn end_batch(&mut self, lr: f32, reg: f32) {
+            self.inner.end_batch(lr, reg)
+        }
+    }
+
+    #[test]
+    fn the_look_ahead_window_is_the_gather_trace() {
+        // Thirteen users, so that users repeat inside a window, whose
+        // positives overlap among the first 16 items; a 30-row sample of
+        // 80 items, so that written rows, candidates and positives land
+        // in it; 39 pairs an epoch, which no tile width divides; a
+        // learning rate of 2, so that written rows cross thresholds;
+        // exploration coins; and writes off the record (see `OffRecord`),
+        // after which windows must give up. Leaving out any one
+        // correction or record check of the window changes this trace.
+        let (n_users, n_items) = (13u32, 80u32);
+        let pairs: Vec<(u32, u32)> = (0..39u32)
+            .map(|p| (p % n_users, (p * 7 + p / 13) % 16))
+            .collect();
+        let dataset = bns_data::Dataset::new(
+            "window-trace",
+            Interactions::from_pairs(n_users, n_items, &pairs).unwrap(),
+            Interactions::from_pairs(n_users, n_items, &[(0, 79), (4, 78)]).unwrap(),
+        )
+        .unwrap();
+        assert_eq!(dataset.train().len(), 39);
+        let mut rng = StdRng::seed_from_u64(24);
+        let model = OffRecord {
+            inner: MatrixFactorization::new(n_users, n_items, 16, 0.1, &mut rng).unwrap(),
+            twice: 9,
+            swap: 4,
+            batches: 0,
+            swapped: TripleBatch::new(),
+        };
+        let cfg = BnsConfig {
+            ecdf: EcdfStrategy::Subsample(30),
+            criterion: Criterion::ExploreExploit { epsilon: 0.3 },
+            ..BnsConfig::default()
+        };
+        let sgd = bns_model::SgdConfig {
+            lr: bns_model::LrSchedule::Constant(2.0),
+            reg: 0.01,
+        };
+        let single = crate::TrainConfig {
+            sgd,
+            ..crate::TrainConfig::paper_mf(8, 11)
+        };
+        let multi = crate::TrainConfig {
+            k_negatives: 2,
+            sgd,
+            ..crate::TrainConfig::paper_mf(6, 12)
+        };
+        for config in [single, multi] {
+            let ((tiled, fallbacks), gathered) =
+                window_run_is_the_gather_run(&model, &dataset, cfg, &config);
+            // Both kinds of draw happened, and the gather run opened no
+            // window.
+            let draws = (config.epochs * 39 * config.k_negatives) as u64;
+            assert!(tiled + fallbacks <= draws);
+            assert!(
+                tiled > draws / 8 && fallbacks > draws / 8,
+                "{tiled} tiled, {fallbacks} not"
+            );
+            assert_eq!(gathered, (0, 0));
+        }
+        // A LightGCN rewrites its whole table at every batch's refresh, so
+        // at batch size 1 it opens no window at all.
+        let gcn = LightGcn::new(dataset.train(), 16, 1, 0.1, &mut rng).unwrap();
+        let config = crate::TrainConfig::paper_lightgcn(2, 1, 13);
+        let (served, _) = window_run_is_the_gather_run(&gcn, &dataset, cfg, &config);
+        assert_eq!(served, (0, 0));
+    }
+
+    /// Trains clones of `model` with BNS at `cfg` on the coded pass and
+    /// behind [`Hidden`], asserts that both runs give the same triples,
+    /// stats (but for the window counters) and tables, and returns each
+    /// run's draws served by a window and draws that fell back.
+    fn window_run_is_the_gather_run<M: PairwiseModel + Clone>(
+        model: &M,
+        dataset: &bns_data::Dataset,
+        cfg: BnsConfig,
+        config: &crate::TrainConfig,
+    ) -> ((u64, u64), (u64, u64)) {
+        let run = |hide: bool| {
+            let prior = Box::new(PopularityPrior::new(dataset.popularity()));
+            let mut sampler = BnsSampler::new(cfg, prior).unwrap();
+            let (mut model, mut trace) = (model.clone(), Trace::default());
+            let mut stats = if hide {
+                let mut hidden = Hidden(&mut model);
+                crate::train(&mut hidden, dataset, &mut sampler, config, &mut trace)
+            } else {
+                crate::train(&mut model, dataset, &mut sampler, config, &mut trace)
+            }
+            .unwrap();
+            stats.wall_seconds = 0.0;
+            let mut served = (0, 0);
+            for p in &mut stats.posterior_per_epoch {
+                served.0 += std::mem::take(&mut p.ecdf_tiled);
+                served.1 += std::mem::take(&mut p.ecdf_fallbacks);
+                p.ecdf_rescored = 0;
+            }
+            (trace.0, stats, model, served)
+        };
+        let (coded, coded_stats, coded_model, served) = run(false);
+        let (gather, gather_stats, gather_model, gathered) = run(true);
+        assert_eq!(
+            coded.len(),
+            config.epochs * dataset.train().len() * config.k_negatives
+        );
+        assert_eq!(coded, gather);
+        assert_eq!(coded_stats, gather_stats);
+        let (a, b) = (coded_model.row_tables(), gather_model.row_tables());
+        let (a, b) = (a.expect("trained rows"), b.expect("trained rows"));
+        assert_eq!((a.users, a.items), (b.users, b.items));
+        (served, gathered)
     }
 }

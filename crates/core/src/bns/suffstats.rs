@@ -28,6 +28,14 @@ pub struct PosteriorStats {
     /// `Scorer::score_items`: all of them on the gather pass, only the
     /// ambiguous ones on the coded pass.
     pub ecdf_rescored: u64,
+    /// Draws whose Eq. (16) counts came from a look-ahead window's shared
+    /// pass (batch size 1, see "The look-ahead window" in the `bns`
+    /// module).
+    pub ecdf_tiled: u64,
+    /// Draws of a look-ahead window that took a pass of their own instead:
+    /// their user's row or a candidate's score had changed since the
+    /// window's pass, or a write since it was not on record.
+    pub ecdf_fallbacks: u64,
 }
 
 impl PosteriorStats {

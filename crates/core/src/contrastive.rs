@@ -139,6 +139,7 @@ pub fn train_contrastive(
                     popularity,
                     user_scores: &[],
                     epoch,
+                    upcoming: &[],
                 };
                 sampler.sample_batch(chunk, config.k_negatives, &ctx, &mut rng, &mut batch_buf);
             }

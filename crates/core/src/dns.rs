@@ -202,6 +202,7 @@ mod tests {
             popularity: &pop,
             user_scores: &user_scores,
             epoch: 0,
+            upcoming: &[],
         };
         let mut dns = Dns::new(5).unwrap();
         let mut rng = StdRng::seed_from_u64(0);
@@ -232,6 +233,7 @@ mod tests {
             popularity: &pop,
             user_scores: &user_scores,
             epoch: 0,
+            upcoming: &[],
         };
         let mut dns = Dns::new(1).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
@@ -257,6 +259,7 @@ mod tests {
             popularity: &pop,
             user_scores: &[0.0, 0.0],
             epoch: 0,
+            upcoming: &[],
         };
         let mut dns = Dns::new(3).unwrap();
         let mut rng = StdRng::seed_from_u64(2);

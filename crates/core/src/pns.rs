@@ -114,6 +114,7 @@ mod tests {
             popularity: &pop,
             user_scores: &[],
             epoch: 0,
+            upcoming: &[],
         };
         let mut rng = StdRng::seed_from_u64(0);
         let mut count0 = 0;
@@ -146,6 +147,7 @@ mod tests {
             popularity: &pop,
             user_scores: &[],
             epoch: 0,
+            upcoming: &[],
         };
         let mut rng = StdRng::seed_from_u64(1);
         let mut counts = [0usize; 4];

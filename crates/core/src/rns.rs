@@ -67,6 +67,7 @@ mod tests {
             popularity: &pop,
             user_scores: &[],
             epoch: 0,
+            upcoming: &[],
         };
         let mut rns = Rns;
         let mut rng = StdRng::seed_from_u64(0);

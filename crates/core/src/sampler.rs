@@ -44,6 +44,15 @@ pub struct SampleContext<'a> {
     pub user_scores: &'a [f32],
     /// Current 0-based training epoch.
     pub epoch: usize,
+    /// The pairs the caller will sample next, in order, after this call's
+    /// own: the rest of the epoch when the trainer calls, empty otherwise.
+    /// A caller that fills it promises that its next `sample_batch` calls
+    /// on this sampler are exactly these pairs, in order, with the same
+    /// `k` and RNG, and that nothing else draws from that RNG meanwhile. A
+    /// sampler may then draw their randomness ahead (BNS scores a look-ahead
+    /// window of them in one Eq. 16 pass at batch size 1). Every caller
+    /// other than the trainer passes `&[]`.
+    pub upcoming: &'a [(u32, u32)],
 }
 
 impl<'a> SampleContext<'a> {
@@ -86,7 +95,10 @@ pub trait NegativeSampler {
     /// `k` looped [`NegativeSampler::sample`] calls per pair — which is
     /// what makes `batch_size = 1, k = 1` reproduce the per-pair trace bit
     /// for bit (`tests/batch_equivalence.rs` pins every built-in sampler
-    /// to this contract).
+    /// to this contract). The one exception is [`SampleContext::upcoming`]:
+    /// a sampler may consume the RNG of those pairs' draws in this call,
+    /// in the order the looped calls would, and then consume none for them
+    /// when they come.
     ///
     /// `ctx.user_scores` is empty on the batch path; samplers needing
     /// [`ScoreAccess::Full`] fetch rating vectors themselves (the default
@@ -115,6 +127,7 @@ pub trait NegativeSampler {
                 popularity: ctx.popularity,
                 user_scores: if full { &user_scores } else { &[] },
                 epoch: ctx.epoch,
+                upcoming: &[],
             };
             let row = out.push_row(u, pos);
             let mut filled = 0usize;

@@ -326,6 +326,7 @@ mod tests {
             popularity: &pop,
             user_scores: &user_scores,
             epoch: 0,
+            upcoming: &[],
         };
         let mut s = Srns::paper_default();
         let mut rng = StdRng::seed_from_u64(0);
@@ -345,6 +346,7 @@ mod tests {
             popularity: &pop,
             user_scores: &user_scores,
             epoch: 0,
+            upcoming: &[],
         };
         // α = 0 → pure max-score over the memory sample.
         let mut s = Srns::new(20, 5, 0.0, 0.2).unwrap();
@@ -369,6 +371,7 @@ mod tests {
             popularity: &pop,
             user_scores: &[0.0, 0.0],
             epoch: 0,
+            upcoming: &[],
         };
         let mut s = Srns::paper_default();
         let mut rng = StdRng::seed_from_u64(2);
@@ -384,6 +387,7 @@ mod tests {
             popularity: &pop,
             user_scores: &user_scores,
             epoch: 0,
+            upcoming: &[],
         };
         let mut s = Srns::paper_default();
         assert!(s.memories.is_empty());

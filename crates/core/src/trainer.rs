@@ -184,6 +184,7 @@ pub fn sample_pair(
         popularity,
         user_scores: if full { user_scores } else { &[] },
         epoch,
+        upcoming: &[],
     };
     sampler.sample(u, pos, &ctx, rng)
 }
@@ -269,7 +270,7 @@ pub fn train<M: PairwiseModel>(
         let mut info_sum = 0.0f64;
         let mut info_count = 0usize;
 
-        for batch in pairs.chunks(config.batch_size) {
+        for (b, batch) in pairs.chunks(config.batch_size).enumerate() {
             model.begin_batch();
             // Fill phase: the sampler draws k negatives per pair against
             // the batch-start model state (Algorithm 1 lines 5–13, batched;
@@ -281,6 +282,9 @@ pub fn train<M: PairwiseModel>(
                     popularity,
                     user_scores: &[],
                     epoch,
+                    // The rest of the epoch: nothing else draws from `rng`
+                    // until the next shuffle.
+                    upcoming: &pairs[b * config.batch_size + batch.len()..],
                 };
                 sampler.sample_batch(batch, config.k_negatives, &ctx, &mut rng, &mut batch_buf);
             }

@@ -48,6 +48,7 @@ fn f_hat_and_rank_are_one_to_one() {
         popularity: &pop,
         user_scores: &user_scores,
         epoch: 0,
+        upcoming: &[],
     };
     let mut f_values = Vec::new();
     let mut ranks = Vec::new();
@@ -77,6 +78,7 @@ fn under_noninformative_prior_bns_ranks_by_f_only() {
         popularity: &pop,
         user_scores: &user_scores,
         epoch: 0,
+        upcoming: &[],
     };
     let mut signals: Vec<(f64, f64)> = (1..60u32)
         .map(|item| {

@@ -1,5 +1,5 @@
 //! Coded rows: a compact i16 copy of a set of embedding rows with a
-//! rigorous per-row error bound, scored by [`kernel::coded_block_counts`].
+//! rigorous per-row error bound, scored by [`kernel::coded_tile_counts`].
 //!
 //! Row `h` (dimension d) is stored as i16 codes `c = round(h / s)` with
 //! the per-row scale `s = max|hₖ| / 32767`, so `ĥ = s·c`, and a bound
@@ -36,7 +36,7 @@
 //! [`I8User`] codes the user in i16. [`kernel::i8_block_open`] multiplies
 //! the two with integer multiply-adds (`_mm256_madd_epi16`), which sum
 //! exactly in `i32` and need no int→float conversion per code: those
-//! conversions bound [`kernel::coded_block_counts`], which would read
+//! conversions bound [`kernel::coded_tile_counts`], which would read
 //! fewer bytes than the `f32` GEMV but run no faster. On the serving
 //! benchmark's model (100k clustered items, d = 32, k = 10) a median of
 //! ~118 rows per query survive the bound and are scored exactly when the
@@ -44,7 +44,7 @@
 //! and ~85 of the ~12k rows of 64 probed clusters. [`I8Rows::scan`] takes
 //! a row range, so both serving modes scan one code table.
 
-use crate::kernel::{self, CodedBlock, I8Block, I8Query, BLOCK_ROWS, WIDTH};
+use crate::kernel::{self, CodedBlock, CountTile, I8Block, I8Query, BLOCK_ROWS, WIDTH};
 use std::ops::Range;
 
 /// Largest code magnitude: codes span `[-32767, 32767]`.
@@ -162,58 +162,43 @@ impl CodedRows {
         self.bounds[r] = kernel::round_up_f32(bound);
     }
 
-    /// Counts, for each of `thresholds`, the rows `r` with
-    /// `dot(user, h_r) ≤ t` that [`kernel::coded_block_counts`] decides
-    /// from the codes, into `counts` (which it adds to). Rows listed in
-    /// `skip` (ascending positions) are left out; every other row the
-    /// kernel cannot decide is passed to `ambiguous`, in ascending order,
-    /// for the caller to score exactly. Returns the number of rows not
-    /// skipped.
-    pub fn count_le(
+    /// Counts, for each lane of `tile` and each of its thresholds, the
+    /// rows `r` with `dot(user, h_r) ≤ t` that
+    /// [`kernel::coded_tile_counts`] decides from the codes, into `counts`
+    /// (laid out as [`CountTile::thresholds`]; it adds to them). Every row
+    /// the kernel cannot decide for a lane goes to `ambiguous(lane, r)`,
+    /// ascending within each lane, for the caller to score exactly. One
+    /// pass over the codes serves every lane.
+    pub fn count_tile(
         &self,
-        user: &[f32],
-        thresholds: &[f32],
-        skip: impl IntoIterator<Item = usize>,
+        tile: &CountTile,
         counts: &mut [u32],
-        mut ambiguous: impl FnMut(usize),
-    ) -> usize {
-        assert_eq!(user.len(), self.dim, "user dimension mismatch");
-        assert_eq!(thresholds.len(), counts.len(), "one count per threshold");
-        let norm = kernel::norm_bound(user);
-        let block_len = self.dim * WIDTH;
-        let mut skip = skip.into_iter().peekable();
-        let mut skipped = 0usize;
+        mut ambiguous: impl FnMut(usize, usize),
+    ) {
+        assert_eq!(tile.dim(), self.dim, "user dimension mismatch");
+        assert_eq!(
+            counts.len(),
+            tile.thresholds().len(),
+            "one count per threshold"
+        );
         let blocks = self
             .codes
-            .chunks_exact(block_len.max(1))
+            .chunks_exact((self.dim * WIDTH).max(1))
             .zip(self.scales.as_chunks::<WIDTH>().0)
-            .zip(self.bounds.as_chunks::<WIDTH>().0);
-        for (b, ((codes, scales), bounds)) in blocks.enumerate() {
-            let first = b * WIDTH;
-            let end = (first + WIDTH).min(self.len);
-            let mut live = kernel::first_lanes(end - first);
-            while let Some(&r) = skip.peek() {
-                if r >= end {
-                    break;
-                }
-                if r >= first && live & (1 << (r - first)) != 0 {
-                    live &= !(1 << (r - first));
-                    skipped += 1;
-                }
-                skip.next();
-            }
-            let block = CodedBlock {
+            .zip(self.bounds.as_chunks::<WIDTH>().0)
+            .enumerate()
+            .map(|(b, ((codes, scales), bounds))| CodedBlock {
                 codes,
                 scales,
                 bounds,
-            };
-            let mut open = kernel::coded_block_counts(user, norm, block, thresholds, live, counts);
-            while open != 0 {
-                ambiguous(first + open.trailing_zeros() as usize);
-                open &= open - 1;
+                live: kernel::first_lanes((self.len - b * WIDTH).min(WIDTH)),
+            });
+        kernel::coded_tile_counts(tile, blocks, counts, |b, lane, mut rows| {
+            while rows != 0 {
+                ambiguous(lane, b * WIDTH + rows.trailing_zeros() as usize);
+                rows &= rows - 1;
             }
-        }
-        self.len - skipped
+        });
     }
 }
 
@@ -442,8 +427,10 @@ mod tests {
         counted(&set, rows, user, ts, skip)
     }
 
-    /// The counts of `set`, which codes `rows`, with the ambiguous rows
-    /// scored exactly.
+    /// The counts of `set`, which codes `rows`, over the rows not in
+    /// `skip`, and how many of those rows were ambiguous: the ambiguous
+    /// rows are scored exactly, and the skipped rows the codes decided are
+    /// taken out again.
     fn counted(
         set: &CodedRows,
         rows: &[Vec<f32>],
@@ -451,20 +438,31 @@ mod tests {
         ts: &[f32],
         skip: &[usize],
     ) -> (Vec<u32>, usize) {
+        let (mut counts, open) = lone(set, user, ts);
+        let (rescore, decided_skips): (Vec<usize>, Vec<usize>) = (
+            open.iter().copied().filter(|r| !skip.contains(r)).collect(),
+            skip.iter().copied().filter(|r| !open.contains(r)).collect(),
+        );
+        let le = |r: usize, t: f32| u32::from(kernel::dot(user, &rows[r]) <= t);
+        for (c, &t) in counts.iter_mut().zip(ts) {
+            *c += rescore.iter().map(|&r| le(r, t)).sum::<u32>();
+            *c -= decided_skips.iter().map(|&r| le(r, t)).sum::<u32>();
+        }
+        (counts, rescore.len())
+    }
+
+    /// The decided counts and the ambiguous rows of a tile of `user` alone.
+    fn lone(set: &CodedRows, user: &[f32], ts: &[f32]) -> (Vec<u32>, Vec<usize>) {
+        let mut tile = CountTile::default();
+        tile.clear(user.len());
+        tile.push(user, ts);
         let mut counts = vec![0u32; ts.len()];
         let mut open = Vec::new();
-        let live = set.count_le(user, ts, skip.iter().copied(), &mut counts, |r| {
-            open.push(r)
+        set.count_tile(&tile, &mut counts, |lane, r| {
+            assert_eq!(lane, 0, "a one-user tile has one lane");
+            open.push(r);
         });
-        assert_eq!(live, rows.len() - skip.len());
-        for &r in &open {
-            assert!(!skip.contains(&r), "skipped row {r} handed back");
-            let x = kernel::dot(user, &rows[r]);
-            for (c, &t) in counts.iter_mut().zip(ts) {
-                *c += u32::from(x <= t);
-            }
-        }
-        (counts, open.len())
+        (counts, open)
     }
 
     #[test]
@@ -569,6 +567,117 @@ mod tests {
         let skip = [2 * WIDTH - 1, 3 * WIDTH - 8];
         let (got, _) = counted(&set, &rows, &user, &ts, &skip);
         assert_eq!(got, exact(&rows, &user, &ts, &skip));
+    }
+
+    /// The users of the tile pins: full-mantissa rows, a repeat of the
+    /// first, a tiny one, a zero one, one with a NaN entry and one with an
+    /// infinite entry.
+    fn tile_users(d: usize) -> Vec<Vec<f32>> {
+        (0..WIDTH)
+            .map(|t| match t {
+                2 => rough(d, 1),
+                4 => rough(d, 5).iter().map(|x| x * 1e-30).collect(),
+                5 => vec![0.0; d],
+                7 => {
+                    let mut u = rough(d, 7);
+                    u[d / 2] = f32::NAN;
+                    u
+                }
+                11 => {
+                    let mut u = rough(d, 11);
+                    u[0] = f32::INFINITY;
+                    u
+                }
+                _ => rough(d, 1 + t as u64),
+            })
+            .collect()
+    }
+
+    /// Checks every tile of the first 1..=WIDTH of `users` over `rows`,
+    /// lane `t` with `ts[t]`: each lane's decided counts and ambiguous rows
+    /// equal those of a tile of its user alone, and its counts with the
+    /// ambiguous rows scored exactly equal the exact counts.
+    fn assert_lanes_are_lone_passes(rows: &[Vec<f32>], users: &[Vec<f32>], ts: &[Vec<f32>]) {
+        let d = users[0].len();
+        let mut set = CodedRows::new();
+        set.rebuild(d, rows.iter().map(Vec::as_slice));
+        for len in 1..=WIDTH {
+            let mut tile = CountTile::default();
+            tile.clear(d);
+            for t in 0..len {
+                tile.push(&users[t], &ts[t]);
+            }
+            let mut counts = vec![0u32; tile.thresholds().len()];
+            let mut open = vec![Vec::new(); len];
+            set.count_tile(&tile, &mut counts, |lane, r| open[lane].push(r));
+            for t in 0..len {
+                let what = format!("d = {d}, {} rows, lane {t} of {len}", rows.len());
+                let (alone, alone_open) = lone(&set, &users[t], &ts[t]);
+                assert_eq!(counts[tile.lane(t)], alone[..], "{what}");
+                assert_eq!(open[t], alone_open, "{what}");
+                let (exactly, _) = counted(&set, rows, &users[t], &ts[t], &[]);
+                assert_eq!(exactly, exact(rows, &users[t], &ts[t], &[]), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_tile_lane_counts_as_its_user_alone() {
+        for d in [1usize, 3, 8, 13, 32] {
+            let users = tile_users(d);
+            // The adversarial rows of `counts_equal_exact_counts_on_adversarial_rows`.
+            let mut rows: Vec<Vec<f32>> = (0..37).map(|r| rough(d, 100 + r)).collect();
+            rows.push(vec![0.0; d]);
+            rows.push(vec![0.25; d]);
+            let mut dominant = vec![1e-3; d];
+            dominant[0] = 1e6;
+            rows.push(dominant);
+            rows.push(rough(d, 7).iter().map(|x| x * 1e30).collect());
+            rows.push(rough(d, 8).iter().map(|x| x * 1e-38).collect());
+            let mut bad = rough(d, 9);
+            bad[d / 2] = f32::NAN;
+            rows.push(bad);
+            let mut inf = rough(d, 10);
+            inf[0] = f32::INFINITY;
+            rows.push(inf);
+            // Lane t: its user's scores of every (t + 2)-th row, one ulp
+            // either side, cut to t mod 6 + 1 thresholds; lane 3 has none,
+            // and lane 9 adds ±∞ and NaN.
+            let ts: Vec<Vec<f32>> = (0..WIDTH)
+                .map(|t| {
+                    let mut ts = Vec::new();
+                    for h in rows.iter().step_by(t + 2) {
+                        let x = kernel::dot(&users[t], h);
+                        ts.extend([x, x.next_up(), x.next_down()]);
+                    }
+                    ts.truncate(t % 6 + 1);
+                    match t {
+                        3 => ts.clear(),
+                        9 => ts.extend([f32::INFINITY, f32::NEG_INFINITY, f32::NAN]),
+                        _ => {}
+                    }
+                    ts
+                })
+                .collect();
+            assert_lanes_are_lone_passes(&rows, &users, &ts);
+        }
+        // Every row count up to three blocks and one row, at d = 7.
+        let d = 7;
+        let users = tile_users(d);
+        for len in 1..=3 * WIDTH + 1 {
+            let rows: Vec<Vec<f32>> = (0..len).map(|r| rough(d, 900 + r as u64)).collect();
+            let ts: Vec<Vec<f32>> = (0..WIDTH)
+                .map(|t| {
+                    let mut ts: Vec<f32> = (rows.iter().skip(t % 3).step_by(3))
+                        .map(|h| kernel::dot(&users[t], h))
+                        .take(t % 5 + 1)
+                        .collect();
+                    ts.push(0.0);
+                    ts
+                })
+                .collect();
+            assert_lanes_are_lone_passes(&rows, &users, &ts);
+        }
     }
 
     #[test]

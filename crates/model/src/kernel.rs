@@ -35,14 +35,16 @@
 //! a time.
 //!
 //! One more entry point sits **outside** that bit contract:
-//! [`coded_block_counts`] scores a block of [`WIDTH`] rows of
+//! [`coded_tile_counts`] scores the blocks of [`WIDTH`] rows of
 //! [`crate::coded::CodedRows`] (i16 codes, a per-row scale and error
-//! bound) and decides `dot(user, row) ≤ t` for a set of thresholds from
-//! an approximate score and a rigorous bound on its error, handing back
-//! the rows it cannot decide for an exact re-score. Its approximate
-//! scores never reach a result, only its decisions, which equal the exact
-//! kernel's comparisons; so its vector and portable bodies may round
-//! differently. It runs BNS's coded Eq. 16 pass. [`i8_block_open`] is its
+//! bound) for a [`CountTile`] of up to [`WIDTH`] users, widening each code
+//! once for the whole tile, and decides `dot(user, row) ≤ t` for each
+//! user's own thresholds from an approximate score and a rigorous bound
+//! on its error, handing back the rows it cannot decide for an exact
+//! re-score. Its approximate scores never reach a result, only its
+//! decisions, which equal the exact kernel's comparisons; so its vector
+//! and portable bodies may round differently. It runs every coded Eq. 16
+//! pass of BNS, a lone draw being a tile of one. [`i8_block_open`] is its
 //! serving counterpart: over eight rows of [`crate::coded::I8Rows`] (i8
 //! codes) and an i16-coded user it proves, from an exact integer dot and
 //! a rigorous slack, which rows score strictly below a floor, and hands
@@ -53,8 +55,9 @@
 //! and there are three bodies:
 //!
 //! * **AVX-512F** (implies AVX2 and FMA): the two scan kernels,
-//!   [`tile_scan`] and [`coded_block_counts`], run on 512-bit registers,
-//!   so [`WIDTH`] is 16: sixteen users a tile, sixteen rows a coded block.
+//!   [`tile_scan`] and [`coded_tile_counts`], run on 512-bit registers,
+//!   so [`WIDTH`] is 16: sixteen users a tile, sixteen rows a coded block,
+//!   sixteen users a count tile.
 //!   [`dot`] and [`i8_block_open`] run their AVX2 bodies.
 //! * **AVX2 + FMA**: every kernel runs on 256-bit registers and [`WIDTH`]
 //!   is 8.
@@ -80,6 +83,8 @@
 //! `tests/proptests.rs` (≤ 1e-5 relative). `ci.sh` tests the AVX2 and the
 //! portable bodies on an AVX-512 host too, in builds of their own.
 
+use std::ops::Range;
+
 /// Number of independent accumulators in the unrolled kernels: the chunk
 /// width of [`dot`]'s summation order.
 pub const LANES: usize = 8;
@@ -98,7 +103,7 @@ pub(crate) fn first_lanes(n: usize) -> u16 {
     ((1u32 << n) - 1) as u16
 }
 
-/// The register of the scan bodies ([`tile_scan`], [`coded_block_counts`])
+/// The register of the scan bodies ([`tile_scan`], [`coded_tile_counts`])
 /// and the operations they are written in, so that one body serves both
 /// widths: a `__m512` with `__mmask16` compare masks on AVX-512F builds, a
 /// `__m256` with vector compare masks on AVX2 + FMA builds. Each method
@@ -128,12 +133,10 @@ mod simd {
         fn sub(self, b: Self) -> Self;
         fn mul(self, b: Self) -> Self;
         fn abs(self) -> Self;
+        fn min(self, b: Self) -> Self;
         /// The lanes where `self P b` holds, for a `_CMP_*` predicate `P`.
         fn cmp<const P: i32>(self, b: Self) -> Self::Mask;
-        fn all() -> Self::Mask;
         fn and(m: Self::Mask, n: Self::Mask) -> Self::Mask;
-        /// `b` in the lanes of `m`, `a` in the others.
-        fn blend(m: Self::Mask, a: Self, b: Self) -> Self;
         /// Bit `l` set iff lane `l` of `m` is.
         fn bits(m: Self::Mask) -> u16;
     }
@@ -202,22 +205,18 @@ mod simd {
             unsafe { _mm512_abs_ps(self) }
         }
         #[inline(always)]
+        fn min(self, b: Self) -> Self {
+            // SAFETY: the build targets AVX-512F.
+            unsafe { _mm512_min_ps(self, b) }
+        }
+        #[inline(always)]
         fn cmp<const P: i32>(self, b: Self) -> __mmask16 {
             // SAFETY: the build targets AVX-512F.
             unsafe { _mm512_cmp_ps_mask::<P>(self, b) }
         }
         #[inline(always)]
-        fn all() -> __mmask16 {
-            u16::MAX
-        }
-        #[inline(always)]
         fn and(m: __mmask16, n: __mmask16) -> __mmask16 {
             m & n
-        }
-        #[inline(always)]
-        fn blend(m: __mmask16, a: Self, b: Self) -> Self {
-            // SAFETY: the build targets AVX-512F.
-            unsafe { _mm512_mask_blend_ps(m, a, b) }
         }
         #[inline(always)]
         fn bits(m: __mmask16) -> u16 {
@@ -279,24 +278,19 @@ mod simd {
             unsafe { _mm256_andnot_ps(_mm256_set1_ps(-0.0), self) }
         }
         #[inline(always)]
+        fn min(self, b: Self) -> Self {
+            // SAFETY: the build targets AVX2.
+            unsafe { _mm256_min_ps(self, b) }
+        }
+        #[inline(always)]
         fn cmp<const P: i32>(self, b: Self) -> __m256 {
             // SAFETY: the build targets AVX2.
             unsafe { _mm256_cmp_ps::<P>(self, b) }
         }
         #[inline(always)]
-        fn all() -> __m256 {
-            // SAFETY: the build targets AVX2.
-            unsafe { _mm256_castsi256_ps(_mm256_set1_epi32(-1)) }
-        }
-        #[inline(always)]
         fn and(m: __m256, n: __m256) -> __m256 {
             // SAFETY: the build targets AVX2.
             unsafe { _mm256_and_ps(m, n) }
-        }
-        #[inline(always)]
-        fn blend(m: __m256, a: Self, b: Self) -> Self {
-            // SAFETY: the build targets AVX2.
-            unsafe { _mm256_blendv_ps(a, b, m) }
         }
         #[inline(always)]
         fn bits(m: __m256) -> u16 {
@@ -481,18 +475,29 @@ impl UserTile {
     /// Copies `rows` (at most [`WIDTH`], each of length `dim`) into the
     /// tile, in lane order.
     pub fn set<'a>(&mut self, dim: usize, rows: impl IntoIterator<Item = &'a [f32]>) {
+        self.clear(dim);
+        for row in rows {
+            self.push(row);
+        }
+    }
+
+    /// Empties the tile for users of dimension `dim`.
+    fn clear(&mut self, dim: usize) {
         self.dim = dim;
         self.cols.clear();
         self.cols.resize(dim, Column([0.0; WIDTH]));
         self.len = 0;
-        for (t, row) in rows.into_iter().enumerate() {
-            assert!(t < WIDTH, "a tile holds at most {WIDTH} users");
-            assert_eq!(row.len(), dim, "user row dimension mismatch");
-            for (k, &x) in row.iter().enumerate() {
-                self.cols[k].0[t] = x;
-            }
-            self.len = t + 1;
+    }
+
+    /// Copies `row` into the next lane.
+    fn push(&mut self, row: &[f32]) {
+        let t = self.len;
+        assert!(t < WIDTH, "a tile holds at most {WIDTH} users");
+        assert_eq!(row.len(), self.dim, "user row dimension mismatch");
+        for (col, &x) in self.cols.iter_mut().zip(row) {
+            col.0[t] = x;
         }
+        self.len = t + 1;
     }
 }
 
@@ -713,6 +718,25 @@ pub fn gather_dots(user: &[f32], items: &[f32], ids: &[u32], out: &mut [f32]) {
     }
 }
 
+/// Asks the CPU to start fetching `row`'s cache lines into cache without
+/// waiting for them, so that a scattered row read soon after finds them
+/// there. Prefetches are hints: they change no result. A no-op off
+/// x86-64.
+#[inline]
+pub fn prefetch(row: &[f32]) {
+    #[cfg(target_arch = "x86_64")]
+    for x in row.iter().step_by(16).chain(row.last()) {
+        // SAFETY: a prefetch reads nothing into a register and never
+        // faults, and SSE, which provides it, is part of every x86-64
+        // target.
+        unsafe {
+            std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
+                std::ptr::from_ref(x).cast(),
+            )
+        };
+    }
+}
+
 /// Rows per block of the i8 serving codes: one 256-bit integer
 /// multiply-add scores a dimension pair of eight rows.
 pub const BLOCK_ROWS: usize = 8;
@@ -729,7 +753,7 @@ pub(crate) fn round_up_f32(x: f64) -> f32 {
 }
 
 /// `U ≥ (1 + 8·2⁻²⁴)·‖user‖₂ + 2⁻¹⁰⁰`, the user-side factor of the
-/// per-row slack of [`coded_block_counts`]: the norm is summed in `f64`,
+/// per-row slack of [`coded_tile_counts`]: the norm is summed in `f64`,
 /// inflated past its `f64` rounding error, then rounded up to `f32`.
 /// `+∞` or NaN for a non-finite row, which makes every row of that user
 /// ambiguous.
@@ -740,7 +764,7 @@ pub fn norm_bound(user: &[f32]) -> f32 {
     round_up_f32((norm + (-100f64).exp2()) * f64_error)
 }
 
-/// One block of [`WIDTH`] coded rows, as [`coded_block_counts`] reads it
+/// One block of [`WIDTH`] coded rows, as [`coded_tile_counts`] reads it
 /// (laid out by `crate::coded::CodedRows`).
 #[derive(Debug, Clone, Copy)]
 pub struct CodedBlock<'a> {
@@ -751,25 +775,119 @@ pub struct CodedBlock<'a> {
     pub scales: &'a [f32; WIDTH],
     /// Per-row bounds `B ≥ ‖h − ĥ‖₂ + γ(‖h‖₂ + ‖ĥ‖₂)`, `γ = γ_{d+2}`.
     pub bounds: &'a [f32; WIDTH],
+    /// The rows that count, as a lane mask (the last block is padded).
+    pub live: u16,
 }
 
-/// The coded count kernel: for one user row and m `thresholds`, decides
-/// `x ≤ t` for the [`WIDTH`] rows of one coded block from their i16 codes,
-/// and hands back the rows it cannot decide.
+/// The user side of [`coded_tile_counts`]: up to [`WIDTH`] users, one per
+/// lane, each with its [`norm_bound`] and thresholds of its own (lanes may
+/// hold different numbers of thresholds). Reusable: [`CountTile::clear`]
+/// and [`CountTile::push`] are allocation-free once the buffers hold a
+/// tile of the size.
+#[derive(Debug, Clone, Default)]
+pub struct CountTile {
+    users: UserTile,
+    norms: [f32; WIDTH],
+    /// Every lane's thresholds, lane after lane.
+    thresholds: Vec<f32>,
+    /// Lane `t`'s thresholds end at `ends[t]` (and start at `ends[t − 1]`,
+    /// or 0).
+    ends: [usize; WIDTH],
+}
+
+impl CountTile {
+    /// Empties the tile for users of dimension `dim`.
+    pub fn clear(&mut self, dim: usize) {
+        self.users.clear(dim);
+        self.thresholds.clear();
+    }
+
+    /// Adds a lane: `user` (of the tile's dimension) and its thresholds.
+    /// A NaN threshold decides no row, so a lane with one gets a NaN norm,
+    /// which leaves every row of the lane to the caller.
+    pub fn push(&mut self, user: &[f32], thresholds: &[f32]) {
+        let t = self.users.len;
+        self.users.push(user);
+        self.norms[t] = if thresholds.iter().any(|x| x.is_nan()) {
+            f32::NAN
+        } else {
+            norm_bound(user)
+        };
+        self.thresholds.extend_from_slice(thresholds);
+        self.ends[t] = self.thresholds.len();
+    }
+
+    /// Number of lanes.
+    pub fn len(&self) -> usize {
+        self.users.len
+    }
+
+    /// The users' dimension.
+    pub fn dim(&self) -> usize {
+        self.users.dim
+    }
+
+    /// Whether the tile has no lanes.
+    pub fn is_empty(&self) -> bool {
+        self.users.len == 0
+    }
+
+    /// Every lane's thresholds, lane after lane: the layout of the counts
+    /// [`coded_tile_counts`] adds to.
+    pub fn thresholds(&self) -> &[f32] {
+        &self.thresholds
+    }
+
+    /// The positions of lane `t`'s thresholds in [`CountTile::thresholds`].
+    pub fn lane(&self, t: usize) -> Range<usize> {
+        assert!(t < self.len(), "lane {t} of a {}-lane tile", self.len());
+        let start = if t == 0 { 0 } else { self.ends[t - 1] };
+        start..self.ends[t]
+    }
+
+    /// Whether lane `t` holds exactly `user` and `thresholds`, bit for bit.
+    pub fn holds(&self, t: usize, user: &[f32], thresholds: &[f32]) -> bool {
+        let bits = |a: &[f32], b: &[f32]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        user.len() == self.users.dim
+            && (self.users.cols.iter().zip(user)).all(|(c, x)| c.0[t].to_bits() == x.to_bits())
+            && bits(&self.thresholds[self.lane(t)], thresholds)
+    }
+}
+
+/// The coded count kernel: for a [`CountTile`] of users, each with its own
+/// thresholds, decides `x ≤ t` for the rows of every coded block of
+/// `blocks` from their i16 codes, and hands back, per lane, the rows it
+/// cannot decide.
 ///
-/// Row `l` of the block is coded as `ĥ = s·c` (see [`CodedBlock`]). The
-/// kernel computes the approximate score `a = s·Σₖ uₖcₖ` and the slack
+/// Row `l` of a block is coded as `ĥ = s·c` (see [`CodedBlock`]). For
+/// each user `u` of the tile the kernel computes the approximate score
+/// `a = s·Σₖ uₖcₖ` and the slack
 ///
 /// ```text
-/// b = (U·B) + 2⁻¹²⁶,   U = norm_bound(user) ≥ (1 + 8ε)‖u‖₂ + 2⁻¹⁰⁰,
+/// b = (U·B) + 2⁻¹²⁶,   U = norm_bound(u) ≥ (1 + 8ε)‖u‖₂ + 2⁻¹⁰⁰,
 /// ```
 ///
-/// and counts, per threshold, the rows with `a ≤ t` among the rows that
-/// every threshold decides: those with `|a − t| > b` for all m `t`. It
-/// returns the other rows of `live` as a lane mask; the caller scores
-/// them exactly. Lanes outside `live` are neither counted nor returned.
+/// and counts, per threshold of that user's lane, the rows with `a ≤ t`
+/// among the rows that every one of the lane's thresholds decides: those
+/// with `|a − t| > b` for all of them. It adds the counts to `counts`
+/// (laid out as [`CountTile::thresholds`]) and calls `open(block, lane,
+/// rows)` with the other live rows of a block, as a lane mask, when there
+/// are any; the caller scores them exactly. Rows outside a block's `live`
+/// are neither counted nor handed back.
 ///
-/// **Why the decision is exact.** Let `x` be the exact kernel's score
+/// The block's codes are widened to `f32` once per dimension and serve
+/// every user of the tile. Each user's sum has four chains, chain `c`
+/// summing dimensions `4q + c` in ascending order and chain 0 then the
+/// `d mod 4` tail dimensions, added as `(c₀ + c₁) + (c₂ + c₃)`: the same
+/// operations whatever the tile's length, so a lane's `a`, and so its
+/// open rows, are those of a tile of that user alone. A short tile keeps
+/// all four chains of each user in flight (a tile of one is the former
+/// one-user kernel's four-chain loop); a long one sums them a chain at a
+/// time, with one accumulator per user.
+///
+/// **Why each decision is exact.** Let `x` be the exact kernel's score
 /// `dot(u, h)` and `ε = 2⁻²⁴`. Any `f32` dot product of length d, in any
 /// order, with or without FMA, is within `γ_d·Σ|uₖhₖ|` of the real one,
 /// plus `2⁻¹⁵⁰` per rounding that underflows (Higham, *Accuracy and
@@ -793,7 +911,8 @@ pub struct CodedBlock<'a> {
 /// proves `|x − a| < |a − t|`: `x` lies on `a`'s side of `t`. (The slack
 /// terms are normal numbers, not the subnormal `(d+2)·2⁻¹⁵⁰`, because
 /// subnormal operands cost a microcode assist per instruction on x86;
-/// they decide nothing any real score needs.)
+/// they decide nothing any real score needs.) The argument holds for each
+/// user and threshold on its own, so it covers every lane of a tile.
 ///
 /// The bound assumes no overflow, so a row is always ambiguous when `a` is
 /// not finite or `b ≥ 2¹⁰²`: `b ≥ γ_d·‖u‖‖h‖` keeps every partial sum of
@@ -803,117 +922,226 @@ pub struct CodedBlock<'a> {
 ///
 /// **Bits.** `a` and `b` never reach a result — only the decisions do, and
 /// those agree with `x ≤ t` exactly — so this kernel is outside the
-/// module's bit contract: the vector body keeps four accumulators and the
-/// portable body one sum per lane, and their `a` may differ in the low
+/// module's bit contract: the vector body sums the four chains above and
+/// the portable body one sum per lane, and their `a` may differ in the low
 /// bits.
-#[inline]
-pub fn coded_block_counts(
-    user: &[f32],
-    norm: f32,
-    block: CodedBlock<'_>,
-    thresholds: &[f32],
-    live: u16,
+pub fn coded_tile_counts<'a>(
+    tile: &CountTile,
+    blocks: impl IntoIterator<Item = CodedBlock<'a>>,
     counts: &mut [u32],
-) -> u16 {
-    let d = user.len();
+    mut open: impl FnMut(usize, usize, u16),
+) {
     debug_assert_eq!(
-        block.codes.len(),
-        d * WIDTH,
-        "one code per dimension and row"
+        counts.len(),
+        tile.thresholds.len(),
+        "one count per threshold"
     );
-    debug_assert_eq!(thresholds.len(), counts.len(), "one count per threshold");
-    // 2¹⁰²: past it the bound no longer rules out overflow in `x`.
-    let cap = f32::from_bits((127 + 102) << 23);
-    let (lanes, _) = block.codes.as_chunks::<WIDTH>();
     #[cfg(all(
         target_arch = "x86_64",
         target_feature = "avx2",
         target_feature = "fma"
     ))]
     {
-        use simd::{Lanes, V};
-        use std::arch::x86_64::{_CMP_GT_OQ, _CMP_LE_OQ, _CMP_LT_OQ};
-        // Four accumulators keep the FMA chain short; the order of the sum
-        // is free (see **Bits**).
-        let mut acc = [V::zero(); 4];
-        let (quads, rest) = lanes.as_chunks::<4>();
-        let (user_quads, user_rest) = user.as_chunks::<4>();
-        for (rows, us) in quads.iter().zip(user_quads) {
-            for t in 0..4 {
-                acc[t] = V::splat(us[t]).fmadd(V::codes(&rows[t]), acc[t]);
-            }
+        // One body per tile length, so that each user's chains live in
+        // registers (see `chains`).
+        macro_rules! by_len {
+            ($($n:literal)*) => {
+                match tile.len() {
+                    $($n => {
+                        for (b, block) in blocks.into_iter().enumerate() {
+                            coded_tile_block::<$n, { chains($n) }>(tile, block, counts, |t, rows| {
+                                open(b, t, rows)
+                            });
+                        }
+                    })*
+                    _ => {}
+                }
+            };
         }
-        for (row, &uk) in rest.iter().zip(user_rest) {
-            acc[0] = V::splat(uk).fmadd(V::codes(row), acc[0]);
-        }
-        let a = acc[0]
-            .add(acc[1])
-            .add(acc[2].add(acc[3]))
-            .mul(V::load(block.scales));
-        let b = V::splat(norm)
-            .mul(V::load(block.bounds))
-            .add(V::splat(f32::MIN_POSITIVE));
-        let ok = V::and(
-            b.cmp::<_CMP_LT_OQ>(V::splat(cap)),
-            a.abs().cmp::<_CMP_LT_OQ>(V::splat(f32::INFINITY)),
-        );
-        let b = V::blend(ok, V::splat(f32::INFINITY), b);
-        let mut sure = V::all();
-        for &t in thresholds {
-            let gap = a.sub(V::splat(t)).abs();
-            sure = V::and(sure, gap.cmp::<_CMP_GT_OQ>(b));
-        }
-        let sure = V::bits(sure);
-        let keep = live & sure;
-        if keep != 0 {
-            for (count, &t) in counts.iter_mut().zip(thresholds) {
-                let le = V::bits(a.cmp::<_CMP_LE_OQ>(V::splat(t)));
-                *count += (le & keep).count_ones();
-            }
-        }
-        live & !sure
+        #[cfg(target_feature = "avx512f")]
+        by_len!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+        #[cfg(not(target_feature = "avx512f"))]
+        by_len!(1 2 3 4 5 6 7 8);
     }
     #[cfg(not(all(
         target_arch = "x86_64",
         target_feature = "avx2",
         target_feature = "fma"
     )))]
-    {
-        let mut sum = [0.0f32; WIDTH];
-        for (row, &uk) in lanes.iter().zip(user) {
-            for (acc, &c) in sum.iter_mut().zip(row) {
-                *acc += uk * f32::from(c);
-            }
-        }
-        let mut a = [0.0f32; WIDTH];
-        let mut b = [0.0f32; WIDTH];
-        for l in 0..WIDTH {
-            a[l] = sum[l] * block.scales[l];
-            b[l] = norm * block.bounds[l] + f32::MIN_POSITIVE;
-            let ok = b[l] < cap && a[l].abs() < f32::INFINITY;
-            if !ok {
-                b[l] = f32::INFINITY;
-            }
-        }
-        let mut sure = first_lanes(WIDTH);
-        for &t in thresholds {
-            for l in 0..WIDTH {
-                // NaN gaps compare false: not sure.
-                let decided = (a[l] - t).abs() > b[l];
-                sure &= !(u16::from(!decided) << l);
-            }
-        }
-        let keep = live & sure;
-        if keep != 0 {
-            for (count, &t) in counts.iter_mut().zip(thresholds) {
-                let mut le = 0u16;
-                for (l, &al) in a.iter().enumerate() {
-                    le |= u16::from(al <= t) << l;
+    for (index, block) in blocks.into_iter().enumerate() {
+        debug_assert_eq!(block.codes.len(), tile.dim() * WIDTH);
+        let (lanes, _) = block.codes.as_chunks::<WIDTH>();
+        for t in 0..tile.len() {
+            let mut sum = [0.0f32; WIDTH];
+            for (row, col) in lanes.iter().zip(&tile.users.cols) {
+                let uk = col.0[t];
+                for (acc, &c) in sum.iter_mut().zip(row) {
+                    *acc += uk * f32::from(c);
                 }
-                *count += (le & keep).count_ones();
+            }
+            let mut a = [0.0f32; WIDTH];
+            let mut b = [0.0f32; WIDTH];
+            for l in 0..WIDTH {
+                a[l] = sum[l] * block.scales[l];
+                b[l] = tile.norms[t] * block.bounds[l] + f32::MIN_POSITIVE;
+                let ok = b[l] < SLACK_CAP && a[l].abs() < f32::INFINITY;
+                if !ok {
+                    b[l] = f32::INFINITY;
+                }
+            }
+            let lane = tile.lane(t);
+            let thresholds = &tile.thresholds[lane.clone()];
+            let mut sure = first_lanes(WIDTH);
+            for &th in thresholds {
+                for l in 0..WIDTH {
+                    // NaN gaps compare false: not sure.
+                    let decided = (a[l] - th).abs() > b[l];
+                    sure &= !(u16::from(!decided) << l);
+                }
+            }
+            let keep = block.live & sure;
+            if keep != 0 {
+                for (count, &th) in counts[lane].iter_mut().zip(thresholds) {
+                    let mut le = 0u16;
+                    for (l, &al) in a.iter().enumerate() {
+                        le |= u16::from(al <= th) << l;
+                    }
+                    *count += (le & keep).count_ones();
+                }
+            }
+            let rows = block.live & !sure;
+            if rows != 0 {
+                open(index, t, rows);
             }
         }
-        live & !sure
+    }
+}
+
+/// 2¹⁰²: past it the slack of [`coded_tile_counts`] no longer rules out
+/// overflow in `x`.
+const SLACK_CAP: f32 = f32::from_bits((127 + 102) << 23);
+
+/// Chains a user of a `users`-long tile keeps in flight in
+/// [`coded_tile_counts`]'s vector body: four while the tile's
+/// accumulators fit beside the codes in the build's registers (sixteen
+/// of AVX-512's thirty-two, eight of AVX2's sixteen), else two, else one.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx2",
+    target_feature = "fma"
+))]
+const fn chains(users: usize) -> usize {
+    let regs = if cfg!(target_feature = "avx512f") {
+        16
+    } else {
+        8
+    };
+    if 4 * users <= regs {
+        4
+    } else if 2 * users <= regs {
+        2
+    } else {
+        1
+    }
+}
+
+/// The vector body of [`coded_tile_counts`] for one block and a tile of
+/// `T` users, each summing `C` of its four chains at a time; `open(t,
+/// rows)` gets each lane's undecided rows.
+///
+/// Each lane's threshold stage counts `a ≤ t` over every live row while
+/// it takes the smallest gap `min |a − t|`, then takes the counts of the
+/// rows that gap leaves undecided back out: the rows `|a − t| > b` decides
+/// for every threshold are those whose smallest gap exceeds `b` (no gap
+/// is NaN: `a` is finite where the row is decided, and a lane with a NaN
+/// threshold has a NaN `b`, see [`CountTile::push`]).
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx2",
+    target_feature = "fma"
+))]
+#[inline(always)]
+fn coded_tile_block<const T: usize, const C: usize>(
+    tile: &CountTile,
+    block: CodedBlock<'_>,
+    counts: &mut [u32],
+    mut open: impl FnMut(usize, u16),
+) {
+    use simd::{Lanes, V};
+    use std::arch::x86_64::{_CMP_GT_OQ, _CMP_LE_OQ, _CMP_LT_OQ};
+    debug_assert_eq!(block.codes.len(), tile.dim() * WIDTH);
+    let (codes, _) = block.codes.as_chunks::<WIDTH>();
+    let (code_quads, code_tail) = codes.as_chunks::<4>();
+    let (user_quads, user_tail) = tile.users.cols.as_chunks::<4>();
+    // Chains `first .. first + C` of every user over the block.
+    let run = |first: usize| {
+        let mut acc = [[V::zero(); C]; T];
+        for (rows, users) in code_quads.iter().zip(user_quads) {
+            for c in 0..C {
+                let x = V::codes(&rows[first + c]);
+                for (t, acc) in acc.iter_mut().enumerate() {
+                    acc[c] = V::splat(users[first + c].0[t]).fmadd(x, acc[c]);
+                }
+            }
+        }
+        if first == 0 {
+            for (row, user) in code_tail.iter().zip(user_tail) {
+                let x = V::codes(row);
+                for (t, acc) in acc.iter_mut().enumerate() {
+                    acc[0] = V::splat(user.0[t]).fmadd(x, acc[0]);
+                }
+            }
+        }
+        acc
+    };
+    // Every user's `(c₀ + c₁)` and `(c₂ + c₃)`, a run of chains at a time
+    // (built element by element: a zeroed array this size would be a
+    // memset per block).
+    let sum = |x: [[V; C]; T], y: [[V; C]; T], i: usize, j: usize| -> [V; T] {
+        std::array::from_fn(|t| x[t][i].add(y[t][j]))
+    };
+    let halves = match C {
+        4 => {
+            let all = run(0);
+            [sum(all, all, 0, 1), sum(all, all, 2, 3)]
+        }
+        2 => {
+            let (low, high) = (run(0), run(2));
+            [sum(low, low, 0, 1), sum(high, high, 0, 1)]
+        }
+        _ => {
+            let low = sum(run(0), run(1), 0, 0);
+            [low, sum(run(2), run(3), 0, 0)]
+        }
+    };
+    let scales = V::load(block.scales);
+    let bounds = V::load(block.bounds);
+    let live = block.live;
+    for (t, half) in halves[0].iter().zip(&halves[1]).enumerate() {
+        let a = half.0.add(*half.1).mul(scales);
+        let b = V::splat(tile.norms[t])
+            .mul(bounds)
+            .add(V::splat(f32::MIN_POSITIVE));
+        let ok = V::and(
+            b.cmp::<_CMP_LT_OQ>(V::splat(SLACK_CAP)),
+            a.abs().cmp::<_CMP_LT_OQ>(V::splat(f32::INFINITY)),
+        );
+        let lane = tile.lane(t);
+        let thresholds = &tile.thresholds[lane.clone()];
+        let counts = &mut counts[lane];
+        let mut gap = V::splat(f32::INFINITY);
+        for (count, &th) in counts.iter_mut().zip(thresholds) {
+            let th = V::splat(th);
+            gap = gap.min(a.sub(th).abs());
+            *count += (V::bits(a.cmp::<_CMP_LE_OQ>(th)) & live).count_ones();
+        }
+        let rows = live & !V::bits(V::and(ok, gap.cmp::<_CMP_GT_OQ>(b)));
+        if rows != 0 {
+            for (count, &th) in counts.iter_mut().zip(thresholds) {
+                *count -= (V::bits(a.cmp::<_CMP_LE_OQ>(V::splat(th))) & rows).count_ones();
+            }
+            open(t, rows);
+        }
     }
 }
 
@@ -972,7 +1200,7 @@ pub struct I8Block<'a> {
 /// and leaves a row out iff `fl(floor − a) > b`.
 ///
 /// **Why that is exact.** Let `x = dot(u, h)` and `ε = 2⁻²⁴`. As for
-/// [`coded_block_counts`] (Higham, *Accuracy and Stability*, §3.1),
+/// [`coded_tile_counts`] (Higham, *Accuracy and Stability*, §3.1),
 ///
 /// ```text
 /// x − u·h   ≤ γ_d·‖u‖‖h‖ + (d+1)·2⁻¹⁵⁰
@@ -1004,8 +1232,7 @@ pub fn i8_block_open(user: I8Query<'_>, block: I8Block<'_>, floor: f32, live: u8
         user.pairs.len() * 2 * BLOCK_ROWS,
         "one code per dimension pair and row"
     );
-    // 2¹⁰², as in `coded_block_counts`, and the absolute slack 2⁻⁹⁰.
-    let cap = f32::from_bits((127 + 102) << 23);
+    // The absolute slack 2⁻⁹⁰.
     let tiny = f32::from_bits((127 - 90) << 23);
     let (pairs, _) = block.codes.as_chunks::<{ 2 * BLOCK_ROWS }>();
     #[cfg(all(
@@ -1056,7 +1283,7 @@ pub fn i8_block_open(user: I8Query<'_>, block: I8Block<'_>, floor: f32, live: u8
                 _mm256_set1_ps(tiny),
             );
             let ok = _mm256_and_ps(
-                _mm256_cmp_ps::<_CMP_LT_OQ>(b, _mm256_set1_ps(cap)),
+                _mm256_cmp_ps::<_CMP_LT_OQ>(b, _mm256_set1_ps(SLACK_CAP)),
                 _mm256_cmp_ps::<_CMP_LT_OQ>(
                     _mm256_andnot_ps(_mm256_set1_ps(-0.0), a),
                     _mm256_set1_ps(f32::INFINITY),
@@ -1084,7 +1311,7 @@ pub fn i8_block_open(user: I8Query<'_>, block: I8Block<'_>, floor: f32, live: u8
         for (l, &dot) in dots.iter().enumerate() {
             let a = dot as f32 * (block.scales[l] * user.scale);
             let b = (user.norm * block.bounds[l] + user.err * block.norms[l]) + tiny;
-            let ok = b < cap && a.abs() < f32::INFINITY;
+            let ok = b < SLACK_CAP && a.abs() < f32::INFINITY;
             // NaN gaps compare false: the row stays.
             out |= u8::from(ok && floor - a > b) << l;
         }

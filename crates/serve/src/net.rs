@@ -962,6 +962,7 @@ mod tests {
                 "{body}"
             );
         }
+        assert!(body.contains("\nbns_ivf_scanned_rows 0\n"), "{body}");
         let mut client = WireClient::connect(addr).unwrap();
         for user in 0..3u32 {
             let resp = client.top_k(user, 4, true, ModeRequest::Exact).unwrap();
@@ -980,9 +981,16 @@ mod tests {
                 .and_then(|v| v.parse().ok())
                 .expect("rescored-row counter")
         };
-        // Each query re-scores at least the k = 4 rows that fill it.
+        // Each query re-scores at least the k = 4 rows that fill it, and
+        // an IVF query scans at least the rows it re-scores.
         assert!(rescored("exact") >= 12, "{body}");
         assert!(rescored("ivf") >= 8, "{body}");
+        let scanned: u64 = body
+            .lines()
+            .find_map(|l| l.strip_prefix("bns_ivf_scanned_rows "))
+            .and_then(|v| v.parse().ok())
+            .expect("scanned-row counter");
+        assert!(scanned >= rescored("ivf"), "{body}");
     }
 
     #[test]

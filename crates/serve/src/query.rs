@@ -115,6 +115,7 @@ pub struct QueryEngine {
     rescored_rows: Counter,
     ivf_queries: Counter,
     ivf_rescored_rows: Counter,
+    ivf_scanned_rows: Counter,
     mode: IndexMode,
 }
 
@@ -132,6 +133,7 @@ impl QueryEngine {
             rescored_rows: Counter::new(),
             ivf_queries: Counter::new(),
             ivf_rescored_rows: Counter::new(),
+            ivf_scanned_rows: Counter::new(),
             mode: IndexMode::Exact,
         }
     }
@@ -231,14 +233,16 @@ impl QueryEngine {
         self.rescored_rows.get()
     }
 
-    /// Appends the per-mode query and re-scored-row counters to a
-    /// `GET /metrics` body, one `name value` line each.
+    /// Appends the per-mode query and re-scored-row counters, and the rows
+    /// IVF queries scanned (the sizes of their probed clusters, summed), to
+    /// a `GET /metrics` body, one `name value` line each.
     pub(crate) fn render_metrics(&self, out: &mut String) {
         for (name, c) in [
             ("bns_exact_queries", &self.exact_queries),
             ("bns_exact_rescored_rows", &self.rescored_rows),
             ("bns_ivf_queries", &self.ivf_queries),
             ("bns_ivf_rescored_rows", &self.ivf_rescored_rows),
+            ("bns_ivf_scanned_rows", &self.ivf_scanned_rows),
         ] {
             let _ = writeln!(out, "{name} {}", c.get());
         }
@@ -410,10 +414,13 @@ impl QueryEngine {
                 codes.scan(&scratch.user, 0..codes.len(), floor, visit);
             }
             Some(index) => {
+                let mut scanned = 0u64;
                 for &c in &scratch.probe_ids {
                     let rows = index.cluster_rows(c as usize);
+                    scanned += rows.len() as u64;
                     floor = codes.scan(&scratch.user, rows, floor, &mut visit);
                 }
+                self.ivf_scanned_rows.add(scanned);
             }
         }
         rescored_rows.add(rescored);
@@ -721,6 +728,16 @@ mod tests {
         assert!(
             (10..=probed as u64).contains(&ivf_rescored),
             "{ivf_rescored} of {probed} probed rows re-scored"
+        );
+        // It scanned exactly its probed clusters' rows; exact mode and the
+        // cache hit scanned none.
+        assert!(
+            text.contains(&format!("bns_ivf_scanned_rows {probed}\n")),
+            "{text}"
+        );
+        assert!(
+            probed < n_items as usize,
+            "two of the clusters hold every row"
         );
     }
 

@@ -72,6 +72,7 @@ fn reference_fill(
             popularity: d.popularity(),
             user_scores: if full { &user_scores } else { &[] },
             epoch,
+            upcoming: &[],
         };
         let row = out.push_row(u, pos);
         let mut filled = 0usize;
@@ -127,6 +128,7 @@ fn check_equivalence(cfg: &SamplerConfig, batch_size: usize, k: usize, seed: u64
                     popularity: d.popularity(),
                     user_scores: &[],
                     epoch,
+                    upcoming: &[],
                 };
                 s_bat.sample_batch(chunk, k, &ctx, &mut rng_bat, &mut out_bat);
             }

@@ -2,7 +2,9 @@
 //! pass: MF exposes its rows, so every draw refreshes the coded copy of
 //! the epoch sample from MF's write record, and every epoch redraws the
 //! sample and rebuilds the copy. After warm-up epochs, whole epochs of
-//! `sample_batch` + `update_batch` must not allocate, batched or not.
+//! `sample_batch` + `update_batch` must not allocate, batched or not, and
+//! with the rest of the epoch announced in `SampleContext::upcoming` (the
+//! look-ahead windows of batch size 1) or not.
 //!
 //! The allocator harness lives in `tests/support/counting_alloc.rs`.
 
@@ -40,7 +42,14 @@ fn training_through_the_coded_pass_is_allocation_free_in_steady_state() {
         },
         prior: PriorKind::Popularity,
     };
-    for (batch_size, k) in [(1usize, 1usize), (8, 3)] {
+    // The last two cases announce the rest of the epoch in `upcoming`, as
+    // `train` does, so batch-1 draws go through look-ahead windows.
+    for (batch_size, k, ahead) in [
+        (1usize, 1usize, false),
+        (8, 3, false),
+        (1, 1, true),
+        (1, 2, true),
+    ] {
         let mut rng = StdRng::seed_from_u64(31);
         let mut model =
             MatrixFactorization::new(d.n_users(), d.n_items(), 16, 0.1, &mut rng).unwrap();
@@ -50,13 +59,15 @@ fn training_through_the_coded_pass_is_allocation_free_in_steady_state() {
         let mut infos = Vec::new();
         let mut epoch = |epoch: usize, model: &mut MatrixFactorization| {
             sampler.on_epoch_start(epoch);
-            for chunk in pairs.chunks(batch_size) {
+            for (b, chunk) in pairs.chunks(batch_size).enumerate() {
+                let rest = &pairs[b * batch_size + chunk.len()..];
                 let ctx = SampleContext {
                     scorer: &*model,
                     train: d.train(),
                     popularity: d.popularity(),
                     user_scores: &[],
                     epoch,
+                    upcoming: if ahead { rest } else { &[] },
                 };
                 sampler.sample_batch(chunk, k, &ctx, &mut rng, &mut batch);
                 model.update_batch(&batch, 0.05, 0.01, &mut infos);
@@ -82,6 +93,7 @@ fn training_through_the_coded_pass_is_allocation_free_in_steady_state() {
         );
         for s in &stats {
             assert!(s.ecdf_rows > 0 && s.ecdf_rescored < s.ecdf_rows, "{s:?}");
+            assert_eq!(s.ecdf_tiled > 0, ahead, "{s:?}");
         }
     }
 }

@@ -243,6 +243,7 @@ fn batched_sampling_is_allocation_free_in_steady_state() {
                 popularity: d.popularity(),
                 user_scores: &[],
                 epoch: 0,
+                upcoming: &[],
             };
 
             // Warm-up: several full passes so every reusable buffer (batch
