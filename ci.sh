@@ -47,12 +47,12 @@ run cargo run --release --offline --locked -p bns-lint
 RUSTFLAGS="-C target-cpu=native --cfg bns_model_check" \
     run cargo test -q -p bns-check --offline --locked
 # AVX2 kernel bodies on an AVX-512 host: there the builds above compile
-# the AVX-512 bodies of the two scan kernels (`kernel::tile_scan` over
+# the AVX-512 bodies of the scan kernels (`kernel::tile_scan` over
 # sixteen users, `kernel::coded_tile_counts` over sixteen coded rows and
-# up to sixteen users), so
-# build for x86-64-v3 (AVX2 + FMA) in a separate target dir to compile and
-# test the AVX2 bodies and their eight-lane layouts too. With the portable
-# steps below, all three bodies are tested on one host.
+# up to sixteen users, `kernel::q4_block_open` over sixteen 4-bit rows),
+# so build for x86-64-v3 (AVX2 + FMA) in a separate target dir to compile
+# and test the AVX2 bodies and their eight-lane layouts too. With the
+# portable steps below, all three bodies are tested on one host.
 if rustc --print cfg -C target-cpu=native | grep -q 'target_feature="avx512f"'; then
     RUSTFLAGS="-C target-cpu=x86-64-v3" \
         run cargo test -q -p bns-model -p bns-core -p bns-eval --lib --offline --locked --target-dir target/avx2
@@ -62,6 +62,11 @@ if rustc --print cfg -C target-cpu=native | grep -q 'target_feature="avx512f"'; 
     # allocates nothing in steady state (two test threads, as above).
     RUSTFLAGS="-C target-cpu=x86-64-v3" \
         run cargo test -q -p bns --test coded_pass_alloc --offline --locked --target-dir target/avx2 -- --test-threads=2
+    # Both serving modes through the 8-row AVX2 body of the 4-bit stage:
+    # exact and IVF answers against plain references, IVF's recall gate
+    # and the query allocation audit (two test threads, as above).
+    RUSTFLAGS="-C target-cpu=x86-64-v3" \
+        run cargo test -q -p bns-serve --test exact_prefilter --test ivf_recall --test query_alloc --offline --locked --target-dir target/avx2 -- --test-threads=2
     RUSTFLAGS="-C target-cpu=x86-64-v3" \
         run cargo clippy -p bns-model -p bns-core -p bns-eval --lib --offline --locked --target-dir target/avx2 -- -D warnings
 fi
@@ -71,8 +76,9 @@ fi
 # dir so the scalar bodies, the top-k selection they feed, the provided
 # `Scorer` methods every model scores through, the ranking protocol's tile
 # scan, BNS's coded Eq. 16 pass (on the portable body of the coded count
-# kernel) and serving's i8 scan, exact and IVF (on the portable body of its
-# integer kernel) are compiled and tested too. The two equivalence suites pin the
+# kernel) and serving's two-stage scan, exact and IVF (on the portable
+# bodies of its integer kernels) are compiled and tested too. The two
+# equivalence suites pin the
 # live models, the frozen artifact and the batched trainer to each other
 # bit for bit on that body; `reproducibility` ranks one model with 1 and 8
 # evaluation threads on the scalar tile body.
@@ -84,8 +90,8 @@ RUSTFLAGS="-C target-cpu=x86-64" \
 # batched and through look-ahead windows (two test threads, as above).
 RUSTFLAGS="-C target-cpu=x86-64" \
     run cargo test -q -p bns --test coded_pass_alloc --offline --locked --target-dir target/portable -- --test-threads=2
-# Both serving modes scan through the portable body of the integer kernel
-# here: exact and IVF serving against plain dot + top-k references on
+# Both serving modes scan through the portable bodies of the integer
+# kernels here: exact and IVF serving against plain dot + top-k references on
 # adversarial tables, IVF's recall gate, every selection path over NaN and
 # infinite rows, and the query allocation audit (two test threads, as
 # above).

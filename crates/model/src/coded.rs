@@ -27,24 +27,34 @@
 //! codes with a per-row scale leave 59.65% (the popularity column
 //! dominates each row's scale) and i8 with per-column scales 15.92%.
 //!
-//! **The i8 serving codes.** Serving asks a different question:
+//! **The serving codes.** Serving asks a different question:
 //! not "is this row below each of five thresholds" for every row, but
 //! "could this row reach the current k-th best score", which nearly every
-//! row of a 100k catalog misses by far more than an i8 code's error. So
-//! [`I8Rows`] keeps i8 codes `round(h / s)`, `s = max|hₖ| / 127`, with
-//! two per-row bound terms (at d = 32 a row is 44 B against 128 B), and
-//! [`I8User`] codes the user in i16. [`kernel::i8_block_open`] multiplies
-//! the two with integer multiply-adds (`_mm256_madd_epi16`), which sum
-//! exactly in `i32` and need no int→float conversion per code: those
-//! conversions bound [`kernel::coded_tile_counts`], which would read
-//! fewer bytes than the `f32` GEMV but run no faster. On the serving
-//! benchmark's model (100k clustered items, d = 32, k = 10) a median of
-//! ~118 rows per query survive the bound and are scored exactly when the
-//! rows are scanned in id order, ~166 in the IVF index's cluster order,
-//! and ~85 of the ~12k rows of 64 probed clusters. [`I8Rows::scan`] takes
-//! a row range, so both serving modes scan one code table.
+//! row of a 100k catalog misses by far more than a coarse code's error.
+//! So [`I8Rows`] keeps each row coded twice by the quantizer above, with
+//! two per-row bound terms each: 4-bit codes `round(h / s)`, `s =
+//! max|hₖ| / 7`, packed as nibbles in blocks of [`WIDTH`] rows (16 B of
+//! codes, 28 B a row at d = 32), and i8 codes with `s = max|hₖ| / 127` in
+//! blocks of eight (44 B a row), against 128 B for the `f32` row.
+//! [`I8User`] codes the user in 8 bits for the first and in i16 for the
+//! second. [`kernel::q4_block_open`] and [`kernel::i8_block_open`]
+//! multiply them with integer multiply-adds (`maddubs` + `madd`,
+//! `_mm256_madd_epi16`), which sum exactly in `i32` and need no
+//! int→float conversion per code: those conversions bound
+//! [`kernel::coded_tile_counts`], which would read fewer bytes than the
+//! `f32` GEMV but run no faster. [`I8Rows::scan`] runs the 4-bit stage on
+//! every block, the i8 stage on the rows it leaves open, and visits the
+//! rest. On the serving benchmark's model (100k clustered items, d = 32,
+//! k = 10), scanned in the IVF index's cluster order, a query's 4-bit
+//! stage leaves ~1,090 rows open and ~190 survive the i8 bound and are
+//! scored exactly (~620 and ~116 in id order), and the 4-bit stage
+//! scans a row in ~1.1–1.5 ns, against ~1.9–2.7 for the i8 stage alone
+//! (a 2-vCPU AVX-512 Xeon). [`I8Rows::scan`] takes a row range, so both
+//! serving modes scan one code table.
 
-use crate::kernel::{self, CodedBlock, CountTile, I8Block, I8Query, BLOCK_ROWS, WIDTH};
+use crate::kernel::{
+    self, CodedBlock, CountTile, I8Block, I8Query, Q4Block, Q4Query, BLOCK_ROWS, WIDTH,
+};
 use std::ops::Range;
 
 /// Largest code magnitude: codes span `[-32767, 32767]`.
@@ -52,6 +62,9 @@ const CODE_MAX: f64 = 32767.0;
 
 /// Largest i8 row code magnitude: codes span `[-127, 127]`.
 const I8_MAX: f64 = 127.0;
+
+/// Largest 4-bit row code magnitude: codes span `[-7, 7]`.
+const Q4_MAX: f64 = 7.0;
 
 /// `γₙ = n·2⁻²⁴ / (1 − n·2⁻²⁴)`, the relative error bound of `n` `f32`
 /// roundings.
@@ -70,8 +83,24 @@ fn f64_error(d: usize) -> f64 {
 /// code_max` (zero for a zero row or `code_max = 0`), passing each code
 /// to `store(k, c)`, and returns `s` with `‖h − ĥ‖₂`, `‖h‖₂` and
 /// `‖ĥ‖₂` for `ĥ = s·c`, summed in `f64`.
+///
+/// The maximum, the codes and the summands are computed a chunk of
+/// dimensions at a time into contiguous buffers, where they vectorize;
+/// only the three sums run one dimension after another, in ascending `k`
+/// as before, so every bit of the result is that of the one-loop form
+/// (pinned by a test against it).
 fn code_row(row: &[f32], code_max: f64, mut store: impl FnMut(usize, f64)) -> (f32, f64, f64, f64) {
-    let max = row.iter().fold(0.0f32, |m, x| m.max(x.abs()));
+    debug_assert!(
+        row.iter().all(|x| x.is_finite()),
+        "code_row needs a finite row"
+    );
+    // For finite values the bits of |x| order like |x|, and an integer
+    // maximum needs no NaN case, so it vectorizes.
+    let max = f32::from_bits(
+        row.iter()
+            .map(|x| x.to_bits() & 0x7FFF_FFFF)
+            .fold(0, u32::max),
+    );
     // Any positive scale gives a valid bound (it is measured on the codes
     // actually stored); keep it positive when `max / code_max` underflows
     // to zero.
@@ -81,17 +110,23 @@ fn code_row(row: &[f32], code_max: f64, mut store: impl FnMut(usize, f64)) -> (f
         (max / code_max as f32).max(f32::from_bits(1))
     };
     let inv = if s == 0.0 { 0.0 } else { 1.0 / f64::from(s) };
+    const CHUNK: usize = 32;
+    let (mut codes, mut terms) = ([0.0f64; CHUNK], [[0.0f64; 3]; CHUNK]);
     let (mut err, mut norm_h, mut norm_q) = (0.0f64, 0.0f64, 0.0f64);
-    for (k, &h) in row.iter().enumerate() {
-        let c = (f64::from(h) * inv)
-            .round_ties_even()
-            .clamp(-code_max, code_max);
-        store(k, c);
-        // `s·c` is exact in f64 (24 + 15 significant bits).
-        let q = f64::from(s) * c;
-        err += (f64::from(h) - q) * (f64::from(h) - q);
-        norm_h += f64::from(h) * f64::from(h);
-        norm_q += q * q;
+    for (first, chunk) in (0..).step_by(CHUNK).zip(row.chunks(CHUNK)) {
+        for ((c, t), &h) in codes.iter_mut().zip(&mut terms).zip(chunk) {
+            let h = f64::from(h);
+            *c = (h * inv).round_ties_even().clamp(-code_max, code_max);
+            // `s·c` is exact in f64 (24 + 15 significant bits).
+            let q = f64::from(s) * *c;
+            *t = [(h - q) * (h - q), h * h, q * q];
+        }
+        for (k, (&c, t)) in codes.iter().zip(&terms).take(chunk.len()).enumerate() {
+            store(first + k, c);
+            err += t[0];
+            norm_h += t[1];
+            norm_q += t[2];
+        }
     }
     (s, err.sqrt(), norm_h.sqrt(), norm_q.sqrt())
 }
@@ -202,15 +237,19 @@ impl CodedRows {
     }
 }
 
-/// The i8 serving codes of a row-major item table (see the module doc):
-/// per row, i8 codes `c` with a scale `s` (`ĥ = s·c`) and the bound terms
+/// The serving codes of a row-major item table (see the module doc), in
+/// two resolutions with the same quantizer and bound formulas: per row,
+/// codes `c` with a scale `s` (`ĥ = s·c`) and the bound terms
 /// `B ≥ ‖h − ĥ‖₂ + γ_{d+2}·‖h‖₂ + γ₃·‖ĥ‖₂` and `N ≥ (1 + γ₃)·‖ĥ‖₂`,
-/// computed in `f64` and rounded up. A row with a non-finite entry gets
-/// `B = +∞`, so [`I8Rows::scan`] always visits it.
+/// computed in `f64` and rounded up, once for i8 codes (`s = max|hₖ| /
+/// 127`) and once for 4-bit codes (`s = max|hₖ| / 7`). A row with a
+/// non-finite entry gets `B = +∞` in both, so [`I8Rows::scan`] always
+/// visits it.
 ///
-/// Rows sit in blocks of [`BLOCK_ROWS`] with dimension pairs interleaved
-/// (the layout of [`I8Block`]); the last block is padded with zero rows
-/// that are never visited.
+/// The i8 rows sit in blocks of [`BLOCK_ROWS`] with dimension pairs
+/// interleaved (the layout of [`I8Block`]), the 4-bit rows in blocks of
+/// [`WIDTH`] as packed nibbles (the layout of [`Q4Block`]); the last
+/// block of each is padded with zero rows that are never visited.
 #[derive(Debug, Clone)]
 pub struct I8Rows {
     dim: usize,
@@ -223,6 +262,22 @@ pub struct I8Rows {
     bounds: Vec<f32>,
     /// `blocks × 8` per-row norms `N`.
     norms: Vec<f32>,
+    /// The 4-bit codes: `blocks4 × ⌈dim/8⌉ × 4·WIDTH` bytes.
+    nibbles: Vec<u8>,
+    /// `blocks4 × WIDTH` per-row 4-bit scales, bounds `B` and norms `N`.
+    q4_scales: Vec<f32>,
+    q4_bounds: Vec<f32>,
+    q4_norms: Vec<f32>,
+}
+
+/// The bound terms `B` and `N` of the codes [`code_row`] measured for a
+/// row of dimension `d`, rounded up to `f32`.
+fn serving_bounds(d: usize, err: f64, norm_h: f64, norm_q: f64) -> (f32, f32) {
+    let f64_error = f64_error(d);
+    let (g_d, g_3) = (gamma(d as f64 + 2.0), gamma(3.0));
+    let bound = (err + g_d * norm_h + g_3 * norm_q) * f64_error;
+    let norm = (1.0 + g_3) * norm_q * f64_error;
+    (kernel::round_up_f32(bound), kernel::round_up_f32(norm))
 }
 
 impl I8Rows {
@@ -232,6 +287,7 @@ impl I8Rows {
         assert_eq!(table.len() % dim, 0, "table is not a whole number of rows");
         let len = table.len() / dim;
         let padded = len.div_ceil(BLOCK_ROWS) * BLOCK_ROWS;
+        let padded4 = len.div_ceil(WIDTH) * WIDTH;
         let pairs = dim.div_ceil(2);
         let mut rows = Self {
             dim,
@@ -240,6 +296,10 @@ impl I8Rows {
             scales: vec![0.0; padded],
             bounds: vec![0.0; padded],
             norms: vec![0.0; padded],
+            nibbles: vec![0x88; padded4 * dim.div_ceil(8) * 4],
+            q4_scales: vec![0.0; padded4],
+            q4_bounds: vec![0.0; padded4],
+            q4_norms: vec![0.0; padded4],
         };
         for (r, row) in table.chunks_exact(dim).enumerate() {
             rows.set(r, row);
@@ -247,25 +307,33 @@ impl I8Rows {
         rows
     }
 
-    /// Codes row `r` from `row`.
+    /// Codes row `r` from `row`, in both resolutions.
     fn set(&mut self, r: usize, row: &[f32]) {
+        let d = row.len();
+        if !row.iter().all(|x| x.is_finite()) {
+            // Codes, scales and norms stay zero; the bounds keep the row.
+            self.bounds[r] = f32::INFINITY;
+            self.q4_bounds[r] = f32::INFINITY;
+            return;
+        }
         let (block, lane) = (r / BLOCK_ROWS, r % BLOCK_ROWS);
         let base = block * self.dim.div_ceil(2) * 2 * BLOCK_ROWS + 2 * lane;
         let at = |k: usize| base + (k / 2) * 2 * BLOCK_ROWS + k % 2;
-        let d = row.len();
-        if !row.iter().all(|x| x.is_finite()) {
-            // Codes, scale and norm stay zero; the bound keeps the row.
-            self.bounds[r] = f32::INFINITY;
-            return;
-        }
         let codes = &mut self.codes;
         let (s, err, norm_h, norm_q) = code_row(row, I8_MAX, |k, c| codes[at(k)] = c as i8);
-        let f64_error = f64_error(d);
-        let (g_d, g_3) = (gamma(d as f64 + 2.0), gamma(3.0));
-        let bound = (err + g_d * norm_h + g_3 * norm_q) * f64_error;
+        (self.bounds[r], self.norms[r]) = serving_bounds(d, err, norm_h, norm_q);
         self.scales[r] = s;
-        self.bounds[r] = kernel::round_up_f32(bound);
-        self.norms[r] = kernel::round_up_f32((1.0 + g_3) * norm_q * f64_error);
+
+        let (block, lane) = (r / WIDTH, r % WIDTH);
+        let base = block * self.dim.div_ceil(8) * 4 * WIDTH + 4 * lane;
+        let nibbles = &mut self.nibbles;
+        let (s, err, norm_h, norm_q) = code_row(row, Q4_MAX, |k, c| {
+            let byte = &mut nibbles[base + (k / 8) * 4 * WIDTH + k % 4];
+            let shift = 4 * (k % 8 / 4);
+            *byte = (*byte & !(0x0F << shift)) | (((c + 8.0) as u8) << shift);
+        });
+        (self.q4_bounds[r], self.q4_norms[r]) = serving_bounds(d, err, norm_h, norm_q);
+        self.q4_scales[r] = s;
     }
 
     /// Number of rows.
@@ -282,23 +350,83 @@ impl I8Rows {
     /// `kernel::dot(user, h)` could reach the running floor, which starts
     /// at `floor`: `visit(r)` scores row `r` (or passes it over) and
     /// returns the new floor, the score a row must reach to matter (`−∞`
-    /// while every row does). A row is passed over unvisited only when
-    /// [`kernel::i8_block_open`] proves its score strictly below the floor
-    /// in force at its block. Returns the floor after the last visit, so
-    /// consecutive ranges chain into one scan.
+    /// while every row does). Each block of [`WIDTH`] rows goes through
+    /// [`kernel::q4_block_open`] on its 4-bit codes at the floor in force;
+    /// the rows it leaves open go through [`kernel::i8_block_open`] on
+    /// their i8 codes, a block of [`BLOCK_ROWS`] at a time, at the floor in
+    /// force then; the rows that stage leaves open are visited. So a row is
+    /// passed over unvisited only when one of the two kernels proves its
+    /// score strictly below the floor in force at its check.
+    ///
+    /// Returns the floor after the last visit, so consecutive ranges chain
+    /// into one scan, and the number of rows the 4-bit stage left open.
     pub fn scan(
         &self,
         user: &I8User,
         rows: Range<usize>,
         mut floor: f32,
         mut visit: impl FnMut(usize) -> f32,
-    ) -> f32 {
+    ) -> (f32, usize) {
         assert_eq!(user.dim, self.dim, "user dimension mismatch");
         assert!(
             rows.start <= rows.end && rows.end <= self.len,
             "rows {rows:?} out of 0..{}",
             self.len
         );
+        let query = Q4Query {
+            quads: &user.quads,
+            bias: user.bias,
+            scale: user.q4_scale,
+            norm: user.norm,
+            err: user.q4_err,
+        };
+        let block_len = self.dim.div_ceil(8) * 4 * WIDTH;
+        let (scales, bounds, norms) = (
+            self.q4_scales.as_chunks::<WIDTH>().0,
+            self.q4_bounds.as_chunks::<WIDTH>().0,
+            self.q4_norms.as_chunks::<WIDTH>().0,
+        );
+        // Lanes outside `rows` in the first and last block stay shut.
+        let mut live =
+            (kernel::first_lanes(WIDTH) << (rows.start % WIDTH)) & kernel::first_lanes(WIDTH);
+        let mut opened = 0;
+        for b in rows.start / WIDTH..rows.end.div_ceil(WIDTH) {
+            let first = b * WIDTH;
+            if rows.end - first < WIDTH {
+                live &= kernel::first_lanes(rows.end - first);
+            }
+            let block = Q4Block {
+                codes: &self.nibbles[b * block_len..][..block_len],
+                scales: &scales[b],
+                bounds: &bounds[b],
+                norms: &norms[b],
+            };
+            let open = kernel::q4_block_open(query, block, floor, live);
+            live = kernel::first_lanes(WIDTH);
+            if open != 0 {
+                opened += open.count_ones() as usize;
+                floor = self.open_i8(user, first, open, floor, &mut visit);
+            }
+        }
+        (floor, opened)
+    }
+
+    /// The second stage of [`I8Rows::scan`] for the rows of `open` (a lane
+    /// mask over the 4-bit block at row `first`): each of its i8 blocks
+    /// with open rows goes through [`kernel::i8_block_open`] at the floor
+    /// in force, and the rows left open are visited in ascending order.
+    /// Returns the floor after the last visit (`floor` if none). Out of
+    /// line: kept apart, it leaves the scan's block loop as tight as it is
+    /// without it.
+    #[inline(never)]
+    fn open_i8(
+        &self,
+        user: &I8User,
+        first: usize,
+        open: u16,
+        mut floor: f32,
+        visit: &mut impl FnMut(usize) -> f32,
+    ) -> f32 {
         let query = I8Query {
             pairs: &user.pairs,
             scale: user.scale,
@@ -306,53 +434,35 @@ impl I8Rows {
             err: user.err,
         };
         let block_len = self.dim.div_ceil(2) * 2 * BLOCK_ROWS;
-        let first_block = rows.start / BLOCK_ROWS;
-        let blocks = first_block..rows.end.div_ceil(BLOCK_ROWS);
-        let lanes = blocks.start * BLOCK_ROWS..blocks.end * BLOCK_ROWS;
-        let blocks = self.codes[blocks.start * block_len..blocks.end * block_len]
-            .chunks_exact(block_len)
-            .zip(self.scales[lanes.clone()].as_chunks::<BLOCK_ROWS>().0)
-            .zip(self.bounds[lanes.clone()].as_chunks::<BLOCK_ROWS>().0)
-            .zip(self.norms[lanes].as_chunks::<BLOCK_ROWS>().0);
-        // Lanes outside `rows` in the first and last block stay shut.
-        let mut head = u8::MAX << (rows.start % BLOCK_ROWS);
-        for (b, (((codes, scales), bounds), norms)) in blocks.enumerate() {
-            let first = (first_block + b) * BLOCK_ROWS;
-            let live = head & (u8::MAX >> (BLOCK_ROWS - (rows.end - first).min(BLOCK_ROWS)));
-            head = u8::MAX;
+        for sub in 0..WIDTH / BLOCK_ROWS {
+            let live = (open >> (sub * BLOCK_ROWS)) as u8;
+            if live == 0 {
+                continue;
+            }
+            let start = first + sub * BLOCK_ROWS;
+            let lanes = start..start + BLOCK_ROWS;
             let block = I8Block {
-                codes,
-                scales,
-                bounds,
-                norms,
+                codes: &self.codes[start / BLOCK_ROWS * block_len..][..block_len],
+                scales: self.scales[lanes.clone()].as_array().expect("8 lanes"),
+                bounds: self.bounds[lanes.clone()].as_array().expect("8 lanes"),
+                norms: self.norms[lanes].as_array().expect("8 lanes"),
             };
-            let open = kernel::i8_block_open(query, block, floor, live);
-            if open != 0 {
-                floor = visit_rows(first, open, &mut visit);
+            let mut rows = kernel::i8_block_open(query, block, floor, live);
+            while rows != 0 {
+                floor = visit(start + rows.trailing_zeros() as usize);
+                rows &= rows - 1;
             }
         }
         floor
     }
 }
 
-/// Visits the rows of `open` (a lane mask over the block at `first`) in
-/// ascending order and returns the floor after the last. Out of line:
-/// kept apart, the visitor leaves the scan's block loop as tight as it
-/// is without one.
-#[inline(never)]
-fn visit_rows(first: usize, mut open: u8, visit: &mut impl FnMut(usize) -> f32) -> f32 {
-    let mut floor = f32::NEG_INFINITY;
-    while open != 0 {
-        floor = visit(first + open.trailing_zeros() as usize);
-        open &= open - 1;
-    }
-    floor
-}
-
-/// The user side of [`I8Rows::scan`]: i16 codes `q = round(u / t)`,
-/// `t = max|uₖ| / kernel::user_code_max(d)`, and the norms the bound
-/// needs. Reusable: [`I8User::set`] is allocation-free once the buffer
-/// holds a row of the dimension.
+/// The user side of [`I8Rows::scan`], coded twice: i16 codes `q = round(u
+/// / t)`, `t = max|uₖ| / kernel::user_code_max(d)`, for the i8 stage and
+/// 8-bit codes with `t = max|uₖ| / kernel::q4_user_code_max(d)` for the
+/// 4-bit stage, each with its error bound, and the norm bound both
+/// stages need. Reusable: [`I8User::set`] is allocation-free once the
+/// buffers hold a row of the dimension.
 #[derive(Debug, Clone, Default)]
 pub struct I8User {
     dim: usize,
@@ -360,6 +470,12 @@ pub struct I8User {
     scale: f32,
     norm: f32,
     err: f32,
+    /// The 8-bit codes four to a word (the layout of [`Q4Query::quads`]).
+    quads: Vec<i32>,
+    /// `8·Σ q` over the 8-bit codes.
+    bias: i32,
+    q4_scale: f32,
+    q4_err: f32,
 }
 
 impl I8User {
@@ -368,26 +484,39 @@ impl I8User {
         Self::default()
     }
 
-    /// Codes `user`. A non-finite user gets zero codes and an infinite
-    /// error, so a scan visits every row.
+    /// Codes `user`. A non-finite user gets zero codes and infinite
+    /// errors, so a scan visits every row.
     pub fn set(&mut self, user: &[f32]) {
         let d = user.len();
         self.dim = d;
         self.pairs.clear();
         self.pairs.resize(d.div_ceil(2), 0);
+        self.quads.clear();
+        self.quads.resize(2 * d.div_ceil(8), 0);
+        self.bias = 0;
         self.norm = kernel::norm_bound(user);
         if !user.iter().all(|x| x.is_finite()) {
             (self.scale, self.err) = (0.0, f32::INFINITY);
+            (self.q4_scale, self.q4_err) = (0.0, f32::INFINITY);
             return;
         }
+        let grow = 1.0 + 8.0 / (1u64 << 24) as f64;
         let q_max = f64::from(kernel::user_code_max(d));
         let pairs = &mut self.pairs;
         let (t, err, _, _) = code_row(user, q_max, |k, c| {
             pairs[k / 2] |= (u32::from(c as i16 as u16) << (16 * (k % 2))) as i32;
         });
         self.scale = t;
-        let grow = 1.0 + 8.0 / (1u64 << 24) as f64;
         self.err = kernel::round_up_f32(err * grow * f64_error(d));
+        let q_max = f64::from(kernel::q4_user_code_max(d));
+        let (quads, mut sum) = (&mut self.quads, 0i32);
+        let (t, err, _, _) = code_row(user, q_max, |k, c| {
+            quads[k / 4] |= (u32::from(c as i8 as u8) << (8 * (k % 4))) as i32;
+            sum += c as i32;
+        });
+        self.bias = 8 * sum;
+        self.q4_scale = t;
+        self.q4_err = kernel::round_up_f32(err * grow * f64_error(d));
     }
 }
 
@@ -463,6 +592,79 @@ mod tests {
             open.push(r);
         });
         (counts, open)
+    }
+
+    /// The one-loop form of [`code_row`]: the maximum, each code and the
+    /// three sums in one pass over the dimensions.
+    fn code_row_reference(row: &[f32], code_max: f64) -> (Vec<f64>, f32, f64, f64, f64) {
+        let max = row.iter().fold(0.0f32, |m, x| m.max(x.abs()));
+        let s = if max == 0.0 || code_max == 0.0 {
+            0.0
+        } else {
+            (max / code_max as f32).max(f32::from_bits(1))
+        };
+        let inv = if s == 0.0 { 0.0 } else { 1.0 / f64::from(s) };
+        let (mut err, mut norm_h, mut norm_q) = (0.0f64, 0.0f64, 0.0f64);
+        let mut codes = Vec::new();
+        for &h in row {
+            let c = (f64::from(h) * inv)
+                .round_ties_even()
+                .clamp(-code_max, code_max);
+            codes.push(c);
+            let q = f64::from(s) * c;
+            err += (f64::from(h) - q) * (f64::from(h) - q);
+            norm_h += f64::from(h) * f64::from(h);
+            norm_q += q * q;
+        }
+        (codes, s, err.sqrt(), norm_h.sqrt(), norm_q.sqrt())
+    }
+
+    #[test]
+    fn code_row_is_the_one_loop_form_bit_for_bit() {
+        let bits = |x: f64| x.to_bits();
+        for d in [1usize, 2, 7, 31, 32, 33, 64, 65, 100, 600] {
+            let mut rows: Vec<Vec<f32>> = (0..8).map(|r| rough(d, 40 + r)).collect();
+            rows.push(vec![0.0; d]);
+            rows.push(vec![-0.0; d]);
+            rows.push(rough(d, 3).iter().map(|x| x * 1e30).collect());
+            rows.push(rough(d, 4).iter().map(|x| x * 1e-40).collect());
+            rows.push(rough(d, 5).iter().map(|x| x * 1e-45).collect());
+            let mut spike = rough(d, 6);
+            spike[d / 2] = f32::MAX;
+            rows.push(spike);
+            // Ties at every half code.
+            rows.push((0..d).map(|k| k as f32 + 0.5).collect());
+            let code_maxes = [
+                CODE_MAX,
+                I8_MAX,
+                Q4_MAX,
+                f64::from(kernel::user_code_max(d)),
+                f64::from(kernel::q4_user_code_max(d)),
+                0.0,
+            ];
+            for (r, row) in rows.iter().enumerate() {
+                for &code_max in &code_maxes {
+                    let what = format!("d = {d}, row {r}, code_max {code_max}");
+                    let mut codes = vec![f64::NAN; d];
+                    let got = code_row(row, code_max, |k, c| codes[k] = c);
+                    let want = code_row_reference(row, code_max);
+                    assert_eq!(
+                        codes.iter().map(|&c| bits(c)).collect::<Vec<_>>(),
+                        want.0.iter().map(|&c| bits(c)).collect::<Vec<_>>(),
+                        "{what}: codes"
+                    );
+                    assert_eq!(got.0.to_bits(), want.1.to_bits(), "{what}: scale");
+                    let sums = [got.1, got.2, got.3].map(bits);
+                    assert_eq!(sums, [want.2, want.3, want.4].map(bits), "{what}: sums");
+                    // So the bounds and norms built on them are too.
+                    assert_eq!(
+                        serving_bounds(d, got.1, got.2, got.3),
+                        serving_bounds(d, want.2, want.3, want.4),
+                        "{what}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -728,43 +930,69 @@ mod tests {
 
     /// The rows of `table` a scan visits when the floor is held at
     /// `floor` after the first visit (the first block always opens at
-    /// `−∞`).
+    /// `−∞`). Every visited row was left open by the 4-bit stage.
     fn visited(rows: &I8Rows, user: &[f32], floor: f32) -> Vec<usize> {
         let mut coded = I8User::new();
         coded.set(user);
         let mut seen = Vec::new();
-        rows.scan(&coded, 0..rows.len(), f32::NEG_INFINITY, |r| {
+        let (_, opened) = rows.scan(&coded, 0..rows.len(), f32::NEG_INFINITY, |r| {
             seen.push(r);
             floor
         });
+        assert!(
+            opened >= seen.len(),
+            "{opened} opened, {} visited",
+            seen.len()
+        );
         seen
+    }
+
+    /// A rough row with one coordinate `1e4` times the rest: every other
+    /// 4-bit code rounds to zero, the 4-bit codes' worst case.
+    fn dominant(d: usize, seed: u64) -> Vec<f32> {
+        let mut row = rough(d, seed);
+        row[seed as usize % d] = 1e4;
+        row
     }
 
     #[test]
     fn a_range_scan_visits_only_its_rows_and_chains_the_floor() {
+        // Three 4-bit blocks but three rows at either build width: ranges
+        // start and end inside a 4-bit block, inside an i8 block and on
+        // their edges.
         let d = 5;
-        let table: Vec<f32> = (0..29).flat_map(|r| rough(d, 700 + r)).collect();
+        let len = 3 * WIDTH - 3;
+        let table: Vec<f32> = (0..len as u64)
+            .flat_map(|r| {
+                if r % 5 == 2 {
+                    dominant(d, 700 + r)
+                } else {
+                    rough(d, 700 + r)
+                }
+            })
+            .collect();
         let set = I8Rows::from_table(&table, d);
         let mut coded = I8User::new();
         coded.set(&rough(d, 3));
         for lo in 0..=set.len() {
             for hi in lo..=set.len() {
                 let mut seen = Vec::new();
-                let floor = set.scan(&coded, lo..hi, f32::NEG_INFINITY, |r| {
+                let (floor, opened) = set.scan(&coded, lo..hi, f32::NEG_INFINITY, |r| {
                     seen.push(r);
                     r as f32 - 1e6
                 });
                 assert_eq!(seen, (lo..hi).collect::<Vec<_>>(), "rows {lo}..{hi}");
+                assert_eq!(opened, hi - lo, "rows {lo}..{hi}");
                 let last = if hi > lo {
                     (hi - 1) as f32 - 1e6
                 } else {
                     f32::NEG_INFINITY
                 };
                 assert_eq!(floor, last, "rows {lo}..{hi}");
-                // A floor no row reaches passes every row over and comes
-                // back unchanged.
+                // A floor no row reaches passes every row over in the
+                // 4-bit stage and comes back unchanged.
                 let untouched = set.scan(&coded, lo..hi, 1e30, |r| panic!("row {r} visited"));
-                assert_eq!(untouched, 1e30);
+                assert_eq!(untouched, (1e30, 0));
             }
         }
     }
@@ -782,6 +1010,10 @@ mod tests {
             let mut bad = rough(d, 7);
             bad[d / 2] = f32::NAN;
             rows.push(bad);
+            rows.extend((0..6).map(|r| dominant(d, 800 + r)));
+            let mut spike = vec![1e-3; d];
+            spike[d - 1] = 1.0;
+            rows.push(spike);
             let table: Vec<f32> = rows.iter().flatten().copied().collect();
             let set = I8Rows::from_table(&table, d);
             assert_eq!(set.len(), rows.len());

@@ -44,21 +44,27 @@
 //! re-score. Its approximate scores never reach a result, only its
 //! decisions, which equal the exact kernel's comparisons; so its vector
 //! and portable bodies may round differently. It runs every coded Eq. 16
-//! pass of BNS, a lone draw being a tile of one. [`i8_block_open`] is its
-//! serving counterpart: over eight rows of [`crate::coded::I8Rows`] (i8
-//! codes) and an i16-coded user it proves, from an exact integer dot and
+//! pass of BNS, a lone draw being a tile of one. [`q4_block_open`] and
+//! [`i8_block_open`] are its serving counterparts, the two stages of
+//! serving's scan: over [`WIDTH`] rows of 4-bit codes and an 8-bit-coded
+//! user, then over the eight rows of each i8 block that still holds open
+//! rows and an i16-coded user, each proves, from an exact integer dot and
 //! a rigorous slack, which rows score strictly below a floor, and hands
-//! back the rest for an exact re-score. It runs exact serving's scan.
+//! back the rest (of [`crate::coded::I8Rows`]) for the next stage and
+//! finally an exact re-score.
 //!
 //! **The ISA is chosen at build time**, with no runtime dispatch. The
 //! workspace builds with `target-cpu=native` (see `.cargo/config.toml`),
 //! and there are three bodies:
 //!
 //! * **AVX-512F** (implies AVX2 and FMA): the two scan kernels,
-//!   [`tile_scan`] and [`coded_tile_counts`], run on 512-bit registers,
-//!   so [`WIDTH`] is 16: sixteen users a tile, sixteen rows a coded block,
-//!   sixteen users a count tile.
-//!   [`dot`] and [`i8_block_open`] run their AVX2 bodies.
+//!   [`tile_scan`] and [`coded_tile_counts`], and the bound stage of
+//!   [`q4_block_open`] run on 512-bit registers, so [`WIDTH`] is 16:
+//!   sixteen users a tile, sixteen rows a coded block, sixteen users a
+//!   count tile, sixteen rows a 4-bit block. [`q4_block_open`]'s integer
+//!   dot runs its 512-bit body on AVX-512BW builds (its byte
+//!   multiply-adds need BW), and its AVX2 body on each eight rows
+//!   otherwise. [`dot`] and [`i8_block_open`] run their AVX2 bodies.
 //! * **AVX2 + FMA**: every kernel runs on 256-bit registers and [`WIDTH`]
 //!   is 8.
 //! * **Any other build** runs the portable scalar bodies, with [`WIDTH`]
@@ -91,7 +97,7 @@ pub const LANES: usize = 8;
 
 /// The `f32` lanes of one register of the build's scan bodies: 16 on
 /// AVX-512F builds, 8 on every other build. It is the number of users in a
-/// [`UserTile`] and of rows in a [`CodedBlock`].
+/// [`UserTile`] and of rows in a [`CodedBlock`] and a [`Q4Block`].
 pub const WIDTH: usize = if cfg!(all(target_arch = "x86_64", target_feature = "avx512f")) {
     16
 } else {
@@ -103,11 +109,12 @@ pub(crate) fn first_lanes(n: usize) -> u16 {
     ((1u32 << n) - 1) as u16
 }
 
-/// The register of the scan bodies ([`tile_scan`], [`coded_tile_counts`])
-/// and the operations they are written in, so that one body serves both
-/// widths: a `__m512` with `__mmask16` compare masks on AVX-512F builds, a
-/// `__m256` with vector compare masks on AVX2 + FMA builds. Each method
-/// is the intrinsic of its name, or the few that make it up.
+/// The register of the scan bodies ([`tile_scan`], [`coded_tile_counts`],
+/// the bound stage of [`q4_block_open`]) and the operations they are
+/// written in, so that one body serves both widths: a `__m512` with
+/// `__mmask16` compare masks on AVX-512F builds, a `__m256` with vector
+/// compare masks on AVX2 + FMA builds. Each method is the intrinsic of its
+/// name, or the few that make it up.
 #[cfg(all(
     target_arch = "x86_64",
     target_feature = "avx2",
@@ -127,6 +134,8 @@ mod simd {
         fn store(self, out: &mut [f32; WIDTH]);
         /// Widens [`WIDTH`] i16 codes to `f32`.
         fn codes(c: &[i16; WIDTH]) -> Self;
+        /// Converts [`WIDTH`] `i32` to `f32`, rounding to nearest.
+        fn ints(x: &[i32; WIDTH]) -> Self;
         /// `self · b + c`, rounded once.
         fn fmadd(self, b: Self, c: Self) -> Self;
         fn add(self, b: Self) -> Self;
@@ -178,6 +187,11 @@ mod simd {
             unsafe {
                 _mm512_cvtepi32_ps(_mm512_cvtepi16_epi32(_mm256_loadu_si256(c.as_ptr().cast())))
             }
+        }
+        #[inline(always)]
+        fn ints(x: &[i32; WIDTH]) -> Self {
+            // SAFETY: AVX-512F; the load reads the 16 integers of `x`.
+            unsafe { _mm512_cvtepi32_ps(_mm512_loadu_si512(x.as_ptr().cast())) }
         }
         #[inline(always)]
         fn fmadd(self, b: Self, c: Self) -> Self {
@@ -251,6 +265,11 @@ mod simd {
         fn codes(c: &[i16; WIDTH]) -> Self {
             // SAFETY: AVX2; the load reads the 8 codes (16 bytes) of `c`.
             unsafe { _mm256_cvtepi32_ps(_mm256_cvtepi16_epi32(_mm_loadu_si128(c.as_ptr().cast()))) }
+        }
+        #[inline(always)]
+        fn ints(x: &[i32; WIDTH]) -> Self {
+            // SAFETY: AVX2; the load reads the 8 integers of `x`.
+            unsafe { _mm256_cvtepi32_ps(_mm256_loadu_si256(x.as_ptr().cast())) }
         }
         #[inline(always)]
         fn fmadd(self, b: Self, c: Self) -> Self {
@@ -1319,6 +1338,296 @@ pub fn i8_block_open(user: I8Query<'_>, block: I8Block<'_>, floor: f32, live: u8
     }
 }
 
+/// The largest user code magnitude [`q4_block_open`] accepts at dimension
+/// `d`: `min(127, ⌊(2³¹ − 1) / (15·d)⌋)`, so that a sum of `d` products of
+/// a user code and a nibble can never leave `i32`.
+pub fn q4_user_code_max(d: usize) -> i32 {
+    let cap = i32::MAX as usize / (15 * d.max(1));
+    cap.min(i8::MAX as usize) as i32
+}
+
+/// The user side of [`q4_block_open`]: 8-bit codes `q` with a scale `t`,
+/// so `û = t·q`, and the two norms its slack needs.
+#[derive(Debug, Clone, Copy)]
+pub struct Q4Query<'a> {
+    /// The codes four to a word: dimension `4w + j` in byte `j` of
+    /// `quads[w]`, two words per eight dimensions (zero past `d`). Every
+    /// code is at most [`q4_user_code_max`] in magnitude.
+    pub quads: &'a [i32],
+    /// `8·Σₖ qₖ`, which takes the nibbles' offset back out of the dot.
+    pub bias: i32,
+    /// The scale `t`.
+    pub scale: f32,
+    /// `≥ (1 + 8ε)·‖u‖₂ + 2⁻¹⁰⁰` ([`norm_bound`]).
+    pub norm: f32,
+    /// `≥ (1 + 8ε)·‖u − û‖₂`.
+    pub err: f32,
+}
+
+/// One block of [`WIDTH`] rows of 4-bit serving codes, as
+/// [`q4_block_open`] reads it (laid out by `crate::coded::I8Rows`).
+#[derive(Debug, Clone, Copy)]
+pub struct Q4Block<'a> {
+    /// `⌈d/8⌉` chunks of `4·WIDTH` bytes, one chunk per eight dimensions:
+    /// byte `4l + j` of chunk `p` holds dimension `8p + j` of row `l` in
+    /// its low nibble and dimension `8p + 4 + j` in its high nibble, each
+    /// code `c ∈ [−8, 7]` stored as `c + 8` (8 past `d`).
+    pub codes: &'a [u8],
+    /// Per-row scales `s`: `ĥ = s·c`.
+    pub scales: &'a [f32; WIDTH],
+    /// Per-row `B ≥ ‖h − ĥ‖₂ + γ_{d+2}·‖h‖₂ + γ₃·‖ĥ‖₂`.
+    pub bounds: &'a [f32; WIDTH],
+    /// Per-row `N ≥ (1 + γ₃)·‖ĥ‖₂`.
+    pub norms: &'a [f32; WIDTH],
+}
+
+/// The coarse stage of the serving pre-filter: [`i8_block_open`] over the
+/// [`WIDTH`] rows of one block of 4-bit codes and an 8-bit-coded user.
+/// Returns the rows of `live` whose exact score could still reach
+/// `floor`, as a lane mask; every row it leaves out has `dot(user, h) <
+/// floor`, strictly.
+///
+/// The integer dot `D = Σₖ qₖ·(cₖ + 8) − 8·Σₖ qₖ = Σₖ qₖcₖ` is exact: the
+/// unsigned nibbles multiply the signed user codes in byte pairs
+/// (`maddubs`, whose pair sums are at most 2·15·127 = 3,810 in magnitude,
+/// so at most eight of them are added in `i16` before `madd` widens them
+/// to `i32`), and [`q4_user_code_max`] keeps every sum in `i32`. The
+/// bound stage is then [`i8_block_open`]'s word for word — `a = fl(D)·fl(s·t)`,
+/// `b = (norm·B + err·N) + 2⁻⁹⁰`, a row left out iff `fl(floor − a) > b`
+/// with `b < 2¹⁰²` and `a` finite — and so is its proof: it holds for any
+/// codes `ĥ = s·c` with the `B` and `N` above, and the 4-bit rows and
+/// 8-bit user supply exactly those (`|D| ≤ 2³¹` still bounds the
+/// underflow of `s·t`).
+///
+/// **Bodies.** The integer dot has three: 512-bit `maddubs` + `madd` on
+/// AVX-512BW builds (one register holds a chunk of all sixteen rows), the
+/// same pair on 256-bit registers for each eight rows on other AVX2
+/// builds, and a portable scalar loop. `D` is exact in each, and the
+/// bound stage runs the same unfused `f32` operations in its vector and
+/// its portable body, so every body keeps the same rows.
+#[inline]
+pub fn q4_block_open(user: Q4Query<'_>, block: Q4Block<'_>, floor: f32, live: u16) -> u16 {
+    debug_assert_eq!(
+        block.codes.len(),
+        user.quads.len() * 2 * WIDTH,
+        "one code byte per four dimensions and row"
+    );
+    debug_assert_eq!(live & !first_lanes(WIDTH), 0, "a live lane past WIDTH");
+    #[cfg(all(target_arch = "x86_64", target_feature = "avx512bw"))]
+    let dots = q4_dots_avx512(user, block.codes);
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma",
+        not(target_feature = "avx512bw")
+    ))]
+    let dots = q4_dots_avx2(user, block.codes);
+    #[cfg(not(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    )))]
+    let dots = q4_dots_scalar(user, block.codes);
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    ))]
+    {
+        q4_open_lanes(user, block, &dots, floor, live)
+    }
+    #[cfg(not(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    )))]
+    {
+        q4_open_lanes_scalar(user, block, &dots, floor, live)
+    }
+}
+
+/// The AVX-512BW body of [`q4_block_open`]'s integer dot: each 64-byte
+/// chunk holds eight dimensions of all sixteen rows.
+#[cfg(all(target_arch = "x86_64", target_feature = "avx512bw"))]
+#[inline(always)]
+fn q4_dots_avx512(user: Q4Query<'_>, codes: &[u8]) -> [i32; WIDTH] {
+    use std::arch::x86_64::*;
+    let (chunks, _) = codes.as_chunks::<{ 4 * WIDTH }>();
+    let (words, _) = user.quads.as_chunks::<2>();
+    let mut dots = [0i32; WIDTH];
+    // SAFETY: the enclosing cfg guarantees the build targets AVX-512BW
+    // (and so AVX-512F); each unaligned load reads exactly one 64-byte
+    // chunk, and the store writes the sixteen integers of `dots`.
+    unsafe {
+        let nibble = _mm512_set1_epi8(0x0F);
+        // Up to four chunks add eight pair sums into each `i16` lane: at
+        // most 8·3,810 = 30,480 in magnitude. Then `madd` widens them.
+        let group = |acc, chunks: &[[u8; 4 * WIDTH]], words: &[[i32; 2]]| {
+            let mut sums = [_mm512_setzero_si512(); 2];
+            for (c, q) in chunks.iter().zip(words) {
+                let x = _mm512_loadu_si512(c.as_ptr().cast());
+                let low = _mm512_and_si512(x, nibble);
+                let high = _mm512_and_si512(_mm512_srli_epi16::<4>(x), nibble);
+                let pair = |n, q| _mm512_maddubs_epi16(n, _mm512_set1_epi32(q));
+                sums[0] = _mm512_add_epi16(sums[0], pair(low, q[0]));
+                sums[1] = _mm512_add_epi16(sums[1], pair(high, q[1]));
+            }
+            let sum = _mm512_add_epi16(sums[0], sums[1]);
+            _mm512_add_epi32(acc, _mm512_madd_epi16(sum, _mm512_set1_epi16(1)))
+        };
+        let (groups, rest) = chunks.as_chunks::<4>();
+        let (word_groups, word_rest) = words.as_chunks::<4>();
+        let mut acc = _mm512_setzero_si512();
+        for (c, q) in groups.iter().zip(word_groups) {
+            acc = group(acc, c, q);
+        }
+        if !rest.is_empty() {
+            acc = group(acc, rest, word_rest);
+        }
+        let d = _mm512_sub_epi32(acc, _mm512_set1_epi32(user.bias));
+        _mm512_storeu_si512(dots.as_mut_ptr().cast(), d);
+    }
+    dots
+}
+
+/// The AVX2 body of [`q4_block_open`]'s integer dot: the AVX-512 body's
+/// steps on 256-bit registers, for each eight rows of the block in turn
+/// (their 32 bytes of each chunk).
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx2",
+    target_feature = "fma",
+    any(test, not(target_feature = "avx512bw"))
+))]
+#[inline(always)]
+fn q4_dots_avx2(user: Q4Query<'_>, codes: &[u8]) -> [i32; WIDTH] {
+    use std::arch::x86_64::*;
+    let (chunks, _) = codes.as_chunks::<{ 4 * WIDTH }>();
+    let (words, _) = user.quads.as_chunks::<2>();
+    let mut dots = [0i32; WIDTH];
+    for (half, out) in dots.as_chunks_mut::<8>().0.iter_mut().enumerate() {
+        // SAFETY: the enclosing cfg guarantees the build targets AVX2; each
+        // unaligned load reads the 32 bytes of one chunk that hold rows
+        // `8·half ..`, and the store writes the eight integers of `out`.
+        unsafe {
+            let nibble = _mm256_set1_epi8(0x0F);
+            let group = |acc, chunks: &[[u8; 4 * WIDTH]], words: &[[i32; 2]]| {
+                let mut sums = [_mm256_setzero_si256(); 2];
+                for (c, q) in chunks.iter().zip(words) {
+                    let x = _mm256_loadu_si256(c[32 * half..].as_ptr().cast());
+                    let low = _mm256_and_si256(x, nibble);
+                    let high = _mm256_and_si256(_mm256_srli_epi16::<4>(x), nibble);
+                    let pair = |n, q| _mm256_maddubs_epi16(n, _mm256_set1_epi32(q));
+                    sums[0] = _mm256_add_epi16(sums[0], pair(low, q[0]));
+                    sums[1] = _mm256_add_epi16(sums[1], pair(high, q[1]));
+                }
+                let sum = _mm256_add_epi16(sums[0], sums[1]);
+                _mm256_add_epi32(acc, _mm256_madd_epi16(sum, _mm256_set1_epi16(1)))
+            };
+            let (groups, rest) = chunks.as_chunks::<4>();
+            let (word_groups, word_rest) = words.as_chunks::<4>();
+            let mut acc = _mm256_setzero_si256();
+            for (c, q) in groups.iter().zip(word_groups) {
+                acc = group(acc, c, q);
+            }
+            if !rest.is_empty() {
+                acc = group(acc, rest, word_rest);
+            }
+            let d = _mm256_sub_epi32(acc, _mm256_set1_epi32(user.bias));
+            _mm256_storeu_si256(out.as_mut_ptr().cast(), d);
+        }
+    }
+    dots
+}
+
+/// The portable body of [`q4_block_open`]'s integer dot.
+#[cfg(any(
+    test,
+    not(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    ))
+))]
+fn q4_dots_scalar(user: Q4Query<'_>, codes: &[u8]) -> [i32; WIDTH] {
+    let (chunks, _) = codes.as_chunks::<{ 4 * WIDTH }>();
+    let (words, _) = user.quads.as_chunks::<2>();
+    let mut dots = [0i32; WIDTH];
+    for (c, q) in chunks.iter().zip(words) {
+        let (low, high) = (q[0].to_le_bytes(), q[1].to_le_bytes());
+        for (l, dot) in dots.iter_mut().enumerate() {
+            for j in 0..4 {
+                let byte = c[4 * l + j];
+                *dot += i32::from(byte & 0x0F) * i32::from(low[j] as i8)
+                    + i32::from(byte >> 4) * i32::from(high[j] as i8);
+            }
+        }
+    }
+    dots.map(|dot| dot - user.bias)
+}
+
+/// The vector bound stage of [`q4_block_open`]: [`i8_block_open`]'s on
+/// [`WIDTH`] lanes.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "avx2",
+    target_feature = "fma"
+))]
+#[inline(always)]
+fn q4_open_lanes(
+    user: Q4Query<'_>,
+    block: Q4Block<'_>,
+    dots: &[i32; WIDTH],
+    floor: f32,
+    live: u16,
+) -> u16 {
+    use simd::{Lanes, V};
+    use std::arch::x86_64::{_CMP_GT_OQ, _CMP_LT_OQ};
+    // The absolute slack 2⁻⁹⁰.
+    let tiny = f32::from_bits((127 - 90) << 23);
+    let st = V::load(block.scales).mul(V::splat(user.scale));
+    let a = V::ints(dots).mul(st);
+    let b = V::splat(user.norm)
+        .mul(V::load(block.bounds))
+        .add(V::splat(user.err).mul(V::load(block.norms)))
+        .add(V::splat(tiny));
+    let ok = V::and(
+        b.cmp::<_CMP_LT_OQ>(V::splat(SLACK_CAP)),
+        a.abs().cmp::<_CMP_LT_OQ>(V::splat(f32::INFINITY)),
+    );
+    let gap = V::splat(floor).sub(a);
+    live & !V::bits(V::and(ok, gap.cmp::<_CMP_GT_OQ>(b)))
+}
+
+/// The portable bound stage of [`q4_block_open`]: [`i8_block_open`]'s
+/// portable one on [`WIDTH`] lanes.
+#[cfg(any(
+    test,
+    not(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma"
+    ))
+))]
+fn q4_open_lanes_scalar(
+    user: Q4Query<'_>,
+    block: Q4Block<'_>,
+    dots: &[i32; WIDTH],
+    floor: f32,
+    live: u16,
+) -> u16 {
+    let tiny = f32::from_bits((127 - 90) << 23);
+    let mut out = 0u16;
+    for (l, &dot) in dots.iter().enumerate() {
+        let a = dot as f32 * (block.scales[l] * user.scale);
+        let b = (user.norm * block.bounds[l] + user.err * block.norms[l]) + tiny;
+        let ok = b < SLACK_CAP && a.abs() < f32::INFINITY;
+        // NaN gaps compare false: the row stays.
+        out |= u16::from(ok && floor - a > b) << l;
+    }
+    live & !out
+}
+
 /// One BPR SGD step over the three rows of a triple `(u, i, j)` with
 /// gradient magnitude `g = info(j)` (Rendle et al., UAI 2009):
 ///
@@ -1760,6 +2069,170 @@ mod tests {
         gather_dots(&user, &table, &ids, &mut out);
         for (k, &i) in ids.iter().enumerate() {
             assert_eq!(out[k].to_bits(), full[i as usize].to_bits());
+        }
+    }
+
+    /// The codes of a block of 4-bit rows with nibbles `nibbles[l][k]`
+    /// (row `l`, dimension `k`), 8 past `d`, and the user words and bias of
+    /// the 8-bit codes `q`, in the layouts of [`Q4Block`] and [`Q4Query`].
+    fn q4_layout(d: usize, nibbles: &[Vec<u8>], q: &[i8]) -> (Vec<u8>, Vec<i32>, i32) {
+        let chunks = d.div_ceil(8);
+        let mut codes = vec![0x88u8; chunks * 4 * WIDTH];
+        for (l, row) in nibbles.iter().enumerate() {
+            for (k, &n) in row.iter().enumerate() {
+                let byte = &mut codes[(k / 8) * 4 * WIDTH + 4 * l + k % 4];
+                let shift = 4 * (k % 8 / 4);
+                *byte = (*byte & !(0x0F << shift)) | (n << shift);
+            }
+        }
+        let mut quads = vec![0i32; 2 * chunks];
+        for (k, &c) in q.iter().enumerate() {
+            quads[k / 4] |= (u32::from(c as u8) << (8 * (k % 4))) as i32;
+        }
+        let bias = 8 * q.iter().map(|&c| i32::from(c)).sum::<i32>();
+        (codes, quads, bias)
+    }
+
+    #[test]
+    fn q4_bodies_agree_and_their_dot_is_exact() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for d in [1usize, 3, 7, 9, 33, 600] {
+            assert_eq!(q4_user_code_max(d), 127, "d = {d}");
+            // Extreme codes first (every nibble 0 or 15, every user code
+            // ±127: the largest pair sums `maddubs` forms), then random.
+            let mut cases: Vec<(Vec<Vec<u8>>, Vec<i8>)> = vec![
+                (vec![vec![15; d]; WIDTH], vec![127; d]),
+                (vec![vec![15; d]; WIDTH], vec![-127; d]),
+                (
+                    vec![vec![0; d]; WIDTH],
+                    (0..d)
+                        .map(|k| if k % 2 == 0 { 127 } else { -127 })
+                        .collect(),
+                ),
+                (
+                    (0..WIDTH)
+                        .map(|l| {
+                            (0..d)
+                                .map(|k| if (l + k) % 2 == 0 { 15 } else { 0 })
+                                .collect()
+                        })
+                        .collect(),
+                    (0..d)
+                        .map(|k| if k % 3 == 0 { -127 } else { 127 })
+                        .collect(),
+                ),
+            ];
+            for _ in 0..6 {
+                let rows = (0..WIDTH)
+                    .map(|_| (0..d).map(|_| next(16) as u8).collect())
+                    .collect();
+                cases.push((
+                    rows,
+                    (0..d).map(|_| (next(255) as i32 - 127) as i8).collect(),
+                ));
+            }
+            for (case, (nibbles, q)) in cases.iter().enumerate() {
+                let what = format!("d = {d}, case {case}");
+                let (codes, quads, bias) = q4_layout(d, nibbles, q);
+                let want: Vec<i64> = nibbles
+                    .iter()
+                    .map(|row| {
+                        (row.iter().zip(q))
+                            .map(|(&n, &c)| (i64::from(n) - 8) * i64::from(c))
+                            .sum()
+                    })
+                    .collect();
+                let mut scales = [1.0f32; WIDTH];
+                let mut bounds = [0.0f32; WIDTH];
+                scales[3] = 0.5;
+                scales[5] = f32::MAX; // `a` overflows: the row stays
+                bounds[1] = f32::INFINITY;
+                bounds[2] = 3.0;
+                let norms = [0.0f32; WIDTH];
+                let user = Q4Query {
+                    quads: &quads,
+                    bias,
+                    scale: 1.0,
+                    norm: 1.0,
+                    err: 0.0,
+                };
+                let block = Q4Block {
+                    codes: &codes,
+                    scales: &scales,
+                    bounds: &bounds,
+                    norms: &norms,
+                };
+                let scalar = q4_dots_scalar(user, &codes);
+                let mut bodies = vec![("portable", scalar)];
+                #[cfg(all(
+                    target_arch = "x86_64",
+                    target_feature = "avx2",
+                    target_feature = "fma"
+                ))]
+                bodies.push(("avx2", q4_dots_avx2(user, &codes)));
+                #[cfg(all(target_arch = "x86_64", target_feature = "avx512bw"))]
+                bodies.push(("avx512", q4_dots_avx512(user, &codes)));
+                for (body, dots) in &bodies {
+                    let got: Vec<i64> = dots.iter().map(|&x| i64::from(x)).collect();
+                    assert_eq!(got, want, "{what}: {body} dot");
+                }
+                let floors = [
+                    want[0] as f32,
+                    want[0] as f32 + 1.0,
+                    want[4] as f32 - 1.0,
+                    want[6] as f32 + 4.0,
+                    0.0,
+                    f32::NEG_INFINITY,
+                    f32::INFINITY,
+                    f32::NAN,
+                ];
+                // Every lane, none, alternate lanes, and the five live rows
+                // of a padded last block.
+                let lives = [
+                    first_lanes(WIDTH),
+                    0,
+                    0xAAAA & first_lanes(WIDTH),
+                    first_lanes(5),
+                ];
+                for &floor in &floors {
+                    for &live in &lives {
+                        let mask = q4_open_lanes_scalar(user, block, &scalar, floor, live);
+                        #[cfg(all(
+                            target_arch = "x86_64",
+                            target_feature = "avx2",
+                            target_feature = "fma"
+                        ))]
+                        for (body, dots) in &bodies {
+                            let vector = q4_open_lanes(user, block, dots, floor, live);
+                            assert_eq!(vector, mask, "{what}: {body} at {floor}, {live:b}");
+                        }
+                        assert_eq!(q4_block_open(user, block, floor, live), mask, "{what}");
+                        assert_eq!(mask & !live, 0, "{what}: a shut lane opened");
+                        // Lane 0 (scale 1, zero bound): open at its own
+                        // score, passed over one above it.
+                        if live & 1 == 1 && floor == want[0] as f32 {
+                            assert_eq!(mask & 1, 1, "{what}");
+                        }
+                        if live & 1 == 1 && floor == want[0] as f32 + 1.0 {
+                            assert_eq!(mask & 1, 0, "{what}");
+                        }
+                        // The infinite bound and an overflowing `a` keep
+                        // their rows; so does every row at a NaN or `−∞`
+                        // floor.
+                        let kept = if want[5] == 0 { 0b10 } else { 0b10_0010 };
+                        assert_eq!(mask & live & kept, live & kept, "{what}");
+                        if floor.is_nan() || floor == f32::NEG_INFINITY {
+                            assert_eq!(mask, live, "{what} at {floor}");
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -30,8 +30,9 @@
 //! * [`coded`] — [`coded::CodedRows`]: a compact i16 copy of a set of
 //!   rows with a rigorous per-row error bound, which decides score
 //!   threshold tests exactly for all but the few rows near a threshold;
-//!   and [`coded::I8Rows`]: i8 serving codes of an item table whose scan
-//!   passes over every row provably below a running top-k floor.
+//!   and [`coded::I8Rows`]: 4-bit and i8 serving codes of an item table
+//!   whose two-stage scan passes over every row provably below a running
+//!   top-k floor.
 //! * [`batch`] — the SoA [`batch::TripleBatch`] buffer: `{users, pos,
 //!   negs}` with `k ≥ 1` negatives per positive, filled by batched
 //!   samplers and consumed by [`scorer::PairwiseModel::update_batch`].

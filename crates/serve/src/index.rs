@@ -31,7 +31,7 @@
 //!   instead of a random-access gather through `perm`.
 //!
 //! At query time the engine scores all centroids with the shared
-//! [`kernel::gemv`], then runs the exact mode's i8 scan over the best
+//! [`kernel::gemv`], then runs the exact mode's coded scan over the best
 //! `nprobe` clusters' row ranges, in bound order, and selects with the
 //! same [`bns_eval::topk`] tie-break as the exact path. Clusters are
 //! ranked by the **upper bound** `u·c + ‖u‖·r_c ≥ max_{i∈c} u·h_i`

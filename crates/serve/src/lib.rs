@@ -21,7 +21,7 @@
 //!   over an artifact through the same dot kernel and top-k selection
 //!   buffer the evaluation protocol uses, with reusable per-worker
 //!   [`QueryScratch`] so the steady-state query path is allocation-free.
-//!   Both modes run one i8 pre-filter scan plus an exact re-score of the
+//!   Both modes run one coded pre-filter scan plus an exact re-score of the
 //!   rows that can reach the top-k; an [`IndexMode`] knob picks its range:
 //!   every row (exact ranking, bitwise-exact) or the probed IVF clusters'
 //!   rows (recall-gated approximate).

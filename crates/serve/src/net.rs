@@ -958,6 +958,10 @@ mod tests {
                 "{body}"
             );
             assert!(
+                body.contains(&format!("\nbns_{name}_opened_rows 0\n")),
+                "{body}"
+            );
+            assert!(
                 body.contains(&format!("\nbns_{name}_rescored_rows 0\n")),
                 "{body}"
             );
@@ -975,22 +979,31 @@ mod tests {
         let body = http_get(addr, "/metrics");
         assert!(body.contains("\nbns_exact_queries 3\n"), "{body}");
         assert!(body.contains("\nbns_ivf_queries 2\n"), "{body}");
-        let rescored = |name: &str| -> u64 {
+        let counter = |name: &str| -> u64 {
             body.lines()
-                .find_map(|l| l.strip_prefix(&format!("bns_{name}_rescored_rows ")))
+                .find_map(|l| l.strip_prefix(&format!("bns_{name} ")))
                 .and_then(|v| v.parse().ok())
-                .expect("rescored-row counter")
+                .unwrap_or_else(|| panic!("no {name} counter in {body}"))
         };
+        let rescored = |mode: &str| counter(&format!("{mode}_rescored_rows"));
+        let opened = |mode: &str| counter(&format!("{mode}_opened_rows"));
         // Each query re-scores at least the k = 4 rows that fill it, and
         // an IVF query scans at least the rows it re-scores.
         assert!(rescored("exact") >= 12, "{body}");
         assert!(rescored("ivf") >= 8, "{body}");
-        let scanned: u64 = body
-            .lines()
-            .find_map(|l| l.strip_prefix("bns_ivf_scanned_rows "))
-            .and_then(|v| v.parse().ok())
-            .expect("scanned-row counter");
+        let scanned = counter("ivf_scanned_rows");
         assert!(scanned >= rescored("ivf"), "{body}");
+        // The 4-bit stage leaves open every row that is re-scored, and at
+        // most the rows scanned: 12 per exact query, the probed clusters'
+        // rows for IVF.
+        assert!(
+            (rescored("exact")..=36).contains(&opened("exact")),
+            "{body}"
+        );
+        assert!(
+            (rescored("ivf")..=scanned).contains(&opened("ivf")),
+            "{body}"
+        );
     }
 
     #[test]

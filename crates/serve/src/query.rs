@@ -8,19 +8,21 @@
 //! bit-for-bit reproducible across runs, threads and machines.
 //!
 //! Both retrieval strategies, picked by [`IndexMode`], run one scan over
-//! the artifact's i8 serving codes ([`bns_model::coded::I8Rows`]), kept in
+//! the artifact's serving codes ([`bns_model::coded::I8Rows`]), kept in
 //! the artifact's scan order: the IVF index's cluster-contiguous `perm`
 //! order when it carries an index, id order otherwise. For each block of
-//! eight rows the kernel bounds every row's exact score from above and
-//! passes over the rows whose bound falls strictly below the current k-th
-//! best; each remaining row is mapped to its item id, masked if seen, or
+//! rows a kernel bounds every row's exact score from above on 4-bit codes
+//! and passes over the rows whose bound falls strictly below the current
+//! k-th best, then a second does the same on the i8 codes of the rows
+//! left; each remaining row is mapped to its item id, masked if seen, or
 //! scored with `kernel::dot` against its scan-order row and offered to the
 //! [`TopKBuffer`]. A passed-over row could neither enter nor tie the
 //! selection, so the answer is bit for bit that of scoring every scanned
 //! row.
 //!
 //! * **Exact** scans every row: the answer is the exact ranking, in
-//!   `O(n_items)` integer work plus a few hundred `dot`s.
+//!   `O(n_items)` integer work on 4-bit codes, a thousand-odd rows of i8
+//!   work and a few hundred `dot`s.
 //! * **Ivf** ranks the artifact's freeze-time clusters ([`crate::index`])
 //!   by their centroid bounds and scans only the best `nprobe` clusters'
 //!   row ranges. Still deterministic (a pure function of
@@ -38,7 +40,7 @@
 use crate::cache::TopKCache;
 use crate::engine::{serve_parallel, Request, ServeReport};
 use crate::{ModelArtifact, Result, ServeError};
-use bns_eval::topk::{top_k_masked_into, TopKBuffer};
+use bns_eval::topk::TopKBuffer;
 use bns_model::coded::I8User;
 use bns_model::{kernel, Scorer};
 use bns_sync::{Counter, Generation, Mutex};
@@ -48,8 +50,9 @@ use std::fmt::Write as _;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexMode {
     /// Every item, ranked by its exact score: one integer pass over the
-    /// artifact's i8 codes, then `kernel::dot` on the few rows that can
-    /// reach the top-k. Bitwise-exact, `O(n_items)`.
+    /// artifact's 4-bit codes, a second over the i8 codes of the rows it
+    /// leaves open, then `kernel::dot` on the few rows that can reach the
+    /// top-k. Bitwise-exact, `O(n_items)`.
     Exact,
     /// IVF candidate generation: the same pass, over only the `nprobe`
     /// best clusters of the artifact's freeze-time index. Exact over the
@@ -72,6 +75,7 @@ pub struct QueryScratch {
     user: I8User,
     topk: TopKBuffer,
     cluster_scores: Vec<f32>,
+    ranked_clusters: Vec<u64>,
     probe_ids: Vec<u32>,
 }
 
@@ -112,8 +116,10 @@ pub struct QueryEngine {
     cache_hits: Counter,
     cache_lookups: Counter,
     exact_queries: Counter,
+    opened_rows: Counter,
     rescored_rows: Counter,
     ivf_queries: Counter,
+    ivf_opened_rows: Counter,
     ivf_rescored_rows: Counter,
     ivf_scanned_rows: Counter,
     mode: IndexMode,
@@ -130,8 +136,10 @@ impl QueryEngine {
             cache_hits: Counter::new(),
             cache_lookups: Counter::new(),
             exact_queries: Counter::new(),
+            opened_rows: Counter::new(),
             rescored_rows: Counter::new(),
             ivf_queries: Counter::new(),
+            ivf_opened_rows: Counter::new(),
             ivf_rescored_rows: Counter::new(),
             ivf_scanned_rows: Counter::new(),
             mode: IndexMode::Exact,
@@ -224,23 +232,34 @@ impl QueryEngine {
     }
 
     /// Rows exact-mode queries re-scored with `kernel::dot` since
-    /// construction: the unmasked rows the i8 pre-filter could not rule
-    /// out (every one while the selection is filling). On the serve-exact
-    /// benchmark at k = 10 that is a median of ~166 of 100k rows per query
-    /// in the IVF index's cluster order, which its artifact scans, and
-    /// ~118 in id order.
+    /// construction: the unmasked rows the pre-filter could not rule out
+    /// (every one while the selection is filling). On the serve-exact
+    /// benchmark's model at k = 10 that is a mean of ~190 of 100k rows
+    /// per query in the IVF index's cluster order, which its artifact
+    /// scans, and ~116 in id order.
     pub fn rescored_rows(&self) -> u64 {
         self.rescored_rows.get()
     }
 
-    /// Appends the per-mode query and re-scored-row counters, and the rows
-    /// IVF queries scanned (the sizes of their probed clusters, summed), to
-    /// a `GET /metrics` body, one `name value` line each.
+    /// Rows exact-mode queries' 4-bit pre-filter stage left open since
+    /// construction: the rows the i8 stage then checked, every re-scored
+    /// row among them. A mean of ~1,090 per query on the serve-exact
+    /// benchmark's model in cluster order, ~620 in id order.
+    pub fn opened_rows(&self) -> u64 {
+        self.opened_rows.get()
+    }
+
+    /// Appends the per-mode query, opened-row and re-scored-row counters,
+    /// and the rows IVF queries scanned (the sizes of their probed
+    /// clusters, summed), to a `GET /metrics` body, one `name value` line
+    /// each.
     pub(crate) fn render_metrics(&self, out: &mut String) {
         for (name, c) in [
             ("bns_exact_queries", &self.exact_queries),
+            ("bns_exact_opened_rows", &self.opened_rows),
             ("bns_exact_rescored_rows", &self.rescored_rows),
             ("bns_ivf_queries", &self.ivf_queries),
+            ("bns_ivf_opened_rows", &self.ivf_opened_rows),
             ("bns_ivf_rescored_rows", &self.ivf_rescored_rows),
             ("bns_ivf_scanned_rows", &self.ivf_scanned_rows),
         ] {
@@ -349,7 +368,7 @@ impl QueryEngine {
         Ok(())
     }
 
-    /// Both modes' one scan over the artifact's i8 codes in scan order
+    /// Both modes' one scan over the artifact's serving codes in scan order
     /// (see [`ModelArtifact::scan_order`]): exact mode scans every row,
     /// IVF the best `nprobe` clusters' row ranges in bound order. Every
     /// row the scan cannot rule out (see [`bns_model::coded::I8Rows::scan`])
@@ -369,9 +388,13 @@ impl QueryEngine {
         scratch: &mut QueryScratch,
         out: &mut Vec<u32>,
     ) -> Result<()> {
-        let (queries, rescored_rows) = match mode {
-            IndexMode::Exact => (&self.exact_queries, &self.rescored_rows),
-            IndexMode::Ivf { .. } => (&self.ivf_queries, &self.ivf_rescored_rows),
+        let (queries, opened_rows, rescored_rows) = match mode {
+            IndexMode::Exact => (&self.exact_queries, &self.opened_rows, &self.rescored_rows),
+            IndexMode::Ivf { .. } => (
+                &self.ivf_queries,
+                &self.ivf_opened_rows,
+                &self.ivf_rescored_rows,
+            ),
         };
         queries.incr();
         if k == 0 {
@@ -383,10 +406,11 @@ impl QueryEngine {
             IndexMode::Exact => None,
             IndexMode::Ivf { nprobe } => {
                 let index = self.artifact.index().ok_or(ServeError::NoIndex)?;
-                let (bounds, probes) = (&mut scratch.cluster_scores, &mut scratch.probe_ids);
+                let bounds = &mut scratch.cluster_scores;
                 bounds.resize(index.n_clusters(), 0.0);
                 index.score_clusters(urow, bounds);
-                top_k_masked_into(bounds, &[], nprobe, &mut scratch.topk, probes);
+                let ranked = &mut scratch.ranked_clusters;
+                best_clusters(bounds, nprobe, ranked, &mut scratch.probe_ids);
                 Some(index)
             }
         };
@@ -409,20 +433,22 @@ impl QueryEngine {
             scratch.topk.floor().unwrap_or(f32::NEG_INFINITY)
         };
         let (codes, mut floor) = (order.codes, f32::NEG_INFINITY);
-        match probes {
-            None => {
-                codes.scan(&scratch.user, 0..codes.len(), floor, visit);
-            }
+        let opened = match probes {
+            None => codes.scan(&scratch.user, 0..codes.len(), floor, visit).1,
             Some(index) => {
-                let mut scanned = 0u64;
+                let (mut scanned, mut opened) = (0u64, 0);
                 for &c in &scratch.probe_ids {
                     let rows = index.cluster_rows(c as usize);
                     scanned += rows.len() as u64;
-                    floor = codes.scan(&scratch.user, rows, floor, &mut visit);
+                    let open;
+                    (floor, open) = codes.scan(&scratch.user, rows, floor, &mut visit);
+                    opened += open;
                 }
                 self.ivf_scanned_rows.add(scanned);
+                opened
             }
-        }
+        };
+        opened_rows.add(opened as u64);
         rescored_rows.add(rescored);
         scratch.topk.emit(out);
         Ok(())
@@ -456,6 +482,39 @@ impl QueryEngine {
         }
         Ok(serve_parallel(self, requests, n_threads))
     }
+}
+
+/// Writes the ids of the `nprobe` best clusters by `bounds` to `probes`,
+/// best first, in the order of the selection buffer (bound descending,
+/// ties toward the lower id), so the answer is that of `top_k_masked`
+/// over the bounds. Each cluster becomes one `u64` key that sorts in that
+/// order — the bound's bits mapped to an order-reversing integer above the
+/// id, with `−0` taken to `+0` so the two tie — and a partial select on
+/// `ranked` finds the `nprobe` smallest keys in linear time; only those
+/// are sorted. [`crate::IvfIndex::score_clusters`] never writes a NaN
+/// bound.
+fn best_clusters(bounds: &[f32], nprobe: usize, ranked: &mut Vec<u64>, probes: &mut Vec<u32>) {
+    debug_assert!(bounds.iter().all(|b| !b.is_nan()), "NaN cluster bound");
+    ranked.clear();
+    ranked.extend((0u32..).zip(bounds).map(|(c, &b)| {
+        let bits = (b + 0.0).to_bits();
+        // Ascends with the bound: negative bounds flip all bits, the rest
+        // set the sign bit.
+        let ascending = if bits >> 31 == 1 {
+            !bits
+        } else {
+            bits | 1 << 31
+        };
+        (u64::from(!ascending) << 32) | u64::from(c)
+    }));
+    let nprobe = nprobe.min(ranked.len());
+    if nprobe > 0 {
+        ranked.select_nth_unstable(nprobe - 1);
+    }
+    let best = &mut ranked[..nprobe];
+    best.sort_unstable();
+    probes.clear();
+    probes.extend(best.iter().map(|&key| key as u32));
 }
 
 /// Packs `(user, k, exclude_seen, mode)` into one cache key: user in bits
@@ -684,40 +743,61 @@ mod tests {
         let artifact =
             ModelArtifact::freeze_with(&model, &seen, Some(crate::IvfConfig::default())).unwrap();
         let mut e = QueryEngine::with_cache(artifact, 8);
-        assert_eq!((e.exact_queries(), e.rescored_rows()), (0, 0));
+        assert_eq!(
+            (e.exact_queries(), e.opened_rows(), e.rescored_rows()),
+            (0, 0, 0)
+        );
         for u in 0..n_users {
             e.top_k(u, 10, true).unwrap();
         }
         assert_eq!(e.exact_queries(), 4);
         // Every query re-scores at least the k rows that fill the
         // selection, and the pre-filter passes over most of the rest: the
-        // four queries re-score fewer rows than one catalog.
-        let rescored = e.rescored_rows();
+        // four queries re-score fewer rows than one catalog. The 4-bit
+        // stage leaves open every row that is re-scored, and fewer rows
+        // than the four catalogs it scans.
+        let (opened, rescored) = (e.opened_rows(), e.rescored_rows());
         assert!(
             (40..u64::from(n_items)).contains(&rescored),
             "{rescored} rows re-scored"
+        );
+        assert!(
+            (rescored..4 * u64::from(n_items)).contains(&opened),
+            "{opened} rows opened, {rescored} re-scored"
         );
         // A cache hit and an IVF query score no exact rows.
         e.top_k(0, 10, true).unwrap();
         e.set_index_mode(IndexMode::Ivf { nprobe: 2 }).unwrap();
         e.top_k(1, 10, true).unwrap();
         e.top_k(1, 10, true).unwrap(); // a cache hit scores nothing
-        assert_eq!((e.exact_queries(), e.rescored_rows()), (4, rescored));
+        assert_eq!(
+            (e.exact_queries(), e.opened_rows(), e.rescored_rows()),
+            (4, opened, rescored)
+        );
         let mut text = String::new();
         e.render_metrics(&mut text);
         assert!(text.contains("bns_exact_queries 4\n"), "{text}");
+        assert!(
+            text.contains(&format!("bns_exact_opened_rows {opened}\n")),
+            "{text}"
+        );
         assert!(
             text.contains(&format!("bns_exact_rescored_rows {rescored}\n")),
             "{text}"
         );
         // The IVF query counts on its own lines: it re-scores at least the
-        // k rows that fill it, and at most the two clusters it probes.
+        // k rows that fill it, and at most the two clusters it probes; its
+        // 4-bit stage leaves open at least those rows and at most the
+        // probed ones.
         assert!(text.contains("bns_ivf_queries 1\n"), "{text}");
-        let ivf_rescored: u64 = text
-            .lines()
-            .find_map(|l| l.strip_prefix("bns_ivf_rescored_rows "))
-            .and_then(|v| v.parse().ok())
-            .expect("IVF re-scored-row counter");
+        let counter = |name: &str| -> u64 {
+            text.lines()
+                .find_map(|l| l.strip_prefix(&format!("{name} ")))
+                .and_then(|v| v.parse().ok())
+                .unwrap_or_else(|| panic!("no {name} counter in {text}"))
+        };
+        let ivf_rescored = counter("bns_ivf_rescored_rows");
+        let ivf_opened = counter("bns_ivf_opened_rows");
         let index = e.artifact().index().unwrap();
         let mut bounds = vec![0.0f32; index.n_clusters()];
         index.score_clusters(e.artifact().tables().user(1), &mut bounds);
@@ -729,6 +809,10 @@ mod tests {
             (10..=probed as u64).contains(&ivf_rescored),
             "{ivf_rescored} of {probed} probed rows re-scored"
         );
+        assert!(
+            (ivf_rescored..=probed as u64).contains(&ivf_opened),
+            "{ivf_opened} of {probed} probed rows opened"
+        );
         // It scanned exactly its probed clusters' rows; exact mode and the
         // cache hit scanned none.
         assert!(
@@ -739,6 +823,30 @@ mod tests {
             probed < n_items as usize,
             "two of the clusters hold every row"
         );
+    }
+
+    #[test]
+    fn best_clusters_are_the_selection_of_the_bounds() {
+        // Ties (among them -0 and +0), infinities, the extreme finite and
+        // subnormal values, and every probe width.
+        let mut rng = StdRng::seed_from_u64(71);
+        let mut bounds: Vec<f32> = (0..40)
+            .map(|_| f32::from(rand::Rng::random_range(&mut rng, -4i8..4)) / 2.0)
+            .collect();
+        bounds[3] = -0.0;
+        bounds[7] = f32::INFINITY;
+        bounds[8] = f32::NEG_INFINITY;
+        bounds[30] = f32::INFINITY;
+        bounds[11] = f32::from_bits(1);
+        bounds[12] = -f32::from_bits(1);
+        bounds[13] = f32::MAX;
+        bounds[14] = -f32::MAX;
+        let (mut ranked, mut probes) = (Vec::new(), Vec::new());
+        for nprobe in 0..=bounds.len() + 1 {
+            best_clusters(&bounds, nprobe, &mut ranked, &mut probes);
+            let want = bns_eval::topk::top_k_masked(&bounds, &[], nprobe);
+            assert_eq!(probes, want, "nprobe {nprobe}");
+        }
     }
 
     #[test]
