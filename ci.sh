@@ -57,7 +57,7 @@ if rustc --print cfg -C target-cpu=native | grep -q 'target_feature="avx512f"'; 
     RUSTFLAGS="-C target-cpu=x86-64-v3" \
         run cargo test -q -p bns-model -p bns-core -p bns-eval --lib --offline --locked --target-dir target/avx2
     RUSTFLAGS="-C target-cpu=x86-64-v3" \
-        run cargo test -q -p bns --test batch_equivalence --test reproducibility --offline --locked --target-dir target/avx2
+        run cargo test -q -p bns --test batch_equivalence --test reproducibility --test synthetic_equivalence --offline --locked --target-dir target/avx2
     # BNS training through the 8-lane coded pass and its look-ahead windows
     # allocates nothing in steady state (two test threads, as above).
     RUSTFLAGS="-C target-cpu=x86-64-v3" \
@@ -81,11 +81,13 @@ fi
 # equivalence suites pin the
 # live models, the frozen artifact and the batched trainer to each other
 # bit for bit on that body; `reproducibility` ranks one model with 1 and 8
-# evaluation threads on the scalar tile body.
+# evaluation threads on the scalar tile body. `synthetic_equivalence` pins
+# the generated datasets and planted factor tables to golden digests here
+# and in the x86-64-v3 step, so a dataset that moves with the ISA fails.
 RUSTFLAGS="-C target-cpu=x86-64" \
     run cargo test -q -p bns-model -p bns-core -p bns-eval -p bns-serve --lib --offline --locked --target-dir target/portable
 RUSTFLAGS="-C target-cpu=x86-64" \
-    run cargo test -q -p bns --test serve_equivalence --test batch_equivalence --test reproducibility --offline --locked --target-dir target/portable
+    run cargo test -q -p bns --test serve_equivalence --test batch_equivalence --test reproducibility --test synthetic_equivalence --offline --locked --target-dir target/portable
 # The allocation audit of BNS training through the portable coded pass,
 # batched and through look-ahead windows (two test threads, as above).
 RUSTFLAGS="-C target-cpu=x86-64" \

@@ -7,8 +7,9 @@
 //!
 //! * **generator rows/sec** — the streamed CSR generator
 //!   ([`bns_data::synthetic::generate_streamed`]), which derives every
-//!   latent coordinate from a hash of `(seed, id)` on the fly and keeps
-//!   only O(n_items) popularity state resident;
+//!   latent coordinate from a hash of `(seed, id)` and keeps only
+//!   per-item state resident: the item table (4·d B an item, 32 B at the
+//!   default `latent_dim = 8`) and ~28 B an item of popularity state;
 //! * **artifact load_ms** — buffered (`read` + copy + full verify) vs
 //!   mmap-backed zero-copy ([`ModelArtifact::load_mapped`]), same chunked
 //!   checksum verification on both paths;
@@ -24,8 +25,9 @@
 //!   is clusterable the way a trained table is; uniform-random items
 //!   would make cluster probing meaningless at any width.
 //!
-//! Each tier also records `VmRSS`/`VmHWM` so "no dense latent tables"
-//! is a number in the JSON, not a claim in a doc.
+//! Each tier also records `VmRSS`/`VmHWM` so "no user table, and per-item
+//! state linear in the catalog" is a number in the JSON, not a claim in a
+//! doc.
 //!
 //! Flags: `--scale F` (in `(0, 1]`) shrinks every tier; `--out PATH`.
 //!

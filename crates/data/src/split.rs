@@ -6,7 +6,7 @@
 //! since a user without training positives can neither be trained on nor
 //! generate pairwise triples.
 
-use crate::interactions::{Interactions, InteractionsBuilder};
+use crate::interactions::{Interactions, RowStreamBuilder};
 use crate::{DataError, Result};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -43,10 +43,12 @@ pub fn split_random<R: Rng + ?Sized>(
         return Err(DataError::Invalid("cannot split an empty dataset".into()));
     }
 
-    let mut train = InteractionsBuilder::with_capacity(all.n_users(), all.n_items(), all.len());
-    let mut test = InteractionsBuilder::new(all.n_users(), all.n_items());
+    let mut train = RowStreamBuilder::new(all.n_users(), all.n_items());
+    train.reserve(all.len());
+    let mut test = RowStreamBuilder::new(all.n_users(), all.n_items());
 
-    // Split per user so the min-train guarantee is local and exact.
+    // Split per user so the min-train guarantee is local and exact; each
+    // side of the user's shuffle is sorted back into a CSR row.
     let mut shuffled: Vec<u32> = Vec::new();
     for u in 0..all.n_users() {
         let items = all.items_of(u);
@@ -61,15 +63,13 @@ pub fn split_random<R: Rng + ?Sized>(
         let max_test = items.len().saturating_sub(config.min_train_per_user);
         let n_test = want_test.min(max_test);
 
-        for (k, &i) in shuffled.iter().enumerate() {
-            if k < n_test {
-                test.push(u, i)?;
-            } else {
-                train.push(u, i)?;
-            }
-        }
+        let (held, kept) = shuffled.split_at_mut(n_test);
+        held.sort_unstable();
+        kept.sort_unstable();
+        test.push_row(u, held)?;
+        train.push_row(u, kept)?;
     }
-    Ok((train.build()?, test.build()?))
+    Ok((train.finish()?, test.finish()?))
 }
 
 /// Leave-one-out split: exactly one random interaction per user goes to the
@@ -83,34 +83,140 @@ pub fn split_leave_one_out<R: Rng + ?Sized>(
     if all.is_empty() {
         return Err(DataError::Invalid("cannot split an empty dataset".into()));
     }
-    let mut train = InteractionsBuilder::with_capacity(all.n_users(), all.n_items(), all.len());
-    let mut test = InteractionsBuilder::new(all.n_users(), all.n_items());
+    let mut train = RowStreamBuilder::new(all.n_users(), all.n_items());
+    train.reserve(all.len());
+    let mut test = RowStreamBuilder::new(all.n_users(), all.n_items());
+    let mut kept: Vec<u32> = Vec::new();
     for u in 0..all.n_users() {
         let items = all.items_of(u);
-        if items.is_empty() {
+        if items.len() <= 1 {
+            train.push_row(u, items)?;
             continue;
         }
-        if items.len() == 1 {
-            train.push(u, items[0])?;
-            continue;
-        }
-        let held_out = items[rng.random_range(0..items.len())];
-        for &i in items {
-            if i == held_out {
-                test.push(u, i)?;
-            } else {
-                train.push(u, i)?;
-            }
-        }
+        let j = rng.random_range(0..items.len());
+        kept.clear();
+        kept.extend_from_slice(&items[..j]);
+        kept.extend_from_slice(&items[j + 1..]);
+        test.push_row(u, &items[j..=j])?;
+        train.push_row(u, &kept)?;
     }
-    Ok((train.build()?, test.build()?))
+    Ok((train.finish()?, test.finish()?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interactions::InteractionsBuilder;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// The pair-builder form of [`split_random`]: every pair is pushed in
+    /// shuffle order and one global sort builds each CSR.
+    fn split_random_by_pairs<R: Rng + ?Sized>(
+        all: &Interactions,
+        config: SplitConfig,
+        rng: &mut R,
+    ) -> (Interactions, Interactions) {
+        let mut train = InteractionsBuilder::with_capacity(all.n_users(), all.n_items(), all.len());
+        let mut test = InteractionsBuilder::new(all.n_users(), all.n_items());
+        let mut shuffled: Vec<u32> = Vec::new();
+        for u in 0..all.n_users() {
+            let items = all.items_of(u);
+            if items.is_empty() {
+                continue;
+            }
+            shuffled.clear();
+            shuffled.extend_from_slice(items);
+            shuffled.shuffle(rng);
+            let want_test = (items.len() as f64 * config.test_fraction).round() as usize;
+            let max_test = items.len().saturating_sub(config.min_train_per_user);
+            let n_test = want_test.min(max_test);
+            for (k, &i) in shuffled.iter().enumerate() {
+                if k < n_test {
+                    test.push(u, i).unwrap();
+                } else {
+                    train.push(u, i).unwrap();
+                }
+            }
+        }
+        (train.build().unwrap(), test.build().unwrap())
+    }
+
+    /// The pair-builder form of [`split_leave_one_out`].
+    fn split_leave_one_out_by_pairs<R: Rng + ?Sized>(
+        all: &Interactions,
+        rng: &mut R,
+    ) -> (Interactions, Interactions) {
+        let mut train = InteractionsBuilder::with_capacity(all.n_users(), all.n_items(), all.len());
+        let mut test = InteractionsBuilder::new(all.n_users(), all.n_items());
+        for u in 0..all.n_users() {
+            let items = all.items_of(u);
+            if items.is_empty() {
+                continue;
+            }
+            if items.len() == 1 {
+                train.push(u, items[0]).unwrap();
+                continue;
+            }
+            let held_out = items[rng.random_range(0..items.len())];
+            for &i in items {
+                if i == held_out {
+                    test.push(u, i).unwrap();
+                } else {
+                    train.push(u, i).unwrap();
+                }
+            }
+        }
+        (train.build().unwrap(), test.build().unwrap())
+    }
+
+    /// A random dataset whose users are empty, single-item or hold up to
+    /// half the catalog.
+    fn random_dataset(rng: &mut StdRng) -> Interactions {
+        let n_users = rng.random_range(1..40u32);
+        let n_items = rng.random_range(1..60u32);
+        let mut pairs = Vec::new();
+        for u in 0..n_users {
+            let degree = match rng.random_range(0..4u32) {
+                0 => 0,
+                1 => 1,
+                _ => rng.random_range(0..=n_items / 2),
+            };
+            for _ in 0..degree {
+                pairs.push((u, rng.random_range(0..n_items)));
+            }
+        }
+        pairs.push((0, 0));
+        Interactions::from_pairs(n_users, n_items, &pairs).unwrap()
+    }
+
+    #[test]
+    fn row_splits_match_the_pair_builder_and_draw_the_same_words() {
+        let mut gen = StdRng::seed_from_u64(12);
+        for case in 0..200u64 {
+            let all = random_dataset(&mut gen);
+            let config = SplitConfig {
+                test_fraction: [0.0, 0.2, 0.5, 0.95][case as usize % 4],
+                min_train_per_user: [0, 1, 3, 1000][(case / 4) as usize % 4],
+            };
+            let (mut a, mut b) = (StdRng::seed_from_u64(case), StdRng::seed_from_u64(case));
+            let want = split_random_by_pairs(&all, config, &mut b);
+            assert_eq!(
+                split_random(&all, config, &mut a).unwrap(),
+                want,
+                "case {case}"
+            );
+            assert_eq!(a.next_u64(), b.next_u64(), "case {case}");
+
+            let want = split_leave_one_out_by_pairs(&all, &mut b);
+            assert_eq!(
+                split_leave_one_out(&all, &mut a).unwrap(),
+                want,
+                "case {case}"
+            );
+            assert_eq!(a.next_u64(), b.next_u64(), "case {case}");
+        }
+    }
 
     fn dense(n_users: u32, n_items: u32, per_user: u32) -> Interactions {
         let mut pairs = Vec::new();

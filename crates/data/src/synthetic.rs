@@ -28,10 +28,12 @@
 //! Every random quantity is **hash-derived**: latent components, Gumbel
 //! keys, activity draws and occupation labels are pure functions of
 //! `(seed, salt, id, component)` through a splitmix64 chain, bit-exact
-//! reproducible in any evaluation order. Nothing forces a dense
-//! `n_users × d` or `n_items × d` table to exist — [`RowStream`] emits one
-//! user row at a time from O(row) scratch plus O(n_items) popularity
-//! metadata, and [`generate_streamed`] pipes that straight into CSR
+//! reproducible in any evaluation order. No `n_users × d` table exists
+//! — [`RowStream`] emits one user row at a time from O(row) scratch plus
+//! per-item state: the `n_items × d` f32 item table, derived once (4·d B
+//! an item, 32 B at the default `latent_dim = 8`), popularity metadata
+//! (~28 B an item) and a pool bitmap (1 bit an item), and
+//! [`generate_streamed`] pipes that straight into CSR
 //! construction ([`crate::interactions::RowStreamBuilder`], the push core
 //! of `InteractionsBuilder::from_stream`). [`generate`] — the in-RAM
 //! analysis path — drives the *same* row stream, so the two are identical
@@ -41,9 +43,8 @@
 //! Per-user emission has two regimes, selected by [`EmissionMode`]:
 //!
 //! * **Exact** — score every item (`utility = β_lat·⟨w_u, h_i⟩ +
-//!   β_pop·pop_logit + Gumbel`) and take the top-k. O(n_items) per user;
-//!   item vectors are cached (that cache is the only dense table, and it
-//!   only exists in this small-catalog regime).
+//!   β_pop·pop_logit + Gumbel`) and take the top-k. O(n_items) per user,
+//!   reading the item table.
 //! * **Pooled** — sampled-softmax: draw a candidate pool of
 //!   `oversample × k` distinct items from the popularity proposal
 //!   `q(i) ∝ exp(β_pop·pop_logit_i)` (alias table), then Gumbel-top-k over
@@ -337,9 +338,9 @@ impl SyntheticDataset {
     }
 }
 
-/// The resolved per-run state shared by every emission path: O(n_items)
-/// popularity metadata, the tiny occupation-vector table, and — only in
-/// the exact regime — the item-factor cache.
+/// The resolved per-run state shared by every emission path: the item
+/// table, O(n_items) popularity metadata and the tiny occupation-vector
+/// table.
 struct PlantedModel {
     cfg: SyntheticConfig,
     scale: f64,
@@ -348,8 +349,8 @@ struct PlantedModel {
     /// Occupation group vectors, `n_occupations × d` (tiny).
     occ_factors: Vec<f32>,
     pop_logit: Vec<f64>,
-    /// Exact regime only: cached item vectors, `n_items × d`.
-    item_cache: Option<Vec<f32>>,
+    /// Planted item vectors, row-major `n_items × d`.
+    item_factors: Vec<f32>,
     /// Pooled regime only: alias table over `q(i) ∝ exp(β_pop·pop_logit)`.
     alias: Option<AliasTable>,
     /// Pooled regime only: the normalized proposal probabilities `q(i)`,
@@ -362,9 +363,11 @@ struct PlantedModel {
 /// is `Vec` capacity high-water marks.
 struct EmitScratch {
     user_vec: Vec<f32>,
-    item_vec: Vec<f32>,
     utilities: Vec<(f64, u32)>,
     pool: Vec<u32>,
+    /// One bit per item, set while the item is in `pool` (all clear
+    /// between rows).
+    seen: Vec<u64>,
     row: Vec<u32>,
 }
 
@@ -383,18 +386,15 @@ impl PlantedModel {
             }
         }
 
-        let pop_logit = popularity_logits(config);
-        let (item_cache, alias, proposal_q, oversample) = match config.resolved_emission() {
-            EmissionMode::Exact => {
-                let mut cache = vec![0f32; config.n_items as usize * d];
-                for i in 0..config.n_items as usize {
-                    for k in 0..d {
-                        cache[i * d + k] =
-                            latent_component(seed, SALT_ITEM_VEC, i as u64, k, scale);
-                    }
-                }
-                (Some(cache), None, Vec::new(), 0)
+        let mut item_factors = vec![0f32; config.n_items as usize * d];
+        for (i, row) in item_factors.chunks_exact_mut(d).enumerate() {
+            for (k, slot) in row.iter_mut().enumerate() {
+                *slot = latent_component(seed, SALT_ITEM_VEC, i as u64, k, scale);
             }
+        }
+        let pop_logit = popularity_logits(config);
+        let (alias, proposal_q, oversample) = match config.resolved_emission() {
+            EmissionMode::Exact => (None, Vec::new(), 0),
             EmissionMode::Pooled { oversample } => {
                 let weights: Vec<f64> = pop_logit
                     .iter()
@@ -404,7 +404,7 @@ impl PlantedModel {
                 let q: Vec<f64> = weights.iter().map(|w| w / total).collect();
                 let alias = AliasTable::new(&weights)
                     .map_err(|e| DataError::Invalid(format!("popularity proposal: {e}")))?;
-                (None, Some(alias), q, oversample)
+                (Some(alias), q, oversample)
             }
             EmissionMode::Auto => unreachable!("resolved_emission never returns Auto"),
         };
@@ -416,7 +416,7 @@ impl PlantedModel {
             w_occ: rho.sqrt() as f32,
             occ_factors,
             pop_logit,
-            item_cache,
+            item_factors,
             alias,
             proposal_q,
             oversample,
@@ -424,12 +424,11 @@ impl PlantedModel {
     }
 
     fn scratch(&self) -> EmitScratch {
-        let d = self.cfg.latent_dim;
         EmitScratch {
-            user_vec: vec![0f32; d],
-            item_vec: vec![0f32; d],
+            user_vec: vec![0f32; self.cfg.latent_dim],
             utilities: Vec::new(),
             pool: Vec::new(),
+            seen: vec![0u64; (self.cfg.n_items as usize).div_ceil(64)],
             row: Vec::new(),
         }
     }
@@ -445,31 +444,23 @@ impl PlantedModel {
         }
     }
 
-    /// Item `i`'s latent vector — from the cache in the exact regime,
-    /// derived on the fly in the pooled one (identical values either way).
-    fn item_vec<'a>(&'a self, i: u32, scratch_vec: &'a mut [f32]) -> &'a [f32] {
+    /// Item `i`'s latent vector.
+    fn item_vec(&self, i: u32) -> &[f32] {
         let d = self.cfg.latent_dim;
-        match &self.item_cache {
-            Some(cache) => &cache[i as usize * d..(i as usize + 1) * d],
-            None => {
-                for (k, slot) in scratch_vec.iter_mut().enumerate() {
-                    *slot = latent_component(self.cfg.seed, SALT_ITEM_VEC, i as u64, k, self.scale);
-                }
-                scratch_vec
-            }
-        }
+        &self.item_factors[i as usize * d..(i as usize + 1) * d]
     }
 
     /// Emits user `u`'s row into `scratch.row`, sorted ascending.
     fn emit_row(&self, u: u32, scratch: &mut EmitScratch) {
         let cfg = &self.cfg;
         let k = user_activity(cfg, u) as usize;
-        let mut user_vec = std::mem::take(&mut scratch.user_vec);
-        self.user_vec_into(u, &mut user_vec);
+        self.user_vec_into(u, &mut scratch.user_vec);
+        let user_vec = &scratch.user_vec;
 
         scratch.utilities.clear();
         if let Some(alias) = &self.alias {
-            // Pooled regime: distinct popularity-proposal candidates …
+            // Pooled regime: distinct popularity-proposal candidates, in
+            // bursts sized by the distinct ids drawn so far …
             let target = (k * self.oversample as usize).min(cfg.n_items as usize);
             let mut rng = StdRng::seed_from_u64(mix(cfg.seed, SALT_POOL, u as u64, 0));
             scratch.pool.clear();
@@ -478,11 +469,18 @@ impl PlantedModel {
             while scratch.pool.len() < target && draws < max_draws {
                 let burst = target - scratch.pool.len();
                 for _ in 0..burst.max(8) {
-                    scratch.pool.push(alias.sample(&mut rng) as u32);
+                    let i = alias.sample(&mut rng);
                     draws += 1;
+                    let (word, bit) = (&mut scratch.seen[i / 64], 1u64 << (i % 64));
+                    if *word & bit == 0 {
+                        *word |= bit;
+                        scratch.pool.push(i as u32);
+                    }
                 }
-                scratch.pool.sort_unstable();
-                scratch.pool.dedup();
+            }
+            scratch.pool.sort_unstable();
+            for &i in &scratch.pool {
+                scratch.seen[i as usize / 64] &= !(1u64 << (i % 64));
             }
             // Deterministic fill if Zipf collisions starved the pool (only
             // reachable when k·oversample approaches the catalog size). Only
@@ -507,9 +505,8 @@ impl PlantedModel {
             // the pool saturates the catalog (π_i → 1), where the exact
             // utility must be restored.
             let m = draws as f64;
-            let mut item_vec = std::mem::take(&mut scratch.item_vec);
             for &i in &scratch.pool {
-                let hi = self.item_vec(i, &mut item_vec);
+                let hi = self.item_vec(i);
                 let dot: f32 = user_vec.iter().zip(hi).map(|(a, b)| a * b).sum();
                 let q = self.proposal_q[i as usize];
                 // ln π_i via ln1p/exp_m1 to stay accurate for tiny q·m.
@@ -520,21 +517,17 @@ impl PlantedModel {
                     + pair_gumbel(cfg.seed, u, i);
                 scratch.utilities.push((util, i));
             }
-            scratch.item_vec = item_vec;
         } else {
             // Exact regime: full-catalog utilities.
-            let mut item_vec = std::mem::take(&mut scratch.item_vec);
             for i in 0..cfg.n_items {
-                let hi = self.item_vec(i, &mut item_vec);
+                let hi = self.item_vec(i);
                 let dot: f32 = user_vec.iter().zip(hi).map(|(a, b)| a * b).sum();
                 let util = cfg.latent_weight * dot as f64
                     + cfg.popularity_weight * self.pop_logit[i as usize]
                     + pair_gumbel(cfg.seed, u, i);
                 scratch.utilities.push((util, i));
             }
-            scratch.item_vec = item_vec;
         }
-        scratch.user_vec = user_vec;
 
         let k = k.min(scratch.utilities.len());
         // Partial selection of the k largest utilities (Gumbel-top-k).
@@ -587,63 +580,47 @@ impl RowStream {
     pub fn emission(&self) -> EmissionMode {
         self.model.cfg.resolved_emission()
     }
+
+    /// Streams every remaining row into CSR form.
+    fn drain(&mut self) -> Result<Interactions> {
+        let cfg = &self.model.cfg;
+        let mut builder = RowStreamBuilder::new(cfg.n_users, cfg.n_items);
+        builder.reserve(cfg.target_interactions);
+        while let Some((u, row)) = self.next_row() {
+            builder.push_row(u, row)?;
+        }
+        builder.finish()
+    }
 }
 
-/// Streams the full dataset straight into CSR form without materialising
-/// latent tables (beyond the small-catalog exact-regime item cache):
-/// memory is the output CSR plus O(n_items) popularity metadata.
-/// Bit-identical to [`generate`]'s interactions for the same config.
+/// Streams the full dataset straight into CSR form without a user table:
+/// memory is the output CSR plus the stream's per-item state (see the
+/// module docs). Bit-identical to [`generate`]'s interactions for the
+/// same config.
 pub fn generate_streamed(config: &SyntheticConfig) -> Result<Interactions> {
-    let mut stream = RowStream::new(config)?;
-    let mut builder = RowStreamBuilder::new(config.n_users, config.n_items);
-    builder.reserve(config.target_interactions);
-    while let Some((u, row)) = stream.next_row() {
-        builder.push_row(u, row)?;
-    }
-    builder.finish()
+    RowStream::new(config)?.drain()
 }
 
 /// Generates a dataset from `config`. Deterministic given the config.
 ///
-/// This is the in-RAM analysis path: it materialises the planted factor
-/// tables for tests and diagnostics. The interactions themselves come from
-/// the same [`RowStream`] as [`generate_streamed`], so the two agree
-/// bit-exactly; use the streamed form when the tables would not fit.
+/// This is the in-RAM analysis path: it also returns the planted factor
+/// tables for tests and diagnostics. The interactions come from the same
+/// [`RowStream`] as [`generate_streamed`], so the two agree bit-exactly,
+/// and the item table is the one that stream emitted from; use the
+/// streamed form when the user table would not fit.
 pub fn generate(config: &SyntheticConfig) -> Result<SyntheticDataset> {
-    let interactions = generate_streamed(config)?;
-    let d = config.latent_dim;
-    let scale = 1.0 / (d as f64).sqrt();
-    let seed = config.seed;
-    let occupations = derive_occupations(config);
-
-    let rho = config.occupation_mix;
-    let (w_ind, w_occ) = ((1.0 - rho).sqrt() as f32, rho.sqrt() as f32);
-    let mut occ_factors = vec![0f32; config.n_occupations as usize * d];
-    for o in 0..config.n_occupations as usize {
-        for k in 0..d {
-            occ_factors[o * d + k] = latent_component(seed, SALT_OCC_VEC, o as u64, k, scale);
-        }
+    let mut stream = RowStream::new(config)?;
+    let interactions = stream.drain()?;
+    let model = stream.model;
+    let mut user_factors = vec![0f32; config.n_users as usize * config.latent_dim];
+    for (u, row) in user_factors.chunks_exact_mut(config.latent_dim).enumerate() {
+        model.user_vec_into(u as u32, row);
     }
-    let mut user_factors = vec![0f32; config.n_users as usize * d];
-    for u in 0..config.n_users as usize {
-        let o = occupations.of(u as u32) as usize;
-        for k in 0..d {
-            let ind = latent_component(seed, SALT_USER_VEC, u as u64, k, scale);
-            user_factors[u * d + k] = w_ind * ind + w_occ * occ_factors[o * d + k];
-        }
-    }
-    let mut item_factors = vec![0f32; config.n_items as usize * d];
-    for i in 0..config.n_items as usize {
-        for k in 0..d {
-            item_factors[i * d + k] = latent_component(seed, SALT_ITEM_VEC, i as u64, k, scale);
-        }
-    }
-
     Ok(SyntheticDataset {
         interactions,
-        occupations,
+        occupations: derive_occupations(config),
         user_factors,
-        item_factors,
+        item_factors: model.item_factors,
         config: config.clone(),
     })
 }

@@ -162,8 +162,8 @@ pub struct ModelArtifact {
     /// Training positives; its shape is the tables' `n_users × n_items`.
     seen: Interactions,
     index: Option<IvfIndex>,
-    /// The serving codes of the item rows in scan order, built by the
-    /// first query and shared by every clone (never serialized).
+    /// The serving codes of the item rows in scan order, built once per
+    /// artifact and shared by every clone (never serialized).
     codes: Arc<OnceLock<I8Rows>>,
 }
 
@@ -285,8 +285,9 @@ impl ModelArtifact {
     /// ([`I8Rows`]), which queries scan before re-scoring the few rows
     /// that can reach the top-k. The codes are built on first use (about
     /// 35–55 ms at 100k items × d = 32 on a 2-vCPU Xeon, i8 and 4-bit
-    /// codes a row) and shared by every clone of this
-    /// artifact; an artifact swapped into an engine brings its own.
+    /// codes a row; [`crate::NetServer::swap_artifact`] builds them before
+    /// the swap) and shared by every clone of this artifact; an artifact
+    /// swapped into an engine brings its own.
     pub(crate) fn scan_order(&self) -> ScanOrder<'_> {
         let (rows, ids) = match &self.index {
             Some(index) => (index.vectors(), Some(index.perm())),
@@ -296,6 +297,12 @@ impl ModelArtifact {
             .codes
             .get_or_init(|| I8Rows::from_table(rows, self.dim));
         ScanOrder { codes, rows, ids }
+    }
+
+    /// Whether the serving codes are built.
+    #[cfg(test)]
+    pub(crate) fn codes_built(&self) -> bool {
+        self.codes.get().is_some()
     }
 
     /// Whether the tables serve zero-copy out of a live file mapping

@@ -254,6 +254,9 @@ impl NetServer {
     /// generations (the response's `generation` field proves which one
     /// answered).
     pub fn swap_artifact(&self, artifact: ModelArtifact) -> ModelArtifact {
+        // Build the new artifact's serving codes before taking the guard,
+        // so that no request waits for them.
+        artifact.scan_order();
         let old = self.shared.engine.write().swap_artifact(artifact);
         self.shared.metrics.artifact_swaps.incr();
         old
@@ -1039,5 +1042,17 @@ mod tests {
         let after = client.top_k(0, 4, false, ModeRequest::Default).unwrap();
         assert_eq!(after.generation, before.generation + 1);
         assert_eq!(server.metrics().artifact_swaps.get(), 1);
+    }
+
+    #[test]
+    fn swap_artifact_leaves_the_codes_built() {
+        let server = NetServer::bind("127.0.0.1:0", engine(8), quick_cfg()).unwrap();
+        let mut rng = StdRng::seed_from_u64(9);
+        let model = MatrixFactorization::new(6, 12, 8, 0.1, &mut rng).unwrap();
+        let seen = Interactions::from_pairs(6, 12, &[]).unwrap();
+        let fresh = ModelArtifact::freeze(&model, &seen).unwrap();
+        assert!(!fresh.codes_built());
+        server.swap_artifact(fresh);
+        assert!(server.shared.engine.read().artifact().codes_built());
     }
 }

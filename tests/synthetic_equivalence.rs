@@ -262,3 +262,107 @@ fn pooled_regime_preserves_the_planted_structure_at_scale() {
         "pooled occupation shift {os_p} lost the planted signal (exact {os_e})"
     );
 }
+
+/// FNV-1a 64 of a CSR's `[n_users, n_items, offsets…, items…]` words and
+/// of the two factor tables, each as little-endian bytes.
+fn golden_digests(cfg: &SyntheticConfig) -> (usize, [u64; 3]) {
+    use bns::serve::artifact::fnv1a64;
+    let ds = generate(cfg).expect("in-RAM generation");
+    let (n_users, n_items, offsets, items) = ds.interactions.csr_parts();
+    let shape = [n_users, n_items];
+    let csr: Vec<u8> = shape
+        .iter()
+        .chain(offsets)
+        .chain(items)
+        .flat_map(|w| w.to_le_bytes())
+        .collect();
+    let table = |t: &[f32]| fnv1a64(&t.iter().flat_map(|x| x.to_le_bytes()).collect::<Vec<u8>>());
+    let digests = [
+        fnv1a64(&csr),
+        table(&ds.item_factors),
+        table(&ds.user_factors),
+    ];
+    (ds.interactions.len(), digests)
+}
+
+/// Pins the generated bits in both regimes, and the starved-pool fill, to
+/// constants: a dataset that moves with the code, the build's ISA or the
+/// optimizer fails here. The values are data; never regenerate them.
+#[test]
+fn generated_datasets_match_their_golden_digests() {
+    let cases = [
+        (
+            SyntheticConfig {
+                n_users: 400,
+                n_items: 5000,
+                target_interactions: 8000,
+                seed: 4242,
+                ..SyntheticConfig::default()
+            },
+            7846,
+            [
+                0x2E84_4A49_3156_5878,
+                0xEDE9_82C4_BA4C_97A6,
+                0x8DEF_082B_E76E_B29B,
+            ],
+        ),
+        (
+            SyntheticConfig {
+                n_users: 60,
+                n_items: 300,
+                target_interactions: 3600,
+                seed: 4242,
+                emission: EmissionMode::Pooled { oversample: 4 },
+                ..SyntheticConfig::default()
+            },
+            3323,
+            [
+                0x7E05_5551_BA85_8A31,
+                0xFB83_AD7E_AE76_D6FE,
+                0x302C_4DE3_7BE7_900F,
+            ],
+        ),
+        (
+            SyntheticConfig {
+                n_users: 4,
+                n_items: 400,
+                target_interactions: 800,
+                seed: 6,
+                emission: EmissionMode::Pooled { oversample: 4 },
+                ..SyntheticConfig::default()
+            },
+            1358,
+            [
+                0xC38E_3E1A_D103_ABAB,
+                0x9D48_1A93_D60C_31E6,
+                0x1189_DE91_840D_273B,
+            ],
+        ),
+        (
+            SyntheticConfig {
+                n_users: 150,
+                n_items: 320,
+                target_interactions: 3000,
+                seed: 4242,
+                emission: EmissionMode::Exact,
+                ..SyntheticConfig::default()
+            },
+            2868,
+            [
+                0xD7D9_E3E6_C731_06F0,
+                0xF92A_5942_4993_8E90,
+                0x3790_2D1E_7B7A_6798,
+            ],
+        ),
+    ];
+    for (cfg, len, digests) in cases {
+        assert_eq!(
+            golden_digests(&cfg),
+            (len, digests),
+            "{} x {} under {:?}",
+            cfg.n_users,
+            cfg.n_items,
+            cfg.emission
+        );
+    }
+}
